@@ -22,8 +22,8 @@ from .partition import (Chain, ChainClosure, MembershipReport, Move,
                         check_membership, classify_vertex, enumerate_chains,
                         find_move, initial_selection, partition_p1,
                         partition_p2, partition_regular)
-from .verify import (AuditReport, audit, check_avd, check_proper, exact_chi_a,
-                     exact_chromatic_index)
+from .verify import (AuditReport, audit, check_avd, check_certificate,
+                     check_proper, exact_chi_a, exact_chromatic_index)
 from .vizing import EdgeColoring, color_classes, make_coloring, misra_gries
 
 __all__ = [
@@ -35,8 +35,9 @@ __all__ = [
     "SearchCapExceededError", "StaleMoveError", "SubgraphSelection",
     "VertexType", "apply_move", "audit", "avd_color", "avd_color_budget",
     "avd_color_regular", "avd_subcubic", "canon_edge", "check_avd",
-    "check_membership", "check_proper", "classify_vertex", "color_classes",
-    "complement_selection", "complete", "compose", "cycle", "edge_induced",
+    "check_certificate", "check_membership", "check_proper",
+    "classify_vertex", "color_classes", "complement_selection", "complete",
+    "compose", "cycle", "edge_induced",
     "emit_graph", "enumerate_chains", "exact_chi_a", "exact_chromatic_index",
     "find_move", "generate", "gnp", "initial_selection", "is_normal",
     "main_bound", "make_coloring", "misra_gries", "parse_graph",

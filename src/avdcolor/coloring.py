@@ -41,19 +41,25 @@ def regular_bound(r: int) -> int:
 
 @dataclass(frozen=True)
 class AvdCertificate:
-    """A checked AVD edge coloring together with its claimed budget."""
+    """A checked AVD edge coloring together with its claimed budget.
+
+    ``parts`` are the edge sets the palettes were assigned over, in palette
+    order: one set for a single search, the partition parts for a
+    composition, and empty for a certificate read back from JSON.
+    """
 
     coloring: EdgeColoring
     colors_used: int
     bound_claimed: int
     per_edge_witness: dict[Edge, int]
+    parts: tuple[frozenset[Edge], ...] = ()
 
     def with_bound(self, bound: int) -> "AvdCertificate":
         if self.colors_used > bound:
             raise AssertionError(
                 f"cannot claim bound {bound} with {self.colors_used} colors")
         return AvdCertificate(self.coloring, self.colors_used, bound,
-                              self.per_edge_witness)
+                              self.per_edge_witness, self.parts)
 
 
 def _witnesses(g: Graph, coloring: EdgeColoring) -> dict[Edge, int]:
@@ -75,7 +81,7 @@ def _certificate(g: Graph, assignment: dict[Edge, int],
     remap = {c: i for i, c in enumerate(palette, start=1)}
     coloring = make_coloring(g, {e: remap[c] for e, c in assignment.items()})
     return AvdCertificate(coloring, len(palette), bound,
-                          _witnesses(g, coloring))
+                          _witnesses(g, coloring), (g.edges,))
 
 
 def _vertex_major_order(g: Graph,
@@ -264,7 +270,7 @@ def compose(parts: list[tuple[Graph, AvdCertificate]],
     The parts must edge-partition the host and every part must be normal
     with a valid certificate.  Palettes are relabeled onto consecutive
     disjoint ranges in part order, so the result uses the sum of the part
-    palette sizes.
+    palette sizes, and its ``parts`` lists the part edge sets in that order.
     """
     if not parts:
         raise ValueError("nothing to compose")
@@ -305,7 +311,8 @@ def compose(parts: list[tuple[Graph, AvdCertificate]],
     if not ok:
         raise AssertionError(f"palette-disjoint composition failed: {detail}")
     bound = sum(cert.bound_claimed for _, cert in parts)
-    return AvdCertificate(coloring, offset, bound, _witnesses(host, coloring))
+    return AvdCertificate(coloring, offset, bound, _witnesses(host, coloring),
+                          tuple(part.edges for part, _ in parts))
 
 
 def _color_bounded_part(part: Graph) -> AvdCertificate:
@@ -320,7 +327,9 @@ def avd_color(g: Graph, trace=None) -> AvdCertificate:
 
     Routing: subcubic graphs go to the 5-color searcher, max degree 4 or 5
     to an exact search with budget 3*Delta, and everything else through the
-    recursive partition followed by palette-disjoint composition.
+    recursive partition followed by palette-disjoint composition.  The
+    certificate's ``parts`` is the partition it colored: the single edge set
+    below max degree 6, else the parts of ``partition_p2(g)``.
     """
     if not is_normal(g):
         raise NotNormalError("AVD colorings exist only for normal graphs")

@@ -70,9 +70,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self._edges)
 
-    def has_vertex(self, v: int) -> bool:
-        return v in self._adj
-
     def has_edge(self, u: int, v: int) -> bool:
         return canon_edge(u, v) in self._edges
 
@@ -195,19 +192,6 @@ class SubgraphSelection:
     def potential(self) -> tuple[int, int]:
         """Lexicographic pair (isolated edges on both sides, |E(H)|)."""
         return (len(self._iso_sel) + len(self._iso_unsel), len(self._selected))
-
-    def max_selected_degree(self) -> int:
-        return max(self._deg.values(), default=0)
-
-    def copy(self) -> "SubgraphSelection":
-        dup = SubgraphSelection.__new__(SubgraphSelection)
-        dup.host = self.host
-        dup._selected = set(self._selected)
-        dup._deg = dict(self._deg)
-        dup._iso_sel = set(self._iso_sel)
-        dup._iso_unsel = set(self._iso_unsel)
-        dup.version = self.version
-        return dup
 
     # -- mutation --------------------------------------------------------
 

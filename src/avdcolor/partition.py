@@ -724,9 +724,9 @@ def partition_p2(g: Graph,
     """Recursive decomposition into G_0 .. G_k with k <= floor(Delta/2) - 2.
 
     G_0 has max degree <= 5 and every later part is subcubic; peeling stops
-    as soon as the remainder's max degree drops below 6.  The remainder with
-    max degree exactly 3 pairs with the last peel in the order the induction
-    assigns (peel first, remainder second).
+    as soon as the remainder's max degree drops below 6.  The parts are the
+    remainder G_0 first, then the peels, deepest first, so the last part is
+    the selection side of ``partition_p1(g)``.
     """
     if not is_normal(g):
         raise NotNormalError("partition requires a normal graph")
@@ -736,12 +736,8 @@ def partition_p2(g: Graph,
 def _p2_parts(g: Graph, trace) -> list[frozenset[Edge]]:
     if g.max_degree <= 5:
         return [frozenset(g.edges)]
-    two = partition_p1(g, trace=trace)
-    h_edges, hbar_edges = two.parts
-    hbar = edge_induced(g, hbar_edges)
-    if hbar.max_degree == 3:
-        return [frozenset(h_edges), frozenset(hbar_edges)]
-    return _p2_parts(hbar, trace) + [frozenset(h_edges)]
+    h_edges, hbar_edges = partition_p1(g, trace=trace).parts
+    return _p2_parts(edge_induced(g, hbar_edges), trace) + [h_edges]
 
 
 def partition_regular(g: Graph) -> EdgePartition:

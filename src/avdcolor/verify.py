@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import CapExceededError, CounterexampleFound, NotNormalError
-from .graphs import Graph, canon_edge, is_normal
+from .graphs import Graph, canon_edge, edge_induced, is_normal
 from .vizing import EdgeColoring
 
 ORACLE_EDGE_CAP = 16
@@ -43,6 +43,35 @@ def check_avd(g: Graph, coloring: EdgeColoring):
         if sets[u] == sets[v]:
             return False, (u, v, sets[u])
     return True, None
+
+
+def check_certificate(g: Graph, cert) -> list[tuple[str, bool, object]]:
+    """Re-validate a certificate for ``g``: one (name, ok, detail) row per check.
+
+    The coloring must be proper and distinguishing, ``colors_used`` must be
+    its palette size and within ``bound_claimed``, and every adjacent
+    equal-degree pair must have exactly one witness color, present at one
+    endpoint and absent at the other.
+    """
+    rows = []
+    ok, detail = check_proper(g, cert.coloring)
+    rows.append(("proper", ok, detail))
+    if ok:
+        avd_ok, avd_detail = check_avd(g, cert.coloring)
+    else:
+        avd_ok, avd_detail = False, "skipped (not proper)"
+    rows.append(("adjacent-vertex-distinguishing", avd_ok, avd_detail))
+    rows.append(("colors_used matches palette",
+                 cert.colors_used == cert.coloring.colors_used, ""))
+    rows.append(("colors_used within bound",
+                 cert.colors_used <= cert.bound_claimed, ""))
+    wit_ok = all((c in cert.coloring.colors_at(u))
+                 != (c in cert.coloring.colors_at(v))
+                 for (u, v), c in cert.per_edge_witness.items())
+    expected = {(u, v) for u, v in g.edges if g.degree(u) == g.degree(v)}
+    rows.append(("witnesses cover equal-degree pairs",
+                 wit_ok and set(cert.per_edge_witness) == expected, ""))
+    return rows
 
 
 # -- exhaustive oracles ------------------------------------------------------
@@ -196,10 +225,46 @@ class AuditReport:
         }
 
 
+def _partition_rows(g: Graph, parts) -> list[tuple[str, bool, str]]:
+    """Rows for the edge sets a certificate was composed from, Delta >= 4.
+
+    For Delta >= 6 the last part is the peel H of the first two-part split
+    and the other parts together are its complement.
+    """
+    delta = g.max_degree
+    union = frozenset().union(*parts)
+    covered = (all(parts) and union == g.edges
+               and sum(map(len, parts)) == len(union))
+    rows = [("parts partition the edge set", covered, f"{len(parts)} parts")]
+    if not covered:
+        return rows
+    graphs = [edge_induced(g, p) for p in parts]
+    if delta >= 6:
+        h, hbar = graphs[-1], edge_induced(g, union - parts[-1])
+        rows.append(("partition: selection side max degree <= 3",
+                     h.max_degree <= 3, f"max {h.max_degree}"))
+        rows.append((f"partition: complement max degree <= {delta - 2}",
+                     hbar.max_degree <= delta - 2, f"max {hbar.max_degree}"))
+        rows.append(("partition: both sides normal",
+                     is_normal(h) and is_normal(hbar), ""))
+    k = len(parts) - 1
+    k_bound = max(delta // 2 - 2, 0) if delta >= 6 else 0
+    rows.append((f"recursion depth k = {k} <= {k_bound}", k <= k_bound, ""))
+    rows.append(("G0 max degree <= 5", graphs[0].max_degree <= 5,
+                 f"max {graphs[0].max_degree}"))
+    rows.append(("later parts subcubic",
+                 all(p.max_degree <= 3 for p in graphs[1:]), ""))
+    rows.append(("all parts normal", all(is_normal(p) for p in graphs), ""))
+    return rows
+
+
 def audit(g: Graph, oracle_edge_cap: int = ORACLE_EDGE_CAP) -> AuditReport:
-    """Run the full pipeline on ``g`` and independently check every claim."""
+    """Run the pipeline once on ``g`` and independently check every claim.
+
+    The partition rows check the parts the certificate was composed from
+    (``cert.parts``), so ``avd_color`` is the only partitioning run.
+    """
     from . import coloring as avd
-    from . import partition as part_mod
     from .vizing import misra_gries
 
     delta = g.max_degree
@@ -237,34 +302,8 @@ def audit(g: Graph, oracle_edge_cap: int = ORACLE_EDGE_CAP) -> AuditReport:
     report.bound_table["main_bound"] = bound
     report.bound_table["avd_colors_used"] = cert.colors_used
 
-    if delta >= 6:
-        try:
-            two = part_mod.partition_p1(g)
-            h, hbar = two.part_graphs()
-            rows.append(("partition: selection side max degree <= 3",
-                         h.max_degree <= 3, f"max {h.max_degree}"))
-            rows.append((f"partition: complement max degree <= {delta - 2}",
-                         hbar.max_degree <= delta - 2, f"max {hbar.max_degree}"))
-            rows.append(("partition: both sides normal",
-                         is_normal(h) and is_normal(hbar), ""))
-        except CounterexampleFound as exc:
-            rows.append(("two-part partition", False, str(exc)))
     if delta >= 4:
-        try:
-            parts = part_mod.partition_p2(g)
-            k = parts.k
-            k_bound = max(delta // 2 - 2, 0) if delta >= 6 else 0
-            rows.append((f"recursion depth k = {k} <= {k_bound}",
-                         k <= k_bound, ""))
-            graphs = parts.part_graphs()
-            rows.append(("G0 max degree <= 5", graphs[0].max_degree <= 5,
-                         f"max {graphs[0].max_degree}"))
-            rows.append(("later parts subcubic",
-                         all(p.max_degree <= 3 for p in graphs[1:]), ""))
-            rows.append(("all parts normal",
-                         all(is_normal(p) for p in graphs), ""))
-        except CounterexampleFound as exc:
-            rows.append(("recursive partition", False, str(exc)))
+        rows.extend(_partition_rows(g, cert.parts))
 
     if g.is_regular() and delta >= 2:
         rcert = avd.avd_color_regular(g)

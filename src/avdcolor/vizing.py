@@ -23,9 +23,6 @@ class EdgeColoring:
     def colors_used(self) -> int:
         return len(self.palette)
 
-    def color_of(self, u: int, v: int) -> int:
-        return self.assignment[canon_edge(u, v)]
-
     def colors_at(self, v: int) -> frozenset[int]:
         """C(v): the set of colors on edges incident to v."""
         return frozenset(self.assignment[canon_edge(v, w)]

@@ -58,6 +58,33 @@ def test_verify_rejects_tampered_certificate(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_verify_rejects_flipped_witness(tmp_path, capsys):
+    gpath = _write_graph(tmp_path, complete(7))
+    cert = tmp_path / "cert.json"
+    main(["color", gpath, "--out", str(cert)])
+    data = json.loads(cert.read_text())
+    u, v, _ = data["witnesses"][0]
+    # The edge's own color is at both ends, so it distinguishes nothing.
+    data["witnesses"][0][2] = next(c for a, b, c in data["edges"]
+                                   if (a, b) == (u, v))
+    cert.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", gpath, str(cert)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL witnesses cover equal-degree pairs" in out
+    assert "PASS adjacent-vertex-distinguishing" in out
+
+
+def test_color_regular_cli(tmp_path, capsys):
+    from avdcolor import random_regular
+    gpath = _write_graph(tmp_path, random_regular(12, 5, seed=2))
+    cert = tmp_path / "cert.json"
+    assert main(["color-regular", gpath, "--out", str(cert)]) == 0
+    assert "bound=20" in capsys.readouterr().out
+    assert main(["verify", gpath, str(cert)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
 def test_color_deterministic_output(tmp_path, capsys):
     gpath = _write_graph(tmp_path, complete(7))
     a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -114,10 +141,10 @@ def test_audit_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_audit_directory_jobs(tmp_path, capsys):
+def test_audit_directory(tmp_path, capsys):
     _write_graph(tmp_path, petersen(), "a.g6")
     _write_graph(tmp_path, cycle(6), "b.g6")
-    assert main(["audit", "--dir", str(tmp_path), "--jobs", "2"]) == 0
+    assert main(["audit", "--dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert out.count("overall: PASS") == 2
 

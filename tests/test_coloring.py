@@ -204,6 +204,17 @@ def test_avd_color_regular_low_degree_routing():
         avd_color_regular(gnp(12, 0.4, seed=0))
 
 
+def test_certificate_parts_are_the_colored_partition():
+    k7 = complete(7)
+    cert = avd_color(k7)
+    assert list(cert.parts) == partition_p2(k7).parts
+    assert cert.with_bound(cert.bound_claimed + 1).parts == cert.parts
+    assert avd_color(petersen()).parts == (petersen().edges,)
+    assert avd_color(complete(6)).parts == (complete(6).edges,)
+    back = certificate_from_dict(certificate_to_dict(cert), host=k7)
+    assert back.parts == ()
+
+
 def test_certificate_serialization_roundtrip():
     g = complete(7)
     cert = avd_color(g)

@@ -342,12 +342,14 @@ def test_partition_p2_base_case():
 
 
 def test_partition_p2_degree_six():
-    part = partition_p2(complete(7))
+    g = complete(7)
+    part = partition_p2(g)
     assert part.k == 1
     graphs = part.part_graphs()
     assert graphs[0].max_degree <= 5
     assert all(p.max_degree <= 3 for p in graphs[1:])
     assert all(is_normal(p) for p in graphs)
+    assert partition_p2(g).parts[-1] == partition_p1(g).parts[0]
 
 
 def test_partition_p2_degree_ten():
@@ -358,6 +360,7 @@ def test_partition_p2_degree_ten():
     assert graphs[0].max_degree <= 5
     assert all(p.max_degree <= 3 for p in graphs[1:])
     assert all(is_normal(p) for p in graphs)
+    assert partition_p2(g).parts[-1] == partition_p1(g).parts[0]
 
 
 def test_partition_regular_case_table_small():

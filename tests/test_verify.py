@@ -1,9 +1,12 @@
+import dataclasses
+
 import pytest
 
 from avdcolor import (CapExceededError, Graph, audit, avd_color, check_avd,
-                      check_proper, complete, cycle, exact_chi_a,
-                      exact_chromatic_index, gnp, is_normal, make_coloring,
-                      misra_gries, petersen)
+                      check_certificate, check_proper, complete, cycle,
+                      exact_chi_a, exact_chromatic_index, gnp, is_normal,
+                      make_coloring, misra_gries, petersen)
+from avdcolor import coloring, partition
 from helpers import normal_gnp_corpus
 
 
@@ -117,3 +120,80 @@ def test_audit_skips_oracle_above_cap():
     assert report.overall_pass
     assert any("skipped" in name for name, _, _ in report.checks)
     assert report.to_dict()["overall_pass"]
+
+
+def test_check_certificate_rejects_flipped_witness():
+    g = complete(7)
+    cert = avd_color(g)
+    assert all(ok for _, ok, _ in check_certificate(g, cert))
+    e = min(cert.per_edge_witness)
+    # The edge's own color is seen at both ends, so it witnesses nothing.
+    flipped = dict(cert.per_edge_witness)
+    flipped[e] = cert.coloring.assignment[e]
+    rows = check_certificate(g, dataclasses.replace(cert,
+                                                    per_edge_witness=flipped))
+    failed = [name for name, ok, _ in rows if not ok]
+    assert failed == ["witnesses cover equal-degree pairs"]
+
+
+def test_audit_runs_the_pipeline_once(monkeypatch):
+    calls = {"avd_color": 0, "inside": 0, "outside": 0}
+    depth = [0]
+
+    def count_driver(fn):
+        def wrapper(*args, **kwargs):
+            calls["avd_color"] += 1
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    def count_partition(fn):
+        def wrapper(*args, **kwargs):
+            calls["inside" if depth[0] else "outside"] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(coloring, "avd_color", count_driver(coloring.avd_color))
+    monkeypatch.setattr(coloring, "partition_p2",
+                        count_partition(coloring.partition_p2))
+    for name in ("partition_p1", "partition_p2"):
+        monkeypatch.setattr(partition, name,
+                            count_partition(getattr(partition, name)))
+    report = audit(complete(12))
+    assert report.overall_pass
+    assert calls["avd_color"] == 1
+    assert calls["outside"] == 0
+    assert calls["inside"] >= 2  # partition_p2 plus a partition_p1 per peel
+
+
+def _audit_with_parts(monkeypatch, g, make_parts):
+    real = coloring.avd_color
+
+    def swapped(graph, trace=None):
+        cert = real(graph, trace=trace)
+        return dataclasses.replace(cert, parts=make_parts(cert.parts))
+
+    monkeypatch.setattr(coloring, "avd_color", swapped)
+    return audit(g)
+
+
+def test_audit_rejects_overlapping_parts(monkeypatch):
+    def overlap(parts):
+        return (parts[0] | {min(parts[-1])},) + parts[1:]
+
+    report = _audit_with_parts(monkeypatch, complete(12), overlap)
+    assert not report.overall_pass
+    failed = [name for name, ok, _ in report.checks if not ok]
+    assert failed == ["parts partition the edge set"]
+
+
+def test_audit_rejects_unbounded_g0(monkeypatch):
+    g = complete(12)
+    report = _audit_with_parts(monkeypatch, g, lambda parts: (g.edges,))
+    assert not report.overall_pass
+    failed = {name for name, ok, _ in report.checks if not ok}
+    assert "G0 max degree <= 5" in failed
+    assert "parts partition the edge set" not in failed
