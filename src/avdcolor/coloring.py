@@ -282,9 +282,7 @@ def compose(parts: list[tuple[Graph, AvdCertificate]],
             raise NotNormalError("every composed part must be normal")
         if cert.coloring.host.edges != part.edges:
             raise ValueError("certificate does not match its part graph")
-        ok, detail = verify.check_proper(part, cert.coloring)
-        if not ok:
-            raise ValueError(f"part certificate is not proper: {detail}")
+        # check_avd raises ValueError on an improper coloring.
         ok, detail = verify.check_avd(part, cert.coloring)
         if not ok:
             raise ValueError(f"part certificate is not distinguishing: {detail}")

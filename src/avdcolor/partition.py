@@ -11,18 +11,19 @@ The engine drives the lexicographic potential
 
     ( #isolated edges of H + #isolated edges of the complement, |E(H)| )
 
-to (0, *) by applying local rewrite moves.  Every candidate move is
-validated against the membership conditions and the strict potential
-decrease before it is returned, so a single engine step can never corrupt
-the selection.  When the potential is zero, H and its complement are both
-normal, giving the two-part partition; recursion and color-class grouping
-build the multi-part variants.
+to (0, *) by applying local rewrite moves, one candidate per case of the
+published case analysis.  Every candidate move is validated against the
+membership conditions and the strict potential decrease before it is
+returned, so a single engine step can never corrupt the selection, and the
+engine raises CounterexampleFound on a state with no valid move.  When the
+potential is zero, H and its complement are both normal, giving the
+two-part partition; recursion and color-class grouping build the
+multi-part variants.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
@@ -31,9 +32,8 @@ from .errors import (CounterexampleFound, InternalBoundViolationError,
                      InvalidGroupingError, NotNormalError, StaleMoveError)
 from .graphs import (Edge, EdgePartition, Graph, SubgraphSelection,
                      canon_edge, edge_induced, is_normal)
+from .graph_io import emit_graph
 from .vizing import color_classes, misra_gries
-
-MAX_RESTART_TRIPLES = 32
 
 
 class VertexType(enum.Enum):
@@ -333,10 +333,10 @@ def _cands_failing_type_ii(g: Graph, sel: SubgraphSelection, path: list[Chain],
                            uk: int) -> Iterator[tuple[set[Edge], set[Edge], str]]:
     """Rewrites for a complement-chain end that fails the type-II test.
 
-    Candidates follow the published case analysis first (simple drop for a
-    selection-degree-3 end, full path swap for a (2,2) end, the two-edge
-    cleanup when the witness has a pendant partner, and the revisit rewrite
-    when the witness is an earlier path vertex); bespoke fallbacks follow.
+    One candidate per witness, following the published case analysis: the
+    two-edge cleanup when the witness has a pendant partner, else a simple
+    drop for a selection-degree-3 end, else the full path swap for a (2,2)
+    end; the revisit rewrite when the witness is an earlier path vertex.
     Every candidate is validated by the caller before use.
     """
     hbar_edges, h_edges = _split_chain_edges(path)
@@ -374,20 +374,12 @@ def _cands_failing_type_ii(g: Graph, sel: SubgraphSelection, path: list[Chain],
         if sel.deg(x) == 2:
             y = _other_selected(sel, x, uk)
         if y is not None and sel.deg(y) == 1:
-            ye = canon_edge(x, y)
-            yield hbar_edges, h_edges | {ye, xe}, "claims.swap-cleanup"
-            yield set(), {ye, xe}, "claims.drop-pair"
-            yield hbar_edges, h_edges | {xe}, "claims.swap"
+            yield (hbar_edges, h_edges | {canon_edge(x, y), xe},
+                   "claims.swap-cleanup")
+        elif sel.deg(uk) == 3:
+            yield set(), {xe}, "claims.drop"
         else:
-            if sel.deg(uk) == 3:
-                yield set(), {xe}, "claims.drop"
-                yield hbar_edges, h_edges | {xe}, "claims.swap"
-            else:
-                yield hbar_edges, h_edges | {xe}, "claims.swap"
-                yield set(), {xe}, "claims.drop"
-            if y is not None:
-                yield (hbar_edges, h_edges | {canon_edge(x, y), xe},
-                       "claims.swap-cleanup-alt")
+            yield hbar_edges, h_edges | {xe}, "claims.swap"
 
 
 def _cands_failing_type_i(g: Graph, sel: SubgraphSelection, path: list[Chain],
@@ -395,7 +387,6 @@ def _cands_failing_type_i(g: Graph, sel: SubgraphSelection, path: list[Chain],
                           vk: int) -> Iterator[tuple[set[Edge], set[Edge], str]]:
     """Rewrites for a selection-chain end that fails the type-I test."""
     hbar_edges, h_edges = _split_chain_edges(path)
-    final_h = path[-1].edges() if path and path[-1].kind == "h" else frozenset()
     on_path = {v for v, _ in _path_end_roles(origin, origin_role, path)}
     for x in sel.unselected_neighbors(vk):
         if _cond1(sel, x) or _cond2(sel, x) or _cond3(g, sel, x, vk):
@@ -415,11 +406,17 @@ def _cands_failing_type_i(g: Graph, sel: SubgraphSelection, path: list[Chain],
         else:
             s_set = {xe}
         yield hbar_edges | s_set, set(h_edges), "claims.iswap"
-        if final_h:
-            yield hbar_edges | s_set, h_edges - final_h, "claims.iswap-keepfinal"
-        if y is not None and s_set == {xe}:
-            yield (hbar_edges | {canon_edge(x, y), xe}, set(h_edges),
-                   "claims.iswap-cleanup-alt")
+
+
+def _counterexample(message: str, g: Graph, sel: SubgraphSelection,
+                    **extra) -> CounterexampleFound:
+    """CounterexampleFound carrying the state needed to reproduce a stall."""
+    return CounterexampleFound(message, {
+        "graph6": emit_graph(g, "graph6").decode("ascii"),
+        "selection": sorted(sel.selected),
+        "potential": list(sel.potential()),
+        **extra,
+    })
 
 
 def find_move(g: Graph, sel: SubgraphSelection) -> Move | ChainClosure:
@@ -441,22 +438,16 @@ def find_move(g: Graph, sel: SubgraphSelection) -> Move | ChainClosure:
     def _move(variant, add, remove, tag):
         return Move(variant, frozenset(add), frozenset(remove), tag, version)
 
-    def _impossible(message):
-        from .graph_io import emit_graph
-        return CounterexampleFound(message, {
-            "graph6": emit_graph(g, "graph6").decode("ascii"),
-            "selection": sorted(sel.selected),
-            "potential": list(sel.potential()),
-        })
-
     if iso_h:
         e = iso_h[0]
         v, _vp = _orient(g, e)
         if g.degree(v) > delta - 1:
-            raise _impossible("isolated selected edge at a Delta vertex")
+            raise _counterexample("isolated selected edge at a Delta vertex",
+                                  g, sel)
         if g.degree(v) <= delta - 2:
             if _evaluate_move(g, sel, frozenset(), frozenset({e})) is None:
-                raise _impossible("guaranteed isolated-edge drop rejected")
+                raise _counterexample("guaranteed isolated-edge drop rejected",
+                                      g, sel)
             return _move(MoveVariant.DROP_ISOLATED_H_EDGE, set(), {e},
                          "claim1.drop")
         # degree(v) == Delta-1: either v fails type-I with a local fix, or
@@ -472,17 +463,20 @@ def find_move(g: Graph, sel: SubgraphSelection) -> Move | ChainClosure:
             if _evaluate_move(g, sel, frozenset(add), frozenset()) is not None:
                 return _move(MoveVariant.ADD_HBAR_EDGE, add, set(), "claim1.add")
         if classify_vertex(g, sel, v) is not VertexType.TYPE_I:
-            raise _impossible(
-                f"origin {v} survived the direct analysis but is not type-I")
+            raise _counterexample(
+                f"origin {v} survived the direct analysis but is not type-I",
+                g, sel)
         return _grow_closure(g, sel, v, VertexType.TYPE_I, version)
 
     e = iso_hbar[0]
     u, _up = _orient(g, e)
     if sel.deg(u) < 1:
-        raise _impossible("isolated complement edge at a selection-free vertex")
+        raise _counterexample(
+            "isolated complement edge at a selection-free vertex", g, sel)
     if sel.deg(u) <= 2:
         if _evaluate_move(g, sel, frozenset({e}), frozenset()) is None:
-            raise _impossible("guaranteed complement-edge add rejected")
+            raise _counterexample("guaranteed complement-edge add rejected",
+                                  g, sel)
         return _move(MoveVariant.ADD_HBAR_EDGE, {e}, set(), "claim2.add")
     for v in sel.selected_neighbors(u):
         if _cond4(g, sel, v) or _cond5(g, sel, v, u):
@@ -495,8 +489,9 @@ def find_move(g: Graph, sel: SubgraphSelection) -> Move | ChainClosure:
         if _evaluate_move(g, sel, frozenset(), frozenset(remove)) is not None:
             return _move(MoveVariant.DROP_H_EDGE, set(), remove, "claim2.drop")
     if classify_vertex(g, sel, u) is not VertexType.TYPE_II:
-        raise _impossible(
-            f"origin {u} survived the direct analysis but is not type-II")
+        raise _counterexample(
+            f"origin {u} survived the direct analysis but is not type-II",
+            g, sel)
     return _grow_closure(g, sel, u, VertexType.TYPE_II, version)
 
 
@@ -565,41 +560,24 @@ def _first_valid(g: Graph, sel: SubgraphSelection,
 # -- selections and partitions ------------------------------------------------
 
 
-def initial_selection(g: Graph, class_indices: tuple[int, int, int] = (0, 1, 2)
-                      ) -> SubgraphSelection:
-    """Selection built from three color classes of a proper edge coloring.
+def initial_selection(g: Graph) -> SubgraphSelection:
+    """Selection of the first three color classes of a proper edge coloring.
 
     The counting behind the membership guarantee: a Delta-vertex misses at
     most one of any three classes, a (Delta-1)-vertex at most two.
     """
-    if g.max_degree < 6:
-        raise ValueError("initial selection requires max degree >= 6")
     if not is_normal(g):
         raise NotNormalError("initial selection requires a normal graph")
-    coloring = misra_gries(g)
-    classes = color_classes(coloring, g.max_degree + 1)
-    return _selection_from_classes(g, classes, class_indices)
-
-
-def _selection_from_classes(g: Graph, classes: list[frozenset[Edge]],
-                            class_indices: tuple[int, int, int]
-                            ) -> SubgraphSelection:
-    edges: set[Edge] = set()
-    for i in class_indices:
-        edges |= classes[i]
-    sel = SubgraphSelection(g, edges)
+    if g.max_degree < 6:
+        raise ValueError("initial selection requires max degree >= 6")
+    classes = color_classes(misra_gries(g), g.max_degree + 1)
+    sel = SubgraphSelection(g, set().union(*classes[:3]))
     report = check_membership(g, sel)
     if not report.is_member:
         raise InternalBoundViolationError(
             "initial selection is not a member; the edge coloring is suspect",
-            {"violations": report.violations, "classes": list(class_indices)})
+            {"violations": report.violations})
     return sel
-
-
-class _EngineStalled(Exception):
-    def __init__(self, closure: ChainClosure):
-        super().__init__("engine stalled")
-        self.closure = closure
 
 
 class PartitionEngine:
@@ -620,7 +598,11 @@ class PartitionEngine:
         self.guard = (i0 + 1) * (g.edge_count + 1) + 1
 
     def step(self) -> Move | None:
-        """Apply one move; None once the potential's first component is zero."""
+        """Apply one move; None once the potential's first component is zero.
+
+        A saturated chain closure raises CounterexampleFound with the full
+        state dump: the counting argument for Delta >= 6 rules it out.
+        """
         if self.sel.potential()[0] == 0:
             return None
         if self.moves_applied >= self.guard:
@@ -628,7 +610,11 @@ class PartitionEngine:
                 f"iteration guard {self.guard} exceeded; termination bug")
         found = find_move(self.g, self.sel)
         if isinstance(found, ChainClosure):
-            raise _EngineStalled(found)
+            raise _counterexample(
+                "chain closure saturated with no rewrite; this contradicts "
+                "the counting argument for Delta >= 6", self.g, self.sel,
+                v1_set=sorted(found.v1_set), v2_set=sorted(found.v2_set),
+                unresolved=sorted(found.unresolved), move_log=self.move_log)
         before = self.sel.potential()
         apply_move(self.sel, found)
         after = self.sel.potential()
@@ -657,53 +643,12 @@ def partition_p1(g: Graph,
     """Two-part partition: selection side of max degree <= 3, complement of
     max degree <= Delta-2, both normal.
 
-    Runs the engine from the first-three-classes selection; if a run stalls
-    on an unresolved corner configuration it restarts from a different class
-    triple.  A stall with no unresolved vertices, or exhaustion of restarts,
-    raises CounterexampleFound with a full state dump.
+    Runs the engine once, from ``initial_selection(g)``, which checks the
+    preconditions; there are no restarts.  A stall raises
+    CounterexampleFound with a full state dump.
     """
-    if not is_normal(g):
-        raise NotNormalError("partition requires a normal graph")
-    if g.max_degree < 6:
-        raise ValueError("partition requires max degree >= 6")
-    coloring = misra_gries(g)
-    classes = color_classes(coloring, g.max_degree + 1)
-    triples = itertools.islice(
-        itertools.combinations(range(coloring.colors_used), 3),
-        MAX_RESTART_TRIPLES)
-    stalls: list[dict] = []
-    for triple in triples:
-        sel = _selection_from_classes(g, classes, triple)
-        engine = PartitionEngine(g, sel, trace=trace)
-        try:
-            engine.run()
-        except _EngineStalled as stall:
-            dump = _state_dump(g, engine, stall.closure, triple)
-            if not stall.closure.unresolved:
-                raise CounterexampleFound(
-                    "chain closure saturated with no violation; this "
-                    "contradicts the counting argument for Delta >= 6", dump)
-            stalls.append(dump)
-            continue
-        return _partition_from_selection(g, engine.sel)
-    raise CounterexampleFound(
-        "engine stalled on unresolved rewrites for every initial selection",
-        {"stalls": stalls})
-
-
-def _state_dump(g: Graph, engine: PartitionEngine, closure: ChainClosure,
-                triple: tuple[int, ...]) -> dict:
-    from .graph_io import emit_graph
-    return {
-        "graph6": emit_graph(g, "graph6").decode("ascii"),
-        "selection": sorted(engine.sel.selected),
-        "potential": list(engine.sel.potential()),
-        "initial_classes": list(triple),
-        "v1_set": sorted(closure.v1_set),
-        "v2_set": sorted(closure.v2_set),
-        "unresolved": sorted(closure.unresolved),
-        "move_log": engine.move_log,
-    }
+    engine = PartitionEngine(g, initial_selection(g), trace=trace)
+    return _partition_from_selection(g, engine.run())
 
 
 def _partition_from_selection(g: Graph, sel: SubgraphSelection) -> EdgePartition:

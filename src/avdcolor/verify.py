@@ -294,7 +294,10 @@ def audit(g: Graph, oracle_edge_cap: int = ORACLE_EDGE_CAP) -> AuditReport:
         return report
     ok, detail = check_proper(g, cert.coloring)
     rows.append(("avd certificate proper", ok, str(detail or "")))
-    ok, detail = check_avd(g, cert.coloring)
+    if ok:
+        ok, detail = check_avd(g, cert.coloring)
+    else:
+        ok, detail = False, "skipped (not proper)"
     rows.append(("avd certificate distinguishing", ok, str(detail or "")))
     bound = avd.main_bound(delta)
     rows.append((f"avd colors within floor(5(D+2)/2) = {bound}",

@@ -112,6 +112,22 @@ def test_partition_checklist(tmp_path, capsys):
         assert entry["potential_after"] < entry["potential_before"]
 
 
+def test_partition_stall_exits_with_counterexample(tmp_path, monkeypatch,
+                                                  capsys):
+    from avdcolor import ChainClosure, gnp, partition
+    gpath = _write_graph(tmp_path, gnp(10, 0.5, 1))
+    closure = ChainClosure(frozenset(), frozenset())
+    monkeypatch.setattr(partition, "find_move", lambda g, sel: closure)
+    monkeypatch.chdir(tmp_path)
+    assert main(["partition", gpath]) == 3
+    assert "counterexample report written" in capsys.readouterr().err
+    data = json.loads((tmp_path / "avdcolor.counterexample.json").read_text())
+    assert "chain closure saturated" in data["message"]
+    assert set(data["state"]) == {"graph6", "selection", "potential",
+                                  "v1_set", "v2_set", "unresolved",
+                                  "move_log"}
+
+
 def test_partition_regular_cli(tmp_path, capsys):
     from avdcolor import random_regular
     gpath = _write_graph(tmp_path, random_regular(12, 5, seed=2))

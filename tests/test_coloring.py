@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -6,7 +7,8 @@ import pytest
 from avdcolor import (Graph, NotNormalError, avd_color, avd_color_budget,
                       avd_color_regular, avd_subcubic, check_avd, check_proper,
                       complete, compose, cycle, edge_induced, gnp, main_bound,
-                      partition_p2, petersen, random_regular, regular_bound)
+                      make_coloring, partition_p2, petersen, random_regular,
+                      regular_bound)
 from avdcolor.coloring import certificate_from_dict, certificate_to_dict
 from helpers import normal_gnp_corpus
 
@@ -115,6 +117,12 @@ def test_compose_rejects_bad_partition():
     full_cert = avd_subcubic(g)
     with pytest.raises(ValueError):
         compose([(half, full_cert)], host=g)  # certificate/part mismatch
+    clash = dict(full_cert.coloring.assignment)
+    clash[(0, 1)] = clash[(1, 2)]
+    bad_cert = dataclasses.replace(full_cert,
+                                   coloring=make_coloring(g, clash))
+    with pytest.raises(ValueError):
+        compose([(g, bad_cert)], host=g)  # improper part certificate
 
 
 def test_compose_property_random():

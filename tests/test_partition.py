@@ -8,6 +8,7 @@ from avdcolor import (Graph, MoveVariant, NotNormalError, PartitionEngine,
                       cycle, enumerate_chains, find_move, gnp,
                       initial_selection, is_normal, partition_p1,
                       partition_p2, partition_regular, random_regular)
+from avdcolor import ChainClosure, CounterexampleFound, partition
 from helpers import normal_gnp_corpus, scramble_selection
 
 
@@ -260,6 +261,65 @@ def test_closure_chain_swap_move():
     assert sel.potential()[0] == before[0] - 1
 
 
+def test_closure_swap_cleanup_move():
+    # The swap state plus a pendant selected edge (6,25): the witness 6 now
+    # has selection degree 2 with a pendant partner, so the swap takes the
+    # partner edge out as well.
+    g, sel = _closure_swap_state()
+    g = Graph(26, sorted(g.edges) + [(6, 25)])
+    sel = SubgraphSelection(g, sorted(sel.selected) + [(6, 25)])
+    assert check_membership(g, sel).is_member
+    move = find_move(g, sel)
+    assert move.variant is MoveVariant.CHAIN_SWAP
+    assert move.witness == "claims.swap-cleanup"
+    assert move.add_set == frozenset({(0, 2)})
+    assert move.remove_set == frozenset({(2, 6), (6, 25)})
+    assert sel.potential() == (1, 15)
+    apply_move(sel, move)
+    assert sel.potential() == (0, 14)
+
+
+def _closure_revisit_state():
+    # Type-II origin 0 (isolated complement edge (0,1)) with conforming
+    # selected neighbors 2 and 4 and the (2,2) vertex 3, whose partner 5 has
+    # selection degree 1.  The closure grows 0 => 2 => 3, and 3 fails its
+    # type-II test with the origin as witness.  The p-vertices 6..9 carry
+    # three pendant selected edges each.
+    edges_sel = [(0, 2), (0, 3), (0, 4), (3, 5)]
+    for p, base in ((6, 10), (7, 13), (8, 16), (9, 19)):
+        edges_sel += [(p, base), (p, base + 1), (p, base + 2)]
+    edges_unsel = [(0, 1), (2, 3), (3, 4), (5, 9)]
+    edges_unsel += [(v, p) for v in (2, 4, 5) for p in (6, 7, 8)]
+    g = Graph(22, edges_sel + edges_unsel)
+    return g, SubgraphSelection(g, edges_sel)
+
+
+def test_closure_revisit_rejected_at_depth_two(monkeypatch):
+    g, sel = _closure_revisit_state()
+    assert g.max_degree == 6
+    assert check_membership(g, sel).is_member
+    assert classify_vertex(g, sel, 0) is VertexType.TYPE_II
+    assert classify_vertex(g, sel, 2) is VertexType.TYPE_I
+    assert classify_vertex(g, sel, 3) is VertexType.NEITHER
+    evaluated = []
+    real = partition._evaluate_move
+
+    def spy(g, sel, add, remove):
+        result = real(g, sel, add, remove)
+        evaluated.append((add, remove, result))
+        return result
+
+    monkeypatch.setattr(partition, "_evaluate_move", spy)
+    move = find_move(g, sel)
+    # The revisit rewrite would leave 5 (degree Delta-1) with no selected
+    # edge, so it is rejected and the closure moves on to the depth-two end
+    # 6, which fails type II and drops one pendant edge.
+    assert evaluated[0] == (frozenset(), frozenset({(0, 3), (3, 5)}), None)
+    assert move.variant is MoveVariant.DROP_H_EDGE
+    assert move.witness == "claims.drop"
+    assert move.remove_set == frozenset({(6, 10)}) and not move.add_set
+
+
 def _closure_iswap_state():
     # Case with an isolated complement edge: the selection chain 0 => 2
     # reaches a type-I candidate whose complement neighbor 7 conforms to
@@ -397,6 +457,21 @@ def test_engine_steps_decrease_potential_and_keep_membership():
             pots.append(sel.potential())
         assert all(b < a for a, b in zip(pots, pots[1:]))
         assert pots[-1][0] == 0
+
+
+def test_engine_stall_raises_counterexample(monkeypatch):
+    g = gnp(10, 0.5, 1)  # initial selection has positive potential
+    assert initial_selection(g).potential()[0] > 0
+    closure = ChainClosure(frozenset({0}), frozenset({1}), (2,))
+    monkeypatch.setattr(partition, "find_move", lambda g, sel: closure)
+    with pytest.raises(CounterexampleFound) as info:
+        partition_p1(g)
+    payload = info.value.payload
+    assert set(payload) == {"graph6", "selection", "potential", "v1_set",
+                            "v2_set", "unresolved", "move_log"}
+    assert payload["potential"][0] > 0
+    assert (payload["v1_set"], payload["v2_set"]) == ([0], [1])
+    assert payload["unresolved"] == [2] and payload["move_log"] == []
 
 
 def test_engine_trace_entries():

@@ -190,6 +190,26 @@ def test_audit_rejects_overlapping_parts(monkeypatch):
     assert failed == ["parts partition the edge set"]
 
 
+def test_audit_reports_improper_certificate(monkeypatch):
+    real = coloring.avd_color
+
+    def clashing(graph, trace=None):
+        cert = real(graph, trace=trace)
+        (e, _), (f, c) = sorted(cert.coloring.assignment.items())[:2]
+        assert set(e) & set(f)  # incident edges, now sharing color c
+        assignment = dict(cert.coloring.assignment)
+        assignment[e] = c
+        return dataclasses.replace(
+            cert, coloring=make_coloring(graph, assignment))
+
+    monkeypatch.setattr(coloring, "avd_color", clashing)
+    report = audit(complete(7))
+    assert not report.overall_pass
+    failed = {name: detail for name, ok, detail in report.checks if not ok}
+    assert "avd certificate proper" in failed
+    assert failed["avd certificate distinguishing"] == "skipped (not proper)"
+
+
 def test_audit_rejects_unbounded_g0(monkeypatch):
     g = complete(12)
     report = _audit_with_parts(monkeypatch, g, lambda parts: (g.edges,))
