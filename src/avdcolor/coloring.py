@@ -356,14 +356,8 @@ def avd_color_regular(g: Graph) -> AvdCertificate:
     bound = regular_bound(r)
     if r <= 4:
         return avd_color(g).with_bound(bound)
-    partition = partition_regular(g)
-    colored = []
-    for part in partition.part_graphs():
-        if part.max_degree <= 3:
-            colored.append((part, avd_subcubic(part)))
-        else:
-            colored.append((part, _guaranteed_search(
-                part, 12, "a class block of max degree 4").with_bound(12)))
+    colored = [(part, _color_bounded_part(part))
+               for part in partition_regular(g).part_graphs()]
     return compose(colored, host=g).with_bound(bound)
 
 

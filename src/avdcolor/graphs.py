@@ -23,7 +23,7 @@ class Graph:
     quantify over ``vertices`` only.
     """
 
-    __slots__ = ("n", "_vertices", "_edges", "_adj")
+    __slots__ = ("n", "_vertices", "_edges", "_adj", "max_degree")
 
     def __init__(self, n: int, edges: Iterable[Edge] = (),
                  vertices: Iterable[int] | None = None):
@@ -54,6 +54,9 @@ class Graph:
         self._vertices = tuple(verts)
         self._edges = frozenset(es)
         self._adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
+        # Computed once: the graph is immutable, and the partition engine's
+        # degree tests read it for every vertex they inspect.
+        self.max_degree = max(map(len, adj.values()), default=0)
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -78,10 +81,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])
-
-    @property
-    def max_degree(self) -> int:
-        return max((len(ns) for ns in self._adj.values()), default=0)
 
     @property
     def min_degree(self) -> int:

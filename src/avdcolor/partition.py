@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator
 
 from .errors import (CounterexampleFound, InternalBoundViolationError,
@@ -94,19 +94,23 @@ class Move:
 # -- membership and vertex typing ------------------------------------------
 
 
+def _member_at(g: Graph, sel: SubgraphSelection, v: int) -> int:
+    """The first membership condition ``v`` violates (1, 2 or 3), or 0."""
+    d_sel = sel.deg(v)
+    if d_sel > 3:
+        return 1
+    if g.degree(v) == g.max_degree and d_sel < 2:
+        return 2
+    if g.degree(v) == g.max_degree - 1 and d_sel < 1:
+        return 3
+    return 0
+
+
 def check_membership(g: Graph, sel: SubgraphSelection) -> MembershipReport:
     """Report every violation of the three selection-degree conditions."""
-    delta = g.max_degree
-    violations = []
-    for v in g.vertices:
-        d_sel = sel.deg(v)
-        if d_sel > 3:
-            violations.append((v, 1))
-        if g.degree(v) == delta and d_sel < 2:
-            violations.append((v, 2))
-        if g.degree(v) == delta - 1 and d_sel < 1:
-            violations.append((v, 3))
-    return MembershipReport(not violations, tuple(violations))
+    violations = tuple((v, c) for v in g.vertices
+                       if (c := _member_at(g, sel, v)))
+    return MembershipReport(not violations, violations)
 
 
 def _cond1(sel: SubgraphSelection, u: int) -> bool:
@@ -144,17 +148,17 @@ def _cond5(g: Graph, sel: SubgraphSelection, v: int, u: int) -> bool:
 
 
 def _is_type_i(g: Graph, sel: SubgraphSelection, v: int) -> bool:
-    if not (1 <= sel.deg(v) <= 2 and g.degree(v) >= g.max_degree - 1):
-        return False
-    return all(_cond1(sel, u) or _cond2(sel, u) or _cond3(g, sel, u, v)
-               for u in sel.unselected_neighbors(v))
+    # The prerequisite is the shape a selected-side chain end must have.
+    return _cond4(g, sel, v) and all(
+        _cond1(sel, u) or _cond2(sel, u) or _cond3(g, sel, u, v)
+        for u in sel.unselected_neighbors(v))
 
 
 def _is_type_ii(g: Graph, sel: SubgraphSelection, u: int) -> bool:
-    if not (sel.deg(u) == 3 or (sel.deg(u) == 2 and sel.codeg(u) == 2)):
-        return False
-    return all(_cond4(g, sel, v) or _cond5(g, sel, v, u)
-               for v in sel.selected_neighbors(u))
+    # The prerequisite is the shape a complement-side chain end must have.
+    return (_cond1(sel, u) or _cond2(sel, u)) and all(
+        _cond4(g, sel, v) or _cond5(g, sel, v, u)
+        for v in sel.selected_neighbors(u))
 
 
 def classify_vertex(g: Graph, sel: SubgraphSelection, v: int) -> VertexType:
@@ -210,7 +214,9 @@ def _evaluate_move(g: Graph, sel: SubgraphSelection, add: frozenset[Edge],
 
     Legal means: add within the complement, remove within the selection,
     membership conditions still hold at every touched vertex, and the
-    lexicographic potential strictly decreases.
+    lexicographic potential strictly decreases.  The move is tried on
+    ``sel`` itself and undone, so the selection's own bookkeeping decides
+    which edges end up isolated.
     """
     if add & remove:
         return None
@@ -220,51 +226,22 @@ def _evaluate_move(g: Graph, sel: SubgraphSelection, add: frozenset[Edge],
     for e in remove:
         if not sel.is_selected(e):
             return None
-    delta_deg: dict[int, int] = {}
+    old_pot, version = sel.potential(), sel.version
     for e in add:
-        for v in e:
-            delta_deg[v] = delta_deg.get(v, 0) + 1
+        sel.add(e)
     for e in remove:
-        for v in e:
-            delta_deg[v] = delta_deg.get(v, 0) - 1
-    dmax = g.max_degree
-
-    def new_deg(v: int) -> int:
-        return sel.deg(v) + delta_deg.get(v, 0)
-
-    for v in delta_deg:
-        nd = new_deg(v)
-        if nd > 3 or nd < 0:
-            return None
-        dv = g.degree(v)
-        if dv == dmax and nd < 2:
-            return None
-        if dv == dmax - 1 and nd < 1:
-            return None
-
-    # Isolation can only change on edges incident to a touched vertex.
-    candidates: set[Edge] = set(add) | set(remove)
-    for v in delta_deg:
-        for w in g.neighbors(v):
-            candidates.add(canon_edge(v, w))
-    iso_sel = sel.isolated_selected
-    iso_unsel = sel.isolated_unselected
-    iso_delta = 0
-    for e in candidates:
-        u, v = e
-        was = (e in iso_sel) or (e in iso_unsel)
-        if e in add or (sel.is_selected(e) and e not in remove):
-            now = new_deg(u) == 1 and new_deg(v) == 1
-        else:
-            ncu = g.degree(u) - new_deg(u)
-            ncv = g.degree(v) - new_deg(v)
-            now = ncu == 1 and ncv == 1
-        iso_delta += int(now) - int(was)
-    old_pot = sel.potential()
-    new_pot = (old_pot[0] + iso_delta, old_pot[1] + len(add) - len(remove))
-    if new_pot < old_pot:
-        return new_pot
-    return None
+        sel.remove(e)
+    new_pot = sel.potential()
+    legal = new_pot < old_pot and not any(
+        _member_at(g, sel, v) for e in add | remove for v in e)
+    for e in remove:
+        sel.add(e)
+    for e in add:
+        sel.remove(e)
+    # A trial leaves the selection as it was, so moves already found in this
+    # search (stamped with this version) must stay applicable.
+    sel.version = version
+    return new_pot if legal else None
 
 
 def apply_move(sel: SubgraphSelection, move: Move) -> None:
@@ -350,14 +327,10 @@ def _cands_failing_type_ii(g: Graph, sel: SubgraphSelection, path: list[Chain],
             # Witness is an earlier type-II end on the discovery path.
             if sel.deg(uk) != 2:
                 continue
-            cut = 0
-            role = origin_role
-            for i, ch in enumerate(path):
-                role = (VertexType.TYPE_II if role is VertexType.TYPE_I
-                        else VertexType.TYPE_I)
-                if ch.terminal == x and role is VertexType.TYPE_II:
-                    cut = i + 1
-                    break
+            # roles[i] is the end reached after path[:i]; path ends are
+            # distinct, so the match is unique.
+            cut = next(i for i, (w, role) in enumerate(roles)
+                       if w == x and role is VertexType.TYPE_II)
             prefix = path[:cut]
             pre_hbar, pre_h = _split_chain_edges(prefix)
             z = _other_selected(sel, uk, x)
@@ -370,10 +343,7 @@ def _cands_failing_type_ii(g: Graph, sel: SubgraphSelection, path: list[Chain],
                 yield from _cands_failing_type_i(g, sel, zpath, origin,
                                                  origin_role, z)
             continue
-        y = None
-        if sel.deg(x) == 2:
-            y = _other_selected(sel, x, uk)
-        if y is not None and sel.deg(y) == 1:
+        if sel.deg(x) == 2 and sel.deg(y := _other_selected(sel, x, uk)) == 1:
             yield (hbar_edges, h_edges | {canon_edge(x, y), xe},
                    "claims.swap-cleanup")
         elif sel.deg(uk) == 3:
@@ -396,15 +366,12 @@ def _cands_failing_type_i(g: Graph, sel: SubgraphSelection, path: list[Chain],
             # path ends; skip defensively rather than emit a bad rewrite.
             continue
         xe = canon_edge(x, vk)
-        y = None
-        if sel.codeg(x) == 2:
-            others = [w for w in sel.unselected_neighbors(x) if w != vk]
-            y = others[0] if others else None
-        if (sel.deg(x) <= 1 and sel.codeg(x) == 2 and y is not None
-                and sel.codeg(y) == 1):
-            s_set = {canon_edge(x, y), xe}
-        else:
-            s_set = {xe}
+        s_set = {xe}
+        if sel.deg(x) <= 1 and sel.codeg(x) == 2:
+            # x-vk is a complement edge, so x has one other complement edge.
+            y = next(w for w in sel.unselected_neighbors(x) if w != vk)
+            if sel.codeg(y) == 1:
+                s_set.add(canon_edge(x, y))
         yield hbar_edges | s_set, set(h_edges), "claims.iswap"
 
 
@@ -423,10 +390,13 @@ def find_move(g: Graph, sel: SubgraphSelection) -> Move | ChainClosure:
     """One potential-decreasing rewrite, or the saturated chain closure.
 
     Search order: isolated selected edges first (lowest edge), then isolated
-    complement edges; direct single-edge rewrites before chain analysis; the
+    complement edges; direct rewrites before chain analysis; the
     breadth-first closure only when the isolated edge's endpoint passes its
-    type test.  A returned ChainClosure means no rewrite was found anywhere
-    in the closure; callers treat that as an impossibility report.
+    type test.  The direct rewrites of claims 1 and 2 are the depth-0 case
+    of the chain generators: the empty chain from the isolated edge's
+    endpoint, tagged ``claim1.add`` and ``claim2.drop``.  A returned
+    ChainClosure means no rewrite was found anywhere in the closure;
+    callers treat that as an impossibility report.
     """
     delta = g.max_degree
     iso_h = sorted(sel.isolated_selected)
@@ -452,16 +422,10 @@ def find_move(g: Graph, sel: SubgraphSelection) -> Move | ChainClosure:
                          "claim1.drop")
         # degree(v) == Delta-1: either v fails type-I with a local fix, or
         # we grow the closure from it.
-        for u in sel.unselected_neighbors(v):
-            if _cond1(sel, u) or _cond2(sel, u) or _cond3(g, sel, u, v):
-                continue
-            add = {canon_edge(u, v)}
-            if sel.deg(u) <= 1 and sel.codeg(u) == 2:
-                others = [w for w in sel.unselected_neighbors(u) if w != v]
-                if others and sel.codeg(others[0]) == 1:
-                    add.add(canon_edge(u, others[0]))
-            if _evaluate_move(g, sel, frozenset(add), frozenset()) is not None:
-                return _move(MoveVariant.ADD_HBAR_EDGE, add, set(), "claim1.add")
+        move = _first_valid(g, sel, _cands_failing_type_i(
+            g, sel, [], v, VertexType.TYPE_I, v), version)
+        if move is not None:
+            return replace(move, witness="claim1.add")
         if classify_vertex(g, sel, v) is not VertexType.TYPE_I:
             raise _counterexample(
                 f"origin {v} survived the direct analysis but is not type-I",
@@ -478,16 +442,10 @@ def find_move(g: Graph, sel: SubgraphSelection) -> Move | ChainClosure:
             raise _counterexample("guaranteed complement-edge add rejected",
                                   g, sel)
         return _move(MoveVariant.ADD_HBAR_EDGE, {e}, set(), "claim2.add")
-    for v in sel.selected_neighbors(u):
-        if _cond4(g, sel, v) or _cond5(g, sel, v, u):
-            continue
-        remove = {canon_edge(u, v)}
-        if sel.deg(v) == 2:
-            w = _other_selected(sel, v, u)
-            if sel.deg(w) == 1:
-                remove.add(canon_edge(v, w))
-        if _evaluate_move(g, sel, frozenset(), frozenset(remove)) is not None:
-            return _move(MoveVariant.DROP_H_EDGE, set(), remove, "claim2.drop")
+    move = _first_valid(g, sel, _cands_failing_type_ii(
+        g, sel, [], u, VertexType.TYPE_II, u), version)
+    if move is not None:
+        return replace(move, witness="claim2.drop")
     if classify_vertex(g, sel, u) is not VertexType.TYPE_II:
         raise _counterexample(
             f"origin {u} survived the direct analysis but is not type-II",
@@ -547,12 +505,22 @@ def _path_to(parent: dict[int, tuple[int, Chain]], t: int) -> list[Chain]:
 def _first_valid(g: Graph, sel: SubgraphSelection,
                  cands: Iterable[tuple[set[Edge], set[Edge], str]],
                  version: int) -> Move | None:
+    """The first candidate that ``_evaluate_move`` accepts, as a Move.
+
+    The variant follows from the sets.  On the empty chain (the direct
+    rewrites of claims 1 and 2) a candidate only adds or only removes; on a
+    longer chain every candidate removes at least one edge.
+    """
     for add, remove, tag in cands:
         addf, remf = frozenset(add), frozenset(remove)
         if _evaluate_move(g, sel, addf, remf) is None:
             continue
-        variant = (MoveVariant.DROP_H_EDGE if not addf
-                   else MoveVariant.CHAIN_SWAP)
+        if not addf:
+            variant = MoveVariant.DROP_H_EDGE
+        elif not remf:
+            variant = MoveVariant.ADD_HBAR_EDGE
+        else:
+            variant = MoveVariant.CHAIN_SWAP
         return Move(variant, addf, remf, tag, version)
     return None
 

@@ -38,6 +38,11 @@ def check_avd(g: Graph, coloring: EdgeColoring):
     ok, detail = check_proper(g, coloring)
     if not ok:
         raise ValueError(f"input coloring is not proper: {detail}")
+    return _distinguishing(g, coloring)
+
+
+def _distinguishing(g: Graph, coloring: EdgeColoring):
+    """``check_avd`` for a coloring its caller has already found proper."""
     sets = {v: coloring.colors_at(v) for v in g.vertices}
     for u, v in g.sorted_edges():
         if sets[u] == sets[v]:
@@ -57,7 +62,7 @@ def check_certificate(g: Graph, cert) -> list[tuple[str, bool, object]]:
     ok, detail = check_proper(g, cert.coloring)
     rows.append(("proper", ok, detail))
     if ok:
-        avd_ok, avd_detail = check_avd(g, cert.coloring)
+        avd_ok, avd_detail = _distinguishing(g, cert.coloring)
     else:
         avd_ok, avd_detail = False, "skipped (not proper)"
     rows.append(("adjacent-vertex-distinguishing", avd_ok, avd_detail))
@@ -295,7 +300,7 @@ def audit(g: Graph, oracle_edge_cap: int = ORACLE_EDGE_CAP) -> AuditReport:
     ok, detail = check_proper(g, cert.coloring)
     rows.append(("avd certificate proper", ok, str(detail or "")))
     if ok:
-        ok, detail = check_avd(g, cert.coloring)
+        ok, detail = _distinguishing(g, cert.coloring)
     else:
         ok, detail = False, "skipped (not proper)"
     rows.append(("avd certificate distinguishing", ok, str(detail or "")))

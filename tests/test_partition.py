@@ -1,4 +1,7 @@
+import hashlib
+import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,7 +12,8 @@ from avdcolor import (Graph, MoveVariant, NotNormalError, PartitionEngine,
                       initial_selection, is_normal, partition_p1,
                       partition_p2, partition_regular, random_regular)
 from avdcolor import ChainClosure, CounterexampleFound, partition
-from helpers import normal_gnp_corpus, scramble_selection
+from helpers import (normal_gnp_corpus, recompute_selection_state,
+                     scramble_selection)
 
 
 # -- membership and typing -----------------------------------------------------
@@ -194,6 +198,59 @@ def test_find_move_claim1_witness_add():
     assert move.variant is MoveVariant.ADD_HBAR_EDGE
     assert move.add_set == frozenset({(0, 2)})
     assert move.witness == "claim1.add"
+
+
+def _claim1_two_edge_state():
+    # The claim1.add graph with vertex 2's only other complement edge going
+    # to 7, whose two selected edges leave it complement degree 1: adding
+    # (0,2) alone would isolate (2,7), so the rewrite adds both edges.
+    edges_sel = [(0, 1)]
+    for t, base in ((3, 9), (4, 12), (5, 15)):
+        edges_sel += [(t, base), (t, base + 1), (t, base + 2)]
+    edges_sel += [(2, 6), (7, 25), (7, 26)]
+    edges_unsel = [(0, 2), (0, 3), (0, 4), (0, 5), (2, 7)]
+    hub = [(18, i) for i in range(19, 25)]
+    g = Graph(27, edges_sel + edges_unsel + hub)
+    sel = SubgraphSelection(g, edges_sel + [(18, 19), (18, 20)])
+    return g, sel
+
+
+def test_find_move_claim1_two_edge_add():
+    g, sel = _claim1_two_edge_state()
+    assert check_membership(g, sel).is_member
+    move = find_move(g, sel)
+    assert move.variant is MoveVariant.ADD_HBAR_EDGE
+    assert move.witness == "claim1.add"
+    assert move.add_set == frozenset({(0, 2), (2, 7)}) and not move.remove_set
+    assert sel.potential() == (2, 15)
+    apply_move(sel, move)
+    assert sel.potential() == (0, 17)
+
+
+def test_evaluate_move_leaves_selection_unchanged():
+    g, sel = _claim1_two_edge_state()
+
+    def state():
+        return (sel.selected, {v: sel.deg(v) for v in g.vertices},
+                sel.isolated_selected, sel.isolated_unselected, sel.version)
+
+    before = state()
+    cases = [
+        ({(0, 2), (2, 7)}, set(), (0, 17)),  # legal
+        (set(), {(0, 1)}, None),  # 0 has degree Delta-1 and would lose H
+        ({(18, 21)}, set(), None),  # potential would grow
+    ]
+    for add, remove, expected in cases:
+        result = partition._evaluate_move(g, sel, frozenset(add),
+                                          frozenset(remove))
+        assert result == expected
+        assert state() == before
+        deg, iso_sel, iso_unsel = recompute_selection_state(sel)
+        assert ({v: sel.deg(v) for v in g.vertices}, set(sel.isolated_selected),
+                set(sel.isolated_unselected)) == (deg, iso_sel, iso_unsel)
+    # find_move stamps its move with the version before it tries any
+    # candidate, so the move applies only if each trial restores it.
+    apply_move(sel, find_move(g, sel))
 
 
 def test_stale_move_rejected():
@@ -484,3 +541,32 @@ def test_engine_trace_entries():
     assert set(first) == {"variant", "witness", "add", "remove",
                           "potential_before", "potential_after"}
     assert first["potential_after"] < first["potential_before"]
+
+
+def _sha256(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+def test_engine_outputs_golden():
+    # Pins the partition parts and the engine's moves, witness by witness,
+    # on seeded graphs and scrambled selections: a refactor of the move
+    # search must reproduce both exactly.
+    graphs = normal_gnp_corpus(8, 100, 20, 50, 6, 12, p_lo=0.12, p_hi=0.35)
+    parts = [[sorted(p) for p in partition_p2(g).parts] for g in graphs]
+    rng = random.Random(7)
+    logs = []
+    for g in graphs:
+        for _ in range(3):
+            sel = initial_selection(g)
+            scramble_selection(g, sel, rng, 2 * g.edge_count)
+            engine = PartitionEngine(g, sel)
+            engine.run()
+            logs.append([[e["witness"], e["add"], e["remove"]]
+                         for e in engine.move_log])
+    tags = Counter(entry[0] for log in logs for entry in log)
+    assert tags == {"claim1.drop": 8, "claim1.add": 1, "claim2.add": 2,
+                    "claim2.drop": 2}
+    assert _sha256(parts) == (
+        "188f568c4d2b41d9dfa8933c719dfa9f9f82335603076cdff57012e7533d0743")
+    assert _sha256(logs) == (
+        "7b77b487f64f712fbb73cb4c73d633e9521b01c1c9553172850eab5ebf9b8750")

@@ -6,7 +6,7 @@ from avdcolor import (CapExceededError, Graph, audit, avd_color, check_avd,
                       check_certificate, check_proper, complete, cycle,
                       exact_chi_a, exact_chromatic_index, gnp, is_normal,
                       make_coloring, misra_gries, petersen)
-from avdcolor import coloring, partition
+from avdcolor import coloring, partition, verify
 from helpers import normal_gnp_corpus
 
 
@@ -134,6 +134,21 @@ def test_check_certificate_rejects_flipped_witness():
                                                     per_edge_witness=flipped))
     failed = [name for name, ok, _ in rows if not ok]
     assert failed == ["witnesses cover equal-degree pairs"]
+
+
+def test_check_certificate_checks_properness_once(monkeypatch):
+    g = gnp(16, 0.6, 3)
+    cert = avd_color(g)
+    calls = []
+    real = verify.check_proper
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verify, "check_proper", counting)
+    assert all(ok for _, ok, _ in check_certificate(g, cert))
+    assert len(calls) == 1
 
 
 def test_audit_runs_the_pipeline_once(monkeypatch):
