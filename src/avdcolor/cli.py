@@ -1,7 +1,8 @@
 """Command-line surface: color, partition, generate, verify, audit.
 
 Exit status: 0 all checks pass, 1 a check failed, 2 usage or input error,
-3 the engine reported a potential counterexample (state dump written).
+3 a potential counterexample, with its state dump written: the partition
+engine stalled, or a search refuted a budget that a cited bound guarantees.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ from pathlib import Path
 
 from . import coloring as avd
 from . import generators, verify
-from .errors import (CapExceededError, CounterexampleFound, GraphFormatError,
-                     InternalBoundViolationError, InvalidGroupingError,
-                     NotNormalError)
+from .errors import (CapExceededError, CounterexampleFound,
+                     InternalBoundViolationError, InvalidGroupingError)
 from .graph_io import FORMATS, emit_graph, parse_graph, sniff_format
 from .graphs import Graph, is_normal
 from .partition import partition_p2, partition_regular
@@ -30,13 +30,17 @@ def _json_bytes(payload) -> bytes:
             + "\n").encode("ascii")
 
 
-def _read_input(args) -> Graph:
-    if args.input is None or args.input == "-":
+def _read_graph(path: str | None, fmt: str | None) -> Graph:
+    """Parse the graph at ``path``; ``None`` or ``-`` reads stdin."""
+    if path is None or path == "-":
         raw = sys.stdin.buffer.read()
     else:
-        raw = Path(args.input).read_bytes()
-    fmt = args.format or sniff_format(raw)
-    return parse_graph(raw, fmt)
+        raw = Path(path).read_bytes()
+    return parse_graph(raw, fmt or sniff_format(raw))
+
+
+def _read_input(args) -> Graph:
+    return _read_graph(args.input, args.format)
 
 
 def _write_out(args, data: bytes) -> None:
@@ -59,7 +63,8 @@ def _open_trace(args):
     return None, None
 
 
-def _dump_counterexample(args, exc: CounterexampleFound) -> int:
+def _dump_counterexample(
+        args, exc: CounterexampleFound | InternalBoundViolationError) -> int:
     stem = Path(args.out).with_suffix("") if getattr(args, "out", None) \
         else Path("avdcolor")
     path = Path(f"{stem}.counterexample.json")
@@ -76,8 +81,6 @@ def _cmd_color(args) -> int:
     handle, sink = _open_trace(args)
     try:
         cert = avd.avd_color(g, trace=sink)
-    except CounterexampleFound as exc:
-        return _dump_counterexample(args, exc)
     finally:
         if handle:
             handle.close()
@@ -88,11 +91,7 @@ def _cmd_color(args) -> int:
 
 
 def _cmd_color_regular(args) -> int:
-    g = _read_input(args)
-    try:
-        cert = avd.avd_color_regular(g)
-    except CounterexampleFound as exc:
-        return _dump_counterexample(args, exc)
+    cert = avd.avd_color_regular(_read_input(args))
     if args.out:
         _write_out(args, _json_bytes(avd.certificate_to_dict(cert)))
     print(f"colors={cert.colors_used} bound={cert.bound_claimed}")
@@ -101,8 +100,7 @@ def _cmd_color_regular(args) -> int:
 
 def _partition_checklist(g: Graph, parts) -> dict:
     graphs = parts.part_graphs()
-    delta = g.max_degree
-    k_bound = max(delta // 2 - 2, 0) if delta >= 6 else 0
+    k_bound = max(g.max_degree // 2 - 2, 0)
     return {
         "parts": len(parts),
         "k": parts.k,
@@ -119,8 +117,6 @@ def _cmd_partition(args) -> int:
     handle, sink = _open_trace(args)
     try:
         parts = partition_p2(g, trace=sink)
-    except CounterexampleFound as exc:
-        return _dump_counterexample(args, exc)
     finally:
         if handle:
             handle.close()
@@ -178,8 +174,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    raw = Path(args.graph).read_bytes()
-    g = parse_graph(raw, args.format or sniff_format(raw))
+    g = _read_graph(args.graph, args.format)
     data = json.loads(Path(args.certificate).read_text(encoding="ascii"))
     try:
         cert = avd.certificate_from_dict(data, host=g)
@@ -194,12 +189,8 @@ def _cmd_verify(args) -> int:
 
 
 def _audit_one(path: str | None, args) -> verify.AuditReport:
-    if path is None:
-        raw = sys.stdin.buffer.read()
-    else:
-        raw = Path(path).read_bytes()
-    g = parse_graph(raw, args.format or sniff_format(raw))
-    return verify.audit(g, oracle_edge_cap=args.oracle_edge_cap)
+    return verify.audit(_read_graph(path, args.format),
+                        oracle_edge_cap=args.oracle_edge_cap)
 
 
 def _cmd_audit(args) -> int:
@@ -298,21 +289,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CounterexampleFound as exc:
+    except (CounterexampleFound, InternalBoundViolationError) as exc:
         return _dump_counterexample(args, exc)
-    except InternalBoundViolationError as exc:
-        stub = CounterexampleFound(str(exc), exc.payload)
-        return _dump_counterexample(args, stub)
     except InvalidGroupingError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return CHECK_EXIT
-    except (GraphFormatError, NotNormalError, CapExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    except OSError as exc:
+    except (ValueError, CapExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
 

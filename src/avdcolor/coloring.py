@@ -7,7 +7,8 @@ and one distinguishing color per adjacent equal-degree pair.
 The exact searcher is a deterministic backtracker over edges (grouped per
 vertex in breadth-first order, ascending colors, new colors introduced
 only in order) that prunes on properness and on completed adjacent
-equal-degree pairs.  Drivers route through the partition machinery and compose part
+equal-degree pairs.  Each driver either colors a small-degree graph as one
+bounded part, or colors the parts of a partition and composes the part
 certificates over pairwise disjoint palettes.
 """
 
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import (InternalBoundViolationError, NotNormalError,
                      SearchCapExceededError)
-from .graphs import Edge, Graph, canon_edge, is_normal
+from .graphs import Edge, EdgePartition, Graph, canon_edge, is_normal
 from .partition import partition_p2, partition_regular
 from .vizing import EdgeColoring, make_coloring
 from . import verify
@@ -63,14 +64,15 @@ class AvdCertificate:
 
 
 def _witnesses(g: Graph, coloring: EdgeColoring) -> dict[Edge, int]:
+    sets = {v: coloring.colors_at(v) for v in g.vertices}
     out: dict[Edge, int] = {}
     for u, v in g.sorted_edges():
         if g.degree(u) == g.degree(v):
-            diff = sorted(coloring.colors_at(u) ^ coloring.colors_at(v))
+            diff = sets[u] ^ sets[v]
             if not diff:
                 raise AssertionError(
                     f"equal color sets at adjacent pair {(u, v)}")
-            out[(u, v)] = diff[0]
+            out[(u, v)] = min(diff)
     return out
 
 
@@ -118,65 +120,68 @@ def _vertex_major_order(g: Graph,
     return order
 
 
-class _BudgetSearch:
-    """Complete backtracking for an AVD coloring within a color budget."""
+def _search(g: Graph, budget: int, order: list[Edge],
+            node_cap: int | None) -> dict[Edge, int] | None:
+    """Complete backtracking for an AVD coloring within a color budget.
 
-    def __init__(self, g: Graph, budget: int, order: list[Edge],
-                 node_cap: int | None):
-        self.g = g
-        self.budget = budget
-        self.edges = order
-        self.node_cap = node_cap
-        self.nodes = 0
-        self.masks = {v: 0 for v in g.vertices}
-        self.remaining = {v: g.degree(v) for v in g.vertices}
-        self.eq_adj = {v: [w for w in g.neighbors(v)
-                           if g.degree(w) == g.degree(v)]
-                       for v in g.vertices}
-        self.assign: dict[Edge, int] = {}
+    Edges are colored in ``order``; ``color[i]`` is the color edge i holds
+    and ``used[i]`` the largest color on the edges before it, so a new
+    color is only ever the next unused one.  An edge whose color completes
+    an undistinguished pair, or an edge that is backtracked to, resumes at
+    the color after the one it held.  Every color placed counts as a node.
+    """
+    masks = {v: 0 for v in g.vertices}
+    remaining = {v: g.degree(v) for v in g.vertices}
+    eq_adj = {v: [w for w in g.neighbors(v) if g.degree(w) == g.degree(v)]
+              for v in g.vertices}
 
-    def run(self) -> dict[Edge, int] | None:
-        if self._extend(0, 0):
-            return dict(self.assign)
-        return None
-
-    def _complete_ok(self, w: int) -> bool:
-        if self.remaining[w] != 0:
+    def complete_ok(w: int) -> bool:
+        # A plain loop: any() over a generator is measurably slower here.
+        if remaining[w] != 0:
             return True
-        mw = self.masks[w]
-        for x in self.eq_adj[w]:
-            if self.remaining[x] == 0 and self.masks[x] == mw:
+        mw = masks[w]
+        for x in eq_adj[w]:
+            if remaining[x] == 0 and masks[x] == mw:
                 return False
         return True
 
-    def _extend(self, i: int, max_used: int) -> bool:
-        if i == len(self.edges):
-            return True
-        u, v = self.edges[i]
-        forbidden = self.masks[u] | self.masks[v]
-        limit = min(self.budget, max_used + 1)
-        for c in range(1, limit + 1):
+    m = len(order)
+    color = [0] * m
+    used = [0] * (m + 1)
+    nodes = 0
+    i = 0
+    while 0 <= i < m:
+        u, v = order[i]
+        c = color[i]
+        if c:
             bit = 1 << c
-            if forbidden & bit:
-                continue
-            self.nodes += 1
-            if self.node_cap is not None and self.nodes > self.node_cap:
-                raise SearchCapExceededError(
-                    f"budget-{self.budget} search exceeded {self.node_cap} nodes")
-            self.masks[u] |= bit
-            self.masks[v] |= bit
-            self.remaining[u] -= 1
-            self.remaining[v] -= 1
-            self.assign[(u, v)] = c
-            if (self._complete_ok(u) and self._complete_ok(v)
-                    and self._extend(i + 1, max(max_used, c))):
-                return True
-            del self.assign[(u, v)]
-            self.remaining[u] += 1
-            self.remaining[v] += 1
-            self.masks[u] &= ~bit
-            self.masks[v] &= ~bit
-        return False
+            masks[u] &= ~bit
+            masks[v] &= ~bit
+            remaining[u] += 1
+            remaining[v] += 1
+        forbidden = masks[u] | masks[v]
+        limit = min(budget, used[i] + 1)
+        c += 1
+        while c <= limit and forbidden >> c & 1:
+            c += 1
+        if c > limit:
+            color[i] = 0
+            i -= 1
+            continue
+        nodes += 1
+        if node_cap is not None and nodes > node_cap:
+            raise SearchCapExceededError(
+                f"budget-{budget} search exceeded {node_cap} nodes")
+        bit = 1 << c
+        masks[u] |= bit
+        masks[v] |= bit
+        remaining[u] -= 1
+        remaining[v] -= 1
+        color[i] = c
+        if complete_ok(u) and complete_ok(v):
+            used[i + 1] = max(used[i], c)
+            i += 1
+    return dict(zip(order, color)) if i == m else None
 
 
 def avd_color_budget(g: Graph, budget: int, *, node_cap: int | None = None,
@@ -198,8 +203,7 @@ def avd_color_budget(g: Graph, budget: int, *, node_cap: int | None = None,
     for u, v in g.edges:
         if g.degree(u) == g.degree(v) == budget:
             return None
-    search = _BudgetSearch(g, budget, order or _vertex_major_order(g), node_cap)
-    assignment = search.run()
+    assignment = _search(g, budget, order or _vertex_major_order(g), node_cap)
     if assignment is None:
         return None
     return _certificate(g, assignment, budget)
@@ -264,7 +268,7 @@ def avd_subcubic(g: Graph) -> AvdCertificate:
 
 
 def compose(parts: list[tuple[Graph, AvdCertificate]],
-            host: Graph | None = None) -> AvdCertificate:
+            host: Graph) -> AvdCertificate:
     """Merge part certificates over disjoint palettes into a host certificate.
 
     The parts must edge-partition the host and every part must be normal
@@ -276,7 +280,6 @@ def compose(parts: list[tuple[Graph, AvdCertificate]],
         raise ValueError("nothing to compose")
     union: set[Edge] = set()
     total_edges = 0
-    verts: set[int] = set()
     for part, cert in parts:
         if not is_normal(part):
             raise NotNormalError("every composed part must be normal")
@@ -288,13 +291,9 @@ def compose(parts: list[tuple[Graph, AvdCertificate]],
             raise ValueError(f"part certificate is not distinguishing: {detail}")
         union |= part.edges
         total_edges += part.edge_count
-        verts |= set(part.vertices)
     if total_edges != len(union):
         raise ValueError("parts overlap")
-    if host is None:
-        n = 1 + max(verts)
-        host = Graph(n, union, vertices=verts)
-    elif union != host.edges:
+    if union != host.edges:
         raise ValueError("parts do not cover the host edge set")
     merged: dict[Edge, int] = {}
     offset = 0
@@ -320,34 +319,36 @@ def _color_bounded_part(part: Graph) -> AvdCertificate:
                               f"a part of max degree {part.max_degree}")
 
 
+def _color_parts(g: Graph, partition: EdgePartition) -> AvdCertificate:
+    return compose([(part, _color_bounded_part(part))
+                    for part in partition.part_graphs()], host=g)
+
+
 def avd_color(g: Graph, trace=None) -> AvdCertificate:
     """Certificate with at most floor(5 (Delta + 2) / 2) colors.
 
-    Routing: subcubic graphs go to the 5-color searcher, max degree 4 or 5
-    to an exact search with budget 3*Delta, and everything else through the
-    recursive partition followed by palette-disjoint composition.  The
-    certificate's ``parts`` is the partition it colored: the single edge set
-    below max degree 6, else the parts of ``partition_p2(g)``.
+    Two routes.  Up to max degree 5 the whole graph is one bounded part:
+    the 5-color searcher when subcubic, else an exact search with budget
+    3*Delta.  Above that, the recursive partition ``partition_p2(g)`` is
+    colored part by part and composed over disjoint palettes.  The
+    certificate's ``parts`` is the partition it colored: the single edge
+    set, or the parts of ``partition_p2(g)``.
     """
     if not is_normal(g):
         raise NotNormalError("AVD colorings exist only for normal graphs")
-    delta = g.max_degree
-    bound = main_bound(delta)
-    if g.edge_count == 0:
-        return AvdCertificate(make_coloring(g, {}), 0, bound, {})
-    if delta <= 3:
-        return avd_subcubic(g).with_bound(bound)
-    if delta <= 5:
-        return _guaranteed_search(g, 3 * delta,
-                                  f"a graph of max degree {delta}").with_bound(bound)
-    partition = partition_p2(g, trace=trace)
-    colored = [(part, _color_bounded_part(part))
-               for part in partition.part_graphs()]
-    return compose(colored, host=g).with_bound(bound)
+    bound = main_bound(g.max_degree)
+    if g.max_degree <= 5:
+        return _color_bounded_part(g).with_bound(bound)
+    return _color_parts(g, partition_p2(g, trace=trace)).with_bound(bound)
 
 
 def avd_color_regular(g: Graph) -> AvdCertificate:
-    """Certificate with at most floor((5 r + 37) / 3) colors for r-regular g."""
+    """Certificate with at most floor((5 r + 37) / 3) colors for r-regular g.
+
+    Up to degree 4 the graph is one bounded part, as in ``avd_color``;
+    above that, the color-class grouping of ``partition_regular(g)`` is
+    colored part by part.
+    """
     if not g.vertices or not g.is_regular():
         raise ValueError("input graph is not regular")
     r = g.max_degree
@@ -355,10 +356,8 @@ def avd_color_regular(g: Graph) -> AvdCertificate:
         raise ValueError("regular driver requires degree >= 2")
     bound = regular_bound(r)
     if r <= 4:
-        return avd_color(g).with_bound(bound)
-    colored = [(part, _color_bounded_part(part))
-               for part in partition_regular(g).part_graphs()]
-    return compose(colored, host=g).with_bound(bound)
+        return _color_bounded_part(g).with_bound(bound)
+    return _color_parts(g, partition_regular(g)).with_bound(bound)
 
 
 # -- certificate serialization -------------------------------------------------

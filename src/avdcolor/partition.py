@@ -122,13 +122,11 @@ def _cond2(sel: SubgraphSelection, u: int) -> bool:
 
 
 def _cond3(g: Graph, sel: SubgraphSelection, u: int, v: int) -> bool:
-    # u is inspected as a complement-side neighbor of v.
+    # u is inspected as a complement-side neighbor of v, so complement
+    # degree 2 leaves exactly one other complement neighbor.
     if sel.deg(u) > 1 or sel.codeg(u) != 2:
         return False
-    others = [w for w in sel.unselected_neighbors(u) if w != v]
-    if len(others) != 1:
-        return False
-    w = others[0]
+    w = next(x for x in sel.unselected_neighbors(u) if x != v)
     return sel.codeg(w) == 1 and sel.deg(w) == 3
 
 
@@ -137,13 +135,11 @@ def _cond4(g: Graph, sel: SubgraphSelection, v: int) -> bool:
 
 
 def _cond5(g: Graph, sel: SubgraphSelection, v: int, u: int) -> bool:
-    # v is inspected as a selected-side neighbor of u.
+    # v is inspected as a selected-side neighbor of u, so selection
+    # degree 2 leaves exactly one other selected neighbor.
     if sel.deg(v) != 2 or g.degree(v) >= g.max_degree - 1:
         return False
-    others = [w for w in sel.selected_neighbors(v) if w != u]
-    if len(others) != 1:
-        return False
-    w = others[0]
+    w = next(x for x in sel.selected_neighbors(v) if x != u)
     return sel.deg(w) == 1 and g.degree(w) == g.max_degree - 1
 
 

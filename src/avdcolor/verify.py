@@ -253,7 +253,7 @@ def _partition_rows(g: Graph, parts) -> list[tuple[str, bool, str]]:
         rows.append(("partition: both sides normal",
                      is_normal(h) and is_normal(hbar), ""))
     k = len(parts) - 1
-    k_bound = max(delta // 2 - 2, 0) if delta >= 6 else 0
+    k_bound = max(delta // 2 - 2, 0)
     rows.append((f"recursion depth k = {k} <= {k_bound}", k <= k_bound, ""))
     rows.append(("G0 max degree <= 5", graphs[0].max_degree <= 5,
                  f"max {graphs[0].max_degree}"))

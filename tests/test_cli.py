@@ -128,6 +128,21 @@ def test_partition_stall_exits_with_counterexample(tmp_path, monkeypatch,
                                   "move_log"}
 
 
+def test_color_refuted_budget_exits_with_counterexample(tmp_path, monkeypatch,
+                                                        capsys):
+    from avdcolor import coloring
+    gpath = _write_graph(tmp_path, petersen())
+    monkeypatch.setattr(coloring, "avd_color_budget", lambda *a, **kw: None)
+    assert main(["color", gpath, "--out", str(tmp_path / "cert.json")]) == 3
+    assert "counterexample report written" in capsys.readouterr().err
+    data = json.loads((tmp_path / "cert.counterexample.json").read_text())
+    assert "budget 5 refuted" in data["message"]
+    assert data["state"] == {
+        "graph6": emit_graph(petersen(), "graph6").decode("ascii"),
+        "budget": 5}
+    assert not (tmp_path / "cert.json").exists()
+
+
 def test_partition_regular_cli(tmp_path, capsys):
     from avdcolor import random_regular
     gpath = _write_graph(tmp_path, random_regular(12, 5, seed=2))
@@ -155,6 +170,15 @@ def test_audit_exit_codes(tmp_path, capsys):
     bad = _write_graph(tmp_path, Graph(2, [(0, 1)]), "bad.g6")
     assert main(["audit", bad]) == 1
     capsys.readouterr()
+
+
+def test_audit_reads_stdin_for_dash(monkeypatch, capsys):
+    import io
+    import sys
+    stdin = io.TextIOWrapper(io.BytesIO(emit_graph(cycle(6), "graph6")))
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert main(["audit", "-"]) == 0
+    assert "overall: PASS" in capsys.readouterr().out
 
 
 def test_audit_directory(tmp_path, capsys):

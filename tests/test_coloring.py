@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import random
 
@@ -9,6 +10,8 @@ from avdcolor import (Graph, NotNormalError, avd_color, avd_color_budget,
                       complete, compose, cycle, edge_induced, gnp, main_bound,
                       make_coloring, partition_p2, petersen, random_regular,
                       regular_bound)
+from avdcolor import (InternalBoundViolationError, SearchCapExceededError,
+                      check_certificate, coloring, emit_graph)
 from avdcolor.coloring import certificate_from_dict, certificate_to_dict
 from helpers import normal_gnp_corpus
 
@@ -234,3 +237,66 @@ def test_certificate_serialization_roundtrip():
     assert back.per_edge_witness == cert.per_edge_witness
     with pytest.raises(ValueError):
         certificate_from_dict(data, host=cycle(5))
+
+
+def _golden_cases():
+    yield "petersen", avd_color(petersen())
+    yield "graph0", avd_color(Graph(0))
+    for n in range(3, 9):
+        yield f"cycle({n})", avd_color(cycle(n))
+    # Seeds 7 and 21 run their budget-4 rung into the ladder's node cap.
+    for n, r, s in ((32, 3, 7), (32, 3, 21), (24, 4, 1), (24, 4, 2),
+                    (24, 4, 3), (20, 5, 1), (30, 5, 2)):
+        yield f"random_regular({n},{r},{s})", avd_color(random_regular(n, r, s))
+    yield "regular K7", avd_color(complete(7))
+    for n, r, s in ((24, 4, 1), (16, 5, 21)):
+        yield (f"regular random_regular({n},{r},{s})",
+               avd_color_regular(random_regular(n, r, s)))
+
+
+def test_search_outputs_golden():
+    # Pins certificates and their parts, so a rewrite of the exact search
+    # or of the drivers' routing must reproduce them byte for byte.
+    out = [[name, certificate_to_dict(cert),
+            [sorted(map(list, p)) for p in cert.parts]]
+           for name, cert in _golden_cases()]
+    digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
+    assert digest == (
+        "d9c175b0ccd94fd5974e4fd517fe9b61445be7998de4b63d38d0544a1497406a")
+
+
+def test_long_cycles_color_without_recursion():
+    for n, colors in ((1200, 3), (3001, 4)):
+        g = cycle(n)
+        cert = avd_color(g)
+        assert cert.colors_used == colors
+        assert all(ok for _, ok, _ in check_certificate(g, cert))
+
+
+def test_guaranteed_search_restarts_after_cap(monkeypatch):
+    calls = []
+    search = coloring.avd_color_budget
+
+    def spy(g, budget, **kw):
+        try:
+            return search(g, budget, **kw)
+        except SearchCapExceededError:
+            calls.append((budget, kw["node_cap"]))
+            raise
+
+    monkeypatch.setattr(coloring, "avd_color_budget", spy)
+    monkeypatch.setattr(coloring, "DEFAULT_NODE_CAP", 8)
+    g = random_regular(32, 3, 7)
+    cert = avd_subcubic(g)
+    assert cert.colors_used <= 5 == cert.bound_claimed
+    assert (5, 8) in calls and (5, 16) in calls
+    _checked(g, cert)
+
+
+def test_refuted_guaranteed_budget_raises(monkeypatch):
+    monkeypatch.setattr(coloring, "avd_color_budget", lambda *a, **kw: None)
+    with pytest.raises(InternalBoundViolationError) as info:
+        avd_subcubic(petersen())
+    assert info.value.payload == {
+        "graph6": emit_graph(petersen(), "graph6").decode("ascii"),
+        "budget": 5}
