@@ -76,16 +76,6 @@ def _witnesses(g: Graph, coloring: EdgeColoring) -> dict[Edge, int]:
     return out
 
 
-def _certificate(g: Graph, assignment: dict[Edge, int],
-                 bound: int) -> AvdCertificate:
-    # Compact the palette onto 1..K preserving order.
-    palette = sorted(set(assignment.values()))
-    remap = {c: i for i, c in enumerate(palette, start=1)}
-    coloring = make_coloring(g, {e: remap[c] for e, c in assignment.items()})
-    return AvdCertificate(coloring, len(palette), bound,
-                          _witnesses(g, coloring), (g.edges,))
-
-
 def _vertex_major_order(g: Graph,
                         vertex_seq: list[int] | None = None) -> list[Edge]:
     """Edges grouped per vertex, vertices breadth-first from the lowest.
@@ -206,7 +196,10 @@ def avd_color_budget(g: Graph, budget: int, *, node_cap: int | None = None,
     assignment = _search(g, budget, order or _vertex_major_order(g), node_cap)
     if assignment is None:
         return None
-    return _certificate(g, assignment, budget)
+    # _search opens only the next unused color, so the palette is 1..K.
+    coloring = make_coloring(g, assignment)
+    return AvdCertificate(coloring, coloring.colors_used, budget,
+                          _witnesses(g, coloring), (g.edges,))
 
 
 def _shuffled_order(g: Graph, seed: int) -> list[Edge]:
@@ -379,15 +372,32 @@ def certificate_to_dict(cert: AvdCertificate) -> dict:
     }
 
 
-def certificate_from_dict(data: dict, host: Graph | None = None) -> AvdCertificate:
-    if data.get("type") != "avd-certificate":
+def certificate_from_dict(data: object, host: Graph) -> AvdCertificate:
+    """Read back a ``certificate_to_dict`` payload as a certificate of ``host``.
+
+    Raises ValueError when the payload is not an object, lacks a key, or
+    holds an entry that is not an integer.
+    """
+    if not isinstance(data, dict) or data.get("type") != "avd-certificate":
         raise ValueError("not an AVD certificate payload")
-    assignment = {canon_edge(u, v): int(c) for u, v, c in data["edges"]}
-    if host is None:
-        host = Graph(int(data["vertex_count"]), assignment.keys())
-    elif set(assignment) != set(host.edges):
+    try:
+        assignment = _edge_map(data, "edges")
+        witnesses = _edge_map(data, "witnesses")
+        colors_used, bound = data["colors_used"], data["bound_claimed"]
+    except KeyError as exc:
+        raise ValueError(f"certificate lacks key {exc}") from None
+    if type(colors_used) is not int or type(bound) is not int:
+        raise ValueError("certificate palette size or bound is not an integer")
+    if set(assignment) != set(host.edges):
         raise ValueError("certificate edges do not match the graph")
-    coloring = make_coloring(host, assignment)
-    witnesses = {canon_edge(u, v): int(c) for u, v, c in data["witnesses"]}
-    return AvdCertificate(coloring, int(data["colors_used"]),
-                          int(data["bound_claimed"]), witnesses)
+    return AvdCertificate(make_coloring(host, assignment), colors_used, bound,
+                          witnesses)
+
+
+def _edge_map(data: dict, key: str) -> dict[Edge, int]:
+    rows = data[key]
+    if not (isinstance(rows, list) and all(
+            isinstance(row, list) and len(row) == 3
+            and all(type(x) is int for x in row) for row in rows)):
+        raise ValueError(f"certificate {key!r} is not a list of integer triples")
+    return {canon_edge(u, v): c for u, v, c in rows}

@@ -42,101 +42,75 @@ def misra_gries(g: Graph) -> EdgeColoring:
     colors are always the smallest available.  The result is reproducible
     for a fixed vertex labeling.
     """
-    delta = g.max_degree
-    k = delta + 1
-    color: dict[Edge, int] = {}
-    used: dict[int, set[int]] = {v: set() for v in g.vertices}
+    k = g.max_degree + 1
+    m = g.edge_count
+    # col[v][w] is the color of vw; at[v][c] is v's neighbor across color c.
+    col: dict[int, dict[int, int]] = {v: {} for v in g.vertices}
+    at: dict[int, dict[int, int]] = {v: {} for v in g.vertices}
 
     def free(v: int) -> int:
         for c in range(1, k + 1):
-            if c not in used[v]:
+            if c not in at[v]:
                 return c
         raise AssertionError(f"no free color at {v} with k={k}")
 
-    def recolor(batch: list[tuple[Edge, int]]) -> None:
+    def recolor(batch: list[tuple[int, int, int]]) -> None:
         # Uncolor everything first: a sequential rewrite would transiently
-        # duplicate a color at the anchor and corrupt the used sets.
-        for e, _ in batch:
-            old = color.pop(e, None)
+        # give a vertex two edges of one color and corrupt ``at``.
+        for u, v, _ in batch:
+            old = col[u].pop(v, None)
             if old is not None:
-                used[e[0]].discard(old)
-                used[e[1]].discard(old)
-        for e, c in batch:
-            color[e] = c
-            used[e[0]].add(c)
-            used[e[1]].add(c)
+                del col[v][u], at[u][old], at[v][old]
+        for u, v, c in batch:
+            col[u][v] = col[v][u] = c
+            at[u][c] = v
+            at[v][c] = u
 
-    def colored_edge_at(v: int, c: int) -> Edge | None:
-        for w in g.neighbors(v):
-            e = canon_edge(v, w)
-            if color.get(e) == c:
-                return e
-        return None
-
-    def invert_path(start: int, c: int, d: int) -> None:
-        # Maximal path from `start` alternating colors d, c; swap the colors.
-        path = []
-        cur, want = start, d
-        while True:
-            e = colored_edge_at(cur, want)
-            if e is None or e in path:
-                break
-            path.append(e)
-            cur = e[0] if e[1] == cur else e[1]
-            want = c if want == d else d
-        for e in path:
-            used[e[0]].discard(color[e])
-            used[e[1]].discard(color[e])
-        for e in path:
-            color[e] = c if color[e] == d else d
-        for e in path:
-            used[e[0]].add(color[e])
-            used[e[1]].add(color[e])
-
-    for e0 in sorted(g.edges):
-        x, f = e0  # anchor at the lower endpoint
+    for x, f in sorted(g.edges):  # anchor at the lower endpoint
+        colx = col[x]
         # Maximal fan of x starting at f.
         fan = [f]
         in_fan = {f}
         while True:
-            ext = None
             for w in g.neighbors(x):
                 if w in in_fan:
                     continue
-                ew = canon_edge(x, w)
-                cw = color.get(ew)
-                if cw is not None and cw not in used[fan[-1]]:
-                    ext = w
+                cw = colx.get(w)
+                if cw is not None and cw not in at[fan[-1]]:
+                    fan.append(w)
+                    in_fan.add(w)
                     break
-            if ext is None:
+            else:
                 break
-            fan.append(ext)
-            in_fan.add(ext)
         c = free(x)
         d = free(fan[-1])
         if c != d:
-            invert_path(x, c, d)
-        # After the inversion d is free at x; find the first fan prefix
-        # ending at a vertex where d is free (the prefix must still be a fan
-        # under the post-inversion colors).
-        w_idx = None
-        for j, wv in enumerate(fan):
-            if j > 0:
-                cj = color.get(canon_edge(x, fan[j]))
-                if cj is None or cj in used[fan[j - 1]]:
-                    break
-            if d not in used[wv]:
-                w_idx = j
+            # Swap d and c on the maximal d/c path from x.  x misses c, so
+            # the path is no cycle and ends before it holds every edge.
+            path = []
+            cur, want, other = x, d, c
+            while (nxt := at[cur].get(want)) is not None:
+                path.append((cur, nxt, other))
+                if len(path) == m:
+                    raise AssertionError("alternating path does not end")
+                cur, want, other = nxt, other, want
+            recolor(path)
+        # After the swap d is free at x; rotate the first fan prefix ending
+        # at a vertex where d is free.  The prefix must still be a fan under
+        # the swapped colors.
+        for j, w in enumerate(fan):
+            if j > 0 and colx[w] in at[fan[j - 1]]:
+                raise AssertionError("path swap broke the fan prefix")
+            if d not in at[w]:
                 break
-        if w_idx is None:
+        else:
             raise AssertionError("fan rotation target missing")
-        # Rotate: shift each fan edge's color down, then finish with d.
-        batch = [(canon_edge(x, fan[j]), color[canon_edge(x, fan[j + 1])])
-                 for j in range(w_idx)]
-        batch.append((canon_edge(x, fan[w_idx]), d))
-        recolor(batch)
+        # Shift each fan edge's color down, then finish with d.
+        recolor([(x, fan[i], colx[fan[i + 1]]) for i in range(j)]
+                + [(x, w, d)])
 
-    return _compact(g, color)
+    return _compact(g, {(v, w): c for v in g.vertices
+                        for w, c in col[v].items() if v < w})
 
 
 def _compact(g: Graph, color: dict[Edge, int]) -> EdgeColoring:

@@ -75,6 +75,30 @@ def test_verify_rejects_flipped_witness(tmp_path, capsys):
     assert "PASS adjacent-vertex-distinguishing" in out
 
 
+def _without_edges(data):
+    del data["edges"]
+    return data
+
+
+def _null_color(data):
+    data["edges"][0][2] = None
+    return data
+
+
+@pytest.mark.parametrize("malform", [
+    _without_edges, lambda d: [d], _null_color,
+    lambda d: {**d, "colors_used": str(d["colors_used"])},
+], ids=["no-edges", "list", "null-color", "string-palette"])
+def test_verify_rejects_malformed_certificate(tmp_path, capsys, malform):
+    gpath = _write_graph(tmp_path, complete(7))
+    cert = tmp_path / "cert.json"
+    main(["color", gpath, "--out", str(cert)])
+    cert.write_text(json.dumps(malform(json.loads(cert.read_text()))))
+    capsys.readouterr()
+    assert main(["verify", gpath, str(cert)]) == 1
+    assert capsys.readouterr().out.startswith("FAIL certificate shape: ")
+
+
 def test_color_regular_cli(tmp_path, capsys):
     from avdcolor import random_regular
     gpath = _write_graph(tmp_path, random_regular(12, 5, seed=2))

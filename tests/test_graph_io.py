@@ -39,6 +39,16 @@ def test_graph6_matches_networkx():
         assert set(map(_canon, back.edges())) == set(g.edges)
 
 
+def test_graph6_long_header_matches_networkx():
+    # n >= 63 takes the 4-byte size header; 62 is the last 1-byte size.
+    for n in (62, 63, 64, 200):
+        g = gnp(n, 0.05, n)
+        mine = emit_graph(g, "graph6")
+        assert mine == nx.to_graph6_bytes(_to_nx(g), header=False).strip()
+        assert (mine[0] == 126) == (n >= 63)
+        assert parse_graph(mine, "graph6") == g
+
+
 def _to_nx(g: Graph) -> nx.Graph:
     out = nx.Graph()
     out.add_nodes_from(range(g.n))

@@ -136,6 +136,17 @@ def test_check_certificate_rejects_flipped_witness():
     assert failed == ["witnesses cover equal-degree pairs"]
 
 
+def test_check_certificate_rejects_witness_off_the_graph():
+    g = complete(7)
+    cert = avd_color(g)
+    extra = dict(cert.per_edge_witness)
+    extra[(0, 99)] = 1
+    rows = check_certificate(g, dataclasses.replace(cert,
+                                                    per_edge_witness=extra))
+    failed = [name for name, ok, _ in rows if not ok]
+    assert failed == ["witnesses cover equal-degree pairs"]
+
+
 def test_check_certificate_checks_properness_once(monkeypatch):
     g = gnp(16, 0.6, 3)
     cert = avd_color(g)

@@ -1,10 +1,13 @@
+import hashlib
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from avdcolor import (Graph, check_proper, color_classes, complete, cycle,
-                      exact_chromatic_index, gnp, misra_gries, petersen,
-                      random_regular)
+                      edge_induced, exact_chromatic_index, gnp, misra_gries,
+                      petersen, random_regular)
 
 
 def test_c5_needs_three_colors():
@@ -78,3 +81,66 @@ def test_deterministic_coloring():
     a = misra_gries(g)
     b = misra_gries(g)
     assert a.assignment == b.assignment
+
+
+def _golden_graphs():
+    yield "complete(20)", complete(20)
+    yield "petersen()", petersen()
+    for s in (1, 2, 3):
+        yield f"random_regular(40,7,{s})", random_regular(40, 7, s)
+        yield f"gnp(150,0.12,{s})", gnp(150, 0.12, s)
+    yield "gnp(300,0.1,1)", gnp(300, 0.1, 1)  # Delta = 47: long fans
+    g = gnp(90, 0.2, 4)
+    yield "gnp(90,0.2,4) off multiples of 3", edge_induced(
+        g, [e for e in g.edges if e[0] % 3 and e[1] % 3])
+
+
+def test_misra_gries_outputs_golden():
+    # Pins each coloring edge by edge: a rewrite of the colorer must keep
+    # every tie-break (lowest fan extension, smallest free colors, first
+    # rotatable prefix), or the partitions built on it change.
+    digests = {name: hashlib.sha256(json.dumps(sorted(
+        [u, v, c] for (u, v), c in misra_gries(g).assignment.items()
+    )).encode()).hexdigest() for name, g in _golden_graphs()}
+    assert digests == {
+        "complete(20)":
+            "23a4d15af44e8c816a79d2dd30dd96c90b7fd457544caf766aac461048e7abd4",
+        "petersen()":
+            "2d754c1c41ffab7990c21824be49cabdeb18e40c22295a36eaf3ce48b80a7883",
+        "random_regular(40,7,1)":
+            "c57692063451395fbe42c1983be525644e2cc39939226a44de031a73b9c3735f",
+        "gnp(150,0.12,1)":
+            "fe6284d4d3e8df8baf676928d2abcb2989f6b05b6f7b82c356499659650686d5",
+        "random_regular(40,7,2)":
+            "7b735ba44823dbc016dd92415b1b1062bdba602e45cac1308bfdb28b02fbf1f6",
+        "gnp(150,0.12,2)":
+            "c9f0b31c6369bc49cac91872ebd9144ccaf91c97a50c1bbe6f2f04353045456a",
+        "random_regular(40,7,3)":
+            "3ff03e587c98cec3c0b85ed8a63ffbd3dfaba75153c8fdb2ea71292e481961ac",
+        "gnp(150,0.12,3)":
+            "be7fb8d2475b0943d6d1e6ce9ea5b4d6ac36fc48c165d4121f310d79457f4c52",
+        "gnp(300,0.1,1)":
+            "62f140066e668017974590eec204747ee54e79c0bf9b8cad940220f52336e23a",
+        "gnp(90,0.2,4) off multiples of 3":
+            "9093d15878f2d4350273d29baabb7277db813c744e5cab61c2f5fc235fd03f17",
+    }
+
+
+@st.composite
+def _small_graphs(draw):
+    n = draw(st.integers(2, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = Graph(n, draw(st.sets(st.sampled_from(pairs))))
+    # An edge-induced subgraph drops the isolated vertices from its labels.
+    return edge_induced(g, g.edges) if draw(st.booleans()) else g
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_graphs())
+def test_misra_gries_properties(g):
+    mg = misra_gries(g)
+    assert check_proper(g, mg) == (True, None)
+    assert mg.colors_used <= g.max_degree + 1
+    for v in g.vertices:
+        assert len(mg.colors_at(v)) == g.degree(v)
+    assert misra_gries(g).assignment == mg.assignment
