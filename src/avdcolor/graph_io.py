@@ -9,6 +9,10 @@ FORMATS = ("graph6", "dimacs", "edgelist")
 
 _G6_HEADER = ">>graph6<<"
 
+# Largest vertex count graph6 can describe (its 4-byte size header).  Every
+# format rejects more, so any parsed graph can be dumped as graph6.
+_MAX_VERTICES = 258047
+
 
 def parse_graph(text: bytes | str, fmt: str) -> Graph:
     """Parse ``text`` in the named format; rejects malformed input."""
@@ -79,7 +83,8 @@ def _parse_graph6(text: str) -> Graph:
         if len(data) < 4:
             raise GraphFormatError("truncated graph6 size header")
         if data[1] == 63:
-            raise GraphFormatError("graph6 sizes beyond 2^18 not supported")
+            raise GraphFormatError(
+                f"graph6 sizes beyond {_MAX_VERTICES} not supported")
         n = (data[1] << 12) | (data[2] << 6) | data[3]
         body = data[4:]
     nbits = n * (n - 1) // 2
@@ -106,10 +111,11 @@ def _emit_graph6(g: Graph) -> bytes:
     n = g.n
     if n < 63:
         head = bytes([n + 63])
-    elif n <= 258047:
+    elif n <= _MAX_VERTICES:
         head = bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
     else:
-        raise GraphFormatError("graph6 sizes beyond 2^18 not supported")
+        raise GraphFormatError(
+            f"graph6 sizes beyond {_MAX_VERTICES} not supported")
     bits = []
     for v in range(1, n):
         for u in range(v):
@@ -147,6 +153,9 @@ def _parse_dimacs(text: str) -> Graph:
                 n, m_declared = int(toks[2]), int(toks[3])
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: bad counts") from None
+            if not 0 <= n <= _MAX_VERTICES:
+                raise GraphFormatError(
+                    f"line {lineno}: vertex count outside 0..{_MAX_VERTICES}")
         elif toks[0] == "e":
             if n is None:
                 raise GraphFormatError(f"line {lineno}: edge before problem line")
@@ -199,8 +208,9 @@ def _parse_edgelist(text: str) -> Graph:
             u, v = int(toks[0]), int(toks[1])
         except ValueError:
             raise GraphFormatError(f"line {lineno}: bad endpoints") from None
-        if u < 0 or v < 0:
-            raise GraphFormatError(f"line {lineno}: negative vertex index")
+        if not (0 <= u < _MAX_VERTICES and 0 <= v < _MAX_VERTICES):
+            raise GraphFormatError(
+                f"line {lineno}: vertex index outside 0..{_MAX_VERTICES - 1}")
         if u == v:
             raise GraphFormatError(f"line {lineno}: self-loop")
         key = (min(u, v), max(u, v))

@@ -147,10 +147,10 @@ class SubgraphSelection:
         self._iso_sel: set[Edge] = set()
         self._iso_unsel: set[Edge] = set()
         self.version = 0
+        for e in edges:
+            self._select(canon_edge(*e))
         for e in host.edges:
             self._update_isolation(e)
-        for e in edges:
-            self.add(canon_edge(*e))
 
     # -- queries ---------------------------------------------------------
 
@@ -195,13 +195,7 @@ class SubgraphSelection:
     # -- mutation --------------------------------------------------------
 
     def add(self, e: Edge) -> None:
-        if e not in self.host.edges:
-            raise ValueError(f"edge {e} not in host graph")
-        if e in self._selected:
-            raise ValueError(f"edge {e} already selected")
-        self._selected.add(e)
-        self._deg[e[0]] += 1
-        self._deg[e[1]] += 1
+        self._select(e)
         self._refresh_around(e)
         self.version += 1
 
@@ -213,6 +207,16 @@ class SubgraphSelection:
         self._deg[e[1]] -= 1
         self._refresh_around(e)
         self.version += 1
+
+    def _select(self, e: Edge) -> None:
+        # Membership and degrees only; callers settle the isolation sets.
+        if e not in self.host.edges:
+            raise ValueError(f"edge {e} not in host graph")
+        if e in self._selected:
+            raise ValueError(f"edge {e} already selected")
+        self._selected.add(e)
+        self._deg[e[0]] += 1
+        self._deg[e[1]] += 1
 
     def _refresh_around(self, e: Edge) -> None:
         for v in e:

@@ -17,7 +17,7 @@ membership conditions and the strict potential decrease before it is
 returned, so a single engine step can never corrupt the selection, and the
 engine raises CounterexampleFound on a state with no valid move.  When the
 potential is zero, H and its complement are both normal, giving the
-two-part partition; recursion and color-class grouping build the
+two-part partition; a peel loop and color-class grouping build the
 multi-part variants.
 """
 
@@ -609,44 +609,39 @@ def partition_p1(g: Graph,
 
     Runs the engine once, from ``initial_selection(g)``, which checks the
     preconditions; there are no restarts.  A stall raises
-    CounterexampleFound with a full state dump.
+    CounterexampleFound with a full state dump.  The degree bounds and the
+    selection side's normality are checked again from degree counts.
     """
-    engine = PartitionEngine(g, initial_selection(g), trace=trace)
-    return _partition_from_selection(g, engine.run())
-
-
-def _partition_from_selection(g: Graph, sel: SubgraphSelection) -> EdgePartition:
-    h_edges = sel.selected
-    hbar_edges = sel.complement_edges()
-    part = EdgePartition(g, [h_edges, hbar_edges])
-    h, hbar = part.part_graphs()
-    delta = g.max_degree
-    if h.max_degree > 3 or hbar.max_degree > delta - 2:
+    sel = PartitionEngine(g, initial_selection(g), trace=trace).run()
+    if any(sel.deg(v) > 3 or sel.codeg(v) > g.max_degree - 2
+           for v in g.vertices):
         raise AssertionError("partition degree bounds violated")
-    if not is_normal(h) or not is_normal(hbar):
-        raise AssertionError("partition parts are not normal")
-    return part
+    if any(sel.deg(u) == 1 and sel.deg(v) == 1 for u, v in sel.selected):
+        raise AssertionError("selection side has an isolated edge")
+    return EdgePartition(g, [sel.selected, sel.complement_edges()])
 
 
 def partition_p2(g: Graph,
                  trace: Callable[[dict], None] | None = None) -> EdgePartition:
-    """Recursive decomposition into G_0 .. G_k with k <= floor(Delta/2) - 2.
+    """Decomposition into G_0 .. G_k with k <= floor(Delta/2) - 2.
 
-    G_0 has max degree <= 5 and every later part is subcubic; peeling stops
-    as soon as the remainder's max degree drops below 6.  The parts are the
-    remainder G_0 first, then the peels, deepest first, so the last part is
-    the selection side of ``partition_p1(g)``.
+    One loop: while the remainder has max degree >= 6, ``partition_p1``
+    peels a subcubic part off it, and the complement is the next remainder;
+    the last one is G_0.  The parts are G_0 first, then the peels, deepest
+    first, so the last part is the selection side of ``partition_p1(g)``.
+    ``initial_selection`` checks each level's normality; G_0 is checked last.
     """
     if not is_normal(g):
         raise NotNormalError("partition requires a normal graph")
-    return EdgePartition(g, _p2_parts(g, trace))
-
-
-def _p2_parts(g: Graph, trace) -> list[frozenset[Edge]]:
-    if g.max_degree <= 5:
-        return [frozenset(g.edges)]
-    h_edges, hbar_edges = partition_p1(g, trace=trace).parts
-    return _p2_parts(edge_induced(g, hbar_edges), trace) + [h_edges]
+    peels: list[frozenset[Edge]] = []
+    rest = g
+    while rest.max_degree > 5:
+        h_edges, hbar_edges = partition_p1(rest, trace=trace).parts
+        peels.append(h_edges)
+        rest = edge_induced(rest, hbar_edges)
+    if peels and not is_normal(rest):
+        raise AssertionError("remainder G_0 is not normal")
+    return EdgePartition(g, [rest.edges, *reversed(peels)])
 
 
 def partition_regular(g: Graph) -> EdgePartition:

@@ -225,6 +225,13 @@ def test_bad_input_exit_two(tmp_path, capsys):
     assert main(["color", str(path), "--format", "graph6"]) == 2
 
 
+def test_oversized_vertex_count_exit_two(tmp_path, capsys):
+    path = tmp_path / "huge.col"
+    path.write_bytes(b"p edge 99999999999 0\n")
+    assert main(["color", str(path)]) == 2
+    assert "vertex count" in capsys.readouterr().err
+
+
 def test_dimacs_format_flag(tmp_path, capsys):
     gpath = _write_graph(tmp_path, complete(7), "k7.col", fmt="dimacs")
     assert main(["color", gpath, "--format", "dimacs"]) == 0

@@ -2,11 +2,11 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from avdcolor import (Graph, GraphFormatError, complete, cycle, emit_graph,
                       gnp, parse_graph, petersen, sniff_format)
-
-FORMATS = ("graph6", "dimacs", "edgelist")
+from avdcolor.graph_io import FORMATS
 
 
 def test_graph6_star_golden():
@@ -123,3 +123,59 @@ def test_sniff_format():
     assert sniff_format(b"0 1\n1 2\n") == "edgelist"
     assert sniff_format(emit_graph(cycle(5), "graph6")) == "graph6"
     assert sniff_format(b"# comment\n0 1\n") == "edgelist"
+
+
+@pytest.mark.parametrize("fmt, data", [
+    ("dimacs", b"p edge -5 0"),
+    ("dimacs", b"p edge 99999999999 0"),
+    ("edgelist", b"0 99999999999"),
+    # 258047 vertices is graph6's limit, so vertex 258047 is one too many.
+    ("edgelist", b"0 258047"),
+    ("graph6", b"~~" + b"?" * 6),  # the 8-byte size header
+])
+def test_vertex_count_outside_graph6_limit_rejected(fmt, data):
+    with pytest.raises(GraphFormatError):
+        parse_graph(data, fmt)
+
+
+_TOKENS = st.one_of(
+    st.sampled_from(["p edge ", "p ", "edge", "e ", "c ", "c", "-", "#", " ",
+                     "\n", "\t", ">>graph6<<", "~", "?", "_", "0", "1"]),
+    st.integers(-3, 300).map(str),
+    st.just("99999999999"))
+
+_INPUTS = st.one_of(
+    st.binary(max_size=60),
+    st.lists(_TOKENS, max_size=25).map(lambda ts: "".join(ts).encode()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_INPUTS)
+def test_parse_returns_graph_or_format_error(data):
+    # Any bytes, in any format or the sniffed one, give a Graph or a
+    # GraphFormatError, never another exception.
+    for fmt in FORMATS + (sniff_format(data),):
+        try:
+            g = parse_graph(data, fmt)
+        except GraphFormatError:
+            continue
+        assert isinstance(g, Graph)
+
+
+@st.composite
+def _graphs_up_to_70(draw):
+    n = draw(st.integers(1, 70))
+    ends = st.integers(0, n - 1)
+    pairs = draw(st.sets(st.tuples(ends, ends), max_size=120))
+    return Graph(n, {(min(e), max(e)) for e in pairs if e[0] != e[1]})
+
+
+@settings(max_examples=100, deadline=None)
+@given(_graphs_up_to_70())
+def test_emit_parse_roundtrip_keeps_edges(g):
+    # n >= 63 takes graph6's 4-byte size header.
+    for fmt in FORMATS:
+        back = parse_graph(emit_graph(g, fmt), fmt)
+        assert back.edges == g.edges
+        if fmt != "edgelist":  # edge lists drop trailing isolated vertices
+            assert back.n == g.n

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from avdcolor import (EdgePartition, Graph, SubgraphSelection, canon_edge,
                       complement_selection, complete, cycle, edge_induced,
@@ -93,6 +94,43 @@ def test_selection_incremental_bookkeeping_matches_recompute():
             assert deg == {v: sel.deg(v) for v in g.vertices}
             assert iso_sel == set(sel.isolated_selected)
             assert iso_unsel == set(sel.isolated_unselected)
+
+
+@st.composite
+def _hosts_and_selections(draw):
+    n = draw(st.integers(2, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = Graph(n, draw(st.sets(st.sampled_from(pairs))))
+    # An edge-induced host has no isolated vertices among its labels.
+    if draw(st.booleans()):
+        g = edge_induced(g, g.edges)
+    picked = draw(st.sets(st.sampled_from(sorted(g.edges)))
+                  if g.edges else st.just(set()))
+    # Either orientation names the same edge.
+    flips = draw(st.lists(st.booleans(), min_size=len(picked),
+                          max_size=len(picked)))
+    return g, [(v, u) if flip else (u, v)
+               for (u, v), flip in zip(sorted(picked), flips)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_hosts_and_selections())
+def test_selection_construction_matches_recompute(case):
+    g, picked = case
+    sel = SubgraphSelection(g, picked)
+    assert sel.selected == {canon_edge(u, v) for u, v in picked}
+    deg, iso_sel, iso_unsel = recompute_selection_state(sel)
+    assert deg == {v: sel.deg(v) for v in g.vertices}
+    assert iso_sel == set(sel.isolated_selected)
+    assert iso_unsel == set(sel.isolated_unselected)
+
+
+def test_selection_construction_rejects_foreign_and_duplicate():
+    g = cycle(4)
+    with pytest.raises(ValueError, match="not in host"):
+        SubgraphSelection(g, [(0, 2)])
+    with pytest.raises(ValueError, match="already selected"):
+        SubgraphSelection(g, [(0, 1), (1, 0)])
 
 
 def test_selection_version_bumps():

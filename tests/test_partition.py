@@ -5,13 +5,13 @@ from collections import Counter
 
 import pytest
 
-from avdcolor import (Graph, MoveVariant, NotNormalError, PartitionEngine,
+from avdcolor import (EdgePartition, Graph, MoveVariant, NotNormalError, PartitionEngine,
                       SubgraphSelection, StaleMoveError, VertexType,
                       apply_move, check_membership, classify_vertex, complete,
                       cycle, enumerate_chains, find_move, gnp,
                       initial_selection, is_normal, partition_p1,
                       partition_p2, partition_regular, random_regular)
-from avdcolor import ChainClosure, CounterexampleFound, partition
+from avdcolor import ChainClosure, CounterexampleFound, graphs, partition
 from helpers import (normal_gnp_corpus, recompute_selection_state,
                      scramble_selection)
 
@@ -458,6 +458,11 @@ def test_partition_p2_base_case():
     assert part.parts[0] == g.edges
 
 
+def test_partition_p2_rejects_non_normal_input():
+    with pytest.raises(NotNormalError):
+        partition_p2(Graph(9, sorted(complete(7).edges) + [(7, 8)]))
+
+
 def test_partition_p2_degree_six():
     g = complete(7)
     part = partition_p2(g)
@@ -478,6 +483,56 @@ def test_partition_p2_degree_ten():
     assert all(p.max_degree <= 3 for p in graphs[1:])
     assert all(is_normal(p) for p in graphs)
     assert partition_p2(g).parts[-1] == partition_p1(g).parts[0]
+
+
+def test_partition_p2_checks_and_builds_each_level_once(monkeypatch):
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (graphs, partition):
+        monkeypatch.setattr(module, "is_normal",
+                            counted("is_normal", module.is_normal))
+        monkeypatch.setattr(module, "edge_induced",
+                            counted("edge_induced", module.edge_induced))
+    monkeypatch.setattr(partition, "partition_p1",
+                        counted("levels", partition.partition_p1))
+    part = partition_p2(complete(16))
+    levels = counts["levels"]
+    assert levels == part.k == 4
+    # The entry check, one per level (initial_selection) and one for G_0.
+    assert counts["is_normal"] <= levels + 2
+    # One Graph per level: the remainder below it.
+    assert counts["edge_induced"] == levels
+
+
+def test_partition_p1_rejects_peel_over_degree_bound(monkeypatch):
+    # Checked from the selection's degree counts, independently of the engine.
+    monkeypatch.setattr(PartitionEngine, "run",
+                        lambda self: SubgraphSelection(self.g, self.g.edges))
+    with pytest.raises(AssertionError, match="degree bounds"):
+        partition_p1(complete(7))
+
+
+def test_partition_p1_rejects_peel_with_isolated_edge(monkeypatch):
+    # The selected edge (7,8) is isolated while every degree bound holds.
+    g, sel = _k7_plus([(7, 8), (8, 9), (9, 10)], 4, [(7, 8)])
+    monkeypatch.setattr(PartitionEngine, "run", lambda self: sel)
+    with pytest.raises(AssertionError, match="isolated edge"):
+        partition_p1(g)
+
+
+def test_partition_p2_rejects_non_normal_remainder(monkeypatch):
+    # A peel that leaves the isolated edge (8,9) behind as G_0.
+    g = Graph(10, sorted(complete(7).edges) + [(7, 8), (8, 9)])
+    monkeypatch.setattr(partition, "partition_p1", lambda h, trace=None:
+                        EdgePartition(h, [h.edges - {(8, 9)}, [(8, 9)]]))
+    with pytest.raises(AssertionError, match="G_0 is not normal"):
+        partition_p2(g)
 
 
 def test_partition_regular_case_table_small():

@@ -1,12 +1,17 @@
 import dataclasses
+import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from avdcolor import (CapExceededError, Graph, audit, avd_color, check_avd,
                       check_certificate, check_proper, complete, cycle,
                       exact_chi_a, exact_chromatic_index, gnp, is_normal,
-                      make_coloring, misra_gries, petersen)
+                      emit_graph, make_coloring, misra_gries, petersen)
 from avdcolor import coloring, partition, verify
+from avdcolor.cli import main
 from helpers import normal_gnp_corpus
 
 
@@ -243,3 +248,32 @@ def test_audit_rejects_unbounded_g0(monkeypatch):
     failed = {name for name, ok, _ in report.checks if not ok}
     assert "G0 max degree <= 5" in failed
     assert "parts partition the edge set" not in failed
+
+
+@st.composite
+def _small_connected_graphs(draw):
+    # A random tree on 3..8 vertices plus extra edges: connected with at
+    # least three vertices, hence normal.
+    n = draw(st.integers(3, 8))
+    tree = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph(n, tree | draw(st.sets(st.sampled_from(pairs))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_connected_graphs(), st.data())
+def test_recolored_edge_fails_proper_and_cli_verify(g, data):
+    cert = coloring.certificate_to_dict(avd_color(g))
+    rows = cert["edges"]
+    i = data.draw(st.integers(0, len(rows) - 1))
+    u, v, _ = rows[i]
+    j = data.draw(st.sampled_from([k for k, (a, b, _) in enumerate(rows)
+                                   if k != i and {a, b} & {u, v}]))
+    rows[i][2] = rows[j][2]  # two incident edges now share a color
+    tampered = coloring.certificate_from_dict(cert, host=g)
+    assert ("proper", False) in [row[:2] for row in check_certificate(g, tampered)]
+    with tempfile.TemporaryDirectory() as tmp:
+        gpath, cpath = Path(tmp) / "g.g6", Path(tmp) / "cert.json"
+        gpath.write_bytes(emit_graph(g, "graph6"))
+        cpath.write_text(json.dumps(cert))
+        assert main(["verify", str(gpath), str(cpath)]) == 1
