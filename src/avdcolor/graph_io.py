@@ -134,6 +134,17 @@ def _emit_graph6(g: Graph) -> bytes:
 # -- DIMACS edge format -----------------------------------------------------
 
 
+def _decimal(tok: str) -> int:
+    """``tok`` as a number if it is ASCII decimal digits only, else ValueError.
+
+    ``int`` alone also reads signs, underscores and non-ASCII digits, none
+    of which DIMACS or edge lists allow.
+    """
+    if not (tok.isascii() and tok.isdigit()):
+        raise ValueError(f"not a decimal number: {tok!r}")
+    return int(tok)
+
+
 def _parse_dimacs(text: str) -> Graph:
     n = None
     m_declared = None
@@ -150,7 +161,7 @@ def _parse_dimacs(text: str) -> Graph:
             if len(toks) != 4 or toks[1] != "edge":
                 raise GraphFormatError(f"line {lineno}: malformed problem line")
             try:
-                n, m_declared = int(toks[2]), int(toks[3])
+                n, m_declared = _decimal(toks[2]), _decimal(toks[3])
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: bad counts") from None
             if not 0 <= n <= _MAX_VERTICES:
@@ -162,7 +173,7 @@ def _parse_dimacs(text: str) -> Graph:
             if len(toks) != 3:
                 raise GraphFormatError(f"line {lineno}: malformed edge line")
             try:
-                u, v = int(toks[1]) - 1, int(toks[2]) - 1
+                u, v = _decimal(toks[1]) - 1, _decimal(toks[2]) - 1
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: bad endpoints") from None
             if not (0 <= u < n and 0 <= v < n):
@@ -205,7 +216,7 @@ def _parse_edgelist(text: str) -> Graph:
         if len(toks) != 2:
             raise GraphFormatError(f"line {lineno}: expected 'u v'")
         try:
-            u, v = int(toks[0]), int(toks[1])
+            u, v = _decimal(toks[0]), _decimal(toks[1])
         except ValueError:
             raise GraphFormatError(f"line {lineno}: bad endpoints") from None
         if not (0 <= u < _MAX_VERTICES and 0 <= v < _MAX_VERTICES):

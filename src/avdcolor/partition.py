@@ -33,7 +33,7 @@ from .errors import (CounterexampleFound, InternalBoundViolationError,
 from .graphs import (Edge, EdgePartition, Graph, SubgraphSelection,
                      canon_edge, edge_induced, is_normal)
 from .graph_io import emit_graph
-from .vizing import color_classes, misra_gries
+from .vizing import EdgeColoring, color_classes, misra_gries
 
 
 class VertexType(enum.Enum):
@@ -524,17 +524,24 @@ def _first_valid(g: Graph, sel: SubgraphSelection,
 # -- selections and partitions ------------------------------------------------
 
 
-def initial_selection(g: Graph) -> SubgraphSelection:
+def initial_selection(g: Graph,
+                      coloring: EdgeColoring | None = None) -> SubgraphSelection:
     """Selection of the first three color classes of a proper edge coloring.
 
-    The counting behind the membership guarantee: a Delta-vertex misses at
-    most one of any three classes, a (Delta-1)-vertex at most two.
+    ``coloring`` is a proper coloring of ``g`` with at most Delta+1 colors,
+    ``misra_gries(g)`` by default; ``partition_p2`` passes one extended from
+    the level above.  Any such coloring will do.  The counting behind the
+    membership guarantee: a Delta-vertex misses at most one of any three
+    classes, a (Delta-1)-vertex at most two.  The membership check below
+    rejects a coloring that breaks this.
     """
     if not is_normal(g):
         raise NotNormalError("initial selection requires a normal graph")
     if g.max_degree < 6:
         raise ValueError("initial selection requires max degree >= 6")
-    classes = color_classes(misra_gries(g), g.max_degree + 1)
+    if coloring is None:
+        coloring = misra_gries(g)
+    classes = color_classes(coloring, g.max_degree + 1)
     sel = SubgraphSelection(g, set().union(*classes[:3]))
     report = check_membership(g, sel)
     if not report.is_member:
@@ -602,17 +609,17 @@ class PartitionEngine:
         return self.sel
 
 
-def partition_p1(g: Graph,
-                 trace: Callable[[dict], None] | None = None) -> EdgePartition:
+def partition_p1(g: Graph, trace: Callable[[dict], None] | None = None,
+                 coloring: EdgeColoring | None = None) -> EdgePartition:
     """Two-part partition: selection side of max degree <= 3, complement of
     max degree <= Delta-2, both normal.
 
-    Runs the engine once, from ``initial_selection(g)``, which checks the
-    preconditions; there are no restarts.  A stall raises
+    Runs the engine once, from ``initial_selection(g, coloring)``, which
+    checks the preconditions; there are no restarts.  A stall raises
     CounterexampleFound with a full state dump.  The degree bounds and the
     selection side's normality are checked again from degree counts.
     """
-    sel = PartitionEngine(g, initial_selection(g), trace=trace).run()
+    sel = PartitionEngine(g, initial_selection(g, coloring), trace=trace).run()
     if any(sel.deg(v) > 3 or sel.codeg(v) > g.max_degree - 2
            for v in g.vertices):
         raise AssertionError("partition degree bounds violated")
@@ -630,15 +637,30 @@ def partition_p2(g: Graph,
     the last one is G_0.  The parts are G_0 first, then the peels, deepest
     first, so the last part is the selection side of ``partition_p1(g)``.
     ``initial_selection`` checks each level's normality; G_0 is checked last.
+
+    Each level's coloring is ``misra_gries`` warm-started from the level
+    above (the first level starts cold).  The carry is the level's coloring
+    on the remainder's edges outside the selected classes 1..3, shifted
+    down by 3, without colors above the remainder's Delta'+1.  It is a
+    partial proper coloring, so only the edges the engine moved out of the
+    selection, and those whose color was dropped, are colored by fans.  The
+    membership guarantee needs only some proper (Delta'+1)-coloring, and
+    ``initial_selection`` checks membership on every level.
     """
     if not is_normal(g):
         raise NotNormalError("partition requires a normal graph")
     peels: list[frozenset[Edge]] = []
     rest = g
+    carry = None
     while rest.max_degree > 5:
-        h_edges, hbar_edges = partition_p1(rest, trace=trace).parts
+        coloring = misra_gries(rest, carry)
+        h_edges, hbar_edges = partition_p1(rest, trace=trace,
+                                           coloring=coloring).parts
         peels.append(h_edges)
         rest = edge_induced(rest, hbar_edges)
+        top = rest.max_degree + 4  # colors 4..top become 1..Delta'+1
+        carry = {e: c - 3 for e, c in coloring.assignment.items()
+                 if 3 < c <= top and e in hbar_edges}
     if peels and not is_normal(rest):
         raise AssertionError("remainder G_0 is not normal")
     return EdgePartition(g, [rest.edges, *reversed(peels)])

@@ -34,19 +34,42 @@ def make_coloring(host: Graph, assignment: dict[Edge, int]) -> EdgeColoring:
                         frozenset(assignment.values()))
 
 
-def misra_gries(g: Graph) -> EdgeColoring:
+def misra_gries(g: Graph,
+                start: dict[Edge, int] | None = None) -> EdgeColoring:
     """Color the edges of a simple graph with at most Delta+1 colors.
 
     Fan construction with deterministic tie-breaking: the anchor is the lower
     endpoint, fans extend through the lowest eligible neighbor, and free
     colors are always the smallest available.  The result is reproducible
     for a fixed vertex labeling.
+
+    ``start`` is a partial proper coloring of ``g`` (edge -> color in
+    1..Delta+1) to extend: only its uncolored edges are colored by fans,
+    since a fan extends any partial proper (Delta+1)-coloring by one edge.
+    Path swaps and fan rotations may recolor its edges; the result is a
+    proper coloring of all of ``g`` with its colors relabeled in order onto
+    1..K.  A start that names an edge outside ``g``, uses a color outside
+    1..Delta+1 or gives two edges at a vertex one color raises ValueError.
+    ``partition_p2`` starts each level below the first from the carry of
+    the level above (see there); the result differs from a cold run's, which
+    is sound because ``initial_selection`` needs only some proper
+    (Delta+1)-coloring.
     """
     k = g.max_degree + 1
     m = g.edge_count
     # col[v][w] is the color of vw; at[v][c] is v's neighbor across color c.
     col: dict[int, dict[int, int]] = {v: {} for v in g.vertices}
     at: dict[int, dict[int, int]] = {v: {} for v in g.vertices}
+    for (u, v), c in (start or {}).items():
+        if (u, v) not in g.edges:
+            raise ValueError(f"start colors {(u, v)}, not an edge of g")
+        if not 1 <= c <= k:
+            raise ValueError(f"start color {c} of {(u, v)} outside 1..{k}")
+        if c in at[u] or c in at[v]:
+            raise ValueError(f"start color {c} of {(u, v)} is not proper")
+        col[u][v] = col[v][u] = c
+        at[u][c] = v
+        at[v][c] = u
 
     def free(v: int) -> int:
         for c in range(1, k + 1):
@@ -66,7 +89,9 @@ def misra_gries(g: Graph) -> EdgeColoring:
             at[u][c] = v
             at[v][c] = u
 
-    for x, f in sorted(g.edges):  # anchor at the lower endpoint
+    # Anchor at the lower endpoint.  An edge colored here stays colored, so
+    # the edges ``start`` leaves uncolored are the ones fans must color.
+    for x, f in sorted(g.edges - (start or {}).keys()):
         colx = col[x]
         # Maximal fan of x starting at f.
         fan = [f]

@@ -104,6 +104,18 @@ def test_edgelist_examples():
     assert g2.edges == frozenset({(0, 1), (2, 3)})
 
 
+@pytest.mark.parametrize("tok", ["1_0", "+3", "٣"])  # ٣, Arabic-Indic 3
+@pytest.mark.parametrize("fmt, template", [
+    ("dimacs", "p edge {} 0\n"),
+    ("dimacs", "p edge 10 1\ne 1 {}\n"),
+    ("edgelist", "0 {}\n"),
+])
+def test_vertex_numbers_are_ascii_decimal(tok, fmt, template):
+    # int() reads each of these tokens as 10 or 3.
+    with pytest.raises(GraphFormatError):
+        parse_graph(template.format(tok), fmt)
+
+
 def test_roundtrip_identity_all_formats():
     rng = random.Random(3)
     for seed in range(12):

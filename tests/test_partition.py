@@ -4,6 +4,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from avdcolor import (EdgePartition, Graph, MoveVariant, NotNormalError, PartitionEngine,
                       SubgraphSelection, StaleMoveError, VertexType,
@@ -11,6 +12,7 @@ from avdcolor import (EdgePartition, Graph, MoveVariant, NotNormalError, Partiti
                       cycle, enumerate_chains, find_move, gnp,
                       initial_selection, is_normal, partition_p1,
                       partition_p2, partition_regular, random_regular)
+from avdcolor import edge_induced, misra_gries
 from avdcolor import ChainClosure, CounterexampleFound, graphs, partition
 from helpers import (normal_gnp_corpus, recompute_selection_state,
                      scramble_selection)
@@ -510,6 +512,22 @@ def test_partition_p2_checks_and_builds_each_level_once(monkeypatch):
     assert counts["edge_induced"] == levels
 
 
+def test_partition_p2_colors_each_edge_about_once(monkeypatch):
+    # Each level extends the coloring carried down from the level above, so
+    # fans color the first level's edges and few more.
+    calls = []
+
+    def counted(g, start=None):
+        calls.append((start is None, g.edge_count - len(start or {})))
+        return misra_gries(g, start)
+
+    monkeypatch.setattr(partition, "misra_gries", counted)
+    g = complete(16)
+    part = partition_p2(g)
+    assert [cold for cold, _ in calls] == [True] + [False] * (part.k - 1)
+    assert sum(fans for _, fans in calls) < 2 * g.edge_count
+
+
 def test_partition_p1_rejects_peel_over_degree_bound(monkeypatch):
     # Checked from the selection's degree counts, independently of the engine.
     monkeypatch.setattr(PartitionEngine, "run",
@@ -529,7 +547,8 @@ def test_partition_p1_rejects_peel_with_isolated_edge(monkeypatch):
 def test_partition_p2_rejects_non_normal_remainder(monkeypatch):
     # A peel that leaves the isolated edge (8,9) behind as G_0.
     g = Graph(10, sorted(complete(7).edges) + [(7, 8), (8, 9)])
-    monkeypatch.setattr(partition, "partition_p1", lambda h, trace=None:
+    monkeypatch.setattr(partition, "partition_p1",
+                        lambda h, trace=None, coloring=None:
                         EdgePartition(h, [h.edges - {(8, 9)}, [(8, 9)]]))
     with pytest.raises(AssertionError, match="G_0 is not normal"):
         partition_p2(g)
@@ -569,6 +588,35 @@ def test_engine_steps_decrease_potential_and_keep_membership():
             pots.append(sel.potential())
         assert all(b < a for a, b in zip(pots, pots[1:]))
         assert pots[-1][0] == 0
+
+
+@st.composite
+def _scrambled_selections(draw):
+    # Sparse graphs: low-degree vertices are where scrambling leaves
+    # isolated edges for the engine to repair.
+    g, = normal_gnp_corpus(1, draw(st.integers(0, 10**6)), 20, 40, 6, 12,
+                           p_lo=0.12, p_hi=0.25)
+    sel = initial_selection(g)
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    scramble_selection(g, sel, rng, 2 * g.edge_count)
+    return g, sel
+
+
+@settings(max_examples=40, deadline=None)
+@given(_scrambled_selections())
+def test_engine_from_scrambled_selections(case):
+    g, sel = case
+    engine = PartitionEngine(g, sel)
+    pot = sel.potential()
+    while engine.step() is not None:
+        assert check_membership(g, sel).is_member
+        assert sel.potential() < pot
+        pot = sel.potential()
+    assert pot[0] == 0
+    assert all(sel.deg(v) <= 3 and sel.codeg(v) <= g.max_degree - 2
+               for v in g.vertices)
+    assert is_normal(edge_induced(g, sel.selected))
+    assert is_normal(edge_induced(g, sel.complement_edges()))
 
 
 def test_engine_stall_raises_counterexample(monkeypatch):
@@ -622,6 +670,6 @@ def test_engine_outputs_golden():
     assert tags == {"claim1.drop": 8, "claim1.add": 1, "claim2.add": 2,
                     "claim2.drop": 2}
     assert _sha256(parts) == (
-        "188f568c4d2b41d9dfa8933c719dfa9f9f82335603076cdff57012e7533d0743")
+        "6658408e4eb0e01b36646618f99de995d512cc368444f0cf053fd7e90bc3d9f0")
     assert _sha256(logs) == (
         "7b77b487f64f712fbb73cb4c73d633e9521b01c1c9553172850eab5ebf9b8750")

@@ -144,3 +144,33 @@ def test_misra_gries_properties(g):
     for v in g.vertices:
         assert len(mg.colors_at(v)) == g.degree(v)
     assert misra_gries(g).assignment == mg.assignment
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_graphs(), st.randoms(use_true_random=False))
+def test_misra_gries_extends_a_start(g, rng):
+    full = misra_gries(g).assignment
+    # A complete start is kept, relabeled in order onto 1..K.
+    assert misra_gries(g, full).assignment == full
+    shifted = {e: c + g.max_degree + 1 - max(full.values(), default=0)
+               for e, c in full.items()}
+    assert misra_gries(g, shifted).assignment == full
+    # A partial start is extended.  Path swaps and fan rotations may
+    # recolor its edges, so only the coloring's own guarantees are checked.
+    start = {e: c for e, c in full.items() if rng.random() < 0.5}
+    mg = misra_gries(g, start)
+    assert check_proper(g, mg) == (True, None)
+    assert mg.colors_used <= g.max_degree + 1
+    assert mg.assignment.keys() == g.edges
+    assert misra_gries(g, start).assignment == mg.assignment
+
+
+@pytest.mark.parametrize("start, message", [
+    ({(0, 1): 1, (1, 2): 1}, "not proper"),
+    ({(0, 2): 1}, "not an edge"),
+    ({(0, 1): 4}, "outside 1..3"),  # cycle(5): Delta + 1 = 3
+    ({(0, 1): 0}, "outside 1..3"),
+])
+def test_misra_gries_rejects_bad_start(start, message):
+    with pytest.raises(ValueError, match=message):
+        misra_gries(cycle(5), start)
