@@ -16,7 +16,7 @@ from .errors import (CapExceededError, CounterexampleFound, GenerationError,
 from .generators import complete, cycle, generate, gnp, petersen, random_regular
 from .graph_io import emit_graph, parse_graph, sniff_format
 from .graphs import (Edge, EdgePartition, Graph, SubgraphSelection, canon_edge,
-                     complement_selection, edge_induced, is_normal)
+                     edge_induced, is_normal)
 from .partition import (Chain, ChainClosure, MembershipReport, Move,
                         MoveVariant, PartitionEngine, VertexType, apply_move,
                         check_membership, classify_vertex, enumerate_chains,
@@ -36,7 +36,7 @@ __all__ = [
     "VertexType", "apply_move", "audit", "avd_color", "avd_color_budget",
     "avd_color_regular", "avd_subcubic", "canon_edge", "check_avd",
     "check_certificate", "check_membership", "check_proper",
-    "classify_vertex", "color_classes", "complement_selection", "complete",
+    "classify_vertex", "color_classes", "complete",
     "compose", "cycle", "edge_induced",
     "emit_graph", "enumerate_chains", "exact_chi_a", "exact_chromatic_index",
     "find_move", "generate", "gnp", "initial_selection", "is_normal",

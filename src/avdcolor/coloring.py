@@ -375,8 +375,8 @@ def certificate_to_dict(cert: AvdCertificate) -> dict:
 def certificate_from_dict(data: object, host: Graph) -> AvdCertificate:
     """Read back a ``certificate_to_dict`` payload as a certificate of ``host``.
 
-    Raises ValueError when the payload is not an object, lacks a key, or
-    holds an entry that is not an integer.
+    Raises ValueError when the payload is not an object, lacks a key,
+    holds an entry that is not an integer, or names an edge twice.
     """
     if not isinstance(data, dict) or data.get("type") != "avd-certificate":
         raise ValueError("not an AVD certificate payload")
@@ -400,4 +400,10 @@ def _edge_map(data: dict, key: str) -> dict[Edge, int]:
             isinstance(row, list) and len(row) == 3
             and all(type(x) is int for x in row) for row in rows)):
         raise ValueError(f"certificate {key!r} is not a list of integer triples")
-    return {canon_edge(u, v): c for u, v, c in rows}
+    out: dict[Edge, int] = {}
+    for u, v, c in rows:
+        e = canon_edge(u, v)
+        if e in out:
+            raise ValueError(f"certificate {key!r} names edge {e} twice")
+        out[e] = c
+    return out

@@ -86,9 +86,6 @@ class Graph:
     def min_degree(self) -> int:
         return min((len(ns) for ns in self._adj.values()), default=0)
 
-    def degree_sequence(self) -> list[int]:
-        return sorted((len(ns) for ns in self._adj.values()), reverse=True)
-
     def is_regular(self) -> bool:
         degs = {len(ns) for ns in self._adj.values()}
         return len(degs) <= 1
@@ -237,11 +234,6 @@ class SubgraphSelection:
                 self._iso_unsel.add(e)
             else:
                 self._iso_unsel.discard(e)
-
-
-def complement_selection(sel: SubgraphSelection) -> SubgraphSelection:
-    """Selection picking exactly the edges ``sel`` leaves out."""
-    return SubgraphSelection(sel.host, sel.host.edges - sel.selected)
 
 
 class EdgePartition:

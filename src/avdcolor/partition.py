@@ -12,7 +12,7 @@ The engine drives the lexicographic potential
     ( #isolated edges of H + #isolated edges of the complement, |E(H)| )
 
 to (0, *) by applying local rewrite moves, one candidate per case of the
-published case analysis.  Every candidate move is validated against the
+published case analysis that Delta >= 6 leaves reachable.  Every candidate move is validated against the
 membership conditions and the strict potential decrease before it is
 returned, so a single engine step can never corrupt the selection, and the
 engine raises CounterexampleFound on a state with no valid move.  When the
@@ -290,55 +290,43 @@ def _split_chain_edges(chains: Iterable[Chain]) -> tuple[set[Edge], set[Edge]]:
     return hbar, h
 
 
-def _path_end_roles(origin: int, origin_role: VertexType,
-                    path: list[Chain]) -> list[tuple[int, VertexType]]:
-    roles = [(origin, origin_role)]
-    role = origin_role
-    for ch in path:
-        role = (VertexType.TYPE_II if role is VertexType.TYPE_I
-                else VertexType.TYPE_I)
-        roles.append((ch.terminal, role))
-    return roles
-
-
 def _cands_failing_type_ii(g: Graph, sel: SubgraphSelection, path: list[Chain],
-                           origin: int, origin_role: VertexType,
                            uk: int) -> Iterator[tuple[set[Edge], set[Edge], str]]:
     """Rewrites for a complement-chain end that fails the type-II test.
 
     One candidate per witness, following the published case analysis: the
     two-edge cleanup when the witness has a pendant partner, else a simple
     drop for a selection-degree-3 end, else the full path swap for a (2,2)
-    end; the revisit rewrite when the witness is an earlier path vertex.
-    Every candidate is validated by the caller before use.
+    end.  Every candidate is validated by the caller before use.
+
+    A witness x that is an earlier type-II end of ``path`` (each one starts
+    an ``h`` chain of it) gets no candidate: under Delta >= 6 the published
+    revisit rewrite and its follow-up never give a legal move there.
+
+    * x was classified type II on this same selection (trials are undone),
+      so ``uk`` conforms at x.  ``uk`` has selection degree 3, or 2 at
+      degree 4 < Delta-1, so ``_cond4(uk)`` fails and ``_cond5(uk, x)``
+      holds: ``uk`` has selection degree 2, and its other selected neighbor
+      z has selection degree 1 and degree Delta-1.
+    * The revisit rewrite removes (x,uk) and (uk,z) and adds only
+      complement-chain edges of the path before x, none at z.  z's degree
+      is too high for a chain middle and its selection degree too low for
+      a type-II end.  It is not the origin, whose selected edge is
+      isolated.  As a type-I end it is entered only through (uk,z): from
+      ``uk``, which is new here, or by the chain (x,uk,z), which starts
+      after that prefix.  So z would keep no selected edge at degree
+      Delta-1, and membership condition 3 rejects the rewrite.
+    * The follow-up offers z's candidates on that prefix plus (x,uk,z).
+      That chain is the only one that reaches z, and the closure took it
+      from x before it reached ``uk``, on the same path, so all of them
+      were already evaluated and rejected.
     """
     hbar_edges, h_edges = _split_chain_edges(path)
-    roles = _path_end_roles(origin, origin_role, path)
-    ii_on_path = {v for v, role in roles[:-1] if role is VertexType.TYPE_II}
+    ii_ends = {ch.vertices[0] for ch in path if ch.kind == "h"}
     for x in sel.selected_neighbors(uk):
-        if _cond4(g, sel, x) or _cond5(g, sel, x, uk):
+        if _cond4(g, sel, x) or _cond5(g, sel, x, uk) or x in ii_ends:
             continue
         xe = canon_edge(x, uk)
-        if x in ii_on_path:
-            # Witness is an earlier type-II end on the discovery path.
-            if sel.deg(uk) != 2:
-                continue
-            # roles[i] is the end reached after path[:i]; path ends are
-            # distinct, so the match is unique.
-            cut = next(i for i, (w, role) in enumerate(roles)
-                       if w == x and role is VertexType.TYPE_II)
-            prefix = path[:cut]
-            pre_hbar, pre_h = _split_chain_edges(prefix)
-            z = _other_selected(sel, uk, x)
-            s_set = {xe}
-            if sel.deg(z) == 1:
-                s_set.add(canon_edge(uk, z))
-            yield pre_hbar, pre_h | s_set, "claims.revisit"
-            if classify_vertex(g, sel, z) is not VertexType.TYPE_I:
-                zpath = prefix + [Chain("h", (x, uk, z))]
-                yield from _cands_failing_type_i(g, sel, zpath, origin,
-                                                 origin_role, z)
-            continue
         if sel.deg(x) == 2 and sel.deg(y := _other_selected(sel, x, uk)) == 1:
             yield (hbar_edges, h_edges | {canon_edge(x, y), xe},
                    "claims.swap-cleanup")
@@ -349,17 +337,17 @@ def _cands_failing_type_ii(g: Graph, sel: SubgraphSelection, path: list[Chain],
 
 
 def _cands_failing_type_i(g: Graph, sel: SubgraphSelection, path: list[Chain],
-                          origin: int, origin_role: VertexType,
                           vk: int) -> Iterator[tuple[set[Edge], set[Edge], str]]:
-    """Rewrites for a selection-chain end that fails the type-I test."""
+    """Rewrites for a selection-chain end that fails the type-I test.
+
+    A failing witness x is never an end of ``path`` under Delta >= 6.
+    Type-II ends meet ``_cond1`` or ``_cond2``, which x fails.  ``vk`` has
+    selection degree 1 or 2 at degree >= Delta-1 >= 5, so it meets none of
+    ``_cond1``-``_cond3`` at x, and x would not be type I.
+    """
     hbar_edges, h_edges = _split_chain_edges(path)
-    on_path = {v for v, _ in _path_end_roles(origin, origin_role, path)}
     for x in sel.unselected_neighbors(vk):
         if _cond1(sel, x) or _cond2(sel, x) or _cond3(g, sel, x, vk):
-            continue
-        if x in on_path:
-            # The published degree arguments rule this out for conforming
-            # path ends; skip defensively rather than emit a bad rewrite.
             continue
         xe = canon_edge(x, vk)
         s_set = {xe}
@@ -418,8 +406,8 @@ def find_move(g: Graph, sel: SubgraphSelection) -> Move | ChainClosure:
                          "claim1.drop")
         # degree(v) == Delta-1: either v fails type-I with a local fix, or
         # we grow the closure from it.
-        move = _first_valid(g, sel, _cands_failing_type_i(
-            g, sel, [], v, VertexType.TYPE_I, v), version)
+        move = _first_valid(g, sel, _cands_failing_type_i(g, sel, [], v),
+                            version)
         if move is not None:
             return replace(move, witness="claim1.add")
         if classify_vertex(g, sel, v) is not VertexType.TYPE_I:
@@ -438,8 +426,8 @@ def find_move(g: Graph, sel: SubgraphSelection) -> Move | ChainClosure:
             raise _counterexample("guaranteed complement-edge add rejected",
                                   g, sel)
         return _move(MoveVariant.ADD_HBAR_EDGE, {e}, set(), "claim2.add")
-    move = _first_valid(g, sel, _cands_failing_type_ii(
-        g, sel, [], u, VertexType.TYPE_II, u), version)
+    move = _first_valid(g, sel, _cands_failing_type_ii(g, sel, [], u),
+                        version)
     if move is not None:
         return replace(move, witness="claim2.drop")
     if classify_vertex(g, sel, u) is not VertexType.TYPE_II:
@@ -475,11 +463,9 @@ def _grow_closure(g: Graph, sel: SubgraphSelection, origin: int,
                 continue
             path = _path_to(parent, t)
             if expected is VertexType.TYPE_II:
-                cands = _cands_failing_type_ii(g, sel, path, origin,
-                                               origin_role, t)
+                cands = _cands_failing_type_ii(g, sel, path, t)
             else:
-                cands = _cands_failing_type_i(g, sel, path, origin,
-                                              origin_role, t)
+                cands = _cands_failing_type_i(g, sel, path, t)
             move = _first_valid(g, sel, cands, version)
             if move is not None:
                 return move

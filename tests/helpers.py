@@ -5,7 +5,8 @@ from __future__ import annotations
 import random
 from collections import deque
 
-from avdcolor import Graph, SubgraphSelection, gnp, is_normal
+from avdcolor import (Graph, SubgraphSelection, complete, gnp, is_normal,
+                      random_regular)
 
 
 def girth(g: Graph):
@@ -57,6 +58,34 @@ def normal_gnp_corpus(count: int, seed0: int, n_lo: int, n_hi: int,
         if is_normal(g) and d_lo <= g.max_degree <= d_hi and g.edge_count:
             out.append(g)
     return out
+
+
+def dense_normal_graph(rng: random.Random) -> Graph | None:
+    """A complete(7..10) minus random edges, or a 6..8-regular graph minus a
+    random matching; None unless normal with max degree >= 6.
+
+    Both leave many vertices of degree Delta-1 next to Delta-vertices, the
+    shape on which the engine's chain closure finds its moves.
+    """
+    if rng.random() < 0.5:
+        n = rng.randint(7, 10)
+        edges = sorted(complete(n).edges)
+        drop = set(rng.sample(edges, rng.randint(1, n)))
+        g = Graph(n, [e for e in edges if e not in drop])
+    else:
+        r = rng.randint(6, 8)
+        n = rng.choice([n for n in range(r + 2, 17) if n * r % 2 == 0])
+        g = random_regular(n, r, rng.randrange(10**6))
+        edges = sorted(g.edges)
+        rng.shuffle(edges)
+        used: set[int] = set()
+        drop = set()
+        for u, v in edges[:rng.randint(1, n)]:
+            if u not in used and v not in used:
+                used.update((u, v))
+                drop.add((u, v))
+        g = Graph(n, [e for e in sorted(g.edges) if e not in drop])
+    return g if is_normal(g) and g.max_degree >= 6 else None
 
 
 def scramble_selection(g: Graph, sel: SubgraphSelection, rng: random.Random,

@@ -85,10 +85,26 @@ def _null_color(data):
     return data
 
 
+def _edge_twice(data):
+    # A wrong color for an edge that a later row colors correctly.
+    u, v, _ = data["edges"][0]
+    data["edges"].insert(0, [u, v, 99])
+    return data
+
+
+def _witness_twice(data):
+    # The same witness again, with its endpoints swapped.
+    u, v, c = data["witnesses"][0]
+    data["witnesses"].append([v, u, c])
+    return data
+
+
 @pytest.mark.parametrize("malform", [
     _without_edges, lambda d: [d], _null_color,
     lambda d: {**d, "colors_used": str(d["colors_used"])},
-], ids=["no-edges", "list", "null-color", "string-palette"])
+    _edge_twice, _witness_twice,
+], ids=["no-edges", "list", "null-color", "string-palette", "edge-twice",
+        "witness-twice"])
 def test_verify_rejects_malformed_certificate(tmp_path, capsys, malform):
     gpath = _write_graph(tmp_path, complete(7))
     cert = tmp_path / "cert.json"

@@ -14,8 +14,8 @@ from avdcolor import (EdgePartition, Graph, MoveVariant, NotNormalError, Partiti
                       partition_p2, partition_regular, random_regular)
 from avdcolor import edge_induced, misra_gries
 from avdcolor import ChainClosure, CounterexampleFound, graphs, partition
-from helpers import (normal_gnp_corpus, recompute_selection_state,
-                     scramble_selection)
+from helpers import (dense_normal_graph, normal_gnp_corpus,
+                     recompute_selection_state, scramble_selection)
 
 
 # -- membership and typing -----------------------------------------------------
@@ -127,6 +127,19 @@ def test_enumerate_chains_length_three():
     sel = SubgraphSelection(g, edges_sel)
     chains = enumerate_chains(g, sel, 0, "h")
     assert [c.vertices for c in chains] == [(0, 1, 2)]
+    assert chains[0].edges() == frozenset({(0, 1), (1, 2)})
+
+
+def test_enumerate_chains_length_three_complement():
+    # complement path 0-1-2 where 1 has selection degree 1 and complement
+    # degree 2, and the far end 2 has complement degree 1 with selection
+    # degree 3
+    edges_sel = [(1, 3), (2, 4), (2, 5), (2, 6)]
+    edges_unsel = [(0, 1), (1, 2)]
+    g = Graph(7, edges_sel + edges_unsel)
+    sel = SubgraphSelection(g, edges_sel)
+    chains = enumerate_chains(g, sel, 0, "hbar")
+    assert [(c.kind, c.vertices) for c in chains] == [("hbar", (0, 1, 2))]
     assert chains[0].edges() == frozenset({(0, 1), (1, 2)})
 
 
@@ -255,6 +268,18 @@ def test_evaluate_move_leaves_selection_unchanged():
     apply_move(sel, find_move(g, sel))
 
 
+def test_first_valid_skips_rejected_candidates():
+    # Every candidate goes through _evaluate_move, so a wrong rewrite is
+    # passed over rather than returned.
+    g, sel = _claim1_two_edge_state()
+    cands = [(set(), {(0, 1)}, "bad"), ({(0, 2), (2, 7)}, set(), "good")]
+    move = partition._first_valid(g, sel, iter(cands), sel.version)
+    assert move.witness == "good"
+    assert move.variant is MoveVariant.ADD_HBAR_EDGE
+    assert move.add_set == frozenset({(0, 2), (2, 7)})
+    assert partition._first_valid(g, sel, iter(cands[:1]), sel.version) is None
+
+
 def test_stale_move_rejected():
     g, sel = _k7_plus([(7, 8), (8, 9)], 3, [(7, 8)])
     move = find_move(g, sel)
@@ -370,10 +395,10 @@ def test_closure_revisit_rejected_at_depth_two(monkeypatch):
 
     monkeypatch.setattr(partition, "_evaluate_move", spy)
     move = find_move(g, sel)
-    # The revisit rewrite would leave 5 (degree Delta-1) with no selected
-    # edge, so it is rejected and the closure moves on to the depth-two end
-    # 6, which fails type II and drops one pendant edge.
-    assert evaluated[0] == (frozenset(), frozenset({(0, 3), (3, 5)}), None)
+    # The revisit rewrite at 3 would leave 5 (degree Delta-1) with no
+    # selected edge, so it is never offered: the first and only candidate
+    # evaluated is the drop at the depth-two end 6, which fails type II.
+    assert evaluated == [(frozenset(), frozenset({(6, 10)}), (1, 15))]
     assert move.variant is MoveVariant.DROP_H_EDGE
     assert move.witness == "claims.drop"
     assert move.remove_set == frozenset({(6, 10)}) and not move.add_set
@@ -410,6 +435,31 @@ def test_closure_inverse_swap_move():
     before = sel.potential()
     apply_move(sel, move)
     assert sel.potential()[0] == before[0] - 1
+    assert check_membership(g, sel).is_member
+
+
+def test_closure_inverse_swap_two_edge_move():
+    # The inverse-swap state without (7,18) and with (13,17) selected: the
+    # failing neighbor 7 has complement degree 2, and its other complement
+    # neighbor 17 has complement degree 1 but selection degree 1, not 3.
+    # Adding (2,7) alone would isolate (7,17), so the depth-one rewrite at
+    # the type-I end 2 adds both edges.
+    g, sel = _closure_iswap_state()
+    g = Graph(20, sorted(g.edges - {(7, 18)}))
+    sel = SubgraphSelection(g, sorted(sel.selected) + [(13, 17)])
+    assert g.max_degree == 6
+    assert check_membership(g, sel).is_member
+    assert set(sel.isolated_unselected) == {(0, 1)}
+    assert classify_vertex(g, sel, 0) is VertexType.TYPE_II
+    assert classify_vertex(g, sel, 2) is VertexType.NEITHER
+    move = find_move(g, sel)
+    assert move.variant is MoveVariant.CHAIN_SWAP
+    assert move.witness == "claims.iswap"
+    assert move.add_set == frozenset({(2, 7), (7, 17)})
+    assert move.remove_set == frozenset({(0, 2)})
+    assert sel.potential() == (1, 10)
+    apply_move(sel, move)
+    assert sel.potential() == (0, 11)
     assert check_membership(g, sel).is_member
 
 
@@ -617,6 +667,26 @@ def test_engine_from_scrambled_selections(case):
                for v in g.vertices)
     assert is_normal(edge_induced(g, sel.selected))
     assert is_normal(edge_induced(g, sel.complement_edges()))
+
+
+def test_engine_reaches_closure_moves_from_scrambled_selections():
+    # (seed, walk length) pairs from a sweep of dense_normal_graph: the
+    # engine's own runs grow the chain closure and apply its rewrites.
+    tags = set()
+    for seed, steps in ((1, 85), (25, 101), (683, 48), (1686, 56)):
+        rng = random.Random(seed)
+        g = dense_normal_graph(rng)
+        sel = initial_selection(g)
+        scramble_selection(g, sel, rng, steps)
+        engine = PartitionEngine(g, sel)
+        pot = sel.potential()
+        while engine.step() is not None:
+            assert check_membership(g, sel).is_member
+            assert sel.potential() < pot
+            pot = sel.potential()
+        assert pot[0] == 0
+        tags.update(e["witness"] for e in engine.move_log)
+    assert {"claims.drop", "claims.iswap", "claims.swap"} <= tags
 
 
 def test_engine_stall_raises_counterexample(monkeypatch):
