@@ -1,8 +1,11 @@
 """Command-line surface: color, partition, generate, verify, audit.
 
 Exit status: 0 all checks pass, 1 a check failed, 2 usage or input error,
-3 a potential counterexample, with its state dump written: the partition
-engine stalled, or a search refuted a budget that a cited bound guarantees.
+3 a potential counterexample, with its state dump written to
+``*.counterexample.json``: the partition engine stalled, or a search
+refuted a budget that a cited bound guarantees.  4 a part's search spent
+its node budget before finishing, with the part's state written to
+``*.search-cap.json``.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from pathlib import Path
 from . import coloring as avd
 from . import generators, verify
 from .errors import (CapExceededError, CounterexampleFound,
-                     InternalBoundViolationError, InvalidGroupingError)
+                     InternalBoundViolationError, InvalidGroupingError,
+                     SearchCapExceededError, StateDumpError)
 from .graph_io import FORMATS, emit_graph, parse_graph, sniff_format
 from .graphs import Graph, is_normal
 from .partition import partition_p2, partition_regular
@@ -23,6 +27,7 @@ from .partition import partition_p2, partition_regular
 USAGE_EXIT = 2
 CHECK_EXIT = 1
 COUNTEREXAMPLE_EXIT = 3
+SEARCH_CAP_EXIT = 4
 
 
 def _json_bytes(payload) -> bytes:
@@ -63,14 +68,13 @@ def _open_trace(args):
     return None, None
 
 
-def _dump_counterexample(
-        args, exc: CounterexampleFound | InternalBoundViolationError) -> int:
+def _dump_state(args, exc: StateDumpError, kind: str, code: int) -> int:
     stem = Path(args.out).with_suffix("") if getattr(args, "out", None) \
         else Path("avdcolor")
-    path = Path(f"{stem}.counterexample.json")
+    path = Path(f"{stem}.{kind}.json")
     path.write_bytes(_json_bytes({"message": str(exc), "state": exc.payload}))
-    print(f"counterexample report written to {path}", file=sys.stderr)
-    return COUNTEREXAMPLE_EXIT
+    print(f"{kind} report written to {path}", file=sys.stderr)
+    return code
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -290,7 +294,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (CounterexampleFound, InternalBoundViolationError) as exc:
-        return _dump_counterexample(args, exc)
+        return _dump_state(args, exc, "counterexample", COUNTEREXAMPLE_EXIT)
+    except SearchCapExceededError as exc:
+        return _dump_state(args, exc, "search-cap", SEARCH_CAP_EXIT)
     except InvalidGroupingError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return CHECK_EXIT

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from .errors import (InternalBoundViolationError, NotNormalError,
                      SearchCapExceededError)
+from .graph_io import emit_graph
 from .graphs import Edge, EdgePartition, Graph, canon_edge, is_normal
 from .partition import partition_p2, partition_regular
 from .vizing import EdgeColoring, make_coloring
@@ -27,7 +28,8 @@ from . import verify
 
 DEFAULT_NODE_CAP = 60_000
 LADDER_NODE_CAP = 30_000
-GUARANTEED_ATTEMPTS = 10
+GUARANTEED_UNITS = 128
+REGULAR_ROUTE_MAX = 4
 
 
 def main_bound(delta: int) -> int:
@@ -208,33 +210,54 @@ def _shuffled_order(g: Graph, seed: int) -> list[Edge]:
     return _vertex_major_order(g, vseq)
 
 
+def _luby(i: int) -> int:
+    """Term i >= 1 of Luby's restart sequence 1, 1, 2, 1, 1, 2, 4, 1, ..."""
+    while True:
+        k = i.bit_length()
+        if i == (1 << k) - 1:
+            return 1 << (k - 1)
+        i -= (1 << (k - 1)) - 1
+
+
 def _guaranteed_search(g: Graph, budget: int, context: str) -> AvdCertificate:
     """Search under a budget whose feasibility a cited bound guarantees.
 
-    Hard instances restart with a reshuffled edge order and a doubled node
-    cap; the final attempt runs uncapped.  A completed refutation means the
-    guarantee failed and is reported as such.
+    Attempt i takes the breadth-first edge order for i = 0 and a shuffled
+    one seeded with i after that, under a node cap of ``_luby(i + 1)``
+    units: the universal restart schedule of Luby, Sinclair and Zuckerman.
+    A unit is ``DEFAULT_NODE_CAP`` or 2m nodes, whichever is larger, since
+    a cap below m can never color the part.  The caps sum to at most
+    ``GUARANTEED_UNITS`` units, the node budget, so the search may raise
+    SearchCapExceededError after the node budget; its payload holds the
+    part's edge list (host labels, O(m) to build), the color budget, the
+    nodes spent and the attempts made.  A completed refutation means the
+    guarantee failed and is reported as such, with the part's graph6.
     """
-    cap: int | None = DEFAULT_NODE_CAP
-    for attempt in range(GUARANTEED_ATTEMPTS + 1):
+    unit = max(DEFAULT_NODE_CAP, 2 * g.edge_count)
+    total = GUARANTEED_UNITS * unit
+    spent = attempt = 0
+    while spent < total:
+        cap = min(unit * _luby(attempt + 1), total - spent)
         order = (_vertex_major_order(g) if attempt == 0
                  else _shuffled_order(g, attempt))
-        if attempt == GUARANTEED_ATTEMPTS:
-            cap = None
+        attempt += 1
         try:
             cert = avd_color_budget(g, budget, node_cap=cap, order=order)
         except SearchCapExceededError:
-            cap = cap * 2 if cap is not None else None
+            spent += cap
             continue
         if cert is None:
-            from .graph_io import emit_graph
             raise InternalBoundViolationError(
                 f"budget {budget} refuted for {context}; this contradicts "
                 "the cited bound and is reported as a counterexample",
                 {"graph6": emit_graph(g, "graph6").decode("ascii"),
                  "budget": budget})
         return cert
-    raise AssertionError("unreachable: final attempt is uncapped")
+    raise SearchCapExceededError(
+        f"budget {budget} not reached for {context} within {spent} nodes "
+        f"over {attempt} attempts",
+        {"edgelist": emit_graph(g, "edgelist").decode("ascii"),
+         "budget": budget, "nodes": spent, "attempts": attempt})
 
 
 def avd_subcubic(g: Graph) -> AvdCertificate:
@@ -242,7 +265,8 @@ def avd_subcubic(g: Graph) -> AvdCertificate:
 
     Budgets ascend from the max degree; sub-5 budgets run under a node cap
     and are skipped when they time out (only minimality of the reported
-    palette is affected).  Budget 5 must succeed.
+    palette is affected).  Budget 5 may raise SearchCapExceededError after
+    the node budget.
     """
     if not is_normal(g):
         raise NotNormalError("subcubic AVD coloring requires a normal graph")
@@ -325,7 +349,8 @@ def avd_color(g: Graph, trace=None) -> AvdCertificate:
     3*Delta.  Above that, the recursive partition ``partition_p2(g)`` is
     colored part by part and composed over disjoint palettes.  The
     certificate's ``parts`` is the partition it colored: the single edge
-    set, or the parts of ``partition_p2(g)``.
+    set, or the parts of ``partition_p2(g)``.  A part's search may raise
+    SearchCapExceededError after the node budget.
     """
     if not is_normal(g):
         raise NotNormalError("AVD colorings exist only for normal graphs")
@@ -338,7 +363,8 @@ def avd_color(g: Graph, trace=None) -> AvdCertificate:
 def avd_color_regular(g: Graph) -> AvdCertificate:
     """Certificate with at most floor((5 r + 37) / 3) colors for r-regular g.
 
-    Up to degree 4 the graph is one bounded part, as in ``avd_color``;
+    Up to degree ``REGULAR_ROUTE_MAX`` the graph is one bounded part, as in
+    ``avd_color``, so the coloring is ``avd_color``'s;
     above that, the color-class grouping of ``partition_regular(g)`` is
     colored part by part.
     """
@@ -348,7 +374,7 @@ def avd_color_regular(g: Graph) -> AvdCertificate:
     if r < 2:
         raise ValueError("regular driver requires degree >= 2")
     bound = regular_bound(r)
-    if r <= 4:
+    if r <= REGULAR_ROUTE_MAX:
         return _color_bounded_part(g).with_bound(bound)
     return _color_parts(g, partition_regular(g)).with_bound(bound)
 

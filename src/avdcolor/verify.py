@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import CapExceededError, CounterexampleFound, NotNormalError
+from .errors import (CapExceededError, CounterexampleFound, NotNormalError,
+                     SearchCapExceededError)
 from .graphs import Graph, canon_edge, edge_induced, is_normal
 from .vizing import EdgeColoring
 
@@ -267,7 +268,12 @@ def audit(g: Graph, oracle_edge_cap: int = ORACLE_EDGE_CAP) -> AuditReport:
     """Run the pipeline once on ``g`` and independently check every claim.
 
     The partition rows check the parts the certificate was composed from
-    (``cert.parts``), so ``avd_color`` is the only partitioning run.
+    (``cert.parts``), so ``avd_color`` is the only partitioning run.  For a
+    regular graph of degree at most ``REGULAR_ROUTE_MAX`` the regular row
+    checks that same coloring, which is ``avd_color_regular``'s too.  A
+    driver that spends its node budget fails its row: "avd coloring
+    produced" for ``avd_color``, the regular driver row for
+    ``avd_color_regular``.
     """
     from . import coloring as avd
     from .vizing import misra_gries
@@ -294,7 +300,7 @@ def audit(g: Graph, oracle_edge_cap: int = ORACLE_EDGE_CAP) -> AuditReport:
 
     try:
         cert = avd.avd_color(g)
-    except CounterexampleFound as exc:
+    except (CounterexampleFound, SearchCapExceededError) as exc:
         rows.append(("avd coloring produced", False, str(exc)))
         return report
     ok, detail = check_proper(g, cert.coloring)
@@ -314,12 +320,18 @@ def audit(g: Graph, oracle_edge_cap: int = ORACLE_EDGE_CAP) -> AuditReport:
         rows.extend(_partition_rows(g, cert.parts))
 
     if g.is_regular() and delta >= 2:
-        rcert = avd.avd_color_regular(g)
         rbound = avd.regular_bound(delta)
-        ok, _ = check_avd(g, rcert.coloring)
-        rows.append((f"regular driver within floor((5r+37)/3) = {rbound}",
-                     ok and rcert.colors_used <= rbound,
-                     f"used {rcert.colors_used}"))
+        name = f"regular driver within floor((5r+37)/3) = {rbound}"
+        try:
+            # Up to REGULAR_ROUTE_MAX both drivers color g as one bounded part.
+            rcert = (cert.with_bound(rbound) if delta <= avd.REGULAR_ROUTE_MAX
+                     else avd.avd_color_regular(g))
+        except SearchCapExceededError as exc:
+            rows.append((name, False, str(exc)))
+        else:
+            ok, _ = check_avd(g, rcert.coloring)
+            rows.append((name, ok and rcert.colors_used <= rbound,
+                         f"used {rcert.colors_used}"))
         report.bound_table["regular_bound"] = rbound
 
     if g.edge_count <= oracle_edge_cap:

@@ -109,3 +109,27 @@ def scramble_selection(g: Graph, sel: SubgraphSelection, rng: random.Random,
         elif not sel.is_selected(e):
             if sel.deg(u) <= 2 and sel.deg(v) <= 2:
                 sel.add(e)
+
+
+def exhaust_searches(monkeypatch,
+                     armed: list | None = None) -> list[tuple[int, int | None]]:
+    """Make budgeted coloring searches hit their node cap.
+
+    Every search does, or with ``armed`` given only those made while that
+    list is non-empty; the others run for real.  Returns the list each
+    capped call appends its (budget, node_cap) to.
+    """
+    from avdcolor import SearchCapExceededError, coloring
+
+    calls: list[tuple[int, int | None]] = []
+    search = coloring.avd_color_budget
+
+    def capped(g, budget, *, node_cap=None, order=None):
+        if armed is not None and not armed:
+            return search(g, budget, node_cap=node_cap, order=order)
+        calls.append((budget, node_cap))
+        raise SearchCapExceededError(
+            f"budget-{budget} search exceeded {node_cap} nodes")
+
+    monkeypatch.setattr(coloring, "avd_color_budget", capped)
+    return calls

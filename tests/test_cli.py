@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from avdcolor import complete, cycle, emit_graph, petersen
+from avdcolor import complete, cycle, emit_graph, gnp, parse_graph, petersen
 from avdcolor.cli import main
+from helpers import exhaust_searches
 
 
 def _write_graph(tmp_path, g, name="g.g6", fmt="graph6"):
@@ -181,6 +182,65 @@ def test_color_refuted_budget_exits_with_counterexample(tmp_path, monkeypatch,
         "graph6": emit_graph(petersen(), "graph6").decode("ascii"),
         "budget": 5}
     assert not (tmp_path / "cert.json").exists()
+
+
+@pytest.mark.parametrize("g", [petersen(), gnp(10, 0.5, 2)],
+                         ids=["one-part", "partitioned"])
+def test_color_spent_search_budget_exits_four(tmp_path, monkeypatch, capsys,
+                                              g):
+    # gnp(10, 0.5, 2) has Delta 8: the spent part keeps the host's labels,
+    # and not all of them.
+    exhaust_searches(monkeypatch)
+    gpath = _write_graph(tmp_path, g)
+    assert main(["color", gpath, "--out", str(tmp_path / "cert.json")]) == 4
+    assert "search-cap report written" in capsys.readouterr().err
+    data = json.loads((tmp_path / "cert.search-cap.json").read_text())
+    assert "not reached" in data["message"]
+    assert set(data["state"]) == {"edgelist", "budget", "nodes", "attempts"}
+    part = parse_graph(data["state"]["edgelist"], "edgelist")
+    assert part.edge_count and part.edges <= g.edges
+    assert not (tmp_path / "cert.json").exists()
+
+
+@pytest.mark.parametrize("g", [petersen(), gnp(10, 0.5, 2)],
+                         ids=["one-part", "partitioned"])
+def test_audit_spent_search_budget_fails(tmp_path, monkeypatch, capsys, g):
+    exhaust_searches(monkeypatch)
+    gpath = _write_graph(tmp_path, g)
+    assert main(["audit", gpath]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL avd coloring produced" in out
+    assert "overall: FAIL" in out
+
+
+def test_audit_dir_goes_on_after_a_spent_regular_driver(tmp_path, monkeypatch,
+                                                        capsys):
+    # Searches run out of budget once avd_color has returned, so only the
+    # regular driver's parts (r = 5, partition_regular) spend their budget.
+    from avdcolor import coloring, random_regular
+    armed = []
+    real_color = coloring.avd_color
+    calls = exhaust_searches(monkeypatch, armed=armed)
+
+    def color_then_arm(g, trace=None):
+        armed.clear()
+        cert = real_color(g, trace)
+        armed.append(True)
+        return cert
+
+    monkeypatch.setattr(coloring, "avd_color", color_then_arm)
+    d = tmp_path / "graphs"
+    d.mkdir()
+    _write_graph(d, random_regular(12, 5, seed=2), name="a.g6")
+    _write_graph(d, cycle(7), name="b.g6")
+    assert main(["audit", "--dir", str(d)]) == 1
+    out = capsys.readouterr().out
+    first, second = out.split("== ")[1:]
+    assert "FAIL regular driver within floor((5r+37)/3) = 20" in first
+    assert "PASS avd certificate distinguishing" in first
+    assert "overall: FAIL" in first
+    assert "overall: PASS" in second
+    assert calls
 
 
 def test_partition_regular_cli(tmp_path, capsys):

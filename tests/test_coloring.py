@@ -4,6 +4,7 @@ import json
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from avdcolor import (Graph, NotNormalError, avd_color, avd_color_budget,
                       avd_color_regular, avd_subcubic, check_avd, check_proper,
@@ -11,9 +12,10 @@ from avdcolor import (Graph, NotNormalError, avd_color, avd_color_budget,
                       make_coloring, partition_p2, petersen, random_regular,
                       regular_bound)
 from avdcolor import (InternalBoundViolationError, SearchCapExceededError,
-                      check_certificate, coloring, emit_graph)
+                      check_certificate, coloring, emit_graph, exact_chi_a,
+                      is_normal, parse_graph)
 from avdcolor.coloring import certificate_from_dict, certificate_to_dict
-from helpers import normal_gnp_corpus
+from helpers import exhaust_searches, normal_gnp_corpus
 
 
 def _checked(g, cert):
@@ -274,23 +276,70 @@ def test_long_cycles_color_without_recursion():
 
 
 def test_guaranteed_search_restarts_after_cap(monkeypatch):
-    calls = []
+    caps = []
     search = coloring.avd_color_budget
 
     def spy(g, budget, **kw):
-        try:
-            return search(g, budget, **kw)
-        except SearchCapExceededError:
-            calls.append((budget, kw["node_cap"]))
-            raise
+        if budget == 5:
+            caps.append(kw["node_cap"])
+        return search(g, budget, **kw)
 
     monkeypatch.setattr(coloring, "avd_color_budget", spy)
     monkeypatch.setattr(coloring, "DEFAULT_NODE_CAP", 8)
-    g = random_regular(32, 3, 7)
+    g = random_regular(24, 3, 14)
     cert = avd_subcubic(g)
+    # A unit is 2m = 72 nodes, above the patched DEFAULT_NODE_CAP: three
+    # attempts hit Luby caps of 1, 1 and 2 units, and the fourth finishes.
+    assert caps == [72, 72, 144, 72]
     assert cert.colors_used <= 5 == cert.bound_claimed
-    assert (5, 8) in calls and (5, 16) in calls
     _checked(g, cert)
+
+
+def test_guaranteed_search_spends_one_node_budget(monkeypatch):
+    calls = exhaust_searches(monkeypatch)
+    with pytest.raises(SearchCapExceededError) as info:
+        avd_subcubic(petersen())
+    caps = [cap for budget, cap in calls if budget == 5]
+    unit = coloring.DEFAULT_NODE_CAP
+    assert caps[:7] == [unit, unit, 2 * unit, unit, unit, 2 * unit, 4 * unit]
+    assert None not in caps
+    assert sum(caps) == coloring.GUARANTEED_UNITS * unit
+    assert info.value.payload == {
+        "edgelist": emit_graph(petersen(), "edgelist").decode("ascii"),
+        "budget": 5, "nodes": sum(caps), "attempts": len(caps)}
+
+
+def test_guaranteed_search_clips_the_last_cap(monkeypatch):
+    calls = exhaust_searches(monkeypatch)
+    monkeypatch.setattr(coloring, "GUARANTEED_UNITS", 3)
+    with pytest.raises(SearchCapExceededError) as info:
+        avd_color(complete(5))  # one part of max degree 4, budget 12
+    unit = coloring.DEFAULT_NODE_CAP
+    assert calls == [(12, unit), (12, unit), (12, unit)]
+    assert info.value.payload["nodes"] == 3 * unit
+
+
+def test_guaranteed_search_unit_covers_the_part(monkeypatch):
+    # The state of a spent search on a large sparse part costs O(m).
+    calls = exhaust_searches(monkeypatch)
+    monkeypatch.setattr(coloring, "GUARANTEED_UNITS", 1)
+    g = cycle(60001)
+    with pytest.raises(SearchCapExceededError) as info:
+        avd_subcubic(g)
+    assert [cap for budget, cap in calls if budget == 5] == [2 * g.edge_count]
+    assert info.value.payload["nodes"] == 2 * g.edge_count
+    assert (info.value.payload["edgelist"].encode("ascii")
+            == emit_graph(g, "edgelist"))
+
+
+def test_spent_budget_on_a_partitioned_part_raises(monkeypatch):
+    exhaust_searches(monkeypatch)
+    g = gnp(10, 0.5, 2)  # Delta 8; a part keeps host labels, not all of them
+    with pytest.raises(SearchCapExceededError) as info:
+        avd_color(g)
+    part = parse_graph(info.value.payload["edgelist"], "edgelist")
+    assert part.edges <= g.edges
+    assert len({v for e in part.edges for v in e}) < g.n
 
 
 def test_refuted_guaranteed_budget_raises(monkeypatch):
@@ -300,3 +349,45 @@ def test_refuted_guaranteed_budget_raises(monkeypatch):
     assert info.value.payload == {
         "graph6": emit_graph(petersen(), "graph6").decode("ascii"),
         "budget": 5}
+
+
+def test_low_degree_regular_driver_is_avd_color():
+    # audit reuses avd_color's certificate for its regular row on this fact.
+    graphs = [cycle(5), cycle(8), complete(4), complete(5), petersen(),
+              random_regular(24, 3, 14), random_regular(24, 4, 2)]
+    for g in graphs:
+        assert g.max_degree <= coloring.REGULAR_ROUTE_MAX
+        assert (avd_color_regular(g).coloring.assignment
+                == avd_color(g).coloring.assignment)
+
+
+@st.composite
+def _small_normal_graphs(draw):
+    if draw(st.booleans()):
+        r = draw(st.integers(2, 5))
+        n = draw(st.sampled_from([n for n in range(r + 1, 32 // r + 1)
+                                  if n * r % 2 == 0]))
+        return random_regular(n, r, draw(st.integers(0, 10**6)))
+    n = draw(st.integers(3, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs), min_size=2, max_size=16))
+    touched = sorted({v for e in edges for v in e})
+    label = {v: i for i, v in enumerate(touched)}
+    g = Graph(len(touched), [(label[u], label[v]) for u, v in edges])
+    assume(is_normal(g))
+    return g
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_normal_graphs())
+def test_drivers_certify_within_bounds(g):
+    assert g.edge_count <= 16
+    chi_a = exact_chi_a(g)
+    drivers = [(avd_color, main_bound)]
+    if g.is_regular() and g.max_degree >= 2:
+        drivers.append((avd_color_regular, regular_bound))
+    for driver, bound in drivers:
+        cert = driver(g)
+        assert all(ok for _, ok, _ in check_certificate(g, cert))
+        assert chi_a <= cert.colors_used <= cert.bound_claimed
+        assert cert.bound_claimed == bound(g.max_degree)

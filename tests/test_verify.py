@@ -200,6 +200,21 @@ def test_audit_runs_the_pipeline_once(monkeypatch):
     assert calls["inside"] >= 2  # partition_p2 plus a partition_p1 per peel
 
 
+def test_audit_colors_a_low_degree_regular_graph_once(monkeypatch):
+    calls = []
+    real = coloring.avd_subcubic
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(coloring, "avd_subcubic", counting)
+    report = audit(cycle(6))
+    assert report.overall_pass
+    assert len(calls) == 1
+    assert report.bound_table["regular_bound"] == coloring.regular_bound(2)
+
+
 def _audit_with_parts(monkeypatch, g, make_parts):
     real = coloring.avd_color
 
