@@ -12,13 +12,13 @@ from .coloring import (AvdCertificate, avd_color, avd_color_budget,
 from .errors import (CapExceededError, CounterexampleFound, GenerationError,
                      GraphFormatError, InternalBoundViolationError,
                      InvalidGroupingError, NotNormalError,
-                     SearchCapExceededError, StaleMoveError)
+                     SearchCapExceededError)
 from .generators import complete, cycle, generate, gnp, petersen, random_regular
 from .graph_io import emit_graph, parse_graph, sniff_format
 from .graphs import (Edge, EdgePartition, Graph, SubgraphSelection, canon_edge,
                      edge_induced, is_normal)
 from .partition import (Chain, ChainClosure, MembershipReport, Move,
-                        MoveVariant, PartitionEngine, VertexType, apply_move,
+                        MoveVariant, PartitionEngine, VertexType,
                         check_membership, classify_vertex, enumerate_chains,
                         find_move, initial_selection, partition_p1,
                         partition_p2, partition_regular)
@@ -32,8 +32,8 @@ __all__ = [
     "EdgePartition", "GenerationError", "Graph", "GraphFormatError",
     "InternalBoundViolationError", "InvalidGroupingError", "MembershipReport",
     "Move", "MoveVariant", "NotNormalError", "PartitionEngine",
-    "SearchCapExceededError", "StaleMoveError", "SubgraphSelection",
-    "VertexType", "apply_move", "audit", "avd_color", "avd_color_budget",
+    "SearchCapExceededError", "SubgraphSelection",
+    "VertexType", "audit", "avd_color", "avd_color_budget",
     "avd_color_regular", "avd_subcubic", "canon_edge", "check_avd",
     "check_certificate", "check_membership", "check_proper",
     "classify_vertex", "color_classes", "complete",

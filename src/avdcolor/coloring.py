@@ -231,7 +231,7 @@ def _guaranteed_search(g: Graph, budget: int, context: str) -> AvdCertificate:
     SearchCapExceededError after the node budget; its payload holds the
     part's edge list (host labels, O(m) to build), the color budget, the
     nodes spent and the attempts made.  A completed refutation means the
-    guarantee failed and is reported as such, with the part's graph6.
+    guarantee failed and is reported as such, with the part's edge list.
     """
     unit = max(DEFAULT_NODE_CAP, 2 * g.edge_count)
     total = GUARANTEED_UNITS * unit
@@ -250,7 +250,7 @@ def _guaranteed_search(g: Graph, budget: int, context: str) -> AvdCertificate:
             raise InternalBoundViolationError(
                 f"budget {budget} refuted for {context}; this contradicts "
                 "the cited bound and is reported as a counterexample",
-                {"graph6": emit_graph(g, "graph6").decode("ascii"),
+                {"edgelist": emit_graph(g, "edgelist").decode("ascii"),
                  "budget": budget})
         return cert
     raise SearchCapExceededError(
@@ -264,9 +264,10 @@ def avd_subcubic(g: Graph) -> AvdCertificate:
     """Certificate with at most 5 colors for a normal graph of max degree 3.
 
     Budgets ascend from the max degree; sub-5 budgets run under a node cap
-    and are skipped when they time out (only minimality of the reported
-    palette is affected).  Budget 5 may raise SearchCapExceededError after
-    the node budget.
+    of ``LADDER_NODE_CAP`` or 2m nodes, whichever is larger, since a cap
+    below m can never finish, and are skipped when they time out (only
+    minimality of the reported palette is affected).  Budget 5 may raise
+    SearchCapExceededError after the node budget.
     """
     if not is_normal(g):
         raise NotNormalError("subcubic AVD coloring requires a normal graph")
@@ -274,9 +275,10 @@ def avd_subcubic(g: Graph) -> AvdCertificate:
         raise ValueError(f"max degree {g.max_degree} exceeds 3")
     if g.edge_count == 0:
         return AvdCertificate(make_coloring(g, {}), 0, 5, {})
+    cap = max(LADDER_NODE_CAP, 2 * g.edge_count)
     for budget in range(g.max_degree, 5):
         try:
-            cert = avd_color_budget(g, budget, node_cap=LADDER_NODE_CAP)
+            cert = avd_color_budget(g, budget, node_cap=cap)
         except SearchCapExceededError:
             continue
         if cert is not None:

@@ -15,10 +15,6 @@ class GenerationError(RuntimeError):
     """Random generator exhausted its rejection-sampling retry budget."""
 
 
-class StaleMoveError(RuntimeError):
-    """A move was applied to a selection that changed since it was found."""
-
-
 class InvalidGroupingError(RuntimeError):
     """A color-class grouping produced a non-normal or empty part."""
 

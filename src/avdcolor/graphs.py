@@ -131,11 +131,10 @@ class SubgraphSelection:
       * per-vertex selected degree (degree in H),
       * the isolated-edge sets of H and of its complement.
 
-    Single-writer: one mutator at a time, no internal locking.  ``version``
-    bumps on every mutation and protects against stale moves.
+    Single-writer: one mutator at a time, no internal locking.
     """
 
-    __slots__ = ("host", "_selected", "_deg", "_iso_sel", "_iso_unsel", "version")
+    __slots__ = ("host", "_selected", "_deg", "_iso_sel", "_iso_unsel")
 
     def __init__(self, host: Graph, edges: Iterable[Edge] = ()):
         self.host = host
@@ -143,7 +142,6 @@ class SubgraphSelection:
         self._deg = {v: 0 for v in host.vertices}
         self._iso_sel: set[Edge] = set()
         self._iso_unsel: set[Edge] = set()
-        self.version = 0
         for e in edges:
             self._select(canon_edge(*e))
         for e in host.edges:
@@ -194,7 +192,6 @@ class SubgraphSelection:
     def add(self, e: Edge) -> None:
         self._select(e)
         self._refresh_around(e)
-        self.version += 1
 
     def remove(self, e: Edge) -> None:
         if e not in self._selected:
@@ -203,7 +200,6 @@ class SubgraphSelection:
         self._deg[e[0]] -= 1
         self._deg[e[1]] -= 1
         self._refresh_around(e)
-        self.version += 1
 
     def _select(self, e: Edge) -> None:
         # Membership and degrees only; callers settle the isolation sets.

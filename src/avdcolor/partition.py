@@ -12,13 +12,14 @@ The engine drives the lexicographic potential
     ( #isolated edges of H + #isolated edges of the complement, |E(H)| )
 
 to (0, *) by applying local rewrite moves, one candidate per case of the
-published case analysis that Delta >= 6 leaves reachable.  Every candidate move is validated against the
-membership conditions and the strict potential decrease before it is
-returned, so a single engine step can never corrupt the selection, and the
-engine raises CounterexampleFound on a state with no valid move.  When the
-potential is zero, H and its complement are both normal, giving the
-two-part partition; a peel loop and color-class grouping build the
-multi-part variants.
+published case analysis that Delta >= 6 leaves reachable.  Each candidate
+is tried on the selection itself: it stays applied only if the membership
+conditions hold at every vertex it touches and the potential strictly
+decreases, and is undone otherwise, so a single engine step can never
+corrupt the selection.  The engine raises CounterexampleFound on a state
+with no valid move.  When the potential is zero, H and its complement are
+both normal, giving the two-part partition; a peel loop and color-class
+grouping build the multi-part variants.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator
 
 from .errors import (CounterexampleFound, InternalBoundViolationError,
-                     InvalidGroupingError, NotNormalError, StaleMoveError)
+                     InvalidGroupingError, NotNormalError)
 from .graphs import (Edge, EdgePartition, Graph, SubgraphSelection,
                      canon_edge, edge_induced, is_normal)
 from .graph_io import emit_graph
@@ -88,7 +89,6 @@ class Move:
     add_set: frozenset[Edge]
     remove_set: frozenset[Edge]
     witness: str
-    version: int
 
 
 # -- membership and vertex typing ------------------------------------------
@@ -201,67 +201,40 @@ def enumerate_chains(g: Graph, sel: SubgraphSelection, frm: int,
     return chains
 
 
-# -- move validation ---------------------------------------------------------
+# -- move trials --------------------------------------------------------------
 
 
-def _evaluate_move(g: Graph, sel: SubgraphSelection, add: frozenset[Edge],
-                   remove: frozenset[Edge]) -> tuple[int, int] | None:
-    """Potential after applying (add, remove), or None if the move is illegal.
+def _try_move(g: Graph, sel: SubgraphSelection, add: frozenset[Edge],
+              remove: frozenset[Edge]) -> bool:
+    """Apply (add, remove) to ``sel`` if the move is legal; True if it was.
 
     Legal means: add within the complement, remove within the selection,
     membership conditions still hold at every touched vertex, and the
-    lexicographic potential strictly decreases.  The move is tried on
-    ``sel`` itself and undone, so the selection's own bookkeeping decides
-    which edges end up isolated.
+    lexicographic potential strictly decreases.  Membership depends only on
+    selection degrees, so the touched vertices are the only ones a move can
+    break.  The move is tried on ``sel`` itself, so the selection's own
+    bookkeeping decides which edges end up isolated; an illegal move is
+    undone and leaves the selection as it was.
     """
-    if add & remove:
-        return None
     for e in add:
         if sel.is_selected(e) or e not in g.edges:
-            return None
+            return False
     for e in remove:
         if not sel.is_selected(e):
-            return None
-    old_pot, version = sel.potential(), sel.version
+            return False
+    old_pot = sel.potential()
     for e in add:
         sel.add(e)
     for e in remove:
         sel.remove(e)
-    new_pot = sel.potential()
-    legal = new_pot < old_pot and not any(
-        _member_at(g, sel, v) for e in add | remove for v in e)
+    if sel.potential() < old_pot and not any(
+            _member_at(g, sel, v) for e in add | remove for v in e):
+        return True
     for e in remove:
         sel.add(e)
     for e in add:
         sel.remove(e)
-    # A trial leaves the selection as it was, so moves already found in this
-    # search (stamped with this version) must stay applicable.
-    sel.version = version
-    return new_pot if legal else None
-
-
-def apply_move(sel: SubgraphSelection, move: Move) -> None:
-    """Apply a move found on this exact selection state.
-
-    Re-asserts membership and the strict potential decrease afterwards;
-    both were validated during the search, so a failure here is a bug.
-    """
-    if move.version != sel.version:
-        raise StaleMoveError(
-            f"move found at version {move.version}, selection at {sel.version}")
-    before = sel.potential()
-    for e in sorted(move.add_set):
-        sel.add(e)
-    for e in sorted(move.remove_set):
-        sel.remove(e)
-    after = sel.potential()
-    report = check_membership(sel.host, sel)
-    if not report.is_member:
-        raise AssertionError(
-            f"move {move.witness} broke membership: {report.violations}")
-    if not after < before:
-        raise AssertionError(
-            f"move {move.witness} did not decrease potential: {before} -> {after}")
+    return False
 
 
 # -- move search --------------------------------------------------------------
@@ -363,7 +336,7 @@ def _counterexample(message: str, g: Graph, sel: SubgraphSelection,
                     **extra) -> CounterexampleFound:
     """CounterexampleFound carrying the state needed to reproduce a stall."""
     return CounterexampleFound(message, {
-        "graph6": emit_graph(g, "graph6").decode("ascii"),
+        "edgelist": emit_graph(g, "edgelist").decode("ascii"),
         "selection": sorted(sel.selected),
         "potential": list(sel.potential()),
         **extra,
@@ -371,26 +344,24 @@ def _counterexample(message: str, g: Graph, sel: SubgraphSelection,
 
 
 def find_move(g: Graph, sel: SubgraphSelection) -> Move | ChainClosure:
-    """One potential-decreasing rewrite, or the saturated chain closure.
+    """Apply one potential-decreasing rewrite and return it, or the closure.
 
     Search order: isolated selected edges first (lowest edge), then isolated
     complement edges; direct rewrites before chain analysis; the
     breadth-first closure only when the isolated edge's endpoint passes its
     type test.  The direct rewrites of claims 1 and 2 are the depth-0 case
     of the chain generators: the empty chain from the isolated edge's
-    endpoint, tagged ``claim1.add`` and ``claim2.drop``.  A returned
-    ChainClosure means no rewrite was found anywhere in the closure;
-    callers treat that as an impossibility report.
+    endpoint, tagged ``claim1.add`` and ``claim2.drop``.  The returned Move
+    is already applied to ``sel``.  A returned saturated ChainClosure means
+    no rewrite was found anywhere in the closure, every trial was undone
+    and ``sel`` is unchanged; callers treat that as an impossibility
+    report.
     """
     delta = g.max_degree
     iso_h = sorted(sel.isolated_selected)
     iso_hbar = sorted(sel.isolated_unselected)
-    version = sel.version
     if not iso_h and not iso_hbar:
         raise ValueError("selection has zero potential; nothing to fix")
-
-    def _move(variant, add, remove, tag):
-        return Move(variant, frozenset(add), frozenset(remove), tag, version)
 
     if iso_h:
         e = iso_h[0]
@@ -399,22 +370,21 @@ def find_move(g: Graph, sel: SubgraphSelection) -> Move | ChainClosure:
             raise _counterexample("isolated selected edge at a Delta vertex",
                                   g, sel)
         if g.degree(v) <= delta - 2:
-            if _evaluate_move(g, sel, frozenset(), frozenset({e})) is None:
+            if not _try_move(g, sel, frozenset(), frozenset({e})):
                 raise _counterexample("guaranteed isolated-edge drop rejected",
                                       g, sel)
-            return _move(MoveVariant.DROP_ISOLATED_H_EDGE, set(), {e},
-                         "claim1.drop")
+            return Move(MoveVariant.DROP_ISOLATED_H_EDGE, frozenset(),
+                        frozenset({e}), "claim1.drop")
         # degree(v) == Delta-1: either v fails type-I with a local fix, or
         # we grow the closure from it.
-        move = _first_valid(g, sel, _cands_failing_type_i(g, sel, [], v),
-                            version)
+        move = _first_valid(g, sel, _cands_failing_type_i(g, sel, [], v))
         if move is not None:
             return replace(move, witness="claim1.add")
         if classify_vertex(g, sel, v) is not VertexType.TYPE_I:
             raise _counterexample(
                 f"origin {v} survived the direct analysis but is not type-I",
                 g, sel)
-        return _grow_closure(g, sel, v, VertexType.TYPE_I, version)
+        return _grow_closure(g, sel, v, VertexType.TYPE_I)
 
     e = iso_hbar[0]
     u, _up = _orient(g, e)
@@ -422,23 +392,23 @@ def find_move(g: Graph, sel: SubgraphSelection) -> Move | ChainClosure:
         raise _counterexample(
             "isolated complement edge at a selection-free vertex", g, sel)
     if sel.deg(u) <= 2:
-        if _evaluate_move(g, sel, frozenset({e}), frozenset()) is None:
+        if not _try_move(g, sel, frozenset({e}), frozenset()):
             raise _counterexample("guaranteed complement-edge add rejected",
                                   g, sel)
-        return _move(MoveVariant.ADD_HBAR_EDGE, {e}, set(), "claim2.add")
-    move = _first_valid(g, sel, _cands_failing_type_ii(g, sel, [], u),
-                        version)
+        return Move(MoveVariant.ADD_HBAR_EDGE, frozenset({e}), frozenset(),
+                    "claim2.add")
+    move = _first_valid(g, sel, _cands_failing_type_ii(g, sel, [], u))
     if move is not None:
         return replace(move, witness="claim2.drop")
     if classify_vertex(g, sel, u) is not VertexType.TYPE_II:
         raise _counterexample(
             f"origin {u} survived the direct analysis but is not type-II",
             g, sel)
-    return _grow_closure(g, sel, u, VertexType.TYPE_II, version)
+    return _grow_closure(g, sel, u, VertexType.TYPE_II)
 
 
 def _grow_closure(g: Graph, sel: SubgraphSelection, origin: int,
-                  origin_role: VertexType, version: int) -> Move | ChainClosure:
+                  origin_role: VertexType) -> Move | ChainClosure:
     visited = {origin}
     parent: dict[int, tuple[int, Chain]] = {}
     queue: deque[tuple[int, VertexType]] = deque([(origin, origin_role)])
@@ -466,7 +436,7 @@ def _grow_closure(g: Graph, sel: SubgraphSelection, origin: int,
                 cands = _cands_failing_type_ii(g, sel, path, t)
             else:
                 cands = _cands_failing_type_i(g, sel, path, t)
-            move = _first_valid(g, sel, cands, version)
+            move = _first_valid(g, sel, cands)
             if move is not None:
                 return move
             unresolved.append(t)
@@ -485,9 +455,11 @@ def _path_to(parent: dict[int, tuple[int, Chain]], t: int) -> list[Chain]:
 
 
 def _first_valid(g: Graph, sel: SubgraphSelection,
-                 cands: Iterable[tuple[set[Edge], set[Edge], str]],
-                 version: int) -> Move | None:
-    """The first candidate that ``_evaluate_move`` accepts, as a Move.
+                 cands: Iterable[tuple[set[Edge], set[Edge], str]]
+                 ) -> Move | None:
+    """The first candidate that ``_try_move`` applies, as a Move.
+
+    Rejected candidates are undone, so None leaves ``sel`` unchanged.
 
     The variant follows from the sets.  On the empty chain (the direct
     rewrites of claims 1 and 2) a candidate only adds or only removes; on a
@@ -495,7 +467,7 @@ def _first_valid(g: Graph, sel: SubgraphSelection,
     """
     for add, remove, tag in cands:
         addf, remf = frozenset(add), frozenset(remove)
-        if _evaluate_move(g, sel, addf, remf) is None:
+        if not _try_move(g, sel, addf, remf):
             continue
         if not addf:
             variant = MoveVariant.DROP_H_EDGE
@@ -503,7 +475,7 @@ def _first_valid(g: Graph, sel: SubgraphSelection,
             variant = MoveVariant.ADD_HBAR_EDGE
         else:
             variant = MoveVariant.CHAIN_SWAP
-        return Move(variant, addf, remf, tag, version)
+        return Move(variant, addf, remf, tag)
     return None
 
 
@@ -538,8 +510,10 @@ def initial_selection(g: Graph,
 
 
 class PartitionEngine:
-    """Stepwise driver: repeatedly find and apply potential-decreasing moves.
+    """Stepwise driver: each step applies one potential-decreasing move.
 
+    ``find_move`` validates each move at the vertices it touches as it
+    applies it; ``partition_p1`` checks the whole final selection once.
     ``trace`` receives one dict per applied move (variant, edges, potential
     before/after); tests and the CLI use it for auditing.
     """
@@ -565,6 +539,7 @@ class PartitionEngine:
         if self.moves_applied >= self.guard:
             raise AssertionError(
                 f"iteration guard {self.guard} exceeded; termination bug")
+        before = self.sel.potential()
         found = find_move(self.g, self.sel)
         if isinstance(found, ChainClosure):
             raise _counterexample(
@@ -572,9 +547,10 @@ class PartitionEngine:
                 "the counting argument for Delta >= 6", self.g, self.sel,
                 v1_set=sorted(found.v1_set), v2_set=sorted(found.v2_set),
                 unresolved=sorted(found.unresolved), move_log=self.move_log)
-        before = self.sel.potential()
-        apply_move(self.sel, found)
         after = self.sel.potential()
+        if not after < before:
+            raise AssertionError(f"move {found.witness} did not decrease "
+                                 f"potential: {before} -> {after}")
         entry = {
             "variant": found.variant.value,
             "witness": found.witness,
@@ -603,7 +579,11 @@ def partition_p1(g: Graph, trace: Callable[[dict], None] | None = None,
     Runs the engine once, from ``initial_selection(g, coloring)``, which
     checks the preconditions; there are no restarts.  A stall raises
     CounterexampleFound with a full state dump.  The degree bounds and the
-    selection side's normality are checked again from degree counts.
+    selection side's normality are checked again from degree counts.  The
+    degree bounds are the three membership conditions restated: complement
+    degree at most Delta-2 means selection degree at least 2 at a
+    Delta-vertex and at least 1 at a (Delta-1)-vertex.  So they are the
+    one whole-graph membership check of the final selection.
     """
     sel = PartitionEngine(g, initial_selection(g, coloring), trace=trace).run()
     if any(sel.deg(v) > 3 or sel.codeg(v) > g.max_degree - 2

@@ -136,7 +136,8 @@ def test_color_deterministic_output(tmp_path, capsys):
 
 
 def test_partition_checklist(tmp_path, capsys):
-    gpath = _write_graph(tmp_path, complete(7))
+    g = gnp(10, 0.5, 1)  # its initial selection needs one move
+    gpath = _write_graph(tmp_path, g)
     out = tmp_path / "parts.json"
     trace = tmp_path / "trace.jsonl"
     assert main(["partition", gpath, "--out", str(out),
@@ -147,7 +148,8 @@ def test_partition_checklist(tmp_path, capsys):
     assert data["checklist"]["k_within_bound"]
     assert data["checklist"]["g0_bounded"]
     covered = {tuple(e) for part in data["parts"] for e in part}
-    assert covered == {tuple(e) for e in map(sorted, complete(7).edges)}
+    assert covered == {tuple(e) for e in map(sorted, g.edges)}
+    assert trace.read_text()
     for line in trace.read_text().splitlines():
         entry = json.loads(line)
         assert entry["potential_after"] < entry["potential_before"]
@@ -164,9 +166,11 @@ def test_partition_stall_exits_with_counterexample(tmp_path, monkeypatch,
     assert "counterexample report written" in capsys.readouterr().err
     data = json.loads((tmp_path / "avdcolor.counterexample.json").read_text())
     assert "chain closure saturated" in data["message"]
-    assert set(data["state"]) == {"graph6", "selection", "potential",
+    assert set(data["state"]) == {"edgelist", "selection", "potential",
                                   "v1_set", "v2_set", "unresolved",
                                   "move_log"}
+    dumped = parse_graph(data["state"]["edgelist"], "edgelist")
+    assert dumped.edges == gnp(10, 0.5, 1).edges
 
 
 def test_color_refuted_budget_exits_with_counterexample(tmp_path, monkeypatch,
@@ -178,9 +182,27 @@ def test_color_refuted_budget_exits_with_counterexample(tmp_path, monkeypatch,
     assert "counterexample report written" in capsys.readouterr().err
     data = json.loads((tmp_path / "cert.counterexample.json").read_text())
     assert "budget 5 refuted" in data["message"]
-    assert data["state"] == {
-        "graph6": emit_graph(petersen(), "graph6").decode("ascii"),
-        "budget": 5}
+    assert set(data["state"]) == {"edgelist", "budget"}
+    assert data["state"]["budget"] == 5
+    part = parse_graph(data["state"]["edgelist"], "edgelist")
+    assert part.edges == petersen().edges
+    assert not (tmp_path / "cert.json").exists()
+
+
+def test_color_refuted_budget_on_a_partitioned_part_exits_three(
+        tmp_path, monkeypatch, capsys):
+    # gnp(10, 0.5, 2) has Delta 8: the refuted part keeps the host's labels,
+    # and not all of them.
+    from avdcolor import coloring
+    g = gnp(10, 0.5, 2)
+    gpath = _write_graph(tmp_path, g)
+    monkeypatch.setattr(coloring, "avd_color_budget", lambda *a, **kw: None)
+    assert main(["color", gpath, "--out", str(tmp_path / "cert.json")]) == 3
+    assert "counterexample report written" in capsys.readouterr().err
+    data = json.loads((tmp_path / "cert.counterexample.json").read_text())
+    assert "refuted" in data["message"]
+    part = parse_graph(data["state"]["edgelist"], "edgelist")
+    assert part.edge_count and part.edges <= g.edges
     assert not (tmp_path / "cert.json").exists()
 
 
@@ -251,6 +273,19 @@ def test_partition_regular_cli(tmp_path, capsys):
     assert "checks=pass" in capsys.readouterr().out
 
 
+def test_partition_regular_invalid_grouping_exits_one(tmp_path, monkeypatch,
+                                                      capsys):
+    from avdcolor import InvalidGroupingError, cli, random_regular
+
+    def invalid(g):
+        raise InvalidGroupingError("empty class block")
+
+    monkeypatch.setattr(cli, "partition_regular", invalid)
+    gpath = _write_graph(tmp_path, random_regular(12, 5, seed=2))
+    assert main(["partition-regular", gpath]) == 1
+    assert "check failed: empty class block" in capsys.readouterr().err
+
+
 def test_oracle_c5(tmp_path, capsys):
     gpath = _write_graph(tmp_path, cycle(5))
     assert main(["oracle", gpath]) == 0
@@ -270,6 +305,15 @@ def test_audit_exit_codes(tmp_path, capsys):
     bad = _write_graph(tmp_path, Graph(2, [(0, 1)]), "bad.g6")
     assert main(["audit", bad]) == 1
     capsys.readouterr()
+
+
+def test_audit_json_report(tmp_path, capsys):
+    from avdcolor import audit
+    gpath = _write_graph(tmp_path, petersen())
+    assert main(["audit", gpath, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report == json.loads(json.dumps(audit(petersen()).to_dict()))
+    assert report["overall_pass"]
 
 
 def test_audit_reads_stdin_for_dash(monkeypatch, capsys):

@@ -268,7 +268,9 @@ def test_search_outputs_golden():
 
 
 def test_long_cycles_color_without_recursion():
-    for n, colors in ((1200, 3), (3001, 4)):
+    # C_30002 has more than LADDER_NODE_CAP edges: its budget-4 rung
+    # finishes only under a cap of at least m nodes.
+    for n, colors in ((1200, 3), (3001, 4), (30002, 4)):
         g = cycle(n)
         cert = avd_color(g)
         assert cert.colors_used == colors
@@ -346,9 +348,20 @@ def test_refuted_guaranteed_budget_raises(monkeypatch):
     monkeypatch.setattr(coloring, "avd_color_budget", lambda *a, **kw: None)
     with pytest.raises(InternalBoundViolationError) as info:
         avd_subcubic(petersen())
-    assert info.value.payload == {
-        "graph6": emit_graph(petersen(), "graph6").decode("ascii"),
-        "budget": 5}
+    assert set(info.value.payload) == {"edgelist", "budget"}
+    assert info.value.payload["budget"] == 5
+    part = parse_graph(info.value.payload["edgelist"], "edgelist")
+    assert part.edges == petersen().edges
+
+
+def test_refuted_budget_on_a_partitioned_part_raises(monkeypatch):
+    monkeypatch.setattr(coloring, "avd_color_budget", lambda *a, **kw: None)
+    g = gnp(10, 0.5, 2)  # Delta 8; a part keeps host labels, not all of them
+    with pytest.raises(InternalBoundViolationError) as info:
+        avd_color(g)
+    part = parse_graph(info.value.payload["edgelist"], "edgelist")
+    assert part.edges <= g.edges
+    assert len({v for e in part.edges for v in e}) < g.n
 
 
 def test_low_degree_regular_driver_is_avd_color():

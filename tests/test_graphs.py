@@ -132,16 +132,6 @@ def test_selection_construction_rejects_foreign_and_duplicate():
         SubgraphSelection(g, [(0, 1), (1, 0)])
 
 
-def test_selection_version_bumps():
-    g = cycle(4)
-    sel = SubgraphSelection(g)
-    v0 = sel.version
-    sel.add((0, 1))
-    assert sel.version == v0 + 1
-    sel.remove((0, 1))
-    assert sel.version == v0 + 2
-
-
 def test_selection_rejects_foreign_and_double():
     g = cycle(4)
     sel = SubgraphSelection(g, [(0, 1)])

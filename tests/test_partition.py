@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from avdcolor import (EdgePartition, Graph, MoveVariant, NotNormalError, PartitionEngine,
-                      SubgraphSelection, StaleMoveError, VertexType,
-                      apply_move, check_membership, classify_vertex, complete,
+                      SubgraphSelection, VertexType,
+                      check_membership, classify_vertex, complete,
                       cycle, enumerate_chains, find_move, gnp,
                       initial_selection, is_normal, partition_p1,
                       partition_p2, partition_regular, random_regular)
-from avdcolor import edge_induced, misra_gries
+from avdcolor import edge_induced, misra_gries, parse_graph
 from avdcolor import ChainClosure, CounterexampleFound, graphs, partition
 from helpers import (dense_normal_graph, normal_gnp_corpus,
                      recompute_selection_state, scramble_selection)
@@ -168,12 +168,11 @@ def test_find_move_drops_low_degree_isolated_edge():
     assert check_membership(g, sel).is_member
     assert set(sel.isolated_selected) == {(7, 8)}
     assert not sel.isolated_unselected
+    before = sel.potential()
     move = find_move(g, sel)
     assert move.variant is MoveVariant.DROP_ISOLATED_H_EDGE
     assert move.remove_set == frozenset({(7, 8)}) and not move.add_set
     assert move.witness == "claim1.drop"
-    before = sel.potential()
-    apply_move(sel, move)
     after = sel.potential()
     assert after[0] == before[0] - 1
     assert not sel.isolated_selected
@@ -186,12 +185,11 @@ def test_find_move_adds_isolated_complement_edge():
     g, sel = _k7_plus([(7, 8), (8, 9), (7, 9)], 3, [(7, 8), (8, 9)])
     assert check_membership(g, sel).is_member
     assert set(sel.isolated_unselected) == {(7, 9)}
+    before = sel.potential()
     move = find_move(g, sel)
     assert move.variant is MoveVariant.ADD_HBAR_EDGE
     assert move.add_set == frozenset({(7, 9)}) and not move.remove_set
     assert move.witness == "claim2.add"
-    before = sel.potential()
-    apply_move(sel, move)
     assert sel.potential()[0] == before[0] - 1
 
 
@@ -233,59 +231,71 @@ def _claim1_two_edge_state():
 def test_find_move_claim1_two_edge_add():
     g, sel = _claim1_two_edge_state()
     assert check_membership(g, sel).is_member
+    assert sel.potential() == (2, 15)
     move = find_move(g, sel)
     assert move.variant is MoveVariant.ADD_HBAR_EDGE
     assert move.witness == "claim1.add"
     assert move.add_set == frozenset({(0, 2), (2, 7)}) and not move.remove_set
-    assert sel.potential() == (2, 15)
-    apply_move(sel, move)
     assert sel.potential() == (0, 17)
 
 
-def test_evaluate_move_leaves_selection_unchanged():
+def _selection_state(g, sel):
+    # The incremental bookkeeping, checked against a recount.
+    deg, iso_sel, iso_unsel = recompute_selection_state(sel)
+    assert ({v: sel.deg(v) for v in g.vertices}, set(sel.isolated_selected),
+            set(sel.isolated_unselected)) == (deg, iso_sel, iso_unsel)
+    return sel.selected, deg, iso_sel, iso_unsel
+
+
+def test_try_move_undoes_illegal_moves_and_keeps_legal_ones():
     g, sel = _claim1_two_edge_state()
-
-    def state():
-        return (sel.selected, {v: sel.deg(v) for v in g.vertices},
-                sel.isolated_selected, sel.isolated_unselected, sel.version)
-
-    before = state()
-    cases = [
-        ({(0, 2), (2, 7)}, set(), (0, 17)),  # legal
-        (set(), {(0, 1)}, None),  # 0 has degree Delta-1 and would lose H
-        ({(18, 21)}, set(), None),  # potential would grow
+    before = _selection_state(g, sel)
+    illegal = [
+        (set(), {(0, 1)}),  # 0 has degree Delta-1 and would lose H
+        ({(18, 21)}, set()),  # potential would grow
+        ({(0, 1)}, set()),  # already selected
+        (set(), {(0, 2)}),  # not selected
     ]
-    for add, remove, expected in cases:
-        result = partition._evaluate_move(g, sel, frozenset(add),
-                                          frozenset(remove))
-        assert result == expected
-        assert state() == before
-        deg, iso_sel, iso_unsel = recompute_selection_state(sel)
-        assert ({v: sel.deg(v) for v in g.vertices}, set(sel.isolated_selected),
-                set(sel.isolated_unselected)) == (deg, iso_sel, iso_unsel)
-    # find_move stamps its move with the version before it tries any
-    # candidate, so the move applies only if each trial restores it.
-    apply_move(sel, find_move(g, sel))
+    for add, remove in illegal:
+        assert not partition._try_move(g, sel, frozenset(add),
+                                       frozenset(remove))
+        assert _selection_state(g, sel) == before
+    assert partition._try_move(g, sel, frozenset({(0, 2), (2, 7)}),
+                               frozenset())
+    assert sel.potential() == (0, 17)
+    _selection_state(g, sel)
 
 
 def test_first_valid_skips_rejected_candidates():
-    # Every candidate goes through _evaluate_move, so a wrong rewrite is
-    # passed over rather than returned.
+    # Every candidate goes through _try_move, so a wrong rewrite is passed
+    # over rather than returned, and a list with none legal changes nothing.
     g, sel = _claim1_two_edge_state()
     cands = [(set(), {(0, 1)}, "bad"), ({(0, 2), (2, 7)}, set(), "good")]
-    move = partition._first_valid(g, sel, iter(cands), sel.version)
+    before = _selection_state(g, sel)
+    assert partition._first_valid(g, sel, iter(cands[:1])) is None
+    assert _selection_state(g, sel) == before
+    move = partition._first_valid(g, sel, iter(cands))
     assert move.witness == "good"
     assert move.variant is MoveVariant.ADD_HBAR_EDGE
     assert move.add_set == frozenset({(0, 2), (2, 7)})
-    assert partition._first_valid(g, sel, iter(cands[:1]), sel.version) is None
+    assert sel.potential() == (0, 17)
 
 
-def test_stale_move_rejected():
-    g, sel = _k7_plus([(7, 8), (8, 9)], 3, [(7, 8)])
-    move = find_move(g, sel)
-    sel.add((8, 9))
-    with pytest.raises(StaleMoveError):
-        apply_move(sel, move)
+def test_engine_step_applies_its_move_once(monkeypatch):
+    # The trial that validates the move is the one that applies it.
+    g, sel = _claim1_two_edge_state()
+    calls = Counter()
+    for name in ("add", "remove"):
+        real = getattr(SubgraphSelection, name)
+
+        def counted(self, e, real=real, name=name):
+            calls[name] += 1
+            return real(self, e)
+
+        monkeypatch.setattr(SubgraphSelection, name, counted)
+    move = PartitionEngine(g, sel).step()
+    assert move.add_set == frozenset({(0, 2), (2, 7)})
+    assert calls == {"add": 2}
 
 
 # -- closure moves ----------------------------------------------------------------
@@ -308,12 +318,11 @@ def test_closure_simple_drop_move():
     g, sel = _closure_drop_state()
     assert check_membership(g, sel).is_member
     assert classify_vertex(g, sel, 0) is VertexType.TYPE_I
+    before = sel.potential()
     move = find_move(g, sel)
     assert move.variant is MoveVariant.DROP_H_EDGE
     assert move.witness == "claims.drop"
     assert move.remove_set == frozenset({(2, 6)}) and not move.add_set
-    before = sel.potential()
-    apply_move(sel, move)
     after = sel.potential()
     assert after[0] == before[0] and after[1] == before[1] - 1
 
@@ -335,13 +344,12 @@ def _closure_swap_state():
 def test_closure_chain_swap_move():
     g, sel = _closure_swap_state()
     assert check_membership(g, sel).is_member
+    before = sel.potential()
     move = find_move(g, sel)
     assert move.variant is MoveVariant.CHAIN_SWAP
     assert move.witness == "claims.swap"
     assert move.add_set == frozenset({(0, 2)})
     assert move.remove_set == frozenset({(2, 6)})
-    before = sel.potential()
-    apply_move(sel, move)
     assert sel.potential()[0] == before[0] - 1
 
 
@@ -353,13 +361,12 @@ def test_closure_swap_cleanup_move():
     g = Graph(26, sorted(g.edges) + [(6, 25)])
     sel = SubgraphSelection(g, sorted(sel.selected) + [(6, 25)])
     assert check_membership(g, sel).is_member
+    assert sel.potential() == (1, 15)
     move = find_move(g, sel)
     assert move.variant is MoveVariant.CHAIN_SWAP
     assert move.witness == "claims.swap-cleanup"
     assert move.add_set == frozenset({(0, 2)})
     assert move.remove_set == frozenset({(2, 6), (6, 25)})
-    assert sel.potential() == (1, 15)
-    apply_move(sel, move)
     assert sel.potential() == (0, 14)
 
 
@@ -386,19 +393,19 @@ def test_closure_revisit_rejected_at_depth_two(monkeypatch):
     assert classify_vertex(g, sel, 2) is VertexType.TYPE_I
     assert classify_vertex(g, sel, 3) is VertexType.NEITHER
     evaluated = []
-    real = partition._evaluate_move
+    real = partition._try_move
 
     def spy(g, sel, add, remove):
         result = real(g, sel, add, remove)
-        evaluated.append((add, remove, result))
+        evaluated.append((add, remove, result, sel.potential()))
         return result
 
-    monkeypatch.setattr(partition, "_evaluate_move", spy)
+    monkeypatch.setattr(partition, "_try_move", spy)
     move = find_move(g, sel)
     # The revisit rewrite at 3 would leave 5 (degree Delta-1) with no
     # selected edge, so it is never offered: the first and only candidate
-    # evaluated is the drop at the depth-two end 6, which fails type II.
-    assert evaluated == [(frozenset(), frozenset({(6, 10)}), (1, 15))]
+    # tried is the drop at the depth-two end 6, which fails type II.
+    assert evaluated == [(frozenset(), frozenset({(6, 10)}), True, (1, 15))]
     assert move.variant is MoveVariant.DROP_H_EDGE
     assert move.witness == "claims.drop"
     assert move.remove_set == frozenset({(6, 10)}) and not move.add_set
@@ -427,13 +434,12 @@ def test_closure_inverse_swap_move():
     assert check_membership(g, sel).is_member
     assert set(sel.isolated_unselected) == {(0, 1)}
     assert not sel.isolated_selected
+    before = sel.potential()
     move = find_move(g, sel)
     assert move.variant is MoveVariant.CHAIN_SWAP
     assert move.witness == "claims.iswap"
     assert move.add_set == frozenset({(2, 7)})
     assert move.remove_set == frozenset({(0, 2)})
-    before = sel.potential()
-    apply_move(sel, move)
     assert sel.potential()[0] == before[0] - 1
     assert check_membership(g, sel).is_member
 
@@ -452,13 +458,12 @@ def test_closure_inverse_swap_two_edge_move():
     assert set(sel.isolated_unselected) == {(0, 1)}
     assert classify_vertex(g, sel, 0) is VertexType.TYPE_II
     assert classify_vertex(g, sel, 2) is VertexType.NEITHER
+    assert sel.potential() == (1, 10)
     move = find_move(g, sel)
     assert move.variant is MoveVariant.CHAIN_SWAP
     assert move.witness == "claims.iswap"
     assert move.add_set == frozenset({(2, 7), (7, 17)})
     assert move.remove_set == frozenset({(0, 2)})
-    assert sel.potential() == (1, 10)
-    apply_move(sel, move)
     assert sel.potential() == (0, 11)
     assert check_membership(g, sel).is_member
 
@@ -697,11 +702,39 @@ def test_engine_stall_raises_counterexample(monkeypatch):
     with pytest.raises(CounterexampleFound) as info:
         partition_p1(g)
     payload = info.value.payload
-    assert set(payload) == {"graph6", "selection", "potential", "v1_set",
+    assert set(payload) == {"edgelist", "selection", "potential", "v1_set",
                             "v2_set", "unresolved", "move_log"}
+    assert parse_graph(payload["edgelist"], "edgelist").edges == g.edges
     assert payload["potential"][0] > 0
     assert (payload["v1_set"], payload["v2_set"]) == ([0], [1])
     assert payload["unresolved"] == [2] and payload["move_log"] == []
+
+
+def test_stall_below_the_first_level_dumps_its_graph(monkeypatch):
+    # Level 4 of this graph keeps the host's labels but only 78 of its 80
+    # vertices, a vertex set graph6 cannot name.
+    g = gnp(80, 0.15, 1)
+    levels, stalled = [], []
+    real_p1 = partition.partition_p1
+
+    def counted(h, trace=None, coloring=None):
+        levels.append(h)
+        return real_p1(h, trace=trace, coloring=coloring)
+
+    def stall_at_level_four(h, sel):
+        if len(levels) == 4:
+            stalled.append(h)
+            return ChainClosure(frozenset(), frozenset())
+        return find_move(h, sel)
+
+    monkeypatch.setattr(partition, "partition_p1", counted)
+    monkeypatch.setattr(partition, "find_move", stall_at_level_four)
+    with pytest.raises(CounterexampleFound) as info:
+        partition_p2(g)
+    h, = stalled
+    assert len(h.vertices) < g.n
+    dumped = parse_graph(info.value.payload["edgelist"], "edgelist")
+    assert dumped.edges == h.edges
 
 
 def test_engine_trace_entries():
