@@ -7,9 +7,13 @@ and one distinguishing color per adjacent equal-degree pair.
 The exact searcher is a deterministic backtracker over edges (grouped per
 vertex in breadth-first order, ascending colors, new colors introduced
 only in order) that prunes on properness and on completed adjacent
-equal-degree pairs.  Each driver either colors a small-degree graph as one
-bounded part, or colors the parts of a partition and composes the part
-certificates over pairwise disjoint palettes.
+equal-degree pairs.  Subcubic parts try a repair first at each budget of
+their ladder: min-conflicts Kempe-chain swaps that turn the part's
+Misra-Gries coloring into a distinguishing one, under a step budget, with
+the exact search as the fallback.  Each driver either colors a
+small-degree graph as one bounded part, or colors the parts of a
+partition and composes the part certificates over pairwise disjoint
+palettes.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .errors import (InternalBoundViolationError, NotNormalError,
 from .graph_io import emit_graph
 from .graphs import Edge, EdgePartition, Graph, canon_edge, is_normal
 from .partition import partition_p2, partition_regular
-from .vizing import EdgeColoring, make_coloring
+from .vizing import EdgeColoring, make_coloring, misra_gries
 from . import verify
 
 DEFAULT_NODE_CAP = 60_000
@@ -190,18 +194,133 @@ def avd_color_budget(g: Graph, budget: int, *, node_cap: int | None = None,
         raise ValueError(f"budget {budget} below max degree {g.max_degree}")
     if g.edge_count == 0:
         return AvdCertificate(make_coloring(g, {}), 0, budget, {})
-    # Two adjacent vertices of degree equal to the budget would both see
-    # every color, so no coloring can distinguish them.
-    for u, v in g.edges:
-        if g.degree(u) == g.degree(v) == budget:
-            return None
+    if _saturated(g, budget):
+        return None
     assignment = _search(g, budget, order or _vertex_major_order(g), node_cap)
     if assignment is None:
         return None
     # _search opens only the next unused color, so the palette is 1..K.
+    return _single_part(g, assignment, budget)
+
+
+def _saturated(g: Graph, budget: int) -> bool:
+    # Two adjacent vertices of degree equal to the budget would both see
+    # every color, so no coloring can distinguish them.
+    return any(g.degree(u) == g.degree(v) == budget for u, v in g.edges)
+
+
+def _single_part(g: Graph, assignment: dict[Edge, int],
+                 budget: int) -> AvdCertificate:
+    """Certificate of g colored as one part; colors must be 1..K."""
     coloring = make_coloring(g, assignment)
     return AvdCertificate(coloring, coloring.colors_used, budget,
                           _witnesses(g, coloring), (g.edges,))
+
+
+def _repair(g: Graph, budget: int,
+            start: EdgeColoring) -> AvdCertificate | None:
+    """Min-conflicts repair of a proper coloring into an AVD one.
+
+    Starts from ``start`` when it uses at most ``budget`` colors.  A
+    conflict is an adjacent equal-degree pair with equal color sets.  Each
+    step takes a random conflict and, at either of its ends x, considers
+    every swap of the a/b Kempe chain from x, for a color a at x and a
+    color b <= budget missing there (Minton et al. 1992).  The chain is a
+    path from x to some y, so the swap keeps the coloring proper and
+    changes only the color sets of x and y; the swap that lowers the
+    conflicts at x and y the most is made, ties broken by a fixed-seed
+    generator, and the a/b swaps at x and y are then tabu for 7 steps.
+    Returns None after 2m steps without an AVD coloring, or when two
+    adjacent vertices of degree ``budget`` make one impossible.
+    """
+    if start.colors_used > budget or _saturated(g, budget):
+        return None
+    # at[v][c] is v's neighbor across color c; mask[v] has bit c for c at v.
+    at: dict[int, dict[int, int]] = {v: {} for v in g.vertices}
+    mask = {v: 0 for v in g.vertices}
+    for (u, v), c in start.assignment.items():
+        at[u][c], at[v][c] = v, u
+        mask[u] |= 1 << c
+        mask[v] |= 1 << c
+    eq = {v: [w for w in g.neighbors(v) if g.degree(w) == g.degree(v)]
+          for v in g.vertices}
+    conflicts: list[Edge] = []
+    slot: dict[Edge, int] = {}
+
+    def mark(x: int) -> None:
+        # Bring the conflicts on x's equal-degree pairs up to date.
+        for w in eq[x]:
+            e = canon_edge(x, w)
+            if mask[x] == mask[w]:
+                if e not in slot:
+                    slot[e] = len(conflicts)
+                    conflicts.append(e)
+            elif e in slot:
+                last = conflicts.pop()
+                i = slot.pop(e)
+                if last != e:
+                    conflicts[i] = last
+                    slot[last] = i
+
+    def clashes(x: int, mx: int, y: int, my: int) -> int:
+        # Conflicts on the pairs at x or y, were their masks mx and my.
+        n = 0
+        for w in eq[x]:
+            n += (my if w == y else mask[w]) == mx
+        for w in eq[y]:
+            n += w != x and mask[w] == my
+        return n
+
+    def chain(x: int, a: int, b: int) -> list[int]:
+        # x has a and misses b, so its a/b chain is a path, never a cycle.
+        path = [x]
+        while (nxt := at[path[-1]].get(a)) is not None:
+            path.append(nxt)
+            a, b = b, a
+        return path
+
+    for v in g.vertices:
+        mark(v)
+    rng = random.Random(budget)
+    tabu: dict[tuple[int, int], int] = {}
+    for step in range(2 * g.edge_count):
+        if not conflicts:
+            break
+        best, ties = None, []
+        for x in conflicts[rng.randrange(len(conflicts))]:
+            for a in at[x]:
+                for b in range(1, budget + 1):
+                    ab = 1 << a | 1 << b
+                    if mask[x] >> b & 1 or tabu.get((x, ab), -1) > step:
+                        continue
+                    path = chain(x, a, b)
+                    y = path[-1]
+                    score = (clashes(x, mask[x] ^ ab, y, mask[y] ^ ab)
+                             - clashes(x, mask[x], y, mask[y]))
+                    if best is None or score < best:
+                        best, ties = score, []
+                    if score == best:
+                        ties.append((path, a, b, ab))
+        if not ties:
+            continue
+        path, a, b, ab = rng.choice(ties)
+        for v in path:
+            ta, tb = at[v].pop(a, None), at[v].pop(b, None)
+            if ta is not None:
+                at[v][b] = ta
+            if tb is not None:
+                at[v][a] = tb
+        for v in (path[0], path[-1]):
+            mask[v] ^= ab
+            tabu[v, ab] = step + 7
+        mark(path[0])
+        mark(path[-1])
+    if conflicts:
+        return None
+    old = sorted({c for v in g.vertices for c in at[v]})
+    rank = {c: i for i, c in enumerate(old, start=1)}
+    return _single_part(g, {(u, v): rank[c] for u in g.vertices
+                            for c, v in at[u].items() if u < v}, budget)
 
 
 def _shuffled_order(g: Graph, seed: int) -> list[Edge]:
@@ -263,11 +382,15 @@ def _guaranteed_search(g: Graph, budget: int, context: str) -> AvdCertificate:
 def avd_subcubic(g: Graph) -> AvdCertificate:
     """Certificate with at most 5 colors for a normal graph of max degree 3.
 
-    Budgets ascend from the max degree; sub-5 budgets run under a node cap
-    of ``LADDER_NODE_CAP`` or 2m nodes, whichever is larger, since a cap
-    below m can never finish, and are skipped when they time out (only
-    minimality of the reported palette is affected).  Budget 5 may raise
-    SearchCapExceededError after the node budget.
+    Budgets ascend from the max degree, and each starts with ``_repair``
+    of one Misra-Gries coloring of g, shared by every budget.  At a budget
+    below 5, a failed repair is followed by the exact search under a node
+    cap of ``LADDER_NODE_CAP`` or 2m nodes, whichever is larger, since a
+    cap below m can never finish; a search that reaches its cap skips the
+    budget (only minimality of the reported palette is affected).  At
+    budget 5, which Balister, Gyori, Lehel and Schelp (2007) guarantee, a
+    failed repair is followed by ``_guaranteed_search``, which may raise
+    SearchCapExceededError after its node budget.
     """
     if not is_normal(g):
         raise NotNormalError("subcubic AVD coloring requires a normal graph")
@@ -275,15 +398,20 @@ def avd_subcubic(g: Graph) -> AvdCertificate:
         raise ValueError(f"max degree {g.max_degree} exceeds 3")
     if g.edge_count == 0:
         return AvdCertificate(make_coloring(g, {}), 0, 5, {})
+    start = misra_gries(g)
     cap = max(LADDER_NODE_CAP, 2 * g.edge_count)
     for budget in range(g.max_degree, 5):
-        try:
-            cert = avd_color_budget(g, budget, node_cap=cap)
-        except SearchCapExceededError:
-            continue
+        cert = _repair(g, budget, start)
+        if cert is None:
+            try:
+                cert = avd_color_budget(g, budget, node_cap=cap)
+            except SearchCapExceededError:
+                continue
         if cert is not None:
             return cert.with_bound(5)
-    return _guaranteed_search(g, 5, "a normal subcubic graph").with_bound(5)
+    cert = (_repair(g, 5, start)
+            or _guaranteed_search(g, 5, "a normal subcubic graph"))
+    return cert.with_bound(5)
 
 
 def compose(parts: list[tuple[Graph, AvdCertificate]],
@@ -347,8 +475,8 @@ def avd_color(g: Graph, trace=None) -> AvdCertificate:
     """Certificate with at most floor(5 (Delta + 2) / 2) colors.
 
     Two routes.  Up to max degree 5 the whole graph is one bounded part:
-    the 5-color searcher when subcubic, else an exact search with budget
-    3*Delta.  Above that, the recursive partition ``partition_p2(g)`` is
+    ``avd_subcubic``'s ladder when subcubic, else an exact search with
+    budget 3*Delta.  Above that, the recursive partition ``partition_p2(g)`` is
     colored part by part and composed over disjoint palettes.  The
     certificate's ``parts`` is the partition it colored: the single edge
     set, or the parts of ``partition_p2(g)``.  A part's search may raise

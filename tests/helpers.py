@@ -116,13 +116,15 @@ def exhaust_searches(monkeypatch,
     """Make budgeted coloring searches hit their node cap.
 
     Every search does, or with ``armed`` given only those made while that
-    list is non-empty; the others run for real.  Returns the list each
-    capped call appends its (budget, node_cap) to.
+    list is non-empty; the others run for real.  The repair that runs
+    before a subcubic search fails at the same times, so the searches are
+    reached.  Returns the list each capped call appends its
+    (budget, node_cap) to.
     """
     from avdcolor import SearchCapExceededError, coloring
 
     calls: list[tuple[int, int | None]] = []
-    search = coloring.avd_color_budget
+    search, repair = coloring.avd_color_budget, coloring._repair
 
     def capped(g, budget, *, node_cap=None, order=None):
         if armed is not None and not armed:
@@ -131,5 +133,11 @@ def exhaust_searches(monkeypatch,
         raise SearchCapExceededError(
             f"budget-{budget} search exceeded {node_cap} nodes")
 
+    def failed(g, budget, start):
+        if armed is not None and not armed:
+            return repair(g, budget, start)
+        return None
+
     monkeypatch.setattr(coloring, "avd_color_budget", capped)
+    monkeypatch.setattr(coloring, "_repair", failed)
     return calls

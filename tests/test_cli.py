@@ -178,6 +178,7 @@ def test_color_refuted_budget_exits_with_counterexample(tmp_path, monkeypatch,
     from avdcolor import coloring
     gpath = _write_graph(tmp_path, petersen())
     monkeypatch.setattr(coloring, "avd_color_budget", lambda *a, **kw: None)
+    monkeypatch.setattr(coloring, "_repair", lambda *a: None)
     assert main(["color", gpath, "--out", str(tmp_path / "cert.json")]) == 3
     assert "counterexample report written" in capsys.readouterr().err
     data = json.loads((tmp_path / "cert.counterexample.json").read_text())
@@ -197,6 +198,7 @@ def test_color_refuted_budget_on_a_partitioned_part_exits_three(
     g = gnp(10, 0.5, 2)
     gpath = _write_graph(tmp_path, g)
     monkeypatch.setattr(coloring, "avd_color_budget", lambda *a, **kw: None)
+    monkeypatch.setattr(coloring, "_repair", lambda *a: None)
     assert main(["color", gpath, "--out", str(tmp_path / "cert.json")]) == 3
     assert "counterexample report written" in capsys.readouterr().err
     data = json.loads((tmp_path / "cert.counterexample.json").read_text())

@@ -9,8 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 from avdcolor import (Graph, NotNormalError, avd_color, avd_color_budget,
                       avd_color_regular, avd_subcubic, check_avd, check_proper,
                       complete, compose, cycle, edge_induced, gnp, main_bound,
-                      make_coloring, partition_p2, petersen, random_regular,
-                      regular_bound)
+                      make_coloring, misra_gries, partition_p2, petersen,
+                      random_regular, regular_bound)
 from avdcolor import (InternalBoundViolationError, SearchCapExceededError,
                       check_certificate, coloring, emit_graph, exact_chi_a,
                       is_normal, parse_graph)
@@ -246,7 +246,8 @@ def _golden_cases():
     yield "graph0", avd_color(Graph(0))
     for n in range(3, 9):
         yield f"cycle({n})", avd_color(cycle(n))
-    # Seeds 7 and 21 run their budget-4 rung into the ladder's node cap.
+    # Seeds 7 and 21 run an exact budget-4 search into the ladder's node
+    # cap; their budget-4 repair colors them with 4 colors before it runs.
     for n, r, s in ((32, 3, 7), (32, 3, 21), (24, 4, 1), (24, 4, 2),
                     (24, 4, 3), (20, 5, 1), (30, 5, 2)):
         yield f"random_regular({n},{r},{s})", avd_color(random_regular(n, r, s))
@@ -264,7 +265,7 @@ def test_search_outputs_golden():
            for name, cert in _golden_cases()]
     digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
     assert digest == (
-        "d9c175b0ccd94fd5974e4fd517fe9b61445be7998de4b63d38d0544a1497406a")
+        "91347d5233b916ac71c6fcf4497bee23ca30fd1ff2e541a01d127a9a9285e42d")
 
 
 def test_long_cycles_color_without_recursion():
@@ -288,6 +289,7 @@ def test_guaranteed_search_restarts_after_cap(monkeypatch):
 
     monkeypatch.setattr(coloring, "avd_color_budget", spy)
     monkeypatch.setattr(coloring, "DEFAULT_NODE_CAP", 8)
+    monkeypatch.setattr(coloring, "_repair", lambda *a: None)
     g = random_regular(24, 3, 14)
     cert = avd_subcubic(g)
     # A unit is 2m = 72 nodes, above the patched DEFAULT_NODE_CAP: three
@@ -346,6 +348,7 @@ def test_spent_budget_on_a_partitioned_part_raises(monkeypatch):
 
 def test_refuted_guaranteed_budget_raises(monkeypatch):
     monkeypatch.setattr(coloring, "avd_color_budget", lambda *a, **kw: None)
+    monkeypatch.setattr(coloring, "_repair", lambda *a: None)
     with pytest.raises(InternalBoundViolationError) as info:
         avd_subcubic(petersen())
     assert set(info.value.payload) == {"edgelist", "budget"}
@@ -356,6 +359,7 @@ def test_refuted_guaranteed_budget_raises(monkeypatch):
 
 def test_refuted_budget_on_a_partitioned_part_raises(monkeypatch):
     monkeypatch.setattr(coloring, "avd_color_budget", lambda *a, **kw: None)
+    monkeypatch.setattr(coloring, "_repair", lambda *a: None)
     g = gnp(10, 0.5, 2)  # Delta 8; a part keeps host labels, not all of them
     with pytest.raises(InternalBoundViolationError) as info:
         avd_color(g)
@@ -404,3 +408,103 @@ def test_drivers_certify_within_bounds(g):
         assert all(ok for _, ok, _ in check_certificate(g, cert))
         assert chi_a <= cert.colors_used <= cert.bound_claimed
         assert cert.bound_claimed == bound(g.max_degree)
+
+
+@st.composite
+def _small_normal_subcubic_graphs(draw):
+    n = draw(st.integers(3, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    deg = [0] * n
+    edges = []
+    for u, v in draw(st.permutations(pairs)):
+        if len(edges) < 16 and deg[u] < 3 and deg[v] < 3:
+            deg[u] += 1
+            deg[v] += 1
+            edges.append((u, v))
+    edges = edges[:draw(st.integers(2, len(edges)))]
+    touched = sorted({v for e in edges for v in e})
+    label = {v: i for i, v in enumerate(touched)}
+    g = Graph(len(touched), [(label[u], label[v]) for u, v in edges])
+    assume(is_normal(g))
+    return g
+
+
+@settings(max_examples=80, deadline=None)
+@given(_small_normal_subcubic_graphs())
+def test_repair_returns_only_checked_colorings(g):
+    assert g.edge_count <= 16 and g.max_degree <= 3
+    start = misra_gries(g)
+    for budget in range(g.max_degree, 6):
+        cert = coloring._repair(g, budget, start)
+        if start.colors_used > budget:
+            assert cert is None
+        if cert is None:
+            continue
+        _checked(g, cert)
+        assert cert.colors_used <= budget == cert.bound_claimed
+        assert cert.parts == (g.edges,)
+        again = coloring._repair(g, budget, start)
+        assert again.coloring.assignment == cert.coloring.assignment
+
+
+def test_repair_skips_a_budget_it_cannot_meet():
+    # Adjacent vertices of degree 3 see every color of a budget of 3.
+    k4 = complete(4)
+    assert coloring._repair(k4, 3, misra_gries(k4)) is None
+    # C_7 needs 4 colors: 2m steps run and none makes it distinguishing.
+    c7 = cycle(7)
+    start = misra_gries(c7)
+    assert start.colors_used == 3
+    assert coloring._repair(c7, 3, start) is None
+    assert coloring._repair(c7, 4, start).colors_used == 4
+
+
+def test_ladder_repairs_before_each_search(monkeypatch):
+    calls = []
+    search = coloring.avd_color_budget
+
+    def spy_search(g, budget, **kw):
+        calls.append(("search", budget))
+        return search(g, budget, **kw)
+
+    def failed_repair(g, budget, start):
+        calls.append(("repair", budget))
+
+    monkeypatch.setattr(coloring, "avd_color_budget", spy_search)
+    monkeypatch.setattr(coloring, "_repair", failed_repair)
+    cert = avd_subcubic(petersen())
+    assert calls == [("repair", 3), ("search", 3), ("repair", 4),
+                     ("search", 4)]
+    assert cert.colors_used == 4
+    calls.clear()
+
+    def refuted(g, budget, **kw):
+        calls.append(("search", budget))
+
+    monkeypatch.setattr(coloring, "avd_color_budget", refuted)
+    with pytest.raises(InternalBoundViolationError):
+        avd_subcubic(petersen())
+    assert calls == [("repair", 3), ("search", 3), ("repair", 4),
+                     ("search", 4), ("repair", 5), ("search", 5)]
+
+
+def test_quartic_and_quintic_routes_never_repair(monkeypatch):
+    def no_repair(*args):
+        raise AssertionError("repair ran on a max degree 4-5 route")
+
+    monkeypatch.setattr(coloring, "_repair", no_repair)
+    for g in (complete(5), random_regular(24, 4, 1), random_regular(20, 5, 1),
+              complete(6)):
+        _checked(g, avd_color(g))
+    _checked(random_regular(24, 4, 1),
+             avd_color_regular(random_regular(24, 4, 1)))
+
+
+def test_repair_colors_cubic_graphs_the_search_could_not():
+    # random_regular(150,3,4) took 19.6 s by search alone, for 5 colors;
+    # random_regular(1000,3,1) spent the guaranteed search's node budget.
+    for g, most in ((random_regular(150, 3, 4), 4),
+                    (random_regular(1000, 3, 1), 5)):
+        cert = avd_color(g)
+        assert cert.colors_used <= most
+        assert all(ok for _, ok, _ in check_certificate(g, cert))
