@@ -344,16 +344,17 @@ def _guaranteed_search(g: Graph, budget: int, context: str) -> AvdCertificate:
     Attempt i takes the breadth-first edge order for i = 0 and a shuffled
     one seeded with i after that, under a node cap of ``_luby(i + 1)``
     units: the universal restart schedule of Luby, Sinclair and Zuckerman.
-    A unit is ``DEFAULT_NODE_CAP`` or 2m nodes, whichever is larger, since
-    a cap below m can never color the part.  The caps sum to at most
-    ``GUARANTEED_UNITS`` units, the node budget, so the search may raise
-    SearchCapExceededError after the node budget; its payload holds the
+    A unit is 2m nodes, close to a typical run (a cap below m can never
+    color the part), so an unlucky order is abandoned early.  The caps are
+    clipped to sum to at most the node budget, ``GUARANTEED_UNITS`` times
+    ``DEFAULT_NODE_CAP`` or 2m nodes, whichever is larger, so the search
+    may raise SearchCapExceededError after that budget; its payload holds the
     part's edge list (host labels, O(m) to build), the color budget, the
     nodes spent and the attempts made.  A completed refutation means the
     guarantee failed and is reported as such, with the part's edge list.
     """
-    unit = max(DEFAULT_NODE_CAP, 2 * g.edge_count)
-    total = GUARANTEED_UNITS * unit
+    unit = 2 * g.edge_count
+    total = GUARANTEED_UNITS * max(DEFAULT_NODE_CAP, unit)
     spent = attempt = 0
     while spent < total:
         cap = min(unit * _luby(attempt + 1), total - spent)

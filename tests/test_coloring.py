@@ -12,8 +12,8 @@ from avdcolor import (Graph, NotNormalError, avd_color, avd_color_budget,
                       make_coloring, misra_gries, partition_p2, petersen,
                       random_regular, regular_bound)
 from avdcolor import (InternalBoundViolationError, SearchCapExceededError,
-                      check_certificate, coloring, emit_graph, exact_chi_a,
-                      is_normal, parse_graph)
+                      audit, check_certificate, coloring, emit_graph,
+                      exact_chi_a, is_normal, parse_graph)
 from avdcolor.coloring import certificate_from_dict, certificate_to_dict
 from helpers import exhaust_searches, normal_gnp_corpus
 
@@ -304,10 +304,11 @@ def test_guaranteed_search_spends_one_node_budget(monkeypatch):
     with pytest.raises(SearchCapExceededError) as info:
         avd_subcubic(petersen())
     caps = [cap for budget, cap in calls if budget == 5]
-    unit = coloring.DEFAULT_NODE_CAP
-    assert caps[:7] == [unit, unit, 2 * unit, unit, unit, 2 * unit, 4 * unit]
+    # A unit is 2m = 30 nodes; the budget is still GUARANTEED_UNITS times
+    # DEFAULT_NODE_CAP.
+    assert caps[:7] == [30, 30, 60, 30, 30, 60, 120]
     assert None not in caps
-    assert sum(caps) == coloring.GUARANTEED_UNITS * unit
+    assert sum(caps) == coloring.GUARANTEED_UNITS * coloring.DEFAULT_NODE_CAP
     assert info.value.payload == {
         "edgelist": emit_graph(petersen(), "edgelist").decode("ascii"),
         "budget": 5, "nodes": sum(caps), "attempts": len(caps)}
@@ -315,12 +316,19 @@ def test_guaranteed_search_spends_one_node_budget(monkeypatch):
 
 def test_guaranteed_search_clips_the_last_cap(monkeypatch):
     calls = exhaust_searches(monkeypatch)
-    monkeypatch.setattr(coloring, "GUARANTEED_UNITS", 3)
+    monkeypatch.setattr(coloring, "GUARANTEED_UNITS", 2)
     with pytest.raises(SearchCapExceededError) as info:
         avd_color(complete(5))  # one part of max degree 4, budget 12
-    unit = coloring.DEFAULT_NODE_CAP
-    assert calls == [(12, unit), (12, unit), (12, unit)]
-    assert info.value.payload["nodes"] == 3 * unit
+    # A unit is 2m = 20 nodes.  Two times DEFAULT_NODE_CAP is 6000 units,
+    # which ends inside attempt 1277's Luby term of 64 units, so that cap
+    # is clipped to 48 units.
+    caps = [cap for _, cap in calls]
+    assert {budget for budget, _ in calls} == {12}
+    assert caps[:3] == [20, 20, 40]
+    assert len(caps) == 1277
+    assert caps[-1] == 20 * 48 < 20 * coloring._luby(len(caps))
+    assert sum(caps) == 2 * coloring.DEFAULT_NODE_CAP
+    assert info.value.payload["nodes"] == 2 * coloring.DEFAULT_NODE_CAP
 
 
 def test_guaranteed_search_unit_covers_the_part(monkeypatch):
@@ -334,6 +342,45 @@ def test_guaranteed_search_unit_covers_the_part(monkeypatch):
     assert info.value.payload["nodes"] == 2 * g.edge_count
     assert (info.value.payload["edgelist"].encode("ascii")
             == emit_graph(g, "edgelist"))
+
+
+def _guaranteed_caps(monkeypatch) -> list[int]:
+    """Node caps given to searches at a guaranteed budget (5, or 3 Delta).
+
+    The subcubic ladder's exact rungs, at budgets below 5, have their own
+    cap and are not counted.
+    """
+    caps = []
+    search = coloring.avd_color_budget
+
+    def spy(g, budget, **kw):
+        if budget >= 5:
+            caps.append(kw["node_cap"])
+        return search(g, budget, **kw)
+
+    monkeypatch.setattr(coloring, "avd_color_budget", spy)
+    return caps
+
+
+@pytest.mark.parametrize("n, seed", [(40, 63), (24, 1735927368)])
+def test_quartic_heavy_tail_restarts_within_its_part(monkeypatch, n, seed):
+    # Breadth-first order runs into a long dead end on these graphs, while
+    # a shuffled order colors them in about m nodes.
+    caps = _guaranteed_caps(monkeypatch)
+    g = random_regular(n, 4, seed)
+    cert = avd_color(g)
+    assert sum(caps) < 20 * g.edge_count
+    assert cert.colors_used == 7
+    assert all(ok for _, ok, _ in check_certificate(g, cert))
+
+
+def test_audit_heavy_tail_restarts_within_its_parts(monkeypatch):
+    # G_0 of this graph's partition has the same dead end at budget 12.
+    caps = _guaranteed_caps(monkeypatch)
+    g = random_regular(30, 6, 851910474)
+    report = audit(g)
+    assert sum(caps) < 20 * g.edge_count
+    assert all(ok for _, ok, _ in report.checks)
 
 
 def test_spent_budget_on_a_partitioned_part_raises(monkeypatch):
