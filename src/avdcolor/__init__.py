@@ -17,22 +17,20 @@ from .generators import complete, cycle, generate, gnp, petersen, random_regular
 from .graph_io import emit_graph, parse_graph, sniff_format
 from .graphs import (Edge, EdgePartition, Graph, SubgraphSelection, canon_edge,
                      edge_induced, is_normal)
-from .partition import (Chain, ChainClosure, MembershipReport, Move,
-                        MoveVariant, PartitionEngine, VertexType,
+from .partition import (Chain, MembershipReport, Move, VertexType,
                         check_membership, classify_vertex, enumerate_chains,
                         find_move, initial_selection, partition_p1,
-                        partition_p2, partition_regular)
+                        partition_p2, partition_regular, run_engine)
 from .verify import (AuditReport, audit, check_avd, check_certificate,
                      check_proper, exact_chi_a, exact_chromatic_index)
 from .vizing import EdgeColoring, color_classes, make_coloring, misra_gries
 
 __all__ = [
     "AuditReport", "AvdCertificate", "CapExceededError", "Chain",
-    "ChainClosure", "CounterexampleFound", "Edge", "EdgeColoring",
+    "CounterexampleFound", "Edge", "EdgeColoring",
     "EdgePartition", "GenerationError", "Graph", "GraphFormatError",
     "InternalBoundViolationError", "InvalidGroupingError", "MembershipReport",
-    "Move", "MoveVariant", "NotNormalError", "PartitionEngine",
-    "SearchCapExceededError", "SubgraphSelection",
+    "Move", "NotNormalError", "SearchCapExceededError", "SubgraphSelection",
     "VertexType", "audit", "avd_color", "avd_color_budget",
     "avd_color_regular", "avd_subcubic", "canon_edge", "check_avd",
     "check_certificate", "check_membership", "check_proper",
@@ -42,5 +40,5 @@ __all__ = [
     "find_move", "generate", "gnp", "initial_selection", "is_normal",
     "main_bound", "make_coloring", "misra_gries", "parse_graph",
     "partition_p1", "partition_p2", "partition_regular", "petersen",
-    "random_regular", "regular_bound", "sniff_format",
+    "random_regular", "regular_bound", "run_engine", "sniff_format",
 ]

@@ -45,10 +45,6 @@ def _read_graph(path: str | None, fmt: str | None) -> Graph:
     return parse_graph(raw, fmt or sniff_format(raw))
 
 
-def _read_input(args) -> Graph:
-    return _read_graph(args.input, args.format)
-
-
 def _write_out(args, data: bytes) -> None:
     if args.out:
         Path(args.out).write_bytes(data)
@@ -82,7 +78,7 @@ def _dump_state(args, exc: StateDumpError, kind: str, code: int) -> int:
 
 
 def _cmd_color(args) -> int:
-    g = _read_input(args)
+    g = _read_graph(args.input, args.format)
     handle, sink = _open_trace(args)
     try:
         cert = avd.avd_color(g, trace=sink)
@@ -96,7 +92,7 @@ def _cmd_color(args) -> int:
 
 
 def _cmd_color_regular(args) -> int:
-    cert = avd.avd_color_regular(_read_input(args))
+    cert = avd.avd_color_regular(_read_graph(args.input, args.format))
     if args.out:
         _write_out(args, _json_bytes(avd.certificate_to_dict(cert)))
     print(f"colors={cert.colors_used} bound={cert.bound_claimed}")
@@ -117,8 +113,17 @@ def _partition_checklist(g: Graph, parts) -> dict:
     }
 
 
+def _write_partition(args, g: Graph, parts, checklist: dict) -> None:
+    _write_out(args, _json_bytes({
+        "type": "edge-partition",
+        "vertex_count": g.n,
+        "parts": [[list(e) for e in sorted(p)] for p in parts],
+        "checklist": checklist,
+    }))
+
+
 def _cmd_partition(args) -> int:
-    g = _read_input(args)
+    g = _read_graph(args.input, args.format)
     handle, sink = _open_trace(args)
     try:
         parts = partition_p2(g, trace=sink)
@@ -126,13 +131,7 @@ def _cmd_partition(args) -> int:
         if handle:
             handle.close()
     checklist = _partition_checklist(g, parts)
-    payload = {
-        "type": "edge-partition",
-        "vertex_count": g.n,
-        "parts": [[list(e) for e in sorted(p)] for p in parts],
-        "checklist": checklist,
-    }
-    _write_out(args, _json_bytes(payload))
+    _write_partition(args, g, parts, checklist)
     ok = (checklist["k_within_bound"] and checklist["g0_bounded"]
           and checklist["later_parts_subcubic"]
           and checklist["all_parts_normal"])
@@ -142,7 +141,7 @@ def _cmd_partition(args) -> int:
 
 
 def _cmd_partition_regular(args) -> int:
-    g = _read_input(args)
+    g = _read_graph(args.input, args.format)
     parts = partition_regular(g)
     graphs = parts.part_graphs()
     checklist = {
@@ -150,20 +149,14 @@ def _cmd_partition_regular(args) -> int:
         "max_degrees": [p.max_degree for p in graphs],
         "all_parts_normal": all(is_normal(p) for p in graphs),
     }
-    payload = {
-        "type": "edge-partition",
-        "vertex_count": g.n,
-        "parts": [[list(e) for e in sorted(p)] for p in parts],
-        "checklist": checklist,
-    }
-    _write_out(args, _json_bytes(payload))
+    _write_partition(args, g, parts, checklist)
     ok = checklist["all_parts_normal"]
     print(f"parts={len(parts)} checks=" + ("pass" if ok else "fail"))
     return 0 if ok else CHECK_EXIT
 
 
 def _cmd_oracle(args) -> int:
-    g = _read_input(args)
+    g = _read_graph(args.input, args.format)
     value = verify.exact_chi_a(g, cap=args.budget_cap,
                                edge_cap=args.oracle_edge_cap)
     print(value)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .errors import (CounterexampleFound, InternalBoundViolationError,
@@ -47,8 +47,11 @@ class VertexType(enum.Enum):
 class MembershipReport:
     """Outcome of the three membership conditions; empty violations = member."""
 
-    is_member: bool
     violations: tuple[tuple[int, int], ...]  # (vertex, condition 1|2|3)
+
+    @property
+    def is_member(self) -> bool:
+        return not self.violations
 
 
 @dataclass(frozen=True)
@@ -68,24 +71,10 @@ class Chain:
 
 
 @dataclass(frozen=True)
-class ChainClosure:
-    """Saturated alternating-chain closure: conforming ends by type."""
-
-    v1_set: frozenset[int]
-    v2_set: frozenset[int]
-    unresolved: tuple[int, ...] = ()
-
-
-class MoveVariant(enum.Enum):
-    DROP_ISOLATED_H_EDGE = "drop-isolated-h-edge"
-    ADD_HBAR_EDGE = "add-hbar-edge"
-    DROP_H_EDGE = "drop-h-edge"
-    CHAIN_SWAP = "chain-swap"
-
-
-@dataclass(frozen=True)
 class Move:
-    variant: MoveVariant
+    """An applied rewrite; its witness tag names the case of the analysis,
+    and with it whether the move adds, drops or swaps along a chain."""
+
     add_set: frozenset[Edge]
     remove_set: frozenset[Edge]
     witness: str
@@ -110,7 +99,7 @@ def check_membership(g: Graph, sel: SubgraphSelection) -> MembershipReport:
     """Report every violation of the three selection-degree conditions."""
     violations = tuple((v, c) for v in g.vertices
                        if (c := _member_at(g, sel, v)))
-    return MembershipReport(not violations, violations)
+    return MembershipReport(violations)
 
 
 def _cond1(sel: SubgraphSelection, u: int) -> bool:
@@ -270,7 +259,9 @@ def _cands_failing_type_ii(g: Graph, sel: SubgraphSelection, path: list[Chain],
     One candidate per witness, following the published case analysis: the
     two-edge cleanup when the witness has a pendant partner, else a simple
     drop for a selection-degree-3 end, else the full path swap for a (2,2)
-    end.  Every candidate is validated by the caller before use.
+    end.  Every candidate is validated by the caller before use.  On the
+    empty path (the direct rewrites of claim 2) every candidate is tagged
+    ``claim2.drop``.
 
     A witness x that is an earlier type-II end of ``path`` (each one starts
     an ``h`` chain of it) gets no candidate: under Delta >= 6 the published
@@ -301,12 +292,13 @@ def _cands_failing_type_ii(g: Graph, sel: SubgraphSelection, path: list[Chain],
             continue
         xe = canon_edge(x, uk)
         if sel.deg(x) == 2 and sel.deg(y := _other_selected(sel, x, uk)) == 1:
-            yield (hbar_edges, h_edges | {canon_edge(x, y), xe},
-                   "claims.swap-cleanup")
+            add, remove, tag = (hbar_edges, h_edges | {canon_edge(x, y), xe},
+                                "claims.swap-cleanup")
         elif sel.deg(uk) == 3:
-            yield set(), {xe}, "claims.drop"
+            add, remove, tag = set(), {xe}, "claims.drop"
         else:
-            yield hbar_edges, h_edges | {xe}, "claims.swap"
+            add, remove, tag = hbar_edges, h_edges | {xe}, "claims.swap"
+        yield add, remove, tag if path else "claim2.drop"
 
 
 def _cands_failing_type_i(g: Graph, sel: SubgraphSelection, path: list[Chain],
@@ -316,7 +308,8 @@ def _cands_failing_type_i(g: Graph, sel: SubgraphSelection, path: list[Chain],
     A failing witness x is never an end of ``path`` under Delta >= 6.
     Type-II ends meet ``_cond1`` or ``_cond2``, which x fails.  ``vk`` has
     selection degree 1 or 2 at degree >= Delta-1 >= 5, so it meets none of
-    ``_cond1``-``_cond3`` at x, and x would not be type I.
+    ``_cond1``-``_cond3`` at x, and x would not be type I.  On the empty
+    path (the direct rewrites of claim 1) the tag is ``claim1.add``.
     """
     hbar_edges, h_edges = _split_chain_edges(path)
     for x in sel.unselected_neighbors(vk):
@@ -329,7 +322,8 @@ def _cands_failing_type_i(g: Graph, sel: SubgraphSelection, path: list[Chain],
             y = next(w for w in sel.unselected_neighbors(x) if w != vk)
             if sel.codeg(y) == 1:
                 s_set.add(canon_edge(x, y))
-        yield hbar_edges | s_set, set(h_edges), "claims.iswap"
+        yield (hbar_edges | s_set, set(h_edges),
+               "claims.iswap" if path else "claim1.add")
 
 
 def _counterexample(message: str, g: Graph, sel: SubgraphSelection,
@@ -343,19 +337,18 @@ def _counterexample(message: str, g: Graph, sel: SubgraphSelection,
     })
 
 
-def find_move(g: Graph, sel: SubgraphSelection) -> Move | ChainClosure:
-    """Apply one potential-decreasing rewrite and return it, or the closure.
+def find_move(g: Graph, sel: SubgraphSelection) -> Move:
+    """Apply one potential-decreasing rewrite to ``sel`` and return it.
 
     Search order: isolated selected edges first (lowest edge), then isolated
     complement edges; direct rewrites before chain analysis; the
     breadth-first closure only when the isolated edge's endpoint passes its
     type test.  The direct rewrites of claims 1 and 2 are the depth-0 case
     of the chain generators: the empty chain from the isolated edge's
-    endpoint, tagged ``claim1.add`` and ``claim2.drop``.  The returned Move
-    is already applied to ``sel``.  A returned saturated ChainClosure means
-    no rewrite was found anywhere in the closure, every trial was undone
-    and ``sel`` is unchanged; callers treat that as an impossibility
-    report.
+    endpoint, tagged ``claim1.add`` and ``claim2.drop``.  When no rewrite
+    is found, every trial was undone, ``sel`` is unchanged, and
+    CounterexampleFound is raised with the state dump: the counting
+    argument for Delta >= 6 rules that out.
     """
     delta = g.max_degree
     iso_h = sorted(sel.isolated_selected)
@@ -373,13 +366,12 @@ def find_move(g: Graph, sel: SubgraphSelection) -> Move | ChainClosure:
             if not _try_move(g, sel, frozenset(), frozenset({e})):
                 raise _counterexample("guaranteed isolated-edge drop rejected",
                                       g, sel)
-            return Move(MoveVariant.DROP_ISOLATED_H_EDGE, frozenset(),
-                        frozenset({e}), "claim1.drop")
+            return Move(frozenset(), frozenset({e}), "claim1.drop")
         # degree(v) == Delta-1: either v fails type-I with a local fix, or
         # we grow the closure from it.
         move = _first_valid(g, sel, _cands_failing_type_i(g, sel, [], v))
         if move is not None:
-            return replace(move, witness="claim1.add")
+            return move
         if classify_vertex(g, sel, v) is not VertexType.TYPE_I:
             raise _counterexample(
                 f"origin {v} survived the direct analysis but is not type-I",
@@ -395,11 +387,10 @@ def find_move(g: Graph, sel: SubgraphSelection) -> Move | ChainClosure:
         if not _try_move(g, sel, frozenset({e}), frozenset()):
             raise _counterexample("guaranteed complement-edge add rejected",
                                   g, sel)
-        return Move(MoveVariant.ADD_HBAR_EDGE, frozenset({e}), frozenset(),
-                    "claim2.add")
+        return Move(frozenset({e}), frozenset(), "claim2.add")
     move = _first_valid(g, sel, _cands_failing_type_ii(g, sel, [], u))
     if move is not None:
-        return replace(move, witness="claim2.drop")
+        return move
     if classify_vertex(g, sel, u) is not VertexType.TYPE_II:
         raise _counterexample(
             f"origin {u} survived the direct analysis but is not type-II",
@@ -408,39 +399,41 @@ def find_move(g: Graph, sel: SubgraphSelection) -> Move | ChainClosure:
 
 
 def _grow_closure(g: Graph, sel: SubgraphSelection, origin: int,
-                  origin_role: VertexType) -> Move | ChainClosure:
+                  origin_role: VertexType) -> Move:
     visited = {origin}
     parent: dict[int, tuple[int, Chain]] = {}
     queue: deque[tuple[int, VertexType]] = deque([(origin, origin_role)])
-    v1: set[int] = set()
-    v2: set[int] = set()
-    (v1 if origin_role is VertexType.TYPE_I else v2).add(origin)
+    ends = {VertexType.TYPE_I: set(), VertexType.TYPE_II: set()}
+    ends[origin_role].add(origin)
     unresolved: list[int] = []
     while queue:
         z, role = queue.popleft()
-        kind = "hbar" if role is VertexType.TYPE_I else "h"
+        if role is VertexType.TYPE_I:
+            kind, expected = "hbar", VertexType.TYPE_II
+            fails = _cands_failing_type_ii
+        else:
+            kind, expected = "h", VertexType.TYPE_I
+            fails = _cands_failing_type_i
         for ch in enumerate_chains(g, sel, z, kind):
             t = ch.terminal
             if t in visited:
                 continue
             visited.add(t)
             parent[t] = (z, ch)
-            expected = (VertexType.TYPE_II if role is VertexType.TYPE_I
-                        else VertexType.TYPE_I)
             if classify_vertex(g, sel, t) is expected:
-                (v2 if expected is VertexType.TYPE_II else v1).add(t)
+                ends[expected].add(t)
                 queue.append((t, expected))
                 continue
-            path = _path_to(parent, t)
-            if expected is VertexType.TYPE_II:
-                cands = _cands_failing_type_ii(g, sel, path, t)
-            else:
-                cands = _cands_failing_type_i(g, sel, path, t)
-            move = _first_valid(g, sel, cands)
+            move = _first_valid(g, sel, fails(g, sel, _path_to(parent, t), t))
             if move is not None:
                 return move
             unresolved.append(t)
-    return ChainClosure(frozenset(v1), frozenset(v2), tuple(unresolved))
+    raise _counterexample(
+        "chain closure saturated with no rewrite; this contradicts the "
+        "counting argument for Delta >= 6", g, sel,
+        v1_set=sorted(ends[VertexType.TYPE_I]),
+        v2_set=sorted(ends[VertexType.TYPE_II]),
+        unresolved=sorted(unresolved))
 
 
 def _path_to(parent: dict[int, tuple[int, Chain]], t: int) -> list[Chain]:
@@ -460,22 +453,11 @@ def _first_valid(g: Graph, sel: SubgraphSelection,
     """The first candidate that ``_try_move`` applies, as a Move.
 
     Rejected candidates are undone, so None leaves ``sel`` unchanged.
-
-    The variant follows from the sets.  On the empty chain (the direct
-    rewrites of claims 1 and 2) a candidate only adds or only removes; on a
-    longer chain every candidate removes at least one edge.
     """
     for add, remove, tag in cands:
         addf, remf = frozenset(add), frozenset(remove)
-        if not _try_move(g, sel, addf, remf):
-            continue
-        if not addf:
-            variant = MoveVariant.DROP_H_EDGE
-        elif not remf:
-            variant = MoveVariant.ADD_HBAR_EDGE
-        else:
-            variant = MoveVariant.CHAIN_SWAP
-        return Move(variant, addf, remf, tag)
+        if _try_move(g, sel, addf, remf):
+            return Move(addf, remf, tag)
     return None
 
 
@@ -509,66 +491,36 @@ def initial_selection(g: Graph,
     return sel
 
 
-class PartitionEngine:
-    """Stepwise driver: each step applies one potential-decreasing move.
-
-    ``find_move`` validates each move at the vertices it touches as it
-    applies it; ``partition_p1`` checks the whole final selection once.
-    ``trace`` receives one dict per applied move (variant, edges, potential
-    before/after); tests and the CLI use it for auditing.
+def run_engine(g: Graph, sel: SubgraphSelection,
+               trace: Callable[[dict], None] | None = None) -> list[dict]:
+    """Apply ``find_move`` to ``sel`` until its potential's first component
+    is zero; return the move log, one entry per move, each also passed to
+    ``trace``.  Entry keys: ``witness``, ``add``, ``remove``,
+    ``potential_before``, ``potential_after``.  A CounterexampleFound from
+    ``find_move`` leaves with the log so far as its payload's ``move_log``.
     """
-
-    def __init__(self, g: Graph, sel: SubgraphSelection,
-                 trace: Callable[[dict], None] | None = None):
-        self.g = g
-        self.sel = sel
-        self.trace = trace
-        self.moves_applied = 0
-        self.move_log: list[dict] = []
-        i0 = sel.potential()[0]
-        self.guard = (i0 + 1) * (g.edge_count + 1) + 1
-
-    def step(self) -> Move | None:
-        """Apply one move; None once the potential's first component is zero.
-
-        A saturated chain closure raises CounterexampleFound with the full
-        state dump: the counting argument for Delta >= 6 rules it out.
-        """
-        if self.sel.potential()[0] == 0:
-            return None
-        if self.moves_applied >= self.guard:
+    log: list[dict] = []
+    guard = (sel.potential()[0] + 1) * (g.edge_count + 1) + 1
+    while (before := sel.potential())[0]:
+        if len(log) >= guard:
             raise AssertionError(
-                f"iteration guard {self.guard} exceeded; termination bug")
-        before = self.sel.potential()
-        found = find_move(self.g, self.sel)
-        if isinstance(found, ChainClosure):
-            raise _counterexample(
-                "chain closure saturated with no rewrite; this contradicts "
-                "the counting argument for Delta >= 6", self.g, self.sel,
-                v1_set=sorted(found.v1_set), v2_set=sorted(found.v2_set),
-                unresolved=sorted(found.unresolved), move_log=self.move_log)
-        after = self.sel.potential()
-        if not after < before:
-            raise AssertionError(f"move {found.witness} did not decrease "
-                                 f"potential: {before} -> {after}")
+                f"iteration guard {guard} exceeded; termination bug")
+        try:
+            move = find_move(g, sel)
+        except CounterexampleFound as exc:
+            exc.payload["move_log"] = log
+            raise
         entry = {
-            "variant": found.variant.value,
-            "witness": found.witness,
-            "add": sorted(found.add_set),
-            "remove": sorted(found.remove_set),
+            "witness": move.witness,
+            "add": sorted(move.add_set),
+            "remove": sorted(move.remove_set),
             "potential_before": list(before),
-            "potential_after": list(after),
+            "potential_after": list(sel.potential()),
         }
-        self.move_log.append(entry)
-        if self.trace is not None:
-            self.trace(entry)
-        self.moves_applied += 1
-        return found
-
-    def run(self) -> SubgraphSelection:
-        while self.step() is not None:
-            pass
-        return self.sel
+        log.append(entry)
+        if trace is not None:
+            trace(entry)
+    return log
 
 
 def partition_p1(g: Graph, trace: Callable[[dict], None] | None = None,
@@ -585,7 +537,8 @@ def partition_p1(g: Graph, trace: Callable[[dict], None] | None = None,
     Delta-vertex and at least 1 at a (Delta-1)-vertex.  So they are the
     one whole-graph membership check of the final selection.
     """
-    sel = PartitionEngine(g, initial_selection(g, coloring), trace=trace).run()
+    sel = initial_selection(g, coloring)
+    run_engine(g, sel, trace)
     if any(sel.deg(v) > 3 or sel.codeg(v) > g.max_degree - 2
            for v in g.vertices):
         raise AssertionError("partition degree bounds violated")

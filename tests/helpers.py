@@ -5,8 +5,8 @@ from __future__ import annotations
 import random
 from collections import deque
 
-from avdcolor import (Graph, SubgraphSelection, complete, gnp, is_normal,
-                      random_regular)
+from avdcolor import (Graph, SubgraphSelection, check_membership, complete,
+                      find_move, gnp, is_normal, random_regular)
 
 
 def girth(g: Graph):
@@ -109,6 +109,39 @@ def scramble_selection(g: Graph, sel: SubgraphSelection, rng: random.Random,
         elif not sel.is_selected(e):
             if sel.deg(u) <= 2 and sel.deg(v) <= 2:
                 sel.add(e)
+
+
+def step_to_zero(g: Graph, sel: SubgraphSelection) -> list:
+    """Apply ``find_move`` until the potential's first component is zero,
+    asserting membership and a strictly lower potential after every move;
+    return the moves."""
+    moves = []
+    pot = sel.potential()
+    while pot[0]:
+        moves.append(find_move(g, sel))
+        assert check_membership(g, sel).is_member
+        assert sel.potential() < pot
+        pot = sel.potential()
+    return moves
+
+
+def closure_revisit_state() -> tuple[Graph, SubgraphSelection]:
+    """A member selection whose one isolated edge only the chain closure can
+    fix, and whose closure has conforming ends of both types.
+
+    Type-II origin 0 (isolated complement edge (0,1)) with conforming
+    selected neighbors 2 and 4 and the (2,2) vertex 3, whose partner 5 has
+    selection degree 1.  The closure grows 0 => 2 => 3, and 3 fails its
+    type-II test with the origin as witness.  The p-vertices 6..9 carry
+    three pendant selected edges each.
+    """
+    edges_sel = [(0, 2), (0, 3), (0, 4), (3, 5)]
+    for p, base in ((6, 10), (7, 13), (8, 16), (9, 19)):
+        edges_sel += [(p, base), (p, base + 1), (p, base + 2)]
+    edges_unsel = [(0, 1), (2, 3), (3, 4), (5, 9)]
+    edges_unsel += [(v, p) for v in (2, 4, 5) for p in (6, 7, 8)]
+    g = Graph(22, edges_sel + edges_unsel)
+    return g, SubgraphSelection(g, edges_sel)
 
 
 def exhaust_searches(monkeypatch,

@@ -8,10 +8,11 @@ import time
 
 import networkx as nx
 
-from avdcolor import (Graph, PartitionEngine, avd_color, avd_color_budget,
+from avdcolor import (Graph, avd_color, avd_color_budget,
                       avd_color_regular, avd_subcubic, check_avd, check_proper,
                       check_membership, exact_chi_a, exact_chromatic_index,
-                      complete, cycle, gnp, initial_selection, is_normal,
+                      complete, cycle, find_move, gnp, initial_selection,
+                      is_normal,
                       main_bound, misra_gries, partition_p1, partition_p2,
                       partition_regular, random_regular, regular_bound)
 from helpers import normal_gnp_corpus
@@ -160,13 +161,12 @@ def test_criterion_7_potential_monotonicity():
     runs = 0
     for g in normal_gnp_corpus(100, 40000, 10, 36, 6, 12, p_lo=0.2, p_hi=0.7):
         sel = initial_selection(g)
-        engine = PartitionEngine(g, sel)
-        pots = [sel.potential()]
-        while engine.step() is not None:
+        pot = sel.potential()
+        while pot[0]:
+            find_move(g, sel)
             assert check_membership(g, sel).is_member
-            pots.append(sel.potential())
-        assert all(b < a for a, b in zip(pots, pots[1:]))
-        assert pots[-1][0] == 0
+            assert sel.potential() < pot
+            pot = sel.potential()
         runs += 1
     _report(7, runs == 100,
             f"{runs} instrumented runs strictly decreasing, members throughout")

@@ -4,7 +4,7 @@ import pytest
 
 from avdcolor import complete, cycle, emit_graph, gnp, parse_graph, petersen
 from avdcolor.cli import main
-from helpers import exhaust_searches
+from helpers import closure_revisit_state, exhaust_searches
 
 
 def _write_graph(tmp_path, g, name="g.g6", fmt="graph6"):
@@ -157,10 +157,15 @@ def test_partition_checklist(tmp_path, capsys):
 
 def test_partition_stall_exits_with_counterexample(tmp_path, monkeypatch,
                                                   capsys):
-    from avdcolor import ChainClosure, gnp, partition
-    gpath = _write_graph(tmp_path, gnp(10, 0.5, 1))
-    closure = ChainClosure(frozenset(), frozenset())
-    monkeypatch.setattr(partition, "find_move", lambda g, sel: closure)
+    from avdcolor import SubgraphSelection, partition
+    g, sel = closure_revisit_state()
+    gpath = _write_graph(tmp_path, g)
+    # Start from the revisit state and reject every candidate: the chain
+    # closure saturates.
+    monkeypatch.setattr(partition, "initial_selection",
+                        lambda h, coloring=None:
+                        SubgraphSelection(h, sel.selected))
+    monkeypatch.setattr(partition, "_first_valid", lambda g, sel, cands: None)
     monkeypatch.chdir(tmp_path)
     assert main(["partition", gpath]) == 3
     assert "counterexample report written" in capsys.readouterr().err
@@ -169,8 +174,9 @@ def test_partition_stall_exits_with_counterexample(tmp_path, monkeypatch,
     assert set(data["state"]) == {"edgelist", "selection", "potential",
                                   "v1_set", "v2_set", "unresolved",
                                   "move_log"}
+    assert data["state"]["move_log"] == []
     dumped = parse_graph(data["state"]["edgelist"], "edgelist")
-    assert dumped.edges == gnp(10, 0.5, 1).edges
+    assert dumped.edges == g.edges
 
 
 def test_color_refuted_budget_exits_with_counterexample(tmp_path, monkeypatch,

@@ -6,16 +6,18 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from avdcolor import (EdgePartition, Graph, MoveVariant, NotNormalError, PartitionEngine,
+from avdcolor import (EdgePartition, Graph, NotNormalError,
                       SubgraphSelection, VertexType,
                       check_membership, classify_vertex, complete,
                       cycle, enumerate_chains, find_move, gnp,
                       initial_selection, is_normal, partition_p1,
-                      partition_p2, partition_regular, random_regular)
+                      partition_p2, partition_regular, random_regular,
+                      run_engine)
 from avdcolor import edge_induced, misra_gries, parse_graph
-from avdcolor import ChainClosure, CounterexampleFound, graphs, partition
-from helpers import (dense_normal_graph, normal_gnp_corpus,
-                     recompute_selection_state, scramble_selection)
+from avdcolor import CounterexampleFound, graphs, partition
+from helpers import (closure_revisit_state, dense_normal_graph,
+                     normal_gnp_corpus, recompute_selection_state,
+                     scramble_selection, step_to_zero)
 
 
 # -- membership and typing -----------------------------------------------------
@@ -170,7 +172,6 @@ def test_find_move_drops_low_degree_isolated_edge():
     assert not sel.isolated_unselected
     before = sel.potential()
     move = find_move(g, sel)
-    assert move.variant is MoveVariant.DROP_ISOLATED_H_EDGE
     assert move.remove_set == frozenset({(7, 8)}) and not move.add_set
     assert move.witness == "claim1.drop"
     after = sel.potential()
@@ -187,7 +188,6 @@ def test_find_move_adds_isolated_complement_edge():
     assert set(sel.isolated_unselected) == {(7, 9)}
     before = sel.potential()
     move = find_move(g, sel)
-    assert move.variant is MoveVariant.ADD_HBAR_EDGE
     assert move.add_set == frozenset({(7, 9)}) and not move.remove_set
     assert move.witness == "claim2.add"
     assert sel.potential()[0] == before[0] - 1
@@ -208,7 +208,6 @@ def test_find_move_claim1_witness_add():
     assert check_membership(g, sel).is_member
     # vertex 2: selection degree 1, complement degree 3 -> no shape fits
     move = find_move(g, sel)
-    assert move.variant is MoveVariant.ADD_HBAR_EDGE
     assert move.add_set == frozenset({(0, 2)})
     assert move.witness == "claim1.add"
 
@@ -233,7 +232,6 @@ def test_find_move_claim1_two_edge_add():
     assert check_membership(g, sel).is_member
     assert sel.potential() == (2, 15)
     move = find_move(g, sel)
-    assert move.variant is MoveVariant.ADD_HBAR_EDGE
     assert move.witness == "claim1.add"
     assert move.add_set == frozenset({(0, 2), (2, 7)}) and not move.remove_set
     assert sel.potential() == (0, 17)
@@ -276,7 +274,6 @@ def test_first_valid_skips_rejected_candidates():
     assert _selection_state(g, sel) == before
     move = partition._first_valid(g, sel, iter(cands))
     assert move.witness == "good"
-    assert move.variant is MoveVariant.ADD_HBAR_EDGE
     assert move.add_set == frozenset({(0, 2), (2, 7)})
     assert sel.potential() == (0, 17)
 
@@ -293,7 +290,7 @@ def test_engine_step_applies_its_move_once(monkeypatch):
             return real(self, e)
 
         monkeypatch.setattr(SubgraphSelection, name, counted)
-    move = PartitionEngine(g, sel).step()
+    move = find_move(g, sel)
     assert move.add_set == frozenset({(0, 2), (2, 7)})
     assert calls == {"add": 2}
 
@@ -320,7 +317,6 @@ def test_closure_simple_drop_move():
     assert classify_vertex(g, sel, 0) is VertexType.TYPE_I
     before = sel.potential()
     move = find_move(g, sel)
-    assert move.variant is MoveVariant.DROP_H_EDGE
     assert move.witness == "claims.drop"
     assert move.remove_set == frozenset({(2, 6)}) and not move.add_set
     after = sel.potential()
@@ -346,7 +342,6 @@ def test_closure_chain_swap_move():
     assert check_membership(g, sel).is_member
     before = sel.potential()
     move = find_move(g, sel)
-    assert move.variant is MoveVariant.CHAIN_SWAP
     assert move.witness == "claims.swap"
     assert move.add_set == frozenset({(0, 2)})
     assert move.remove_set == frozenset({(2, 6)})
@@ -363,30 +358,14 @@ def test_closure_swap_cleanup_move():
     assert check_membership(g, sel).is_member
     assert sel.potential() == (1, 15)
     move = find_move(g, sel)
-    assert move.variant is MoveVariant.CHAIN_SWAP
     assert move.witness == "claims.swap-cleanup"
     assert move.add_set == frozenset({(0, 2)})
     assert move.remove_set == frozenset({(2, 6), (6, 25)})
     assert sel.potential() == (0, 14)
 
 
-def _closure_revisit_state():
-    # Type-II origin 0 (isolated complement edge (0,1)) with conforming
-    # selected neighbors 2 and 4 and the (2,2) vertex 3, whose partner 5 has
-    # selection degree 1.  The closure grows 0 => 2 => 3, and 3 fails its
-    # type-II test with the origin as witness.  The p-vertices 6..9 carry
-    # three pendant selected edges each.
-    edges_sel = [(0, 2), (0, 3), (0, 4), (3, 5)]
-    for p, base in ((6, 10), (7, 13), (8, 16), (9, 19)):
-        edges_sel += [(p, base), (p, base + 1), (p, base + 2)]
-    edges_unsel = [(0, 1), (2, 3), (3, 4), (5, 9)]
-    edges_unsel += [(v, p) for v in (2, 4, 5) for p in (6, 7, 8)]
-    g = Graph(22, edges_sel + edges_unsel)
-    return g, SubgraphSelection(g, edges_sel)
-
-
 def test_closure_revisit_rejected_at_depth_two(monkeypatch):
-    g, sel = _closure_revisit_state()
+    g, sel = closure_revisit_state()
     assert g.max_degree == 6
     assert check_membership(g, sel).is_member
     assert classify_vertex(g, sel, 0) is VertexType.TYPE_II
@@ -406,7 +385,6 @@ def test_closure_revisit_rejected_at_depth_two(monkeypatch):
     # selected edge, so it is never offered: the first and only candidate
     # tried is the drop at the depth-two end 6, which fails type II.
     assert evaluated == [(frozenset(), frozenset({(6, 10)}), True, (1, 15))]
-    assert move.variant is MoveVariant.DROP_H_EDGE
     assert move.witness == "claims.drop"
     assert move.remove_set == frozenset({(6, 10)}) and not move.add_set
 
@@ -436,7 +414,6 @@ def test_closure_inverse_swap_move():
     assert not sel.isolated_selected
     before = sel.potential()
     move = find_move(g, sel)
-    assert move.variant is MoveVariant.CHAIN_SWAP
     assert move.witness == "claims.iswap"
     assert move.add_set == frozenset({(2, 7)})
     assert move.remove_set == frozenset({(0, 2)})
@@ -460,7 +437,6 @@ def test_closure_inverse_swap_two_edge_move():
     assert classify_vertex(g, sel, 2) is VertexType.NEITHER
     assert sel.potential() == (1, 10)
     move = find_move(g, sel)
-    assert move.variant is MoveVariant.CHAIN_SWAP
     assert move.witness == "claims.iswap"
     assert move.add_set == frozenset({(2, 7), (7, 17)})
     assert move.remove_set == frozenset({(0, 2)})
@@ -585,8 +561,9 @@ def test_partition_p2_colors_each_edge_about_once(monkeypatch):
 
 def test_partition_p1_rejects_peel_over_degree_bound(monkeypatch):
     # Checked from the selection's degree counts, independently of the engine.
-    monkeypatch.setattr(PartitionEngine, "run",
-                        lambda self: SubgraphSelection(self.g, self.g.edges))
+    # Every edge selected: potential zero, so the engine makes no move.
+    monkeypatch.setattr(partition, "initial_selection",
+                        lambda g, coloring=None: SubgraphSelection(g, g.edges))
     with pytest.raises(AssertionError, match="degree bounds"):
         partition_p1(complete(7))
 
@@ -594,7 +571,10 @@ def test_partition_p1_rejects_peel_over_degree_bound(monkeypatch):
 def test_partition_p1_rejects_peel_with_isolated_edge(monkeypatch):
     # The selected edge (7,8) is isolated while every degree bound holds.
     g, sel = _k7_plus([(7, 8), (8, 9), (9, 10)], 4, [(7, 8)])
-    monkeypatch.setattr(PartitionEngine, "run", lambda self: sel)
+    monkeypatch.setattr(partition, "initial_selection",
+                        lambda g, coloring=None: sel)
+    monkeypatch.setattr(partition, "run_engine",
+                        lambda g, sel, trace=None: [])
     with pytest.raises(AssertionError, match="isolated edge"):
         partition_p1(g)
 
@@ -636,13 +616,7 @@ def test_engine_steps_decrease_potential_and_keep_membership():
     for g in normal_gnp_corpus(8, 1500, 10, 24, 6, 11, p_lo=0.3, p_hi=0.8):
         sel = initial_selection(g)
         scramble_selection(g, sel, rng, 2 * g.edge_count)
-        engine = PartitionEngine(g, sel)
-        pots = [sel.potential()]
-        while engine.step() is not None:
-            assert check_membership(g, sel).is_member
-            pots.append(sel.potential())
-        assert all(b < a for a, b in zip(pots, pots[1:]))
-        assert pots[-1][0] == 0
+        step_to_zero(g, sel)
 
 
 @st.composite
@@ -661,13 +635,7 @@ def _scrambled_selections(draw):
 @given(_scrambled_selections())
 def test_engine_from_scrambled_selections(case):
     g, sel = case
-    engine = PartitionEngine(g, sel)
-    pot = sel.potential()
-    while engine.step() is not None:
-        assert check_membership(g, sel).is_member
-        assert sel.potential() < pot
-        pot = sel.potential()
-    assert pot[0] == 0
+    step_to_zero(g, sel)
     assert all(sel.deg(v) <= 3 and sel.codeg(v) <= g.max_degree - 2
                for v in g.vertices)
     assert is_normal(edge_induced(g, sel.selected))
@@ -683,31 +651,54 @@ def test_engine_reaches_closure_moves_from_scrambled_selections():
         g = dense_normal_graph(rng)
         sel = initial_selection(g)
         scramble_selection(g, sel, rng, steps)
-        engine = PartitionEngine(g, sel)
-        pot = sel.potential()
-        while engine.step() is not None:
-            assert check_membership(g, sel).is_member
-            assert sel.potential() < pot
-            pot = sel.potential()
-        assert pot[0] == 0
-        tags.update(e["witness"] for e in engine.move_log)
+        tags.update(move.witness for move in step_to_zero(g, sel))
     assert {"claims.drop", "claims.iswap", "claims.swap"} <= tags
 
 
 def test_engine_stall_raises_counterexample(monkeypatch):
-    g = gnp(10, 0.5, 1)  # initial selection has positive potential
-    assert initial_selection(g).potential()[0] > 0
-    closure = ChainClosure(frozenset({0}), frozenset({1}), (2,))
-    monkeypatch.setattr(partition, "find_move", lambda g, sel: closure)
+    # With every candidate rejected, the closure from the revisit state's
+    # type-II origin saturates: its conforming ends are 0 (type II) and
+    # 2, 4, 5 (type I), and 3 and the p-vertices 6..9 stay unresolved.
+    g, sel = closure_revisit_state()
+    monkeypatch.setattr(partition, "initial_selection",
+                        lambda g, coloring=None: sel)
+    monkeypatch.setattr(partition, "_first_valid", lambda g, sel, cands: None)
     with pytest.raises(CounterexampleFound) as info:
         partition_p1(g)
+    assert "chain closure saturated" in str(info.value)
     payload = info.value.payload
     assert set(payload) == {"edgelist", "selection", "potential", "v1_set",
                             "v2_set", "unresolved", "move_log"}
     assert parse_graph(payload["edgelist"], "edgelist").edges == g.edges
-    assert payload["potential"][0] > 0
-    assert (payload["v1_set"], payload["v2_set"]) == ([0], [1])
-    assert payload["unresolved"] == [2] and payload["move_log"] == []
+    assert payload["potential"] == [1, 16]
+    assert payload["selection"] == sorted(sel.selected)
+    assert (payload["v1_set"], payload["v2_set"]) == ([2, 4, 5], [0])
+    assert payload["unresolved"] == [3, 6, 7, 8, 9]
+    assert payload["move_log"] == []
+
+
+def test_engine_counterexample_carries_move_log(monkeypatch):
+    # Any impossibility find_move reports leaves run_engine with the moves
+    # applied before it.  This walk needs three moves (claim1.drop,
+    # claim1.add, claim1.drop); the stub makes the third a stall.
+    g, = normal_gnp_corpus(1, 55, 20, 40, 6, 12, p_lo=0.12, p_hi=0.25)
+    sel = initial_selection(g)
+    scramble_selection(g, sel, random.Random(39), 2 * g.edge_count)
+    real, moves = partition.find_move, []
+
+    def stall_after_two(g, sel):
+        if len(moves) == 2:
+            raise partition._counterexample("stalled", g, sel)
+        moves.append(real(g, sel))
+        return moves[-1]
+
+    monkeypatch.setattr(partition, "find_move", stall_after_two)
+    with pytest.raises(CounterexampleFound) as info:
+        run_engine(g, sel)
+    log = info.value.payload["move_log"]
+    assert len(log) == 2
+    assert [e["witness"] for e in log] == [m.witness for m in moves]
+    assert info.value.payload["potential"] == log[-1]["potential_after"]
 
 
 def test_stall_below_the_first_level_dumps_its_graph(monkeypatch):
@@ -724,7 +715,7 @@ def test_stall_below_the_first_level_dumps_its_graph(monkeypatch):
     def stall_at_level_four(h, sel):
         if len(levels) == 4:
             stalled.append(h)
-            return ChainClosure(frozenset(), frozenset())
+            raise partition._counterexample("stalled", h, sel)
         return find_move(h, sel)
 
     monkeypatch.setattr(partition, "partition_p1", counted)
@@ -740,13 +731,34 @@ def test_stall_below_the_first_level_dumps_its_graph(monkeypatch):
 def test_engine_trace_entries():
     g, sel = _k7_plus([(7, 8), (8, 9)], 3, [(7, 8)])
     entries = []
-    engine = PartitionEngine(g, sel, trace=entries.append)
-    engine.run()
-    assert entries and entries == engine.move_log
+    log = run_engine(g, sel, trace=entries.append)
+    assert entries and entries == log
     first = entries[0]
-    assert set(first) == {"variant", "witness", "add", "remove",
+    assert set(first) == {"witness", "add", "remove",
                           "potential_before", "potential_after"}
     assert first["potential_after"] < first["potential_before"]
+
+
+def test_partition_p1_trace_replays_to_its_selection():
+    # The trace is a faithful log: replaying its edges on a fresh initial
+    # selection reproduces every recorded potential and the selection side.
+    tags = Counter()
+    for g in normal_gnp_corpus(12, 300, 16, 40, 6, 12, p_lo=0.12, p_hi=0.3):
+        entries = []
+        part = partition_p1(g, trace=entries.append)
+        sel = initial_selection(g)
+        for entry in entries:
+            assert set(entry) == {"witness", "add", "remove",
+                                  "potential_before", "potential_after"}
+            assert list(sel.potential()) == entry["potential_before"]
+            for e in entry["add"]:
+                sel.add(e)
+            for e in entry["remove"]:
+                sel.remove(e)
+            assert list(sel.potential()) == entry["potential_after"]
+        assert sel.selected == part.parts[0]
+        tags.update(entry["witness"] for entry in entries)
+    assert {"claim1.drop", "claim2.add", "claim2.drop"} <= set(tags)
 
 
 def _sha256(obj) -> str:
@@ -765,10 +777,8 @@ def test_engine_outputs_golden():
         for _ in range(3):
             sel = initial_selection(g)
             scramble_selection(g, sel, rng, 2 * g.edge_count)
-            engine = PartitionEngine(g, sel)
-            engine.run()
             logs.append([[e["witness"], e["add"], e["remove"]]
-                         for e in engine.move_log])
+                         for e in run_engine(g, sel)])
     tags = Counter(entry[0] for log in logs for entry in log)
     assert tags == {"claim1.drop": 8, "claim1.add": 1, "claim2.add": 2,
                     "claim2.drop": 2}
