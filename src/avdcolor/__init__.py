@@ -22,7 +22,8 @@ from .partition import (Chain, MembershipReport, Move, VertexType,
                         find_move, initial_selection, partition_p1,
                         partition_p2, partition_regular, run_engine)
 from .verify import (AuditReport, audit, check_avd, check_certificate,
-                     check_proper, exact_chi_a, exact_chromatic_index)
+                     check_partition, check_proper, exact_chi_a,
+                     exact_chromatic_index)
 from .vizing import EdgeColoring, color_classes, make_coloring, misra_gries
 
 __all__ = [
@@ -33,7 +34,8 @@ __all__ = [
     "Move", "NotNormalError", "SearchCapExceededError", "SubgraphSelection",
     "VertexType", "audit", "avd_color", "avd_color_budget",
     "avd_color_regular", "avd_subcubic", "canon_edge", "check_avd",
-    "check_certificate", "check_membership", "check_proper",
+    "check_certificate", "check_membership", "check_partition",
+    "check_proper",
     "classify_vertex", "color_classes", "complete",
     "compose", "cycle", "edge_induced",
     "emit_graph", "enumerate_chains", "exact_chi_a", "exact_chromatic_index",

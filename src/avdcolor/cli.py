@@ -53,18 +53,6 @@ def _write_out(args, data: bytes) -> None:
         sys.stdout.buffer.flush()
 
 
-def _open_trace(args):
-    if getattr(args, "trace", None):
-        handle = open(args.trace, "w", encoding="ascii")
-
-        def sink(entry: dict) -> None:
-            handle.write(json.dumps(entry, sort_keys=True,
-                                    separators=(",", ":")) + "\n")
-
-        return handle, sink
-    return None, None
-
-
 def _dump_state(args, exc: StateDumpError, kind: str, code: int) -> int:
     stem = Path(args.out).with_suffix("") if getattr(args, "out", None) \
         else Path("avdcolor")
@@ -78,13 +66,7 @@ def _dump_state(args, exc: StateDumpError, kind: str, code: int) -> int:
 
 
 def _cmd_color(args) -> int:
-    g = _read_graph(args.input, args.format)
-    handle, sink = _open_trace(args)
-    try:
-        cert = avd.avd_color(g, trace=sink)
-    finally:
-        if handle:
-            handle.close()
+    cert = avd.avd_color(_read_graph(args.input, args.format))
     if args.out:
         _write_out(args, _json_bytes(avd.certificate_to_dict(cert)))
     print(f"colors={cert.colors_used} bound={cert.bound_claimed}")
@@ -99,42 +81,27 @@ def _cmd_color_regular(args) -> int:
     return 0
 
 
-def _partition_checklist(g: Graph, parts) -> dict:
-    graphs = parts.part_graphs()
-    k_bound = max(g.max_degree // 2 - 2, 0)
-    return {
-        "parts": len(parts),
-        "k": parts.k,
-        "k_within_bound": parts.k <= k_bound,
-        "g0_max_degree": graphs[0].max_degree,
-        "g0_bounded": graphs[0].max_degree <= 5,
-        "later_parts_subcubic": all(p.max_degree <= 3 for p in graphs[1:]),
-        "all_parts_normal": all(is_normal(p) for p in graphs),
-    }
-
-
-def _write_partition(args, g: Graph, parts, checklist: dict) -> None:
+def _write_partition(args, g: Graph, parts, **checks) -> None:
     _write_out(args, _json_bytes({
         "type": "edge-partition",
         "vertex_count": g.n,
         "parts": [[list(e) for e in sorted(p)] for p in parts],
-        "checklist": checklist,
+        **checks,
     }))
 
 
 def _cmd_partition(args) -> int:
     g = _read_graph(args.input, args.format)
-    handle, sink = _open_trace(args)
-    try:
-        parts = partition_p2(g, trace=sink)
-    finally:
-        if handle:
-            handle.close()
-    checklist = _partition_checklist(g, parts)
-    _write_partition(args, g, parts, checklist)
-    ok = (checklist["k_within_bound"] and checklist["g0_bounded"]
-          and checklist["later_parts_subcubic"]
-          and checklist["all_parts_normal"])
+    if args.trace:
+        with open(args.trace, "w", encoding="ascii") as handle:
+            parts = partition_p2(g, trace=lambda entry: handle.write(
+                json.dumps(entry, sort_keys=True, separators=(",", ":"))
+                + "\n"))
+    else:
+        parts = partition_p2(g)
+    rows = verify.check_partition(g, parts.parts)
+    _write_partition(args, g, parts, checks=[list(row) for row in rows])
+    ok = all(ok for _, ok, _ in rows)
     print(f"parts={len(parts)} k={parts.k} checks="
           + ("pass" if ok else "fail"))
     return 0 if ok else CHECK_EXIT
@@ -149,7 +116,7 @@ def _cmd_partition_regular(args) -> int:
         "max_degrees": [p.max_degree for p in graphs],
         "all_parts_normal": all(is_normal(p) for p in graphs),
     }
-    _write_partition(args, g, parts, checklist)
+    _write_partition(args, g, parts, checklist=checklist)
     ok = checklist["all_parts_normal"]
     print(f"parts={len(parts)} checks=" + ("pass" if ok else "fail"))
     return 0 if ok else CHECK_EXIT
@@ -230,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("color", help="AVD-color a normal graph")
     add_common(p)
-    p.add_argument("--trace", help="stream partition move log to this path")
     p.set_defaults(func=_cmd_color)
 
     p = sub.add_parser("color-regular", help="AVD-color a regular graph")

@@ -472,7 +472,7 @@ def _color_parts(g: Graph, partition: EdgePartition) -> AvdCertificate:
                     for part in partition.part_graphs()], host=g)
 
 
-def avd_color(g: Graph, trace=None) -> AvdCertificate:
+def avd_color(g: Graph) -> AvdCertificate:
     """Certificate with at most floor(5 (Delta + 2) / 2) colors.
 
     Two routes.  Up to max degree 5 the whole graph is one bounded part:
@@ -488,7 +488,7 @@ def avd_color(g: Graph, trace=None) -> AvdCertificate:
     bound = main_bound(g.max_degree)
     if g.max_degree <= 5:
         return _color_bounded_part(g).with_bound(bound)
-    return _color_parts(g, partition_p2(g, trace=trace)).with_bound(bound)
+    return _color_parts(g, partition_p2(g)).with_bound(bound)
 
 
 def avd_color_regular(g: Graph) -> AvdCertificate:

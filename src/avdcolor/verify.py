@@ -39,12 +39,15 @@ def check_avd(g: Graph, coloring: EdgeColoring):
     ok, detail = check_proper(g, coloring)
     if not ok:
         raise ValueError(f"input coloring is not proper: {detail}")
-    return _distinguishing(g, coloring)
+    return _distinguishing(g, _color_sets(g, coloring))
 
 
-def _distinguishing(g: Graph, coloring: EdgeColoring):
-    """``check_avd`` for a coloring its caller has already found proper."""
-    sets = {v: coloring.colors_at(v) for v in g.vertices}
+def _color_sets(g: Graph, coloring: EdgeColoring) -> dict:
+    return {v: coloring.colors_at(v) for v in g.vertices}
+
+
+def _distinguishing(g: Graph, sets: dict):
+    """``check_avd`` on the color sets of a coloring already found proper."""
     for u, v in g.sorted_edges():
         if sets[u] == sets[v]:
             return False, (u, v, sets[u])
@@ -62,8 +65,9 @@ def check_certificate(g: Graph, cert) -> list[tuple[str, bool, object]]:
     rows = []
     ok, detail = check_proper(g, cert.coloring)
     rows.append(("proper", ok, detail))
+    sets = _color_sets(g, cert.coloring)
     if ok:
-        avd_ok, avd_detail = _distinguishing(g, cert.coloring)
+        avd_ok, avd_detail = _distinguishing(g, sets)
     else:
         avd_ok, avd_detail = False, "skipped (not proper)"
     rows.append(("adjacent-vertex-distinguishing", avd_ok, avd_detail))
@@ -74,9 +78,45 @@ def check_certificate(g: Graph, cert) -> list[tuple[str, bool, object]]:
     expected = {(u, v) for u, v in g.edges if g.degree(u) == g.degree(v)}
     # Pairs first: a pair off the graph has no color sets to compare.
     wit_ok = set(cert.per_edge_witness) == expected and all(
-        (c in cert.coloring.colors_at(u)) != (c in cert.coloring.colors_at(v))
+        (c in sets[u]) != (c in sets[v])
         for (u, v), c in cert.per_edge_witness.items())
     rows.append(("witnesses cover equal-degree pairs", wit_ok, ""))
+    return rows
+
+
+def check_partition(g: Graph, parts) -> list[tuple[str, bool, str]]:
+    """Check an edge partition as ``partition_p2`` builds it: one row per check.
+
+    The parts must cover the edges of ``g`` disjointly, G_0 must have max
+    degree at most 5, the later parts at most 3, every part must be normal,
+    and k (the index of the last part) at most floor(Delta/2) - 2.  For
+    Delta >= 6 the last part is the peel H of the first two-part split and
+    the other parts together are its complement.
+    """
+    delta = g.max_degree
+    union = frozenset().union(*parts)
+    covered = (all(parts) and union == g.edges
+               and sum(map(len, parts)) == len(union))
+    rows = [("parts partition the edge set", covered, f"{len(parts)} parts")]
+    if not covered:
+        return rows
+    graphs = [edge_induced(g, p) for p in parts]
+    if delta >= 6:
+        h, hbar = graphs[-1], edge_induced(g, union - parts[-1])
+        rows.append(("partition: selection side max degree <= 3",
+                     h.max_degree <= 3, f"max {h.max_degree}"))
+        rows.append((f"partition: complement max degree <= {delta - 2}",
+                     hbar.max_degree <= delta - 2, f"max {hbar.max_degree}"))
+        rows.append(("partition: both sides normal",
+                     is_normal(h) and is_normal(hbar), ""))
+    k = len(parts) - 1
+    k_bound = max(delta // 2 - 2, 0)
+    rows.append((f"recursion depth k = {k} <= {k_bound}", k <= k_bound, ""))
+    rows.append(("G0 max degree <= 5", graphs[0].max_degree <= 5,
+                 f"max {graphs[0].max_degree}"))
+    rows.append(("later parts subcubic",
+                 all(p.max_degree <= 3 for p in graphs[1:]), ""))
+    rows.append(("all parts normal", all(is_normal(p) for p in graphs), ""))
     return rows
 
 
@@ -231,46 +271,17 @@ class AuditReport:
         }
 
 
-def _partition_rows(g: Graph, parts) -> list[tuple[str, bool, str]]:
-    """Rows for the edge sets a certificate was composed from, Delta >= 4.
-
-    For Delta >= 6 the last part is the peel H of the first two-part split
-    and the other parts together are its complement.
-    """
-    delta = g.max_degree
-    union = frozenset().union(*parts)
-    covered = (all(parts) and union == g.edges
-               and sum(map(len, parts)) == len(union))
-    rows = [("parts partition the edge set", covered, f"{len(parts)} parts")]
-    if not covered:
-        return rows
-    graphs = [edge_induced(g, p) for p in parts]
-    if delta >= 6:
-        h, hbar = graphs[-1], edge_induced(g, union - parts[-1])
-        rows.append(("partition: selection side max degree <= 3",
-                     h.max_degree <= 3, f"max {h.max_degree}"))
-        rows.append((f"partition: complement max degree <= {delta - 2}",
-                     hbar.max_degree <= delta - 2, f"max {hbar.max_degree}"))
-        rows.append(("partition: both sides normal",
-                     is_normal(h) and is_normal(hbar), ""))
-    k = len(parts) - 1
-    k_bound = max(delta // 2 - 2, 0)
-    rows.append((f"recursion depth k = {k} <= {k_bound}", k <= k_bound, ""))
-    rows.append(("G0 max degree <= 5", graphs[0].max_degree <= 5,
-                 f"max {graphs[0].max_degree}"))
-    rows.append(("later parts subcubic",
-                 all(p.max_degree <= 3 for p in graphs[1:]), ""))
-    rows.append(("all parts normal", all(is_normal(p) for p in graphs), ""))
-    return rows
-
-
 def audit(g: Graph, oracle_edge_cap: int = ORACLE_EDGE_CAP) -> AuditReport:
     """Run the pipeline once on ``g`` and independently check every claim.
 
-    The partition rows check the parts the certificate was composed from
-    (``cert.parts``), so ``avd_color`` is the only partitioning run.  For a
-    regular graph of degree at most ``REGULAR_ROUTE_MAX`` the regular row
-    checks that same coloring, which is ``avd_color_regular``'s too.  A
+    The certificate rows are ``check_certificate``'s, prefixed "avd
+    certificate".  The partition rows are ``check_partition``'s on the parts
+    the certificate was composed from (``cert.parts``), so ``avd_color`` is
+    the only partitioning run.  The regular row passes iff every
+    ``check_certificate`` row of the regular driver's certificate passes
+    and it is within the regular bound.  For a regular graph of degree at
+    most ``REGULAR_ROUTE_MAX`` that certificate is ``avd_color``'s
+    coloring, which is ``avd_color_regular``'s too.  A
     driver that spends its node budget fails its row: "avd coloring
     produced" for ``avd_color``, the regular driver row for
     ``avd_color_regular``.
@@ -303,13 +314,8 @@ def audit(g: Graph, oracle_edge_cap: int = ORACLE_EDGE_CAP) -> AuditReport:
     except (CounterexampleFound, SearchCapExceededError) as exc:
         rows.append(("avd coloring produced", False, str(exc)))
         return report
-    ok, detail = check_proper(g, cert.coloring)
-    rows.append(("avd certificate proper", ok, str(detail or "")))
-    if ok:
-        ok, detail = _distinguishing(g, cert.coloring)
-    else:
-        ok, detail = False, "skipped (not proper)"
-    rows.append(("avd certificate distinguishing", ok, str(detail or "")))
+    rows.extend((f"avd certificate {name}", ok, str(detail or ""))
+                for name, ok, detail in check_certificate(g, cert))
     bound = avd.main_bound(delta)
     rows.append((f"avd colors within floor(5(D+2)/2) = {bound}",
                  cert.colors_used <= bound, f"used {cert.colors_used}"))
@@ -317,7 +323,7 @@ def audit(g: Graph, oracle_edge_cap: int = ORACLE_EDGE_CAP) -> AuditReport:
     report.bound_table["avd_colors_used"] = cert.colors_used
 
     if delta >= 4:
-        rows.extend(_partition_rows(g, cert.parts))
+        rows.extend(check_partition(g, cert.parts))
 
     if g.is_regular() and delta >= 2:
         rbound = avd.regular_bound(delta)
@@ -329,7 +335,7 @@ def audit(g: Graph, oracle_edge_cap: int = ORACLE_EDGE_CAP) -> AuditReport:
         except SearchCapExceededError as exc:
             rows.append((name, False, str(exc)))
         else:
-            ok, _ = check_avd(g, rcert.coloring)
+            ok = all(ok for _, ok, _ in check_certificate(g, rcert))
             rows.append((name, ok and rcert.colors_used <= rbound,
                          f"used {rcert.colors_used}"))
         report.bound_table["regular_bound"] = rbound

@@ -145,14 +145,33 @@ def test_partition_checklist(tmp_path, capsys):
     summary = capsys.readouterr().out
     assert "checks=pass" in summary
     data = json.loads(out.read_text())
-    assert data["checklist"]["k_within_bound"]
-    assert data["checklist"]["g0_bounded"]
+    rows = {name: ok for name, ok, _ in data["checks"]}
+    assert all(rows.values())
+    assert {"parts partition the edge set", "G0 max degree <= 5",
+            "partition: selection side max degree <= 3",
+            "partition: complement max degree <= 6",
+            "partition: both sides normal"} <= set(rows)
+    assert any(name.startswith("recursion depth k = ") for name in rows)
     covered = {tuple(e) for part in data["parts"] for e in part}
     assert covered == {tuple(e) for e in map(sorted, g.edges)}
     assert trace.read_text()
     for line in trace.read_text().splitlines():
         entry = json.loads(line)
         assert entry["potential_after"] < entry["potential_before"]
+
+
+def test_partition_exits_1_on_a_failing_row(tmp_path, monkeypatch, capsys):
+    from avdcolor import EdgePartition, cli
+    g = gnp(10, 0.5, 1)
+    monkeypatch.setattr(cli, "partition_p2",
+                        lambda g, trace=None: EdgePartition(g, [g.edges]))
+    out = tmp_path / "parts.json"
+    assert main(["partition", _write_graph(tmp_path, g),
+                 "--out", str(out)]) == 1
+    assert "checks=fail" in capsys.readouterr().out
+    failed = {name for name, ok, _ in json.loads(out.read_text())["checks"]
+              if not ok}
+    assert "G0 max degree <= 5" in failed
 
 
 def test_partition_stall_exits_with_counterexample(tmp_path, monkeypatch,
@@ -252,9 +271,9 @@ def test_audit_dir_goes_on_after_a_spent_regular_driver(tmp_path, monkeypatch,
     real_color = coloring.avd_color
     calls = exhaust_searches(monkeypatch, armed=armed)
 
-    def color_then_arm(g, trace=None):
+    def color_then_arm(g):
         armed.clear()
-        cert = real_color(g, trace)
+        cert = real_color(g)
         armed.append(True)
         return cert
 
@@ -267,7 +286,7 @@ def test_audit_dir_goes_on_after_a_spent_regular_driver(tmp_path, monkeypatch,
     out = capsys.readouterr().out
     first, second = out.split("== ")[1:]
     assert "FAIL regular driver within floor((5r+37)/3) = 20" in first
-    assert "PASS avd certificate distinguishing" in first
+    assert "PASS avd certificate adjacent-vertex-distinguishing" in first
     assert "overall: FAIL" in first
     assert "overall: PASS" in second
     assert calls

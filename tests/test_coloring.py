@@ -246,8 +246,9 @@ def _golden_cases():
     yield "graph0", avd_color(Graph(0))
     for n in range(3, 9):
         yield f"cycle({n})", avd_color(cycle(n))
-    # Seeds 7 and 21 run an exact budget-4 search into the ladder's node
-    # cap; their budget-4 repair colors them with 4 colors before it runs.
+    # Seeds 7 and 21 never reach the exact budget-4 search: their budget-4
+    # repair colors them with 4 colors.  The search alone would run into
+    # the ladder's node cap.
     for n, r, s in ((32, 3, 7), (32, 3, 21), (24, 4, 1), (24, 4, 2),
                     (24, 4, 3), (20, 5, 1), (30, 5, 2)):
         yield f"random_regular({n},{r},{s})", avd_color(random_regular(n, r, s))
@@ -266,6 +267,26 @@ def test_search_outputs_golden():
     digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
     assert digest == (
         "91347d5233b916ac71c6fcf4497bee23ca30fd1ff2e541a01d127a9a9285e42d")
+
+
+def test_subcubic_budget_four_exact_rung_lowers_the_palette(monkeypatch):
+    # The budget-4 repair fails on this cubic graph, so without the exact
+    # budget-4 rung the ladder would end at the guaranteed budget 5.
+    g = random_regular(12, 3, 1553714997)
+    assert coloring._repair(g, 4, misra_gries(g)) is None
+    found = []
+    search = coloring.avd_color_budget
+
+    def spy(graph, budget, **kw):
+        cert = search(graph, budget, **kw)
+        found.append((budget, cert is not None))
+        return cert
+
+    monkeypatch.setattr(coloring, "avd_color_budget", spy)
+    cert = avd_color(g)
+    assert cert.colors_used == 4
+    assert found == [(3, False), (4, True)]
+    assert all(ok for _, ok, _ in check_certificate(g, cert))
 
 
 def test_long_cycles_color_without_recursion():

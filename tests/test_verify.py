@@ -218,8 +218,8 @@ def test_audit_colors_a_low_degree_regular_graph_once(monkeypatch):
 def _audit_with_parts(monkeypatch, g, make_parts):
     real = coloring.avd_color
 
-    def swapped(graph, trace=None):
-        cert = real(graph, trace=trace)
+    def swapped(graph):
+        cert = real(graph)
         return dataclasses.replace(cert, parts=make_parts(cert.parts))
 
     monkeypatch.setattr(coloring, "avd_color", swapped)
@@ -236,11 +236,13 @@ def test_audit_rejects_overlapping_parts(monkeypatch):
     assert failed == ["parts partition the edge set"]
 
 
-def test_audit_reports_improper_certificate(monkeypatch):
+def _clash_first_pair(monkeypatch):
+    # avd_color's certificate, with its first edge recolored to the color
+    # of the incident second edge.
     real = coloring.avd_color
 
-    def clashing(graph, trace=None):
-        cert = real(graph, trace=trace)
+    def clashing(graph):
+        cert = real(graph)
         (e, _), (f, c) = sorted(cert.coloring.assignment.items())[:2]
         assert set(e) & set(f)  # incident edges, now sharing color c
         assignment = dict(cert.coloring.assignment)
@@ -249,11 +251,34 @@ def test_audit_reports_improper_certificate(monkeypatch):
             cert, coloring=make_coloring(graph, assignment))
 
     monkeypatch.setattr(coloring, "avd_color", clashing)
+
+
+def test_audit_reports_improper_certificate(monkeypatch):
+    _clash_first_pair(monkeypatch)
     report = audit(complete(7))
     assert not report.overall_pass
     failed = {name: detail for name, ok, detail in report.checks if not ok}
     assert "avd certificate proper" in failed
-    assert failed["avd certificate distinguishing"] == "skipped (not proper)"
+    assert (failed["avd certificate adjacent-vertex-distinguishing"]
+            == "skipped (not proper)")
+
+
+@pytest.mark.parametrize("g", [petersen(), cycle(6)], ids=["cubic", "cycle"])
+def test_audit_fails_an_improper_regular_certificate(monkeypatch, tmp_path,
+                                                     capsys, g):
+    # Up to REGULAR_ROUTE_MAX the regular row checks avd_color's certificate
+    # too, so it must report the improper coloring rather than raise.
+    _clash_first_pair(monkeypatch)
+    report = audit(g)
+    assert not report.overall_pass
+    failed = {name for name, ok, _ in report.checks if not ok}
+    assert "avd certificate proper" in failed
+    rbound = coloring.regular_bound(g.max_degree)
+    assert f"regular driver within floor((5r+37)/3) = {rbound}" in failed
+    path = tmp_path / "g.g6"
+    path.write_bytes(emit_graph(g, "graph6"))
+    assert main(["audit", str(path)]) == 1
+    assert "overall: FAIL" in capsys.readouterr().out
 
 
 def test_audit_rejects_unbounded_g0(monkeypatch):
