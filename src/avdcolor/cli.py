@@ -66,15 +66,7 @@ def _dump_state(args, exc: StateDumpError, kind: str, code: int) -> int:
 
 
 def _cmd_color(args) -> int:
-    cert = avd.avd_color(_read_graph(args.input, args.format))
-    if args.out:
-        _write_out(args, _json_bytes(avd.certificate_to_dict(cert)))
-    print(f"colors={cert.colors_used} bound={cert.bound_claimed}")
-    return 0
-
-
-def _cmd_color_regular(args) -> int:
-    cert = avd.avd_color_regular(_read_graph(args.input, args.format))
+    cert = args.driver(_read_graph(args.input, args.format))
     if args.out:
         _write_out(args, _json_bytes(avd.certificate_to_dict(cert)))
     print(f"colors={cert.colors_used} bound={cert.bound_claimed}")
@@ -197,11 +189,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("color", help="AVD-color a normal graph")
     add_common(p)
-    p.set_defaults(func=_cmd_color)
+    p.set_defaults(func=_cmd_color, driver=avd.avd_color)
 
     p = sub.add_parser("color-regular", help="AVD-color a regular graph")
     add_common(p)
-    p.set_defaults(func=_cmd_color_regular)
+    p.set_defaults(func=_cmd_color, driver=avd.avd_color_regular)
 
     p = sub.add_parser("partition", help="recursive bounded-degree partition")
     add_common(p)

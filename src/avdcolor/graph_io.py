@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import re
+
 from .errors import GraphFormatError
 from .graphs import Graph
 
 FORMATS = ("graph6", "dimacs", "edgelist")
 
 _G6_HEADER = ">>graph6<<"
+# graph6 stores each 6-bit value plus 63, as a printable byte '?'..'~'.
+_ADD_63 = bytes((b + 63) % 256 for b in range(256))
+_SUB_63 = bytes((b - 63) % 256 for b in range(256))
+# Positions of the set bits of a 6-bit value, high bit first.
+_SET_BITS = [[r for r in range(6) if b & (32 >> r)] for b in range(64)]
 
 # Largest vertex count graph6 can describe (its 4-byte size header).  Every
 # format rejects more, so any parsed graph can be dumped as graph6.
@@ -42,27 +49,23 @@ def emit_graph(g: Graph, fmt: str) -> bytes:
 
 
 def sniff_format(text: bytes | str) -> str:
-    """Best-effort format detection for CLI convenience."""
+    """Best-effort format guess from the first non-blank line, for the CLI."""
     if isinstance(text, bytes):
         text = text.decode("ascii", errors="replace")
-    stripped = text.lstrip()
-    if stripped.startswith(_G6_HEADER):
+    lines = text.lstrip().splitlines()
+    if not lines:
+        return "edgelist"
+    line = lines[0].rstrip()
+    if line.startswith(_G6_HEADER):
         return "graph6"
-    for line in stripped.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith(("c ", "c\t", "p ")) or line == "c":
-            return "dimacs"
-        if line.startswith("e "):
-            return "dimacs"
-        if line.startswith("#"):
-            return "edgelist"
-        toks = line.split()
-        if len(toks) == 2 and all(t.isdigit() for t in toks):
-            return "edgelist"
-        return "graph6"
-    return "edgelist"
+    if line.startswith(("c ", "c\t", "p ", "e ")) or line == "c":
+        return "dimacs"
+    if line.startswith("#"):
+        return "edgelist"
+    toks = line.split()
+    if len(toks) == 2 and all(t.isdigit() for t in toks):
+        return "edgelist"
+    return "graph6"
 
 
 # -- graph6 (McKay ASCII encoding) ----------------------------------------
@@ -74,9 +77,9 @@ def _parse_graph6(text: str) -> Graph:
         s = s[len(_G6_HEADER):]
     if not s:
         raise GraphFormatError("empty graph6 input")
-    data = [ord(c) - 63 for c in s]
-    if any(b < 0 or b > 63 for b in data):
+    if re.search("[^?-~]", s):
         raise GraphFormatError("graph6 byte outside printable range")
+    data = s.encode("ascii").translate(_SUB_63)
     if data[0] < 63:
         n, body = data[0], data[1:]
     else:
@@ -91,17 +94,21 @@ def _parse_graph6(text: str) -> Graph:
     if len(body) != (nbits + 5) // 6:
         raise GraphFormatError(
             f"graph6 body length {len(body)} does not match n={n}")
-    bits = []
-    for b in body:
-        for shift in range(5, -1, -1):
-            bits.append((b >> shift) & 1)
     edges = []
-    idx = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[idx]:
-                edges.append((u, v))
-            idx += 1
+    # Bit i, high bit first in byte i // 6, is the pair u < v with
+    # i = base + u, base = v(v-1)/2.  Zero bytes are skipped at C speed;
+    # bits past nbits are padding.
+    v, base = 1, 0
+    for match in re.finditer(rb"[^\x00]", body):
+        j = match.start()
+        for r in _SET_BITS[body[j]]:
+            i = 6 * j + r
+            if i >= nbits:
+                break
+            while i >= base + v:
+                base += v
+                v += 1
+            edges.append((i - base, v))
     return Graph(n, edges)
 
 
@@ -116,19 +123,11 @@ def _emit_graph6(g: Graph) -> bytes:
     else:
         raise GraphFormatError(
             f"graph6 sizes beyond {_MAX_VERTICES} not supported")
-    bits = []
-    for v in range(1, n):
-        for u in range(v):
-            bits.append(1 if g.has_edge(u, v) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    body = bytearray()
-    for i in range(0, len(bits), 6):
-        b = 0
-        for bit in bits[i:i + 6]:
-            b = (b << 1) | bit
-        body.append(b + 63)
-    return head + bytes(body)
+    body = bytearray((n * (n - 1) // 2 + 5) // 6)
+    for u, v in g.edges:
+        i = v * (v - 1) // 2 + u
+        body[i // 6] |= 32 >> (i % 6)
+    return head + body.translate(_ADD_63)
 
 
 # -- DIMACS edge format -----------------------------------------------------

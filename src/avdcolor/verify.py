@@ -123,78 +123,58 @@ def check_partition(g: Graph, parts) -> list[tuple[str, bool, str]]:
 # -- exhaustive oracles ------------------------------------------------------
 
 
-def _exists_proper(g: Graph, k: int) -> bool:
+def _exists(g: Graph, k: int, distinguishing: bool) -> bool:
+    """True iff ``g`` has a proper k-edge-coloring, AVD if ``distinguishing``.
+
+    Depth-first over the edges in sorted order, with a loop in place of
+    recursion: edge i holds ``color[i]`` (0 for none), and a color above
+    ``opened[i]``, the largest on the edges before i, is opened only as the
+    next one.
+    """
     edges = g.sorted_edges()
     masks = {v: 0 for v in g.vertices}
-
-    def extend(i: int, max_used: int) -> bool:
-        if i == len(edges):
-            return True
-        u, v = edges[i]
-        forbidden = masks[u] | masks[v]
-        for c in range(1, min(k, max_used + 1) + 1):
-            bit = 1 << c
-            if forbidden & bit:
-                continue
-            masks[u] |= bit
-            masks[v] |= bit
-            if extend(i + 1, max(max_used, c)):
-                return True
-            masks[u] &= ~bit
-            masks[v] &= ~bit
-        return False
-
-    return extend(0, 0)
-
-
-def _exists_avd(g: Graph, k: int) -> bool:
-    edges = g.sorted_edges()
-    masks = {v: 0 for v in g.vertices}
-    left = {v: g.degree(v) for v in g.vertices}
+    incident = {v: [] for v in g.vertices}  # edge indices, ascending
+    for j, (u, v) in enumerate(edges):
+        incident[u].append(j)
+        incident[v].append(j)
     equal_deg = {v: [w for w in g.neighbors(v) if g.degree(w) == g.degree(v)]
-                 for v in g.vertices}
-    assignment: dict = {}
-
-    def distinct_when_done(w: int) -> bool:
-        if left[w] != 0:
-            return True
-        for x in equal_deg[w]:
-            if left[x] == 0 and masks[x] == masks[w]:
-                return False
-        return True
-
-    def leaf_ok() -> bool:
-        # Definition-level re-check of the finished assignment.
-        csets = {v: frozenset(assignment[canon_edge(v, w)]
-                              for w in g.neighbors(v))
-                 for v in g.vertices}
-        return all(csets[u] != csets[v] for u, v in g.edges)
-
-    def extend(i: int, max_used: int) -> bool:
+                 for v in g.vertices} if distinguishing else {}
+    color = [0] * len(edges)
+    opened = [0] * (len(edges) + 1)
+    i = 0
+    while i >= 0:
         if i == len(edges):
-            return leaf_ok()
-        u, v = edges[i]
-        forbidden = masks[u] | masks[v]
-        for c in range(1, min(k, max_used + 1) + 1):
-            bit = 1 << c
-            if forbidden & bit:
-                continue
-            masks[u] |= bit
-            masks[v] |= bit
-            left[u] -= 1
-            left[v] -= 1
-            assignment[(u, v)] = c
-            good = distinct_when_done(u) and distinct_when_done(v)
-            if good and extend(i + 1, max(max_used, c)):
+            # Definition-level re-check of the finished assignment.
+            if not distinguishing or _distinguishing(g, {
+                    v: {color[j] for j in incident[v]} for v in g.vertices})[0]:
                 return True
-            del assignment[(u, v)]
-            left[u] += 1
-            left[v] += 1
-            masks[u] &= ~bit
-            masks[v] &= ~bit
-        return False
-
-    return extend(0, 0)
+            i -= 1
+            continue
+        u, v = edges[i]
+        c = color[i]  # 0 when first reached, else the color to take back
+        masks[u] &= ~(1 << c)  # bit 0 is never set
+        masks[v] &= ~(1 << c)
+        forbidden = masks[u] | masks[v]
+        top = min(k, opened[i] + 1)
+        c += 1
+        while c <= top and forbidden >> c & 1:
+            c += 1
+        if c > top:
+            color[i] = 0
+            i -= 1
+            continue
+        color[i] = c
+        masks[u] |= 1 << c
+        masks[v] |= 1 << c
+        # Prune when a vertex this edge completes has the color set of a
+        # completed equal-degree neighbor; edge i then tries its next color.
+        if distinguishing and any(
+                masks[x] == masks[w] and incident[x][-1] <= i
+                for w in (u, v) if incident[w][-1] == i for x in equal_deg[w]):
+            continue
+        opened[i + 1] = max(opened[i], c)
+        i += 1
+    return False
 
 
 def exact_chromatic_index(g: Graph, edge_cap: int = ORACLE_EDGE_CAP) -> int:
@@ -205,9 +185,9 @@ def exact_chromatic_index(g: Graph, edge_cap: int = ORACLE_EDGE_CAP) -> int:
     if g.edge_count == 0:
         return 0
     delta = g.max_degree
-    if _exists_proper(g, delta):
+    if _exists(g, delta, False):
         return delta
-    if not _exists_proper(g, delta + 1):
+    if not _exists(g, delta + 1, False):
         raise AssertionError("no proper coloring with Delta+1 colors")
     return delta + 1
 
@@ -229,7 +209,7 @@ def exact_chi_a(g: Graph, cap: int | None = None,
     if cap is None:
         cap = g.edge_count
     for k in range(g.max_degree, cap + 1):
-        if _exists_avd(g, k):
+        if _exists(g, k, True):
             return k
     raise CapExceededError(f"no AVD coloring within cap {cap}")
 

@@ -319,6 +319,18 @@ def test_oracle_c5(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "5"
 
 
+@pytest.mark.parametrize("command, expected", [
+    ("oracle", "3\n"),
+    ("audit", "PASS oracle chain Delta <= chi' <= chi'_a <= certificate "
+              "(chi'=2 chi'_a=3 cert="),
+], ids=["oracle", "audit"])
+def test_oracle_edge_cap_reaches_a_long_cycle(tmp_path, capsys, command,
+                                              expected):
+    gpath = _write_graph(tmp_path, cycle(3000))
+    assert main([command, gpath, "--oracle-edge-cap", "3000"]) == 0
+    assert expected in capsys.readouterr().out
+
+
 def test_oracle_rejects_large_input(tmp_path, capsys):
     gpath = _write_graph(tmp_path, complete(8))
     assert main(["oracle", gpath]) == 2

@@ -74,6 +74,14 @@ def test_graph6_malformed():
         parse_graph(b"D?", "graph6")  # truncated body
     with pytest.raises(GraphFormatError):
         parse_graph(bytes([127, 63]), "graph6")  # byte above range
+    with pytest.raises(GraphFormatError):
+        parse_graph(b"~??", "graph6")  # truncated size header
+
+
+def test_graph6_ignores_padding_bits():
+    # C5 has 10 pair bits in two 6-bit bytes; "c" -> "f" sets the 2 padding bits.
+    assert emit_graph(cycle(5), "graph6") == b"Dhc"
+    assert parse_graph(b"Dhf", "graph6") == cycle(5)
 
 
 def test_dimacs_k4_golden():
@@ -135,6 +143,9 @@ def test_sniff_format():
     assert sniff_format(b"0 1\n1 2\n") == "edgelist"
     assert sniff_format(emit_graph(cycle(5), "graph6")) == "graph6"
     assert sniff_format(b"# comment\n0 1\n") == "edgelist"
+    assert sniff_format(b">>graph6<<Dhc\n") == "graph6"
+    assert sniff_format(b"\n  \n\t\n0 1\n") == "edgelist"
+    assert sniff_format(b"e 1 2\np edge 2 1\n") == "dimacs"
 
 
 @pytest.mark.parametrize("fmt, data", [

@@ -6,10 +6,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from avdcolor import (CapExceededError, Graph, audit, avd_color, check_avd,
-                      check_certificate, check_proper, complete, cycle,
-                      exact_chi_a, exact_chromatic_index, gnp, is_normal,
-                      emit_graph, make_coloring, misra_gries, petersen)
+from avdcolor import (CapExceededError, Graph, NotNormalError, audit,
+                      avd_color, check_avd, check_certificate, check_proper,
+                      complete, cycle, exact_chi_a, exact_chromatic_index, gnp,
+                      is_normal, emit_graph, make_coloring, misra_gries,
+                      petersen)
 from avdcolor import coloring, partition, verify
 from avdcolor.cli import main
 from helpers import normal_gnp_corpus
@@ -68,6 +69,12 @@ def test_exact_chi_a_spot_values():
     assert exact_chi_a(cycle(5)) == 5
     assert exact_chi_a(complete(4)) == 5
     assert exact_chi_a(cycle(6)) == 3
+    # Closed forms of Zhang, Liu and Wang (2002).
+    for n in range(3, 17):
+        assert exact_chi_a(cycle(n)) == (3 if n % 3 == 0 else
+                                         5 if n == 5 else 4)
+    for n in range(3, 7):
+        assert exact_chi_a(complete(n)) == (n if n % 2 else n + 1)
 
 
 def test_exact_chi_a_caps():
@@ -83,6 +90,25 @@ def test_exact_chromatic_index_values():
     assert exact_chromatic_index(petersen()) == 4
     with pytest.raises(CapExceededError):
         exact_chromatic_index(complete(7))
+    for n in range(3, 17):
+        assert exact_chromatic_index(cycle(n)) == (3 if n % 2 else 2)
+    for n in range(3, 7):
+        assert exact_chromatic_index(complete(n)) == (n if n % 2 else n - 1)
+
+
+def test_oracles_on_edgeless_and_non_normal_graphs():
+    assert exact_chromatic_index(Graph(3)) == 0
+    assert exact_chi_a(Graph(0)) == 0
+    with pytest.raises(NotNormalError):
+        exact_chi_a(Graph(3, [(0, 1)]))
+
+
+@pytest.mark.parametrize("n, chi_prime, chi_a", [(3000, 2, 3), (3001, 3, 4)])
+def test_oracles_answer_long_cycles(n, chi_prime, chi_a):
+    # One search node per edge deep: the oracles must not recurse per edge.
+    g = cycle(n)
+    assert exact_chromatic_index(g, edge_cap=n) == chi_prime
+    assert exact_chi_a(g, edge_cap=n) == chi_a
 
 
 def test_oracle_consistency_chain():
