@@ -126,6 +126,36 @@ def test_misra_gries_outputs_golden():
     }
 
 
+def test_misra_gries_warm_outputs_golden():
+    # Pins the warm-start path edge by edge, as above: the start is a
+    # seeded half of the cold coloring under a seeded palette permutation,
+    # so fans, path swaps and rotations all run against carried colors.
+    wanted = {
+        "petersen()":
+            "9a977659f1ea9c6cfce9db5d8bc22d6da3d959e4c4022b1b45478758b6f20ab3",
+        "random_regular(40,7,2)":
+            "45f7ad2aaf7a40270376843faa53abbd0763b72c20ac9bcb5a9b01bc516b6cd3",
+        "gnp(150,0.12,3)":
+            "143b45308b6c9d651b4d386567b6a88b88b67bd787a660897acc7f2eaca3a777",
+        "gnp(90,0.2,4) off multiples of 3":
+            "d6c3d4cd691c3bf8abe9140ad1bfc3848f1150b3d39449e5a19c3b8d6e67b047",
+    }
+    digests = {}
+    for name, g in _golden_graphs():
+        if name not in wanted:
+            continue
+        rng = random.Random(name)
+        perm = list(range(1, g.max_degree + 2))
+        rng.shuffle(perm)
+        start = {e: perm[c - 1]
+                 for e, c in sorted(misra_gries(g).assignment.items())
+                 if rng.random() < 0.5}
+        digests[name] = hashlib.sha256(json.dumps(sorted(
+            [u, v, c] for (u, v), c in misra_gries(g, start).assignment.items()
+        )).encode()).hexdigest()
+    assert digests == wanted
+
+
 @st.composite
 def _small_graphs(draw):
     n = draw(st.integers(2, 12))
