@@ -29,7 +29,6 @@ class Graph:
                  vertices: Iterable[int] | None = None):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        self.n = n
         es: set[Edge] = set()
         for u, v in edges:
             e = canon_edge(int(u), int(v))
@@ -39,21 +38,35 @@ class Graph:
                 raise ValueError(f"duplicate edge {e}")
             es.add(e)
         if vertices is None:
-            verts = list(range(n))
+            verts = tuple(range(n))
         else:
-            verts = sorted(set(int(v) for v in vertices))
+            verts = tuple(sorted(set(int(v) for v in vertices)))
             if verts and (verts[0] < 0 or verts[-1] >= n):
                 raise ValueError("vertex label outside 0..n-1")
-        vset = set(verts)
-        adj: dict[int, set[int]] = {v: set() for v in verts}
+            vset = set(verts)
+            for u, v in es:
+                if u not in vset or v not in vset:
+                    raise ValueError(
+                        f"edge {(u, v)} has endpoint outside vertex set")
+        self._build(n, frozenset(es), verts)
+
+    def _build(self, n: int, es: frozenset[Edge],
+               verts: tuple[int, ...] | None) -> None:
+        # The one adjacency builder.  ``es`` holds canonical, distinct edges
+        # with both endpoints in ``verts``, or ``verts`` is None for the
+        # endpoints of ``es``.  Only vertices with edges get a neighbor list;
+        # the rest share the empty tuple.
+        adj: dict[int, list[int]] = {}
         for u, v in es:
-            if u not in vset or v not in vset:
-                raise ValueError(f"edge {(u, v)} has endpoint outside vertex set")
-            adj[u].add(v)
-            adj[v].add(u)
-        self._vertices = tuple(verts)
-        self._edges = frozenset(es)
-        self._adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
+        if verts is None:
+            verts = tuple(sorted(adj))
+        self.n = n
+        self._vertices = verts
+        self._edges = es
+        self._adj = {v: tuple(sorted(adj[v])) if v in adj else ()
+                     for v in verts}
         # Computed once: the graph is immutable, and the partition engine's
         # degree tests read it for every vertex they inspect.
         self.max_degree = max(map(len, adj.values()), default=0)
@@ -102,17 +115,21 @@ class Graph:
 
 def is_normal(g: Graph) -> bool:
     """True iff ``g`` has no isolated vertices and no isolated edges."""
-    for v in g.vertices:
-        if g.degree(v) == 0:
-            return False
-    for u, v in g.edges:
-        if g.degree(u) == 1 and g.degree(v) == 1:
+    adj = g._adj
+    for ns in adj.values():
+        # An isolated vertex, or a pendant one whose neighbor is pendant.
+        if not ns or (len(ns) == 1 and len(adj[ns[0]]) == 1):
             return False
     return True
 
 
 def edge_induced(g: Graph, s: Iterable[Edge]) -> Graph:
     """Subgraph with edge set ``s`` and vertex set the endpoints of ``s``."""
+    if isinstance(s, (set, frozenset)) and s <= g.edges:
+        # Edges of a validated host are canonical, distinct and in range.
+        sub = Graph.__new__(Graph)
+        sub._build(g.n, frozenset(s), None)
+        return sub
     es = [canon_edge(u, v) for u, v in s]
     for e in es:
         if e not in g.edges:
@@ -144,8 +161,16 @@ class SubgraphSelection:
         self._iso_unsel: set[Edge] = set()
         for e in edges:
             self._select(canon_edge(*e))
+        # Settle both isolated-edge sets in one pass, as _update_isolation
+        # would edge by edge.
+        sel, deg, adj = self._selected, self._deg, host._adj
         for e in host.edges:
-            self._update_isolation(e)
+            u, v = e
+            if e in sel:
+                if deg[u] == 1 and deg[v] == 1:
+                    self._iso_sel.add(e)
+            elif len(adj[u]) - deg[u] == 1 and len(adj[v]) - deg[v] == 1:
+                self._iso_unsel.add(e)
 
     # -- queries ---------------------------------------------------------
 
@@ -242,7 +267,10 @@ class EdgePartition:
         self.parts: list[frozenset[Edge]] = []
         seen: set[Edge] = set()
         for i, p in enumerate(parts):
-            pset = frozenset(canon_edge(u, v) for u, v in p)
+            if isinstance(p, (set, frozenset)) and p <= host.edges:
+                pset = frozenset(p)  # host edges are canonical already
+            else:
+                pset = frozenset(canon_edge(u, v) for u, v in p)
             if not pset:
                 raise ValueError(f"part {i} is empty")
             if pset & seen:

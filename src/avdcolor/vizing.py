@@ -60,16 +60,18 @@ def misra_gries(g: Graph,
     # col[v][w] is the color of vw; at[v][c] is v's neighbor across color c.
     col: dict[int, dict[int, int]] = {v: {} for v in g.vertices}
     at: dict[int, dict[int, int]] = {v: {} for v in g.vertices}
+    edges = g.edges
     for (u, v), c in (start or {}).items():
-        if (u, v) not in g.edges:
+        if (u, v) not in edges:
             raise ValueError(f"start colors {(u, v)}, not an edge of g")
         if not 1 <= c <= k:
             raise ValueError(f"start color {c} of {(u, v)} outside 1..{k}")
-        if c in at[u] or c in at[v]:
+        at_u, at_v = at[u], at[v]
+        if c in at_u or c in at_v:
             raise ValueError(f"start color {c} of {(u, v)} is not proper")
         col[u][v] = col[v][u] = c
-        at[u][c] = v
-        at[v][c] = u
+        at_u[c] = v
+        at_v[c] = u
 
     def free(v: int) -> int:
         for c in range(1, k + 1):
@@ -91,19 +93,20 @@ def misra_gries(g: Graph,
 
     # Anchor at the lower endpoint.  An edge colored here stays colored, so
     # the edges ``start`` leaves uncolored are the ones fans must color.
-    for x, f in sorted(g.edges - (start or {}).keys()):
+    for x, f in sorted(edges - (start or {}).keys()):
         colx = col[x]
-        # Maximal fan of x starting at f.
+        # Maximal fan of x starting at f: each step takes the lowest colored
+        # neighbor not yet in the fan whose color is free at the fan's last
+        # vertex, so a taken entry leaves the candidate list for good.
         fan = [f]
-        in_fan = {f}
+        cands = [(w, colx[w]) for w in g.neighbors(x) if w in colx]
+        last = at[f]
         while True:
-            for w in g.neighbors(x):
-                if w in in_fan:
-                    continue
-                cw = colx.get(w)
-                if cw is not None and cw not in at[fan[-1]]:
+            for i, (w, cw) in enumerate(cands):
+                if cw not in last:
+                    del cands[i]
                     fan.append(w)
-                    in_fan.add(w)
+                    last = at[w]
                     break
             else:
                 break

@@ -154,3 +154,95 @@ def test_edge_partition_validation():
         EdgePartition(g, [[(0, 1), (1, 2)], [(1, 2), (2, 3), (3, 4), (0, 4)]])
     with pytest.raises(ValueError):  # empty part
         EdgePartition(g, [sorted(g.edges), []])
+
+
+def _same_graph(a: Graph, b: Graph):
+    assert (a.n, a.vertices, a.edges, a.max_degree) == (
+        b.n, b.vertices, b.edges, b.max_degree)
+    assert all(a.neighbors(v) == b.neighbors(v) for v in a.vertices)
+    assert (a.min_degree, a.is_regular(), is_normal(a)) == (
+        b.min_degree, b.is_regular(), is_normal(b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_hosts_and_selections())
+def test_edge_induced_from_a_host_edge_set_matches_a_list(case):
+    g, picked = case
+    s = frozenset(canon_edge(u, v) for u, v in picked)
+    sub = edge_induced(g, s)
+    _same_graph(sub, edge_induced(g, sorted(s)))
+    _same_graph(sub, edge_induced(g, set(s)))
+    # The list path also accepts either orientation.
+    _same_graph(sub, edge_induced(g, picked))
+    _same_graph(sub, Graph(g.n, sorted(s),
+                           vertices={v for e in s for v in e}))
+
+
+@pytest.mark.parametrize("s, message", [
+    ({(1, 2), (2, 1)}, r"duplicate edge \(1, 2\)"),
+    ([(1, 2), (1, 2)], r"duplicate edge \(1, 2\)"),
+    ([(1, 2), (2, 1)], r"duplicate edge \(1, 2\)"),
+    ({(0, 2)}, r"edge \(0, 2\) not in host graph"),
+    (frozenset({(0, 1), (0, 2)}), r"edge \(0, 2\) not in host graph"),
+    ([(2, 0)], r"edge \(0, 2\) not in host graph"),
+    ({(3, 3)}, "self-loop at vertex 3"),
+])
+def test_edge_induced_errors(s, message):
+    with pytest.raises(ValueError, match=message):
+        edge_induced(cycle(5), s)
+
+
+def test_edge_induced_accepts_a_reversed_edge_in_a_set():
+    _same_graph(edge_induced(cycle(5), {(2, 1), (3, 2)}),
+                edge_induced(cycle(5), [(1, 2), (2, 3)]))
+
+
+def test_isolated_vertices_have_no_neighbors():
+    g = Graph(6, [(0, 1), (1, 2)], vertices=range(5))
+    assert [g.degree(v) for v in g.vertices] == [1, 2, 1, 0, 0]
+    assert g.neighbors(4) == () and g.neighbors(1) == (0, 2)
+    assert g.min_degree == 0 and g.max_degree == 2
+    assert not g.is_regular() and not is_normal(g)
+    with pytest.raises(KeyError):
+        g.neighbors(5)  # a label in 0..n-1 that is not a vertex
+    assert Graph(3).min_degree == 0 and Graph(3).is_regular()
+    assert Graph(0).vertices == () and Graph(0).max_degree == 0
+
+
+def test_selection_isolation_matches_recount_on_random_hosts():
+    rng = random.Random(11)
+    for seed in range(40):
+        g = gnp(rng.randint(10, 60), rng.uniform(0.02, 0.3), seed)
+        if rng.random() < 0.5:
+            g = edge_induced(g, g.edges)
+        p = rng.choice([0.05, 0.3, 0.5, 0.7, 0.95])
+        picked = frozenset(e for e in sorted(g.edges) if rng.random() < p)
+        for edges in (picked, sorted(picked)):
+            sel = SubgraphSelection(g, edges)
+            deg, iso_sel, iso_unsel = recompute_selection_state(sel)
+            assert deg == {v: sel.deg(v) for v in g.vertices}
+            assert iso_sel == sel.isolated_selected, seed
+            assert iso_unsel == sel.isolated_unselected, seed
+
+
+def test_edge_partition_set_parts_match_lists():
+    g = cycle(5)
+    lists = [[(0, 1), (1, 2)], [(2, 3), (3, 4), (0, 4)]]
+    sets = [frozenset(lists[0]), {(3, 2), (4, 3), (4, 0)}]
+    assert EdgePartition(g, sets).parts == EdgePartition(g, lists).parts
+    with pytest.raises(ValueError, match="part 1 contains non-host edges"):
+        EdgePartition(g, [frozenset(lists[0]), {(0, 2), *lists[1]}])
+    with pytest.raises(ValueError, match="part 1 overlaps an earlier part"):
+        EdgePartition(g, [frozenset(lists[0]), {(2, 1), *lists[1]}])
+
+
+@pytest.mark.parametrize("args, message", [
+    ((-1,), "vertex count must be nonnegative"),
+    ((3, [], [0, 3]), r"vertex label outside 0\.\.n-1"),
+    ((4, [(0, 1), (2, 3)], [0, 1, 2]),
+     r"edge \(2, 3\) has endpoint outside vertex set"),
+    ((3, [(0, 3)]), r"edge \(0, 3\) outside 0\.\.2"),
+])
+def test_graph_input_errors(args, message):
+    with pytest.raises(ValueError, match=message):
+        Graph(*args)
