@@ -172,8 +172,9 @@ def test_edge_induced_from_a_host_edge_set_matches_a_list(case):
     sub = edge_induced(g, s)
     _same_graph(sub, edge_induced(g, sorted(s)))
     _same_graph(sub, edge_induced(g, set(s)))
-    # The list path also accepts either orientation.
+    # Either orientation names the same edge, in a list or in a set.
     _same_graph(sub, edge_induced(g, picked))
+    _same_graph(sub, edge_induced(g, set(picked)))
     _same_graph(sub, Graph(g.n, sorted(s),
                            vertices={v for e in s for v in e}))
 
@@ -190,11 +191,6 @@ def test_edge_induced_from_a_host_edge_set_matches_a_list(case):
 def test_edge_induced_errors(s, message):
     with pytest.raises(ValueError, match=message):
         edge_induced(cycle(5), s)
-
-
-def test_edge_induced_accepts_a_reversed_edge_in_a_set():
-    _same_graph(edge_induced(cycle(5), {(2, 1), (3, 2)}),
-                edge_induced(cycle(5), [(1, 2), (2, 3)]))
 
 
 def test_isolated_vertices_have_no_neighbors():
@@ -241,7 +237,6 @@ def test_edge_partition_set_parts_match_lists():
     ((3, [], [0, 3]), r"vertex label outside 0\.\.n-1"),
     ((4, [(0, 1), (2, 3)], [0, 1, 2]),
      r"edge \(2, 3\) has endpoint outside vertex set"),
-    ((3, [(0, 3)]), r"edge \(0, 3\) outside 0\.\.2"),
 ])
 def test_graph_input_errors(args, message):
     with pytest.raises(ValueError, match=message):
