@@ -7,10 +7,11 @@ and one distinguishing color per adjacent equal-degree pair.
 The exact searcher is a deterministic backtracker over edges (grouped per
 vertex in breadth-first order, ascending colors, new colors introduced
 only in order) that prunes on properness and on completed adjacent
-equal-degree pairs.  Subcubic parts try a repair first at each budget of
-their ladder: min-conflicts Kempe-chain swaps that turn the part's
-Misra-Gries coloring into a distinguishing one, under a step budget, with
-the exact search as the fallback.  Each driver either colors a
+equal-degree pairs.  Parts of max degree 3 try a repair first at each
+budget of their ladder: min-conflicts Kempe-chain swaps that turn the
+part's Misra-Gries coloring into a distinguishing one, under a step
+budget, with the exact search as the fallback; paths and cycles take the
+exact search alone.  Each driver either colors a
 small-degree graph as one bounded part, or colors the parts of a
 partition and composes the part certificates over pairwise disjoint
 palettes.
@@ -383,8 +384,11 @@ def _guaranteed_search(g: Graph, budget: int, context: str) -> AvdCertificate:
 def avd_subcubic(g: Graph) -> AvdCertificate:
     """Certificate with at most 5 colors for a normal graph of max degree 3.
 
-    Budgets ascend from the max degree, and each starts with ``_repair``
-    of one Misra-Gries coloring of g, shared by every budget.  At a budget
+    Budgets ascend from the max degree.  When g has max degree 3, each
+    starts with ``_repair`` of one Misra-Gries coloring of g, shared by
+    every budget.  Paths and cycles (max degree 2) get no start and no
+    repair: the exact search colors or refutes each of their budgets in
+    about 2m nodes, less than a failed repair's 2m steps cost.  At a budget
     below 5, a failed repair is followed by the exact search under a node
     cap of ``LADDER_NODE_CAP`` or 2m nodes, whichever is larger, since a
     cap below m can never finish; a search that reaches its cap skips the
@@ -399,10 +403,10 @@ def avd_subcubic(g: Graph) -> AvdCertificate:
         raise ValueError(f"max degree {g.max_degree} exceeds 3")
     if g.edge_count == 0:
         return AvdCertificate(make_coloring(g, {}), 0, 5, {})
-    start = misra_gries(g)
+    start = misra_gries(g) if g.max_degree == 3 else None
     cap = max(LADDER_NODE_CAP, 2 * g.edge_count)
     for budget in range(g.max_degree, 5):
-        cert = _repair(g, budget, start)
+        cert = _repair(g, budget, start) if start else None
         if cert is None:
             try:
                 cert = avd_color_budget(g, budget, node_cap=cap)
@@ -410,7 +414,7 @@ def avd_subcubic(g: Graph) -> AvdCertificate:
                 continue
         if cert is not None:
             return cert.with_bound(5)
-    cert = (_repair(g, 5, start)
+    cert = ((_repair(g, 5, start) if start else None)
             or _guaranteed_search(g, 5, "a normal subcubic graph"))
     return cert.with_bound(5)
 

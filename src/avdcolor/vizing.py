@@ -38,10 +38,15 @@ def misra_gries(g: Graph,
                 start: dict[Edge, int] | None = None) -> EdgeColoring:
     """Color the edges of a simple graph with at most Delta+1 colors.
 
-    Fan construction with deterministic tie-breaking: the anchor is the lower
-    endpoint, fans extend through the lowest eligible neighbor, and free
-    colors are always the smallest available.  The result is reproducible
-    for a fixed vertex labeling.
+    Misra-Gries fans with deterministic tie-breaking.  The anchor x is the
+    lower endpoint, and the fan extends through the lowest eligible
+    neighbor.  It stops at its first vertex y that shares a free color with
+    x: the fan up to y is rotated and xy gets the smallest shared color,
+    with no path swap.  Only a maximal fan with no shared free color swaps
+    the d/c path from x, where c and d are the smallest free colors at x
+    and at the fan's last vertex, and then rotates its first prefix that
+    ends where d is free.  The result is reproducible for a fixed vertex
+    labeling.
 
     ``start`` is a partial proper coloring of ``g`` (edge -> color in
     1..Delta+1) to extend: only its uncolored edges are colored by fans,
@@ -57,9 +62,12 @@ def misra_gries(g: Graph,
     """
     k = g.max_degree + 1
     m = g.edge_count
-    # col[v][w] is the color of vw; at[v][c] is v's neighbor across color c.
+    # col[v][w] is the color of vw; at[v][c] is v's neighbor across color c;
+    # bit c of used[v] is set when c is at v, and bit 0 always is, so the
+    # lowest clear bit of a mask is the smallest color it leaves free.
     col: dict[int, dict[int, int]] = {v: {} for v in g.vertices}
     at: dict[int, dict[int, int]] = {v: {} for v in g.vertices}
+    used = dict.fromkeys(g.vertices, 1)
     edges = g.edges
     for (u, v), c in (start or {}).items():
         if (u, v) not in edges:
@@ -72,12 +80,26 @@ def misra_gries(g: Graph,
         col[u][v] = col[v][u] = c
         at_u[c] = v
         at_v[c] = u
+        used[u] |= 1 << c
+        used[v] |= 1 << c
+
+    def lowest_free(mask: int) -> int:
+        # The lowest clear bit: the smallest color the mask leaves free.
+        return (~mask & (mask + 1)).bit_length() - 1
 
     def free(v: int) -> int:
-        for c in range(1, k + 1):
-            if c not in at[v]:
-                return c
-        raise AssertionError(f"no free color at {v} with k={k}")
+        c = lowest_free(used[v])
+        if c > k:
+            raise AssertionError(f"no free color at {v} with k={k}")
+        return c
+
+    def paint(u: int, v: int, c: int) -> None:
+        # Color the uncolored edge uv with c, which is free at both ends.
+        col[u][v] = col[v][u] = c
+        at[u][c] = v
+        at[v][c] = u
+        used[u] |= 1 << c
+        used[v] |= 1 << c
 
     def recolor(batch: list[tuple[int, int, int]]) -> None:
         # Uncolor everything first: a sequential rewrite would transiently
@@ -86,50 +108,57 @@ def misra_gries(g: Graph,
             old = col[u].pop(v, None)
             if old is not None:
                 del col[v][u], at[u][old], at[v][old]
+                used[u] ^= 1 << old
+                used[v] ^= 1 << old
         for u, v, c in batch:
-            col[u][v] = col[v][u] = c
-            at[u][c] = v
-            at[v][c] = u
+            paint(u, v, c)
 
     # Anchor at the lower endpoint.  An edge colored here stays colored, so
     # the edges ``start`` leaves uncolored are the ones fans must color.
     for x, f in sorted(edges - (start or {}).keys()):
         colx = col[x]
-        # Maximal fan of x starting at f: each step takes the lowest colored
-        # neighbor not yet in the fan whose color is free at the fan's last
-        # vertex, so a taken entry leaves the candidate list for good.
+        # Fan of x from f: each step takes the lowest colored neighbor not
+        # yet in the fan whose color is free at the fan's last vertex, so a
+        # taken entry leaves the candidate list for good.  The fan stops at
+        # its first vertex sharing a free color with x; d is the smallest.
         fan = [f]
-        cands = [(w, colx[w]) for w in g.neighbors(x) if w in colx]
-        last = at[f]
-        while True:
+        cands = None
+        while (d := lowest_free(used[x] | used[fan[-1]])) > k:
+            if cands is None:
+                cands = [(w, colx[w]) for w in g.neighbors(x) if w in colx]
+            last = used[fan[-1]]
             for i, (w, cw) in enumerate(cands):
-                if cw not in last:
+                if not last >> cw & 1:
                     del cands[i]
                     fan.append(w)
-                    last = at[w]
                     break
             else:
+                # A maximal fan with no color free at both x and its last
+                # vertex: swap d and c on the maximal d/c path from x.  x
+                # misses c, so the path is no cycle and ends before it holds
+                # every edge.
+                c = free(x)
+                d = free(fan[-1])
+                path = []
+                cur, want, other = x, d, c
+                while (nxt := at[cur].get(want)) is not None:
+                    path.append((cur, nxt, other))
+                    if len(path) == m:
+                        raise AssertionError("alternating path does not end")
+                    cur, want, other = nxt, other, want
+                recolor(path)
                 break
-        c = free(x)
-        d = free(fan[-1])
-        if c != d:
-            # Swap d and c on the maximal d/c path from x.  x misses c, so
-            # the path is no cycle and ends before it holds every edge.
-            path = []
-            cur, want, other = x, d, c
-            while (nxt := at[cur].get(want)) is not None:
-                path.append((cur, nxt, other))
-                if len(path) == m:
-                    raise AssertionError("alternating path does not end")
-                cur, want, other = nxt, other, want
-            recolor(path)
-        # After the swap d is free at x; rotate the first fan prefix ending
-        # at a vertex where d is free.  The prefix must still be a fan under
-        # the swapped colors.
+        if len(fan) == 1:
+            # Most fans stop at once: f itself shares d with x.
+            paint(x, f, d)
+            continue
+        # d is free at x; rotate the first fan prefix ending at a vertex
+        # where d is free.  After a path swap the prefix must still be a fan
+        # under the swapped colors; after an early stop it is the whole fan.
         for j, w in enumerate(fan):
-            if j > 0 and colx[w] in at[fan[j - 1]]:
+            if j > 0 and used[fan[j - 1]] >> colx[w] & 1:
                 raise AssertionError("path swap broke the fan prefix")
-            if d not in at[w]:
+            if not used[w] >> d & 1:
                 break
         else:
             raise AssertionError("fan rotation target missing")

@@ -136,7 +136,7 @@ def test_color_deterministic_output(tmp_path, capsys):
 
 
 def test_partition_checklist(tmp_path, capsys):
-    g = gnp(10, 0.5, 1)  # its initial selection needs one move
+    g = gnp(10, 0.5, 122)  # its initial selection needs one move
     gpath = _write_graph(tmp_path, g)
     out = tmp_path / "parts.json"
     trace = tmp_path / "trace.jsonl"

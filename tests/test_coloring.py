@@ -266,13 +266,13 @@ def test_search_outputs_golden():
            for name, cert in _golden_cases()]
     digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
     assert digest == (
-        "91347d5233b916ac71c6fcf4497bee23ca30fd1ff2e541a01d127a9a9285e42d")
+        "4b298a1a58fc61a6967e8227e566743029a6e9d7d83c641210b9ad8943b1b684")
 
 
 def test_subcubic_budget_four_exact_rung_lowers_the_palette(monkeypatch):
     # The budget-4 repair fails on this cubic graph, so without the exact
     # budget-4 rung the ladder would end at the guaranteed budget 5.
-    g = random_regular(12, 3, 1553714997)
+    g = random_regular(12, 3, 46)
     assert coloring._repair(g, 4, misra_gries(g)) is None
     found = []
     search = coloring.avd_color_budget
@@ -554,6 +554,29 @@ def test_ladder_repairs_before_each_search(monkeypatch):
         avd_subcubic(petersen())
     assert calls == [("repair", 3), ("search", 3), ("repair", 4),
                      ("search", 4), ("repair", 5), ("search", 5)]
+
+
+def test_paths_and_cycles_skip_the_repair(monkeypatch):
+    # Max degree <= 2: no Misra-Gries start and no repair; the exact search
+    # colors or refutes every rung, and C_5 reaches the guaranteed budget 5.
+    def unused(*args):
+        raise AssertionError("a path or cycle reached misra_gries or _repair")
+
+    calls = []
+    guaranteed = coloring._guaranteed_search
+
+    def spy(g, budget, context):
+        calls.append(budget)
+        return guaranteed(g, budget, context)
+
+    monkeypatch.setattr(coloring, "misra_gries", unused)
+    monkeypatch.setattr(coloring, "_repair", unused)
+    monkeypatch.setattr(coloring, "_guaranteed_search", spy)
+    path = Graph(7, [(i, i + 1) for i in range(6)])
+    for g, colors in ((cycle(5), 5), (cycle(7), 4), (cycle(1200), 3),
+                      (cycle(3001), 4), (path, exact_chi_a(path))):
+        assert _checked(g, avd_subcubic(g)).colors_used == colors
+    assert calls == [5]
 
 
 def test_quartic_and_quintic_routes_never_repair(monkeypatch):

@@ -646,7 +646,7 @@ def test_engine_reaches_closure_moves_from_scrambled_selections():
     # (seed, walk length) pairs from a sweep of dense_normal_graph: the
     # engine's own runs grow the chain closure and apply its rewrites.
     tags = set()
-    for seed, steps in ((1, 85), (25, 101), (683, 48), (1686, 56)):
+    for seed, steps in ((125, 119), (222, 56), (1624, 45), (2331, 86)):
         rng = random.Random(seed)
         g = dense_normal_graph(rng)
         sel = initial_selection(g)
@@ -681,9 +681,9 @@ def test_engine_counterexample_carries_move_log(monkeypatch):
     # Any impossibility find_move reports leaves run_engine with the moves
     # applied before it.  This walk needs three moves (claim1.drop,
     # claim1.add, claim1.drop); the stub makes the third a stall.
-    g, = normal_gnp_corpus(1, 55, 20, 40, 6, 12, p_lo=0.12, p_hi=0.25)
+    g, = normal_gnp_corpus(1, 29, 20, 40, 6, 12, p_lo=0.12, p_hi=0.25)
     sel = initial_selection(g)
-    scramble_selection(g, sel, random.Random(39), 2 * g.edge_count)
+    scramble_selection(g, sel, random.Random(23), 2 * g.edge_count)
     real, moves = partition.find_move, []
 
     def stall_after_two(g, sel):
@@ -702,9 +702,9 @@ def test_engine_counterexample_carries_move_log(monkeypatch):
 
 
 def test_stall_below_the_first_level_dumps_its_graph(monkeypatch):
-    # Level 4 of this graph keeps the host's labels but only 78 of its 80
+    # Level 4 of this graph keeps the host's labels but only 69 of its 80
     # vertices, a vertex set graph6 cannot name.
-    g = gnp(80, 0.15, 1)
+    g = gnp(80, 0.15, 2)
     levels, stalled = [], []
     real_p1 = partition.partition_p1
 
@@ -743,7 +743,7 @@ def test_partition_p1_trace_replays_to_its_selection():
     # The trace is a faithful log: replaying its edges on a fresh initial
     # selection reproduces every recorded potential and the selection side.
     tags = Counter()
-    for g in normal_gnp_corpus(12, 300, 16, 40, 6, 12, p_lo=0.12, p_hi=0.3):
+    for g in normal_gnp_corpus(12, 378, 16, 40, 6, 12, p_lo=0.12, p_hi=0.3):
         entries = []
         part = partition_p1(g, trace=entries.append)
         sel = initial_selection(g)
@@ -780,9 +780,8 @@ def test_engine_outputs_golden():
             logs.append([[e["witness"], e["add"], e["remove"]]
                          for e in run_engine(g, sel)])
     tags = Counter(entry[0] for log in logs for entry in log)
-    assert tags == {"claim1.drop": 8, "claim1.add": 1, "claim2.add": 2,
-                    "claim2.drop": 2}
+    assert tags == {"claim1.drop": 9, "claim1.add": 1, "claim2.add": 3}
     assert _sha256(parts) == (
-        "6658408e4eb0e01b36646618f99de995d512cc368444f0cf053fd7e90bc3d9f0")
+        "739827f83d23c270fde71708f41568de3651d58433dfd3ca2fcf0ff0b6c67605")
     assert _sha256(logs) == (
-        "7b77b487f64f712fbb73cb4c73d633e9521b01c1c9553172850eab5ebf9b8750")
+        "b8aacae84c4604e35e0f982904ffb367e2a3b281e8f0f02c2aafc972cddb314f")

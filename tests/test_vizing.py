@@ -97,32 +97,33 @@ def _golden_graphs():
 
 def test_misra_gries_outputs_golden():
     # Pins each coloring edge by edge: a rewrite of the colorer must keep
-    # every tie-break (lowest fan extension, smallest free colors, first
+    # every tie-break (lowest fan extension, stop at the first vertex that
+    # shares a free color with the anchor, smallest free colors, first
     # rotatable prefix), or the partitions built on it change.
     digests = {name: hashlib.sha256(json.dumps(sorted(
         [u, v, c] for (u, v), c in misra_gries(g).assignment.items()
     )).encode()).hexdigest() for name, g in _golden_graphs()}
     assert digests == {
         "complete(20)":
-            "23a4d15af44e8c816a79d2dd30dd96c90b7fd457544caf766aac461048e7abd4",
+            "e5292dbac63080a0d800a11341420dda60874dd0359249029d8d69cdb023cbac",
         "petersen()":
-            "2d754c1c41ffab7990c21824be49cabdeb18e40c22295a36eaf3ce48b80a7883",
+            "37c0017ed852e3e81679958a41f3f0eff5c3d3708c3ab8d7884390110b1725a6",
         "random_regular(40,7,1)":
-            "c57692063451395fbe42c1983be525644e2cc39939226a44de031a73b9c3735f",
+            "12b6e6b5818f2861e621e36b202314078474cdc187de28c84eef9d4ece863f2c",
         "gnp(150,0.12,1)":
-            "fe6284d4d3e8df8baf676928d2abcb2989f6b05b6f7b82c356499659650686d5",
+            "c9adfb2eabc8d85daeddf2e87d0604c4bee6c1547fdfcc659251de6030609aea",
         "random_regular(40,7,2)":
-            "7b735ba44823dbc016dd92415b1b1062bdba602e45cac1308bfdb28b02fbf1f6",
+            "e849b0545cd2e25b8ad12b0e305930dd6aa09bd10e7d35d32998163c92136d59",
         "gnp(150,0.12,2)":
-            "c9f0b31c6369bc49cac91872ebd9144ccaf91c97a50c1bbe6f2f04353045456a",
+            "e0ee62cd6ffc0df115dbdbc89b302f8c1b294ddf0ce72793f5ef29b3bfabfeef",
         "random_regular(40,7,3)":
-            "3ff03e587c98cec3c0b85ed8a63ffbd3dfaba75153c8fdb2ea71292e481961ac",
+            "8fb5cdc1c1fd2344bd4aa55e6c46cf0745d9e6f33c5c0b2a9517758fb3fe8c8d",
         "gnp(150,0.12,3)":
-            "be7fb8d2475b0943d6d1e6ce9ea5b4d6ac36fc48c165d4121f310d79457f4c52",
+            "5eb46a237d99cd7c52c3d292b79d01eab5470b6606c0b3899b413208ac3bd2f0",
         "gnp(300,0.1,1)":
-            "62f140066e668017974590eec204747ee54e79c0bf9b8cad940220f52336e23a",
+            "7dcb045212e06ab55749cf307635d046170a1f26e8a21f7083d45e7a990726ef",
         "gnp(90,0.2,4) off multiples of 3":
-            "9093d15878f2d4350273d29baabb7277db813c744e5cab61c2f5fc235fd03f17",
+            "31beda844a30f6cf3df1c710082f80b0e2fc4a8557f5876e8904447f62cc35d3",
     }
 
 
@@ -132,13 +133,13 @@ def test_misra_gries_warm_outputs_golden():
     # so fans, path swaps and rotations all run against carried colors.
     wanted = {
         "petersen()":
-            "9a977659f1ea9c6cfce9db5d8bc22d6da3d959e4c4022b1b45478758b6f20ab3",
+            "33a2ffbefa616a61d9f35fc8faaf5431d06d3a6de4843974d5f733b907b7180c",
         "random_regular(40,7,2)":
-            "45f7ad2aaf7a40270376843faa53abbd0763b72c20ac9bcb5a9b01bc516b6cd3",
+            "2b210cf648b53e4edbe17f411218bae900e92ee178b9b015a2150ae78a7b19c4",
         "gnp(150,0.12,3)":
-            "143b45308b6c9d651b4d386567b6a88b88b67bd787a660897acc7f2eaca3a777",
+            "82e4c801359e02924c728a1a8b9be083418f27572f69f0fb70433b4eb2c2fcfd",
         "gnp(90,0.2,4) off multiples of 3":
-            "d6c3d4cd691c3bf8abe9140ad1bfc3848f1150b3d39449e5a19c3b8d6e67b047",
+            "7ec127c874cf43c0ae2a58406d17ec64a932b2748d921f0589e56e076ab85322",
     }
     digests = {}
     for name, g in _golden_graphs():
@@ -204,3 +205,52 @@ def test_misra_gries_extends_a_start(g, rng):
 def test_misra_gries_rejects_bad_start(start, message):
     with pytest.raises(ValueError, match=message):
         misra_gries(cycle(5), start)
+
+
+def _assert_delta_plus_one(g, mg):
+    # A proper coloring of exactly g's edges within Delta + 1 colors.
+    assert check_proper(g, mg) == (True, None)
+    assert mg.assignment.keys() == g.edges
+    assert mg.colors_used <= g.max_degree + 1
+
+
+def test_misra_gries_on_complete_graphs():
+    # Every fan of K_n is long and every anchor is saturated near the end,
+    # so the maximal-fan path swap runs as well as the early rotation.
+    for n in range(3, 31):
+        _assert_delta_plus_one(complete(n), misra_gries(complete(n)))
+
+
+@st.composite
+def _graphs_with_starts(draw):
+    seed = draw(st.integers(0, 10**6))
+    if draw(st.booleans()):
+        g = gnp(draw(st.integers(2, 40)), draw(st.floats(0.05, 0.95)), seed)
+    else:
+        n = draw(st.integers(4, 30))
+        r = draw(st.integers(1, min(n - 1, 12)))
+        g = random_regular(n + n * r % 2, r, seed)
+    # A random partial proper coloring in 1..Delta+1, not derived from
+    # misra_gries: each edge drawn is given a color free at both ends.
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    share = draw(st.floats(0, 1))
+    seen = {v: set() for v in g.vertices}
+    start = {}
+    for u, v in sorted(g.edges):
+        free = [c for c in range(1, g.max_degree + 2)
+                if c not in seen[u] and c not in seen[v]]
+        if free and rng.random() < share:
+            start[(u, v)] = c = rng.choice(free)
+            seen[u].add(c)
+            seen[v].add(c)
+    return g, start
+
+
+@settings(max_examples=150, deadline=None)
+@given(_graphs_with_starts())
+def test_misra_gries_extends_random_partial_starts(case):
+    g, start = case
+    _assert_delta_plus_one(g, misra_gries(g))
+    mg = misra_gries(g, start)
+    _assert_delta_plus_one(g, mg)
+    assert misra_gries(g, start).assignment == mg.assignment
