@@ -149,7 +149,8 @@ def misra_gries(g: Graph,
                 recolor(path)
                 break
         if len(fan) == 1:
-            # Most fans stop at once: f itself shares d with x.
+            # A swap needs a fan of two or more, so this fan stopped at
+            # once: f itself shares d with x.  Most fans do.
             paint(x, f, d)
             continue
         # d is free at x; rotate the first fan prefix ending at a vertex
