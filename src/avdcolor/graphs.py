@@ -17,16 +17,16 @@ def canon_edge(u: int, v: int) -> Edge:
 class Graph:
     """Immutable simple undirected graph on integer labels.
 
-    Labels live in ``0..n-1``.  ``vertices`` may be a strict subset of that
-    range: edge-induced subgraphs keep host labels so a coloring of a part
-    can be merged back onto the host.  Degrees, maximum degree and normality
-    quantify over ``vertices`` only.
+    Labels live in ``0..n-1``.  ``Graph(n, edges)`` has every label as a
+    vertex.  An ``edge_induced`` subgraph keeps its host's labels, so a
+    coloring of a part can be merged back onto the host, and has only the
+    endpoints of its edges as vertices.  Degrees, maximum degree and
+    normality quantify over ``vertices`` only.
     """
 
     __slots__ = ("n", "_vertices", "_edges", "_adj", "max_degree")
 
-    def __init__(self, n: int, edges: Iterable[Edge] = (),
-                 vertices: Iterable[int] | None = None):
+    def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         es: set[Edge] = set()
@@ -37,18 +37,7 @@ class Graph:
             if e in es:
                 raise ValueError(f"duplicate edge {e}")
             es.add(e)
-        if vertices is None:
-            verts = tuple(range(n))
-        else:
-            verts = tuple(sorted(set(int(v) for v in vertices)))
-            if verts and (verts[0] < 0 or verts[-1] >= n):
-                raise ValueError("vertex label outside 0..n-1")
-            vset = set(verts)
-            for u, v in es:
-                if u not in vset or v not in vset:
-                    raise ValueError(
-                        f"edge {(u, v)} has endpoint outside vertex set")
-        self._build(n, frozenset(es), verts)
+        self._build(n, frozenset(es), tuple(range(n)))
 
     def _build(self, n: int, es: frozenset[Edge],
                verts: tuple[int, ...] | None) -> None:
@@ -124,21 +113,25 @@ def is_normal(g: Graph) -> bool:
 
 
 def edge_induced(g: Graph, s: Iterable[Edge]) -> Graph:
-    """Subgraph with edge set ``s`` and vertex set the endpoints of ``s``."""
-    if isinstance(s, (set, frozenset)) and s <= g.edges:
-        # Edges of a validated host are canonical, distinct and in range.
-        sub = Graph.__new__(Graph)
-        sub._build(g.n, frozenset(s), None)
-        return sub
-    es = [canon_edge(u, v) for u, v in s]
-    for e in es:
-        if e not in g.edges:
-            raise ValueError(f"edge {e} not in host graph")
-    verts = set()
-    for u, v in es:
-        verts.add(u)
-        verts.add(v)
-    return Graph(g.n, es, vertices=verts)
+    """Subgraph with edge set ``s`` and vertex set the endpoints of ``s``.
+
+    A set of ``g``'s own edges is taken as is; any other input is checked
+    edge by edge for being canonical, in ``g`` and not repeated.
+    """
+    if not (isinstance(s, (set, frozenset)) and s <= g.edges):
+        es = [canon_edge(u, v) for u, v in s]
+        for e in es:
+            if e not in g.edges:
+                raise ValueError(f"edge {e} not in host graph")
+        s = set()
+        for e in es:
+            if e in s:
+                raise ValueError(f"duplicate edge {e}")
+            s.add(e)
+    # Distinct edges of a validated host are canonical and in range.
+    sub = Graph.__new__(Graph)
+    sub._build(g.n, frozenset(s), None)
+    return sub
 
 
 class SubgraphSelection:

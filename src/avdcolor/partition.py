@@ -341,14 +341,13 @@ def find_move(g: Graph, sel: SubgraphSelection) -> Move:
     """Apply one potential-decreasing rewrite to ``sel`` and return it.
 
     Search order: isolated selected edges first (lowest edge), then isolated
-    complement edges; direct rewrites before chain analysis; the
-    breadth-first closure only when the isolated edge's endpoint passes its
-    type test.  The direct rewrites of claims 1 and 2 are the depth-0 case
-    of the chain generators: the empty chain from the isolated edge's
-    endpoint, tagged ``claim1.add`` and ``claim2.drop``.  When no rewrite
-    is found, every trial was undone, ``sel`` is unchanged, and
-    CounterexampleFound is raised with the state dump: the counting
-    argument for Delta >= 6 rules that out.
+    complement edges.  An endpoint of low enough degree takes its guaranteed
+    move, ``claim1.drop`` or ``claim2.add``; otherwise the chain closure
+    grows from it (``_grow_closure``), and the closure's first step is the
+    endpoint's own direct rewrites.  When no rewrite is found, every trial
+    was undone, ``sel`` is unchanged, and CounterexampleFound is raised
+    with the state dump: the counting argument for Delta >= 6 rules that
+    out.
     """
     delta = g.max_degree
     iso_h = sorted(sel.isolated_selected)
@@ -367,15 +366,6 @@ def find_move(g: Graph, sel: SubgraphSelection) -> Move:
                 raise _counterexample("guaranteed isolated-edge drop rejected",
                                       g, sel)
             return Move(frozenset(), frozenset({e}), "claim1.drop")
-        # degree(v) == Delta-1: either v fails type-I with a local fix, or
-        # we grow the closure from it.
-        move = _first_valid(g, sel, _cands_failing_type_i(g, sel, [], v))
-        if move is not None:
-            return move
-        if classify_vertex(g, sel, v) is not VertexType.TYPE_I:
-            raise _counterexample(
-                f"origin {v} survived the direct analysis but is not type-I",
-                g, sel)
         return _grow_closure(g, sel, v, VertexType.TYPE_I)
 
     e = iso_hbar[0]
@@ -388,46 +378,47 @@ def find_move(g: Graph, sel: SubgraphSelection) -> Move:
             raise _counterexample("guaranteed complement-edge add rejected",
                                   g, sel)
         return Move(frozenset({e}), frozenset(), "claim2.add")
-    move = _first_valid(g, sel, _cands_failing_type_ii(g, sel, [], u))
-    if move is not None:
-        return move
-    if classify_vertex(g, sel, u) is not VertexType.TYPE_II:
-        raise _counterexample(
-            f"origin {u} survived the direct analysis but is not type-II",
-            g, sel)
     return _grow_closure(g, sel, u, VertexType.TYPE_II)
 
 
 def _grow_closure(g: Graph, sel: SubgraphSelection, origin: int,
                   origin_role: VertexType) -> Move:
+    """Breadth-first closure of chains from ``origin``; apply its first rewrite.
+
+    Each vertex reached, the origin first, is tested for the type its role
+    asks for.  One that passes is a chain end, and its chains are followed
+    (complement chains from type I, selected chains from type II).  One
+    that fails offers the rewrites of its failing witnesses along the path
+    that reached it: on the origin, the direct rewrites of claims 1 and 2.
+    A vertex that passes has no failing witness.  CounterexampleFound is
+    raised when no vertex is left and no rewrite was valid.
+    """
     visited = {origin}
     parent: dict[int, tuple[int, Chain]] = {}
     queue: deque[tuple[int, VertexType]] = deque([(origin, origin_role)])
     ends = {VertexType.TYPE_I: set(), VertexType.TYPE_II: set()}
-    ends[origin_role].add(origin)
     unresolved: list[int] = []
     while queue:
         z, role = queue.popleft()
         if role is VertexType.TYPE_I:
-            kind, expected = "hbar", VertexType.TYPE_II
-            fails = _cands_failing_type_ii
+            fails, kind, expected = (_cands_failing_type_i, "hbar",
+                                     VertexType.TYPE_II)
         else:
-            kind, expected = "h", VertexType.TYPE_I
-            fails = _cands_failing_type_i
-        for ch in enumerate_chains(g, sel, z, kind):
-            t = ch.terminal
-            if t in visited:
-                continue
-            visited.add(t)
-            parent[t] = (z, ch)
-            if classify_vertex(g, sel, t) is expected:
-                ends[expected].add(t)
-                queue.append((t, expected))
-                continue
-            move = _first_valid(g, sel, fails(g, sel, _path_to(parent, t), t))
+            fails, kind, expected = (_cands_failing_type_ii, "h",
+                                     VertexType.TYPE_I)
+        if classify_vertex(g, sel, z) is not role:
+            move = _first_valid(g, sel, fails(g, sel, _path_to(parent, z), z))
             if move is not None:
                 return move
-            unresolved.append(t)
+            unresolved.append(z)
+            continue
+        ends[role].add(z)
+        for ch in enumerate_chains(g, sel, z, kind):
+            t = ch.terminal
+            if t not in visited:
+                visited.add(t)
+                parent[t] = (z, ch)
+                queue.append((t, expected))
     raise _counterexample(
         "chain closure saturated with no rewrite; this contradicts the "
         "counting argument for Delta >= 6", g, sel,
@@ -466,7 +457,7 @@ def _first_valid(g: Graph, sel: SubgraphSelection,
 
 def initial_selection(g: Graph,
                       coloring: EdgeColoring | None = None) -> SubgraphSelection:
-    """Selection of the first three color classes of a proper edge coloring.
+    """Selection of color classes 1..3 of a proper edge coloring.
 
     ``coloring`` is a proper coloring of ``g`` with at most Delta+1 colors,
     ``misra_gries(g)`` by default; ``partition_p2`` passes one extended from
@@ -481,8 +472,8 @@ def initial_selection(g: Graph,
         raise ValueError("initial selection requires max degree >= 6")
     if coloring is None:
         coloring = misra_gries(g)
-    classes = color_classes(coloring, g.max_degree + 1)
-    sel = SubgraphSelection(g, set().union(*classes[:3]))
+    sel = SubgraphSelection(
+        g, [e for e, c in coloring.assignment.items() if c <= 3])
     report = check_membership(g, sel)
     if not report.is_member:
         raise InternalBoundViolationError(
@@ -530,17 +521,15 @@ def partition_p1(g: Graph, trace: Callable[[dict], None] | None = None,
 
     Runs the engine once, from ``initial_selection(g, coloring)``, which
     checks the preconditions; there are no restarts.  A stall raises
-    CounterexampleFound with a full state dump.  The degree bounds and the
-    selection side's normality are checked again from degree counts.  The
-    degree bounds are the three membership conditions restated: complement
-    degree at most Delta-2 means selection degree at least 2 at a
-    Delta-vertex and at least 1 at a (Delta-1)-vertex.  So they are the
-    one whole-graph membership check of the final selection.
+    CounterexampleFound with a full state dump.  The final selection is
+    checked again: ``check_membership`` gives the degree bounds (complement
+    degree at most Delta-2 is selection degree at least 2 at a Delta-vertex
+    and at least 1 at a (Delta-1)-vertex), and degree counts give the
+    selection side's normality.
     """
     sel = initial_selection(g, coloring)
     run_engine(g, sel, trace)
-    if any(sel.deg(v) > 3 or sel.codeg(v) > g.max_degree - 2
-           for v in g.vertices):
+    if not check_membership(g, sel).is_member:
         raise AssertionError("partition degree bounds violated")
     if any(sel.deg(u) == 1 and sel.deg(v) == 1 for u, v in sel.selected):
         raise AssertionError("selection side has an isolated edge")
@@ -598,7 +587,7 @@ def partition_regular(g: Graph) -> EdgePartition:
     if r < 5:
         raise ValueError("regular grouping requires degree >= 5")
     coloring = misra_gries(g)
-    classes = color_classes(coloring, r + 1)
+    classes = color_classes(coloring)
     if r % 3 == 2:
         sizes = [3] * ((r + 1) // 3)
     elif r % 3 == 1:

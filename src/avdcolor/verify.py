@@ -17,6 +17,9 @@ from .graphs import Graph, canon_edge, edge_induced, is_normal
 from .vizing import EdgeColoring
 
 ORACLE_EDGE_CAP = 16
+# Colors one ``_exists`` call may place, a few seconds of search; both
+# oracles together need under 32,000 on every normal graph of <= 16 edges.
+ORACLE_NODE_BUDGET = 1_000_000
 
 
 def check_proper(g: Graph, coloring: EdgeColoring):
@@ -129,7 +132,8 @@ def _exists(g: Graph, k: int, distinguishing: bool) -> bool:
     Depth-first over the edges in sorted order, with a loop in place of
     recursion: edge i holds ``color[i]`` (0 for none), and a color above
     ``opened[i]``, the largest on the edges before i, is opened only as the
-    next one.
+    next one.  Placing more than ``ORACLE_NODE_BUDGET`` colors raises
+    CapExceededError.
     """
     edges = g.sorted_edges()
     masks = {v: 0 for v in g.vertices}
@@ -141,6 +145,7 @@ def _exists(g: Graph, k: int, distinguishing: bool) -> bool:
                  for v in g.vertices} if distinguishing else {}
     color = [0] * len(edges)
     opened = [0] * (len(edges) + 1)
+    nodes = 0
     i = 0
     while i >= 0:
         if i == len(edges):
@@ -163,6 +168,11 @@ def _exists(g: Graph, k: int, distinguishing: bool) -> bool:
             color[i] = 0
             i -= 1
             continue
+        nodes += 1
+        if nodes > ORACLE_NODE_BUDGET:
+            raise CapExceededError(
+                f"oracle node budget spent: {ORACLE_NODE_BUDGET} nodes "
+                f"without an answer at {k} colors")
         color[i] = c
         masks[u] |= 1 << c
         masks[v] |= 1 << c
@@ -264,7 +274,8 @@ def audit(g: Graph, oracle_edge_cap: int = ORACLE_EDGE_CAP) -> AuditReport:
     coloring, which is ``avd_color_regular``'s too.  A
     driver that spends its node budget fails its row: "avd coloring
     produced" for ``avd_color``, the regular driver row for
-    ``avd_color_regular``.
+    ``avd_color_regular``.  An oracle that spends its node budget gives a
+    passing skip row, as a graph above ``oracle_edge_cap`` does.
     """
     from . import coloring as avd
     from .vizing import misra_gries
@@ -320,17 +331,22 @@ def audit(g: Graph, oracle_edge_cap: int = ORACLE_EDGE_CAP) -> AuditReport:
                          f"used {rcert.colors_used}"))
         report.bound_table["regular_bound"] = rbound
 
-    if g.edge_count <= oracle_edge_cap:
-        chi_prime = exact_chromatic_index(g, edge_cap=oracle_edge_cap)
-        rows.append(("exact chromatic index is Delta or Delta+1",
-                     chi_prime in (delta, delta + 1), f"= {chi_prime}"))
-        chi_a = exact_chi_a(g, edge_cap=oracle_edge_cap)
-        rows.append(("oracle chain Delta <= chi' <= chi'_a <= certificate",
-                     delta <= chi_prime <= chi_a <= cert.colors_used,
-                     f"chi'={chi_prime} chi'_a={chi_a} cert={cert.colors_used}"))
-        report.bound_table["exact_chi_a"] = chi_a
-        report.bound_table["exact_chromatic_index"] = chi_prime
-    else:
+    if g.edge_count > oracle_edge_cap:
         rows.append(("exact oracles skipped (edge count above cap)", True,
                      f"m={g.edge_count} cap={oracle_edge_cap}"))
+        return report
+    try:
+        chi_prime = exact_chromatic_index(g, edge_cap=oracle_edge_cap)
+        chi_a = exact_chi_a(g, edge_cap=oracle_edge_cap)
+    except CapExceededError as exc:
+        rows.append(("exact oracles skipped (node budget spent)", True,
+                     str(exc)))
+        return report
+    rows.append(("exact chromatic index is Delta or Delta+1",
+                 chi_prime in (delta, delta + 1), f"= {chi_prime}"))
+    rows.append(("oracle chain Delta <= chi' <= chi'_a <= certificate",
+                 delta <= chi_prime <= chi_a <= cert.colors_used,
+                 f"chi'={chi_prime} chi'_a={chi_a} cert={cert.colors_used}"))
+    report.bound_table["exact_chi_a"] = chi_a
+    report.bound_table["exact_chromatic_index"] = chi_prime
     return report

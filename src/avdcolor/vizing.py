@@ -179,16 +179,17 @@ def _compact(g: Graph, color: dict[Edge, int]) -> EdgeColoring:
     return EdgeColoring(g, assignment, frozenset(remap.values()))
 
 
-def color_classes(coloring: EdgeColoring, padded_to: int) -> list[frozenset[Edge]]:
-    """Split edges by color into ``padded_to`` classes; trailing ones empty.
+def color_classes(coloring: EdgeColoring) -> list[frozenset[Edge]]:
+    """Split edges by color into Delta+1 classes, Delta of the host.
 
-    Downstream groupings index classes 1..Delta+1, so callers pad class-1
-    colorings with empty classes rather than shrinking the list.
+    Class i holds the edges of color i+1, so classes of colors the coloring
+    does not use are empty: groupings index classes 1..Delta+1.  A color
+    above Delta+1 raises ValueError.
     """
-    if padded_to < len(coloring.palette):
-        raise ValueError(
-            f"padded_to={padded_to} below palette size {len(coloring.palette)}")
-    classes: list[set[Edge]] = [set() for _ in range(padded_to)]
+    k = coloring.host.max_degree + 1
+    if max(coloring.palette, default=0) > k:
+        raise ValueError(f"a color above Delta+1 = {k}")
+    classes: list[set[Edge]] = [set() for _ in range(k)]
     for e, c in coloring.assignment.items():
         classes[c - 1].add(e)
     return [frozenset(cl) for cl in classes]

@@ -331,6 +331,19 @@ def test_oracle_edge_cap_reaches_a_long_cycle(tmp_path, capsys, command,
     assert expected in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command, code, stream, expected", [
+    ("oracle", 2, "err", "error: oracle node budget spent: 500 nodes"),
+    ("audit", 0, "out", "PASS exact oracles skipped (node budget spent)"),
+], ids=["oracle", "audit"])
+def test_spent_oracle_budget_ends_without_a_traceback(
+        tmp_path, capsys, monkeypatch, command, code, stream, expected):
+    from avdcolor import verify
+    monkeypatch.setattr(verify, "ORACLE_NODE_BUDGET", 500)
+    gpath = _write_graph(tmp_path, complete(8))
+    assert main([command, gpath, "--oracle-edge-cap", "28"]) == code
+    assert expected in getattr(capsys.readouterr(), stream)
+
+
 def test_oracle_rejects_large_input(tmp_path, capsys):
     gpath = _write_graph(tmp_path, complete(8))
     assert main(["oracle", gpath]) == 2
@@ -358,10 +371,12 @@ def test_audit_json_report(tmp_path, capsys):
 def test_audit_reads_stdin_for_dash(monkeypatch, capsys):
     import io
     import sys
-    stdin = io.TextIOWrapper(io.BytesIO(emit_graph(cycle(6), "graph6")))
-    monkeypatch.setattr(sys, "stdin", stdin)
-    assert main(["audit", "-"]) == 0
-    assert "overall: PASS" in capsys.readouterr().out
+    # "-" and no input at all both read stdin.
+    for argv in (["audit", "-"], ["audit"]):
+        stdin = io.TextIOWrapper(io.BytesIO(emit_graph(cycle(6), "graph6")))
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert main(argv) == 0
+        assert "overall: PASS" in capsys.readouterr().out
 
 
 def test_audit_directory(tmp_path, capsys):

@@ -58,6 +58,9 @@ def test_budget_preconditions():
         avd_color_budget(Graph(2, [(0, 1)]), 3)
     with pytest.raises(ValueError):
         avd_color_budget(cycle(5), 1)
+    # The edgeless graph is normal, and its certificate is empty.
+    empty = avd_color_budget(Graph(0), 0)
+    assert (empty.colors_used, empty.coloring.assignment) == (0, {})
 
 
 def test_budget_monotone():
@@ -128,6 +131,20 @@ def test_compose_rejects_bad_partition():
                                    coloring=make_coloring(g, clash))
     with pytest.raises(ValueError):
         compose([(g, bad_cert)], host=g)  # improper part certificate
+    with pytest.raises(ValueError, match="nothing to compose"):
+        compose([], host=g)
+    with pytest.raises(NotNormalError, match="must be normal"):
+        compose([(edge_induced(g, [(0, 1)]), half_cert)], host=g)
+    # Proper but not distinguishing: every vertex sees colors 1 and 2.
+    alternating = make_coloring(g, {e: 1 + i % 2 for i, e in
+                                    enumerate([(0, 1), (1, 2), (2, 3),
+                                               (3, 4), (4, 5), (0, 5)])})
+    two_colors = dataclasses.replace(full_cert, coloring=alternating)
+    with pytest.raises(ValueError, match="not distinguishing"):
+        compose([(g, two_colors)], host=g)
+    rest = edge_induced(g, [(2, 3), (3, 4), (4, 5), (0, 5)])
+    with pytest.raises(ValueError, match="parts overlap"):
+        compose([(half, half_cert), (rest, avd_subcubic(rest))], host=g)
 
 
 def test_compose_property_random():
@@ -215,6 +232,8 @@ def test_avd_color_regular_low_degree_routing():
     _checked(c5, cert)
     with pytest.raises(ValueError):
         avd_color_regular(gnp(12, 0.4, seed=0))
+    with pytest.raises(ValueError, match="requires degree >= 2"):
+        avd_color_regular(Graph(4, [(0, 1), (2, 3)]))  # 1-regular
 
 
 def test_certificate_parts_are_the_colored_partition():

@@ -84,6 +84,24 @@ def test_exact_chi_a_caps():
         exact_chi_a(cycle(5), cap=4)
 
 
+def test_oracle_node_budget_bounds_a_refutation():
+    # chi'_a(K_8) = 9, so palettes 7 and 8 must be refuted exhaustively,
+    # which did not end within 60 s; the node budget stops it in seconds.
+    budget = verify.ORACLE_NODE_BUDGET
+    with pytest.raises(CapExceededError, match=f"budget spent: {budget} nodes"):
+        exact_chi_a(complete(8), edge_cap=28)
+
+
+def test_audit_reports_a_spent_oracle_budget_as_a_skip(monkeypatch):
+    monkeypatch.setattr(verify, "ORACLE_NODE_BUDGET", 1000)
+    report = audit(complete(8), oracle_edge_cap=28)
+    assert report.overall_pass
+    assert report.checks[-1] == (
+        "exact oracles skipped (node budget spent)", True,
+        "oracle node budget spent: 1000 nodes without an answer at 8 colors")
+    assert "exact_chi_a" not in report.bound_table
+
+
 def test_exact_chromatic_index_values():
     assert exact_chromatic_index(cycle(5)) == 3
     assert exact_chromatic_index(complete(4)) == 3

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from avdcolor import (Graph, check_proper, color_classes, complete, cycle,
-                      edge_induced, exact_chromatic_index, gnp, misra_gries,
-                      petersen, random_regular)
+                      edge_induced, exact_chromatic_index, gnp, make_coloring,
+                      misra_gries, petersen, random_regular)
 
 
 def test_c5_needs_three_colors():
@@ -53,7 +53,8 @@ def test_every_vertex_sees_its_degree_in_colors():
 
 def test_color_classes_c5():
     mg = misra_gries(cycle(5))
-    classes = color_classes(mg, 3)
+    classes = color_classes(mg)  # Delta+1 = 3 classes
+    assert len(classes) == 3
     assert sorted(len(c) for c in classes) == [1, 2, 2]
     assert frozenset().union(*classes) == cycle(5).edges
 
@@ -61,19 +62,20 @@ def test_color_classes_c5():
 def test_color_classes_padding_and_matching():
     g = complete(4)
     mg = misra_gries(g)
-    # chi'(K4) = 3 by the oracle, so a 4th padded class is empty
+    classes = color_classes(mg)
+    assert len(classes) == g.max_degree + 1 == 4
+    # chi'(K4) = 3 by the oracle, so a 3-coloring's 4th class is empty
     assert exact_chromatic_index(g) == 3
     if mg.colors_used == 3:
-        classes = color_classes(mg, 4)
         assert classes[3] == frozenset()
-    classes = color_classes(mg, mg.colors_used)
     for cl in classes:
         seen = set()
         for u, v in cl:
             assert u not in seen and v not in seen
             seen.update((u, v))
-    with pytest.raises(ValueError):
-        color_classes(mg, mg.colors_used - 1)
+    e = min(g.edges)
+    with pytest.raises(ValueError, match="above Delta"):
+        color_classes(make_coloring(g, {**mg.assignment, e: 5}))
 
 
 def test_deterministic_coloring():
