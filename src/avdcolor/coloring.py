@@ -7,14 +7,14 @@ and one distinguishing color per adjacent equal-degree pair.
 The exact searcher is a deterministic backtracker over edges (grouped per
 vertex in breadth-first order, ascending colors, new colors introduced
 only in order) that prunes on properness and on completed adjacent
-equal-degree pairs.  Parts of max degree 3 try a repair first at each
-budget of their ladder: min-conflicts Kempe-chain swaps that turn the
-part's Misra-Gries coloring into a distinguishing one, under a step
-budget, with the exact search as the fallback; paths and cycles take the
-exact search alone.  Each driver either colors a
-small-degree graph as one bounded part, or colors the parts of a
-partition and composes the part certificates over pairwise disjoint
-palettes.
+equal-degree pairs.  The subcubic ladder tries budgets from a lower bound
+up.  Parts of max degree 3 try a repair first at each budget: min-conflicts
+Kempe-chain swaps that turn the part's Misra-Gries coloring into a
+distinguishing one, under a step budget, with the exact search as the
+fallback; paths and cycles take the exact search alone.  Each driver
+either colors a small-degree graph as one bounded part, or colors the
+parts of a partition and composes the part certificates over pairwise
+disjoint palettes.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .errors import (InternalBoundViolationError, NotNormalError,
 from .graph_io import emit_graph
 from .graphs import Edge, EdgePartition, Graph, canon_edge, is_normal
 from .partition import partition_p2, partition_regular
-from .vizing import EdgeColoring, make_coloring, misra_gries
+from .vizing import EdgeColoring, make_coloring, misra_gries, relabeled
 from . import verify
 
 DEFAULT_NODE_CAP = 60_000
@@ -71,15 +71,19 @@ class AvdCertificate:
 
 
 def _witnesses(g: Graph, coloring: EdgeColoring) -> dict[Edge, int]:
-    sets = {v: coloring.colors_at(v) for v in g.vertices}
+    # Bit c of mask[v] is set for c at v: min(C(u) ^ C(v)) is a lowest bit.
+    mask = dict.fromkeys(g.vertices, 0)
+    for (u, v), c in coloring.assignment.items():
+        mask[u] |= 1 << c
+        mask[v] |= 1 << c
     out: dict[Edge, int] = {}
     for u, v in g.sorted_edges():
         if g.degree(u) == g.degree(v):
-            diff = sets[u] ^ sets[v]
+            diff = mask[u] ^ mask[v]
             if not diff:
                 raise AssertionError(
                     f"equal color sets at adjacent pair {(u, v)}")
-            out[(u, v)] = min(diff)
+            out[(u, v)] = (diff & -diff).bit_length() - 1
     return out
 
 
@@ -185,37 +189,40 @@ def avd_color_budget(g: Graph, budget: int, *, node_cap: int | None = None,
                      order: list[Edge] | None = None) -> AvdCertificate | None:
     """Exact search for an AVD coloring with at most ``budget`` colors.
 
-    Returns None when no such coloring exists.  With the default
-    ``node_cap=None`` the search is complete; a finite cap raises
-    SearchCapExceededError instead of returning a wrong answer.
+    Returns None when no such coloring exists, at once below
+    ``_lower_bound(g)``.  With the default ``node_cap=None`` the search is
+    complete; a finite cap raises SearchCapExceededError instead of
+    returning a wrong answer.  An edgeless g gets a certificate of no parts.
     """
     if not is_normal(g):
         raise NotNormalError("AVD colorings exist only for normal graphs")
     if budget < g.max_degree:
         raise ValueError(f"budget {budget} below max degree {g.max_degree}")
     if g.edge_count == 0:
-        return AvdCertificate(make_coloring(g, {}), 0, budget, {})
-    if _saturated(g, budget):
+        return _certificate(g, {}, budget, ())
+    if budget == g.max_degree < _lower_bound(g):
         return None
     assignment = _search(g, budget, order or _vertex_major_order(g), node_cap)
     if assignment is None:
         return None
     # _search opens only the next unused color, so the palette is 1..K.
-    return _single_part(g, assignment, budget)
+    return _certificate(g, assignment, budget, (g.edges,))
 
 
-def _saturated(g: Graph, budget: int) -> bool:
-    # Two adjacent vertices of degree equal to the budget would both see
-    # every color, so no coloring can distinguish them.
-    return any(g.degree(u) == g.degree(v) == budget for u, v in g.edges)
+def _lower_bound(g: Graph) -> int:
+    # Delta, or Delta + 1 when two adjacent vertices of degree Delta would
+    # both see every color of Delta, so none could tell them apart (Zhang,
+    # Liu and Wang 2002).
+    d = g.max_degree
+    return d + any(g.degree(u) == g.degree(v) == d for u, v in g.edges)
 
 
-def _single_part(g: Graph, assignment: dict[Edge, int],
-                 budget: int) -> AvdCertificate:
-    """Certificate of g colored as one part; colors must be 1..K."""
+def _certificate(g: Graph, assignment: dict[Edge, int], bound: int,
+                 parts: tuple[frozenset[Edge], ...]) -> AvdCertificate:
+    """Certificate of ``assignment`` on g; its colors must be 1..K."""
     coloring = make_coloring(g, assignment)
-    return AvdCertificate(coloring, coloring.colors_used, budget,
-                          _witnesses(g, coloring), (g.edges,))
+    return AvdCertificate(coloring, coloring.colors_used, bound,
+                          _witnesses(g, coloring), parts)
 
 
 def _repair(g: Graph, budget: int,
@@ -231,10 +238,11 @@ def _repair(g: Graph, budget: int,
     changes only the color sets of x and y; the swap that lowers the
     conflicts at x and y the most is made, ties broken by a fixed-seed
     generator, and the a/b swaps at x and y are then tabu for 7 steps.
-    Returns None after 2m steps without an AVD coloring, or when two
-    adjacent vertices of degree ``budget`` make one impossible.
+    Returns None after 2m steps without an AVD coloring.  Callers start at
+    ``_lower_bound(g)``, so no budget is one that two adjacent vertices of
+    degree ``budget`` make impossible.
     """
-    if start.colors_used > budget or _saturated(g, budget):
+    if start.colors_used > budget:
         return None
     # at[v][c] is v's neighbor across color c; mask[v] has bit c for c at v.
     at: dict[int, dict[int, int]] = {v: {} for v in g.vertices}
@@ -318,10 +326,9 @@ def _repair(g: Graph, budget: int,
         mark(path[-1])
     if conflicts:
         return None
-    old = sorted({c for v in g.vertices for c in at[v]})
-    rank = {c: i for i, c in enumerate(old, start=1)}
-    return _single_part(g, {(u, v): rank[c] for u in g.vertices
-                            for c, v in at[u].items() if u < v}, budget)
+    return _certificate(g, relabeled({(u, v): c for u in g.vertices
+                                      for c, v in at[u].items() if u < v}),
+                        budget, (g.edges,))
 
 
 def _shuffled_order(g: Graph, seed: int) -> list[Edge]:
@@ -384,7 +391,7 @@ def _guaranteed_search(g: Graph, budget: int, context: str) -> AvdCertificate:
 def avd_subcubic(g: Graph) -> AvdCertificate:
     """Certificate with at most 5 colors for a normal graph of max degree 3.
 
-    Budgets ascend from the max degree.  When g has max degree 3, each
+    Budgets ascend from ``_lower_bound(g)``.  When g has max degree 3, each
     starts with ``_repair`` of one Misra-Gries coloring of g, shared by
     every budget.  Paths and cycles (max degree 2) get no start and no
     repair: the exact search colors or refutes each of their budgets in
@@ -395,17 +402,16 @@ def avd_subcubic(g: Graph) -> AvdCertificate:
     budget (only minimality of the reported palette is affected).  At
     budget 5, which Balister, Gyori, Lehel and Schelp (2007) guarantee, a
     failed repair is followed by ``_guaranteed_search``, which may raise
-    SearchCapExceededError after its node budget.
+    SearchCapExceededError after its node budget.  An edgeless g gets its
+    first rung's certificate of no parts.
     """
     if not is_normal(g):
         raise NotNormalError("subcubic AVD coloring requires a normal graph")
     if g.max_degree > 3:
         raise ValueError(f"max degree {g.max_degree} exceeds 3")
-    if g.edge_count == 0:
-        return AvdCertificate(make_coloring(g, {}), 0, 5, {})
     start = misra_gries(g) if g.max_degree == 3 else None
     cap = max(LADDER_NODE_CAP, 2 * g.edge_count)
-    for budget in range(g.max_degree, 5):
+    for budget in range(_lower_bound(g), 5):
         cert = _repair(g, budget, start) if start else None
         if cert is None:
             try:
@@ -427,6 +433,8 @@ def compose(parts: list[tuple[Graph, AvdCertificate]],
     with a valid certificate.  Palettes are relabeled onto consecutive
     disjoint ranges in part order, so the result uses the sum of the part
     palette sizes, and its ``parts`` lists the part edge sets in that order.
+    Its witnesses check that it is distinguishing; it is proper as a union
+    of proper parts on disjoint palettes.
     """
     if not parts:
         raise ValueError("nothing to compose")
@@ -449,19 +457,13 @@ def compose(parts: list[tuple[Graph, AvdCertificate]],
         raise ValueError("parts do not cover the host edge set")
     merged: dict[Edge, int] = {}
     offset = 0
-    for part, cert in parts:
-        rank = {c: i for i, c in
-                enumerate(sorted(cert.coloring.palette), start=1)}
-        for e, c in cert.coloring.assignment.items():
-            merged[e] = offset + rank[c]
-        offset += len(rank)
-    coloring = make_coloring(host, merged)
-    ok, detail = verify.check_avd(host, coloring)
-    if not ok:
-        raise AssertionError(f"palette-disjoint composition failed: {detail}")
-    bound = sum(cert.bound_claimed for _, cert in parts)
-    return AvdCertificate(coloring, offset, bound, _witnesses(host, coloring),
-                          tuple(part.edges for part, _ in parts))
+    for _, cert in parts:
+        for e, c in relabeled(cert.coloring.assignment).items():
+            merged[e] = offset + c
+        offset += cert.coloring.colors_used
+    return _certificate(host, merged,
+                        sum(cert.bound_claimed for _, cert in parts),
+                        tuple(part.edges for part, _ in parts))
 
 
 def _color_bounded_part(part: Graph) -> AvdCertificate:

@@ -75,9 +75,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self._edges)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return canon_edge(u, v) in self._edges
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
 

@@ -167,16 +167,14 @@ def misra_gries(g: Graph,
         recolor([(x, fan[i], colx[fan[i + 1]]) for i in range(j)]
                 + [(x, w, d)])
 
-    return _compact(g, {(v, w): c for v in g.vertices
-                        for w, c in col[v].items() if v < w})
+    return make_coloring(g, relabeled({(v, w): c for v in g.vertices
+                                       for w, c in col[v].items() if v < w}))
 
 
-def _compact(g: Graph, color: dict[Edge, int]) -> EdgeColoring:
-    # Relabel the used colors onto 1..K preserving order.
-    old = sorted(set(color.values()))
-    remap = {c: i for i, c in enumerate(old, start=1)}
-    assignment = {e: remap[c] for e, c in color.items()}
-    return EdgeColoring(g, assignment, frozenset(remap.values()))
+def relabeled(color: dict[Edge, int]) -> dict[Edge, int]:
+    """``color`` with its colors mapped onto 1..K, keeping their order."""
+    rank = {c: i for i, c in enumerate(sorted(set(color.values())), start=1)}
+    return {e: rank[c] for e, c in color.items()}
 
 
 def color_classes(coloring: EdgeColoring) -> list[frozenset[Edge]]:

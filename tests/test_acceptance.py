@@ -15,6 +15,7 @@ from avdcolor import (Graph, avd_color, avd_color_budget,
                       is_normal,
                       main_bound, misra_gries, partition_p1, partition_p2,
                       partition_regular, random_regular, regular_bound)
+from avdcolor.coloring import _lower_bound
 from helpers import normal_gnp_corpus
 from smallgraphs import connected_subcubic_levels
 
@@ -149,6 +150,10 @@ def test_criterion_6_oracle_equivalence():
         smallest = next(b for b in range(g.max_degree, g.edge_count + 1)
                         if avd_color_budget(g, b) is not None)
         assert smallest == exact, (sorted(g.edges), smallest, exact)
+        lb = _lower_bound(g)
+        assert lb <= exact
+        if lb > g.max_degree:
+            assert avd_color_budget(g, g.max_degree) is None
     assert exact_chi_a(Graph(3, [(0, 1), (1, 2)])) == 2
     assert exact_chi_a(cycle(5)) == 5
     assert exact_chi_a(complete(4)) == 5

@@ -74,6 +74,43 @@ def test_budget_monotone():
             assert sat == list(range(lo, g.max_degree + 5))
 
 
+def _random_proper_coloring(g, rng):
+    # Each edge, in a shuffled order, takes a random color free at both
+    # ends among 1..2 Delta - 1, which always leaves one.
+    color = {}
+    edges = sorted(g.edges)
+    rng.shuffle(edges)
+    for u, v in edges:
+        taken = {c for e, c in color.items() if u in e or v in e}
+        color[(u, v)] = rng.choice([c for c in range(1, 2 * g.max_degree)
+                                    if c not in taken])
+    return make_coloring(g, color)
+
+
+def test_witnesses_are_the_least_distinguishing_color():
+    rng = random.Random(4)
+    outcomes = set()
+    for g in normal_gnp_corpus(40, 900, 5, 12, 2, 6):
+        col = _random_proper_coloring(g, rng)
+        expected = {(u, v): col.colors_at(u) ^ col.colors_at(v)
+                    for u, v in g.edges if g.degree(u) == g.degree(v)}
+        outcomes.add(all(expected.values()))
+        if all(expected.values()):
+            assert coloring._witnesses(g, col) == {
+                e: min(diff) for e, diff in expected.items()}
+        else:
+            with pytest.raises(AssertionError, match="equal color sets"):
+                coloring._witnesses(g, col)
+    assert outcomes == {True, False}
+    # Proper on C_5, but vertices 1, 2 and 3 all see colors 1 and 2.
+    c5 = cycle(5)
+    col = make_coloring(c5, {(0, 1): 1, (1, 2): 2, (2, 3): 1, (3, 4): 2,
+                             (0, 4): 3})
+    assert check_proper(c5, col) == (True, None)
+    with pytest.raises(AssertionError, match=r"adjacent pair \(1, 2\)"):
+        coloring._witnesses(c5, col)
+
+
 def test_subcubic_petersen():
     cert = avd_subcubic(petersen())
     assert cert.bound_claimed == 5 and cert.colors_used <= 5
@@ -290,7 +327,9 @@ def test_search_outputs_golden():
 
 def test_subcubic_budget_four_exact_rung_lowers_the_palette(monkeypatch):
     # The budget-4 repair fails on this cubic graph, so without the exact
-    # budget-4 rung the ladder would end at the guaranteed budget 5.
+    # budget-4 rung the ladder would end at the guaranteed budget 5.  Its
+    # adjacent degree-3 vertices put the lower bound, and the first rung,
+    # at 4.
     g = random_regular(12, 3, 46)
     assert coloring._repair(g, 4, misra_gries(g)) is None
     found = []
@@ -304,7 +343,7 @@ def test_subcubic_budget_four_exact_rung_lowers_the_palette(monkeypatch):
     monkeypatch.setattr(coloring, "avd_color_budget", spy)
     cert = avd_color(g)
     assert cert.colors_used == 4
-    assert found == [(3, False), (4, True)]
+    assert found == [(4, True)]
     assert all(ok for _, ok, _ in check_certificate(g, cert))
 
 
@@ -559,20 +598,28 @@ def test_ladder_repairs_before_each_search(monkeypatch):
 
     monkeypatch.setattr(coloring, "avd_color_budget", spy_search)
     monkeypatch.setattr(coloring, "_repair", failed_repair)
-    cert = avd_subcubic(petersen())
-    assert calls == [("repair", 3), ("search", 3), ("repair", 4),
-                     ("search", 4)]
-    assert cert.colors_used == 4
-    calls.clear()
+    # Petersen's adjacent degree-3 vertices put its lower bound at 4; the
+    # theta graph's two degree-3 vertices are not adjacent, so its ladder
+    # starts at 3.
+    theta = Graph(8, [(0, 2), (2, 3), (1, 3), (0, 4), (4, 5), (1, 5),
+                      (0, 6), (6, 7), (1, 7)])
+    ladders = ((petersen(), 4), (theta, 3))
+    for g, first in ladders:
+        calls.clear()
+        cert = avd_subcubic(g)
+        assert calls == [("repair", first), ("search", first)]
+        assert _checked(g, cert).colors_used == first
 
     def refuted(g, budget, **kw):
         calls.append(("search", budget))
 
     monkeypatch.setattr(coloring, "avd_color_budget", refuted)
-    with pytest.raises(InternalBoundViolationError):
-        avd_subcubic(petersen())
-    assert calls == [("repair", 3), ("search", 3), ("repair", 4),
-                     ("search", 4), ("repair", 5), ("search", 5)]
+    for g, first in ladders:
+        calls.clear()
+        with pytest.raises(InternalBoundViolationError):
+            avd_subcubic(g)
+        assert calls == [(step, b) for b in range(first, 6)
+                         for step in ("repair", "search")]
 
 
 def test_paths_and_cycles_skip_the_repair(monkeypatch):

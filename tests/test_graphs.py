@@ -19,7 +19,7 @@ def test_graph_basic_invariants():
     assert g.degree(1) == 2 and g.degree(0) == 1
     assert g.max_degree == 2 and g.min_degree == 1
     assert g.neighbors(2) == (1, 3)
-    assert g.has_edge(1, 0) and not g.has_edge(0, 2)
+    assert canon_edge(1, 0) in g.edges and (0, 2) not in g.edges
 
 
 def test_graph_rejects_duplicates_and_range():

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from avdcolor import (Graph, check_proper, color_classes, complete, cycle,
                       edge_induced, exact_chromatic_index, gnp, make_coloring,
                       misra_gries, petersen, random_regular)
+from avdcolor.vizing import relabeled
 
 
 def test_c5_needs_three_colors():
@@ -49,6 +50,19 @@ def test_every_vertex_sees_its_degree_in_colors():
     mg = misra_gries(g)
     for v in g.vertices:
         assert len(mg.colors_at(v)) == g.degree(v)
+
+
+def test_relabeled_keeps_color_order():
+    color = {(0, 1): 7, (1, 2): 3, (2, 3): 7, (3, 4): 12, (0, 4): 5}
+    assert relabeled(color) == {(0, 1): 3, (1, 2): 1, (2, 3): 3, (3, 4): 4,
+                                (0, 4): 2}
+    # Colors already 1..K stay as they are.
+    onto = {(0, 1): 2, (1, 2): 1, (2, 3): 2, (3, 4): 3}
+    assert relabeled(onto) == onto
+    assert relabeled({}) == {}
+    for g in (petersen(), gnp(30, 0.3, 1)):
+        mg = misra_gries(g)
+        assert relabeled(mg.assignment) == mg.assignment
 
 
 def test_color_classes_c5():
