@@ -71,7 +71,8 @@ class AvdCertificate:
 
 
 def _witnesses(g: Graph, coloring: EdgeColoring) -> dict[Edge, int]:
-    # Bit c of mask[v] is set for c at v: min(C(u) ^ C(v)) is a lowest bit.
+    # Bit c of mask[v] is set when c is at v, so min(C(u) ^ C(v)) is the
+    # lowest set bit of mask[u] ^ mask[v].
     mask = dict.fromkeys(g.vertices, 0)
     for (u, v), c in coloring.assignment.items():
         mask[u] |= 1 << c
@@ -210,9 +211,9 @@ def avd_color_budget(g: Graph, budget: int, *, node_cap: int | None = None,
 
 
 def _lower_bound(g: Graph) -> int:
-    # Delta, or Delta + 1 when two adjacent vertices of degree Delta would
-    # both see every color of Delta, so none could tell them apart (Zhang,
-    # Liu and Wang 2002).
+    # Delta, or Delta + 1 when two vertices of degree Delta are adjacent:
+    # under a budget of Delta both would see every color, and no coloring
+    # could tell them apart (Zhang, Liu and Wang 2002).
     d = g.max_degree
     return d + any(g.degree(u) == g.degree(v) == d for u, v in g.edges)
 
