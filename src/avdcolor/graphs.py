@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Iterator
 
 Edge = tuple[int, int]
@@ -131,6 +132,38 @@ def edge_induced(g: Graph, s: Iterable[Edge]) -> Graph:
     return sub
 
 
+def without_edges(g: Graph, part: frozenset[Edge] | set[Edge]) -> Graph:
+    """``edge_induced(g, g.edges - part)`` for a set ``part`` of g's edges.
+
+    The remainder of a peel: beside one set difference it takes
+    O(n + |part| log Delta).  It shares every neighbor tuple that ``part``
+    does not touch, and drops the vertices left with no edge.
+    """
+    if not part <= g._edges:
+        raise ValueError("edges to remove are not all in the graph")
+    lost: dict[int, list[int]] = {}
+    for u, v in part:
+        lost.setdefault(u, []).append(v)
+        lost.setdefault(v, []).append(u)
+    adj = {v: ns for v, ns in g._adj.items() if ns}
+    for v, ws in lost.items():
+        ns = list(adj[v])
+        for w in ws:
+            del ns[bisect_left(ns, w)]
+        if ns:
+            adj[v] = tuple(ns)
+        else:
+            del adj[v]
+    sub = Graph.__new__(Graph)
+    sub.n = g.n
+    # Dict order is g's ascending vertex order.
+    sub._vertices = g._vertices if len(adj) == len(g._adj) else tuple(adj)
+    sub._edges = g._edges - part
+    sub._adj = adj
+    sub.max_degree = max(map(len, adj.values()), default=0)
+    return sub
+
+
 class SubgraphSelection:
     """A mutable subset H of a host graph's edges with degree bookkeeping.
 
@@ -146,21 +179,24 @@ class SubgraphSelection:
     def __init__(self, host: Graph, edges: Iterable[Edge] = ()):
         self.host = host
         self._selected: set[Edge] = set()
-        self._deg = {v: 0 for v in host.vertices}
+        self._deg = dict.fromkeys(host.vertices, 0)
         self._iso_sel: set[Edge] = set()
         self._iso_unsel: set[Edge] = set()
         for e in edges:
             self._select(canon_edge(*e))
-        # Settle both isolated-edge sets in one pass, as _update_isolation
-        # would edge by edge.
+        # Settle both isolated-edge sets as _update_isolation would edge by
+        # edge, in O(n + |H|): an isolated complement edge joins two
+        # vertices of complement degree 1, each found by scanning neighbors
+        # that are all selected but one.
         sel, deg, adj = self._selected, self._deg, host._adj
-        for e in host.edges:
-            u, v = e
-            if e in sel:
-                if deg[u] == 1 and deg[v] == 1:
-                    self._iso_sel.add(e)
-            elif len(adj[u]) - deg[u] == 1 and len(adj[v]) - deg[v] == 1:
-                self._iso_unsel.add(e)
+        for u, v in sel:
+            if deg[u] == 1 and deg[v] == 1:
+                self._iso_sel.add((u, v))
+        for u, ns in adj.items():
+            if len(ns) - deg[u] == 1:
+                v = next(w for w in ns if canon_edge(u, w) not in sel)
+                if u < v and len(adj[v]) - deg[v] == 1:
+                    self._iso_unsel.add((u, v))
 
     # -- queries ---------------------------------------------------------
 
@@ -255,21 +291,29 @@ class EdgePartition:
     def __init__(self, host: Graph, parts: Iterable[Iterable[Edge]]):
         self.host = host
         self.parts: list[frozenset[Edge]] = []
+        # The union of the parts before the last; the last is merged only
+        # when a later part comes.  Disjoint parts of host edges cover the
+        # host exactly when their sizes add up to its edge count.
         seen: set[Edge] = set()
+        last: frozenset[Edge] = frozenset()
+        covered = 0
         for i, p in enumerate(parts):
-            if isinstance(p, (set, frozenset)) and p <= host.edges:
+            in_host = isinstance(p, (set, frozenset)) and p <= host.edges
+            if in_host:
                 pset = frozenset(p)  # host edges are canonical already
             else:
                 pset = frozenset(canon_edge(u, v) for u, v in p)
             if not pset:
                 raise ValueError(f"part {i} is empty")
-            if pset & seen:
+            seen |= last
+            if not pset.isdisjoint(seen):
                 raise ValueError(f"part {i} overlaps an earlier part")
-            if not pset <= host.edges:
+            if not (in_host or pset <= host.edges):
                 raise ValueError(f"part {i} contains non-host edges")
-            seen |= pset
+            last = pset
+            covered += len(pset)
             self.parts.append(pset)
-        if seen != host.edges:
+        if covered != host.edge_count:
             raise ValueError("parts do not cover the host edge set")
 
     def __len__(self) -> int:

@@ -32,9 +32,9 @@ from typing import Callable, Iterable, Iterator
 from .errors import (CounterexampleFound, InternalBoundViolationError,
                      InvalidGroupingError, NotNormalError)
 from .graphs import (Edge, EdgePartition, Graph, SubgraphSelection,
-                     canon_edge, edge_induced, is_normal)
+                     canon_edge, edge_induced, is_normal, without_edges)
 from .graph_io import emit_graph
-from .vizing import EdgeColoring, color_classes, misra_gries
+from .vizing import EdgeColoring, _Fans, color_classes, misra_gries
 
 
 class VertexType(enum.Enum):
@@ -456,15 +456,17 @@ def _first_valid(g: Graph, sel: SubgraphSelection,
 
 
 def initial_selection(g: Graph,
-                      coloring: EdgeColoring | None = None) -> SubgraphSelection:
+                      coloring: EdgeColoring | _Fans | None = None
+                      ) -> SubgraphSelection:
     """Selection of color classes 1..3 of a proper edge coloring.
 
-    ``coloring`` is a proper coloring of ``g`` with at most Delta+1 colors,
-    ``misra_gries(g)`` by default; ``partition_p2`` passes one extended from
-    the level above.  Any such coloring will do.  The counting behind the
-    membership guarantee: a Delta-vertex misses at most one of any three
-    classes, a (Delta-1)-vertex at most two.  The membership check below
-    rejects a coloring that breaks this.
+    ``coloring`` is a proper coloring of ``g`` with at most Delta+1 colors
+    that gives its classes by ``edges_upto``: ``misra_gries(g)`` by default;
+    ``partition_p2`` passes the coloring state it extends level by level,
+    which reads the three classes in O(n).  Any such coloring will do.  The
+    counting behind the membership guarantee: a Delta-vertex misses at most
+    one of any three classes, a (Delta-1)-vertex at most two.  The
+    membership check below rejects a coloring that breaks this.
     """
     if not is_normal(g):
         raise NotNormalError("initial selection requires a normal graph")
@@ -472,8 +474,7 @@ def initial_selection(g: Graph,
         raise ValueError("initial selection requires max degree >= 6")
     if coloring is None:
         coloring = misra_gries(g)
-    sel = SubgraphSelection(
-        g, [e for e, c in coloring.assignment.items() if c <= 3])
+    sel = SubgraphSelection(g, coloring.edges_upto(3))
     report = check_membership(g, sel)
     if not report.is_member:
         raise InternalBoundViolationError(
@@ -515,7 +516,8 @@ def run_engine(g: Graph, sel: SubgraphSelection,
 
 
 def partition_p1(g: Graph, trace: Callable[[dict], None] | None = None,
-                 coloring: EdgeColoring | None = None) -> EdgePartition:
+                 coloring: EdgeColoring | _Fans | None = None
+                 ) -> EdgePartition:
     """Two-part partition: selection side of max degree <= 3, complement of
     max degree <= Delta-2, both normal.
 
@@ -546,29 +548,31 @@ def partition_p2(g: Graph,
     first, so the last part is the selection side of ``partition_p1(g)``.
     ``initial_selection`` checks each level's normality; G_0 is checked last.
 
-    Each level's coloring is ``misra_gries`` warm-started from the level
-    above (the first level starts cold).  The carry is the level's coloring
-    on the remainder's edges outside the selected classes 1..3, shifted
-    down by 3, without colors above the remainder's Delta'+1.  It is a
-    partial proper coloring, so only the edges the engine moved out of the
-    selection, and those whose color was dropped, are colored by fans.  The
-    membership guarantee needs only some proper (Delta'+1)-coloring, and
-    ``initial_selection`` checks membership on every level.
+    One coloring state (``vizing._Fans``) lives through every level.  The
+    first level's is the cold ``misra_gries`` coloring; below it, the state
+    keeps the level's colors on the remainder's edges outside the selected
+    classes 1..3, moved down by 3, without colors above the remainder's
+    Delta'+1, and fans color only the edges left uncolored: those the engine
+    moved out of the selection and those whose color was cut.  Colors are
+    mapped onto 1..K in their order on every level, as ``misra_gries``
+    does.  Each level's ``Graph`` is built from the one above
+    (``without_edges``).  The membership guarantee needs only some proper
+    (Delta'+1)-coloring, and ``initial_selection`` checks membership on
+    every level.
     """
     if not is_normal(g):
         raise NotNormalError("partition requires a normal graph")
     peels: list[frozenset[Edge]] = []
     rest = g
-    carry = None
+    fans = _Fans(g)
+    todo = g.sorted_edges()
     while rest.max_degree > 5:
-        coloring = misra_gries(rest, carry)
-        h_edges, hbar_edges = partition_p1(rest, trace=trace,
-                                           coloring=coloring).parts
+        fans.fan(todo)
+        fans.compact()
+        h_edges, _ = partition_p1(rest, trace=trace, coloring=fans).parts
         peels.append(h_edges)
-        rest = edge_induced(rest, hbar_edges)
-        top = rest.max_degree + 4  # colors 4..top become 1..Delta'+1
-        carry = {e: c - 3 for e, c in coloring.assignment.items()
-                 if 3 < c <= top and e in hbar_edges}
+        rest = without_edges(rest, h_edges)
+        todo = fans.peel(h_edges, rest)
     if peels and not is_normal(rest):
         raise AssertionError("remainder G_0 is not normal")
     return EdgePartition(g, [rest.edges, *reversed(peels)])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .graphs import Edge, Graph, canon_edge
 
@@ -28,10 +29,208 @@ class EdgeColoring:
         return frozenset(self.assignment[canon_edge(v, w)]
                          for w in self.host.neighbors(v))
 
+    def edges_upto(self, k: int) -> list[Edge]:
+        """The edges of colors 1..k."""
+        return [e for e, c in self.assignment.items() if c <= k]
+
 
 def make_coloring(host: Graph, assignment: dict[Edge, int]) -> EdgeColoring:
     return EdgeColoring(host, dict(assignment),
                         frozenset(assignment.values()))
+
+
+class _Fans:
+    """A partial proper edge coloring of ``host`` in Misra-Gries's maps.
+
+    ``col[v][w]`` is the color of vw and ``at[v][c]`` is v's neighbor across
+    color c.  Colors are stored absolute over ``base``: absolute color c is
+    color c - base, so moving every color down by 3 is ``base += 3``.  Bit c
+    of ``used[v]`` is set when c is at v, and bits 0..base always are, so
+    the lowest clear bit of a mask is the smallest color it leaves free.
+
+    ``misra_gries`` builds one for a single coloring; ``partition_p2`` keeps
+    one through every level of its peel (``peel``), so each level fans only
+    the edges the level above left uncolored.
+    """
+
+    __slots__ = ("host", "col", "at", "used", "base")
+
+    def __init__(self, host: Graph):
+        self.host = host
+        self.col: dict[int, dict[int, int]] = {v: {} for v in host.vertices}
+        self.at: dict[int, dict[int, int]] = {v: {} for v in host.vertices}
+        self.used = dict.fromkeys(host.vertices, 1)
+        self.base = 0
+
+    def paint(self, u: int, v: int, c: int) -> None:
+        """Color the uncolored edge uv with absolute c, free at both ends."""
+        self.col[u][v] = self.col[v][u] = c
+        self.at[u][c] = v
+        self.at[v][c] = u
+        self.used[u] |= 1 << c
+        self.used[v] |= 1 << c
+
+    def uncolor(self, u: int, v: int) -> None:
+        c = self.col[u].pop(v)
+        del self.col[v][u], self.at[u][c], self.at[v][c]
+        self.used[u] ^= 1 << c
+        self.used[v] ^= 1 << c
+
+    def fan(self, edges: Iterable[Edge]) -> None:
+        """Color the uncolored ``edges`` of ``host``, in order, by fans.
+
+        Misra-Gries fans with deterministic tie-breaking in colors
+        1..Delta+1 (see ``misra_gries``).  Path swaps and rotations may
+        recolor colored edges; an edge colored here stays colored.
+        """
+        g = self.host
+        col, at, used = self.col, self.at, self.used
+        k = g.max_degree + 1
+        top = self.base + k
+        m = g.edge_count
+        paint = self.paint
+
+        def lowest_free(mask: int) -> int:
+            # The lowest clear bit: the smallest color the mask leaves free.
+            return (~mask & (mask + 1)).bit_length() - 1
+
+        def free(v: int) -> int:
+            c = lowest_free(used[v])
+            if c > top:
+                raise AssertionError(f"no free color at {v} with k={k}")
+            return c
+
+        def recolor(batch: list[tuple[int, int, int]]) -> None:
+            # Uncolor everything first: a sequential rewrite would transiently
+            # give a vertex two edges of one color and corrupt ``at``.
+            for u, v, _ in batch:
+                if v in col[u]:
+                    self.uncolor(u, v)
+            for u, v, c in batch:
+                paint(u, v, c)
+
+        # Anchor at the lower endpoint.
+        for x, f in edges:
+            colx = col[x]
+            # Fan of x from f: each step takes the lowest colored neighbor not
+            # yet in the fan whose color is free at the fan's last vertex, so a
+            # taken entry leaves the candidate list for good.  The fan stops at
+            # its first vertex sharing a free color with x; d is the smallest.
+            fan = [f]
+            cands = None
+            while (d := lowest_free(used[x] | used[fan[-1]])) > top:
+                if cands is None:
+                    cands = [(w, colx[w]) for w in g.neighbors(x) if w in colx]
+                last = used[fan[-1]]
+                for i, (w, cw) in enumerate(cands):
+                    if not last >> cw & 1:
+                        del cands[i]
+                        fan.append(w)
+                        break
+                else:
+                    # A maximal fan with no color free at both x and its last
+                    # vertex: swap d and c on the maximal d/c path from x.  x
+                    # misses c, so the path is no cycle and ends before it holds
+                    # every edge.
+                    c = free(x)
+                    d = free(fan[-1])
+                    path = []
+                    cur, want, other = x, d, c
+                    while (nxt := at[cur].get(want)) is not None:
+                        path.append((cur, nxt, other))
+                        if len(path) == m:
+                            raise AssertionError("alternating path does not end")
+                        cur, want, other = nxt, other, want
+                    recolor(path)
+                    break
+            if len(fan) == 1:
+                # A swap needs a fan of two or more, so this fan stopped at
+                # once: f itself shares d with x.  Most fans do.
+                paint(x, f, d)
+                continue
+            # d is free at x; rotate the first fan prefix ending at a vertex
+            # where d is free.  After a path swap the prefix must still be a fan
+            # under the swapped colors; after an early stop it is the whole fan.
+            for j, w in enumerate(fan):
+                if j > 0 and used[fan[j - 1]] >> colx[w] & 1:
+                    raise AssertionError("path swap broke the fan prefix")
+                if not used[w] >> d & 1:
+                    break
+            else:
+                raise AssertionError("fan rotation target missing")
+            # Shift each fan edge's color down, then finish with d.
+            recolor([(x, fan[i], colx[fan[i + 1]]) for i in range(j)]
+                    + [(x, w, d)])
+
+    def compact(self) -> int:
+        """Map the colors onto 1..K in their order, as ``relabeled`` does;
+        return K.  Only a palette with a gap is rewritten."""
+        base, col, at, used = self.base, self.col, self.at, self.used
+        vertices = self.host.vertices
+        palette = 0
+        for v in vertices:
+            palette |= used[v]
+        palette >>= base + 1
+        k = palette.bit_length()
+        if palette == (1 << k) - 1:
+            return k
+        rank: dict[int, int] = {}
+        for i in range(k):
+            if palette >> i & 1:
+                rank[base + 1 + i] = base + 1 + len(rank)
+        floor = (1 << base + 1) - 1
+        for v in vertices:
+            col[v] = {w: rank[c] for w, c in col[v].items()}
+            at[v] = {rank[c]: w for c, w in at[v].items()}
+            used[v] = floor | sum(1 << c for c in at[v])
+        return len(rank)
+
+    def edges_upto(self, k: int) -> list[Edge]:
+        """The edges of colors 1..k, in order, read from ``at`` in O(nk)."""
+        out = []
+        at, used = self.at, self.used
+        lo = self.base + 1
+        bits = (1 << k) - 1
+        for v in self.host.vertices:
+            if used[v] >> lo & bits:
+                at_v = at[v]
+                for c in range(lo, lo + k):
+                    w = at_v.get(c)
+                    if w is not None and v < w:
+                        out.append((v, w))
+        return out
+
+    def peel(self, part: frozenset[Edge], host: Graph) -> list[Edge]:
+        """Move to ``host``, the host less the edges of ``part``.
+
+        Uncolors ``part`` and what is left of classes 1..3, moves every
+        color down by 3 and uncolors the colors above ``host``'s Delta+1.
+        What stays colored is a partial proper coloring of ``host``; returns
+        its uncolored edges in order, the ones ``fan`` is to color.
+        """
+        for u, v in part:
+            self.uncolor(u, v)
+        self.host = host
+        todo = self.edges_upto(3)
+        for u, v in todo:
+            self.uncolor(u, v)
+        self.base += 3
+        floor = (1 << self.base + 1) - 1
+        top = self.base + host.max_degree + 1
+        at, used = self.at, self.used
+        # Colors 1..Delta+1 move down to at most Delta-2, so a cut needs a
+        # part of max degree above 3, which ``partition_p1`` never peels.
+        for v in host.vertices:
+            used[v] |= floor
+            # Vertices run in ascending order, so v is the lower end of an
+            # edge it is the first to find.
+            for c in range(top + 1, used[v].bit_length()):
+                w = at[v].get(c)
+                if w is not None:
+                    todo.append((v, w))
+                    self.uncolor(v, w)
+        todo.sort()
+        return todo
 
 
 def misra_gries(g: Graph,
@@ -55,120 +254,25 @@ def misra_gries(g: Graph,
     proper coloring of all of ``g`` with its colors relabeled in order onto
     1..K.  A start that names an edge outside ``g``, uses a color outside
     1..Delta+1 or gives two edges at a vertex one color raises ValueError.
-    ``partition_p2`` starts each level below the first from the carry of
-    the level above (see there); the result differs from a cold run's, which
-    is sound because ``initial_selection`` needs only some proper
-    (Delta+1)-coloring.
+    ``partition_p2`` extends each level's coloring the same way, on the one
+    ``_Fans`` state it keeps through the peel.
     """
     k = g.max_degree + 1
-    m = g.edge_count
-    # col[v][w] is the color of vw; at[v][c] is v's neighbor across color c;
-    # bit c of used[v] is set when c is at v, and bit 0 always is, so the
-    # lowest clear bit of a mask is the smallest color it leaves free.
-    col: dict[int, dict[int, int]] = {v: {} for v in g.vertices}
-    at: dict[int, dict[int, int]] = {v: {} for v in g.vertices}
-    used = dict.fromkeys(g.vertices, 1)
+    fans = _Fans(g)
+    at = fans.at
     edges = g.edges
     for (u, v), c in (start or {}).items():
         if (u, v) not in edges:
             raise ValueError(f"start colors {(u, v)}, not an edge of g")
         if not 1 <= c <= k:
             raise ValueError(f"start color {c} of {(u, v)} outside 1..{k}")
-        at_u, at_v = at[u], at[v]
-        if c in at_u or c in at_v:
+        if c in at[u] or c in at[v]:
             raise ValueError(f"start color {c} of {(u, v)} is not proper")
-        col[u][v] = col[v][u] = c
-        at_u[c] = v
-        at_v[c] = u
-        used[u] |= 1 << c
-        used[v] |= 1 << c
-
-    def lowest_free(mask: int) -> int:
-        # The lowest clear bit: the smallest color the mask leaves free.
-        return (~mask & (mask + 1)).bit_length() - 1
-
-    def free(v: int) -> int:
-        c = lowest_free(used[v])
-        if c > k:
-            raise AssertionError(f"no free color at {v} with k={k}")
-        return c
-
-    def paint(u: int, v: int, c: int) -> None:
-        # Color the uncolored edge uv with c, which is free at both ends.
-        col[u][v] = col[v][u] = c
-        at[u][c] = v
-        at[v][c] = u
-        used[u] |= 1 << c
-        used[v] |= 1 << c
-
-    def recolor(batch: list[tuple[int, int, int]]) -> None:
-        # Uncolor everything first: a sequential rewrite would transiently
-        # give a vertex two edges of one color and corrupt ``at``.
-        for u, v, _ in batch:
-            old = col[u].pop(v, None)
-            if old is not None:
-                del col[v][u], at[u][old], at[v][old]
-                used[u] ^= 1 << old
-                used[v] ^= 1 << old
-        for u, v, c in batch:
-            paint(u, v, c)
-
-    # Anchor at the lower endpoint.  An edge colored here stays colored, so
-    # the edges ``start`` leaves uncolored are the ones fans must color.
-    for x, f in sorted(edges - (start or {}).keys()):
-        colx = col[x]
-        # Fan of x from f: each step takes the lowest colored neighbor not
-        # yet in the fan whose color is free at the fan's last vertex, so a
-        # taken entry leaves the candidate list for good.  The fan stops at
-        # its first vertex sharing a free color with x; d is the smallest.
-        fan = [f]
-        cands = None
-        while (d := lowest_free(used[x] | used[fan[-1]])) > k:
-            if cands is None:
-                cands = [(w, colx[w]) for w in g.neighbors(x) if w in colx]
-            last = used[fan[-1]]
-            for i, (w, cw) in enumerate(cands):
-                if not last >> cw & 1:
-                    del cands[i]
-                    fan.append(w)
-                    break
-            else:
-                # A maximal fan with no color free at both x and its last
-                # vertex: swap d and c on the maximal d/c path from x.  x
-                # misses c, so the path is no cycle and ends before it holds
-                # every edge.
-                c = free(x)
-                d = free(fan[-1])
-                path = []
-                cur, want, other = x, d, c
-                while (nxt := at[cur].get(want)) is not None:
-                    path.append((cur, nxt, other))
-                    if len(path) == m:
-                        raise AssertionError("alternating path does not end")
-                    cur, want, other = nxt, other, want
-                recolor(path)
-                break
-        if len(fan) == 1:
-            # A swap needs a fan of two or more, so this fan stopped at
-            # once: f itself shares d with x.  Most fans do.
-            paint(x, f, d)
-            continue
-        # d is free at x; rotate the first fan prefix ending at a vertex
-        # where d is free.  After a path swap the prefix must still be a fan
-        # under the swapped colors; after an early stop it is the whole fan.
-        for j, w in enumerate(fan):
-            if j > 0 and used[fan[j - 1]] >> colx[w] & 1:
-                raise AssertionError("path swap broke the fan prefix")
-            if not used[w] >> d & 1:
-                break
-        else:
-            raise AssertionError("fan rotation target missing")
-        # Shift each fan edge's color down, then finish with d.
-        recolor([(x, fan[i], colx[fan[i + 1]]) for i in range(j)]
-                + [(x, w, d)])
-
-    return make_coloring(g, relabeled({(v, w): c for v in g.vertices
-                                       for w, c in col[v].items() if v < w}))
+        fans.paint(u, v, c)
+    fans.fan(sorted(edges - (start or {}).keys()))
+    palette = frozenset(range(1, fans.compact() + 1))
+    return EdgeColoring(g, {(v, w): c for v in g.vertices
+                            for w, c in fans.col[v].items() if v < w}, palette)
 
 
 def relabeled(color: dict[Edge, int]) -> dict[Edge, int]:

@@ -5,8 +5,9 @@ from __future__ import annotations
 import random
 from collections import deque
 
-from avdcolor import (Graph, SubgraphSelection, check_membership, complete,
-                      find_move, gnp, is_normal, random_regular)
+from avdcolor import (EdgePartition, Graph, SubgraphSelection,
+                      check_membership, complete, edge_induced, find_move, gnp,
+                      is_normal, misra_gries, partition_p1, random_regular)
 
 
 def girth(g: Graph):
@@ -177,3 +178,24 @@ def exhaust_searches(monkeypatch,
     monkeypatch.setattr(coloring, "_repair", failed)
     monkeypatch.setattr(coloring, "GUARANTEED_UNITS", 1)
     return calls
+
+
+def partition_p2_by_levels(g: Graph, trace=None) -> EdgePartition:
+    """``partition_p2`` by its per-level route, the reference for the one
+    coloring state it keeps: each level's graph is ``edge_induced`` on the
+    remainder, and its coloring is a warm ``misra_gries`` from a carry dict
+    (colors 4..Delta'+4 on the remainder, moved down by 3).  The normality
+    checks are ``partition_p2``'s, left out here."""
+    peels = []
+    rest = g
+    carry = None
+    while rest.max_degree > 5:
+        coloring = misra_gries(rest, carry)
+        h_edges, hbar_edges = partition_p1(rest, trace=trace,
+                                           coloring=coloring).parts
+        peels.append(h_edges)
+        rest = edge_induced(rest, hbar_edges)
+        top = rest.max_degree + 4  # colors 4..top become 1..Delta'+1
+        carry = {e: c - 3 for e, c in coloring.assignment.items()
+                 if 3 < c <= top and e in hbar_edges}
+    return EdgePartition(g, [rest.edges, *reversed(peels)])

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from avdcolor import (EdgePartition, Graph, SubgraphSelection, canon_edge,
                       complete, cycle, edge_induced, gnp, is_normal)
+from avdcolor.graphs import without_edges
 from helpers import recompute_selection_state
 
 
@@ -212,18 +213,51 @@ def test_isolated_vertices_have_no_neighbors():
 
 def test_selection_isolation_matches_recount_on_random_hosts():
     rng = random.Random(11)
+    iso_unsel_seen = 0
     for seed in range(40):
         g = gnp(rng.randint(10, 60), rng.uniform(0.02, 0.3), seed)
         if rng.random() < 0.5:
             g = edge_induced(g, g.edges)
         p = rng.choice([0.05, 0.3, 0.5, 0.7, 0.95])
         picked = frozenset(e for e in sorted(g.edges) if rng.random() < p)
-        for edges in (picked, sorted(picked)):
+        # Every edge but a random matching, and every edge but a random
+        # matching and one more edge: complements whose edges are all, or
+        # all but a few, isolated.
+        matching, used = [], set()
+        for u, v in rng.sample(sorted(g.edges), g.edge_count):
+            if u not in used and v not in used:
+                used.update((u, v))
+                matching.append((u, v))
+        unpicked = [g.edges - set(matching)]
+        if g.edge_count > len(matching):
+            extra = rng.choice(sorted(unpicked[0]))
+            unpicked.append(unpicked[0] - {extra})
+        for edges in (picked, sorted(picked), *unpicked):
             sel = SubgraphSelection(g, edges)
             deg, iso_sel, iso_unsel = recompute_selection_state(sel)
             assert deg == {v: sel.deg(v) for v in g.vertices}
             assert iso_sel == sel.isolated_selected, seed
             assert iso_unsel == sel.isolated_unselected, seed
+            iso_unsel_seen += len(iso_unsel)
+    assert iso_unsel_seen > 100
+
+
+@settings(max_examples=100, deadline=None)
+@given(_hosts_and_selections())
+def test_without_edges_matches_edge_induced(case):
+    g, picked = case
+    part = frozenset(canon_edge(u, v) for u, v in picked)
+    sub = without_edges(g, part)
+    _same_graph(sub, edge_induced(g, g.edges - part))
+    # Untouched neighbor tuples are shared with the host.
+    touched = {v for e in part for v in e}
+    assert all(sub.neighbors(v) is g.neighbors(v)
+               for v in sub.vertices if v not in touched)
+
+
+def test_without_edges_rejects_foreign_edges():
+    with pytest.raises(ValueError, match="not all in the graph"):
+        without_edges(cycle(5), {(0, 2)})
 
 
 def test_edge_partition_set_parts_match_lists():

@@ -14,10 +14,11 @@ from avdcolor import (EdgePartition, Graph, NotNormalError,
                       partition_p2, partition_regular, random_regular,
                       run_engine)
 from avdcolor import edge_induced, misra_gries, parse_graph
-from avdcolor import CounterexampleFound, graphs, partition
+from avdcolor import CounterexampleFound, graphs, partition, vizing
 from helpers import (closure_revisit_state, dense_normal_graph,
-                     normal_gnp_corpus, recompute_selection_state,
-                     scramble_selection, step_to_zero)
+                     normal_gnp_corpus, partition_p2_by_levels,
+                     recompute_selection_state, scramble_selection,
+                     step_to_zero)
 
 
 # -- membership and typing -----------------------------------------------------
@@ -532,6 +533,8 @@ def test_partition_p2_checks_and_builds_each_level_once(monkeypatch):
                             counted("is_normal", module.is_normal))
         monkeypatch.setattr(module, "edge_induced",
                             counted("edge_induced", module.edge_induced))
+    monkeypatch.setattr(partition, "without_edges",
+                        counted("without_edges", partition.without_edges))
     monkeypatch.setattr(partition, "partition_p1",
                         counted("levels", partition.partition_p1))
     part = partition_p2(complete(16))
@@ -539,24 +542,72 @@ def test_partition_p2_checks_and_builds_each_level_once(monkeypatch):
     assert levels == part.k == 4
     # The entry check, one per level (initial_selection) and one for G_0.
     assert counts["is_normal"] <= levels + 2
-    # One Graph per level: the remainder below it.
-    assert counts["edge_induced"] == levels
+    # One Graph per level, the remainder below it, built from the one above.
+    assert counts["without_edges"] == levels
+    assert counts["edge_induced"] == 0
 
 
 def test_partition_p2_colors_each_edge_about_once(monkeypatch):
-    # Each level extends the coloring carried down from the level above, so
-    # fans color the first level's edges and few more.
+    # One coloring state lives through every level: the first level's fans
+    # color every edge, and each level below colors only what the peel left
+    # uncolored, so fans color the first level's edges and few more.
     calls = []
+    fan = vizing._Fans.fan
 
-    def counted(g, start=None):
-        calls.append((start is None, g.edge_count - len(start or {})))
-        return misra_gries(g, start)
+    def counted(self, edges):
+        edges = list(edges)
+        cold = not any(self.col[v] for v in self.host.vertices)
+        calls.append((cold, len(edges)))
+        return fan(self, edges)
 
-    monkeypatch.setattr(partition, "misra_gries", counted)
+    def no_call(*args, **kwargs):
+        raise AssertionError("partition_p2 called misra_gries")
+
+    monkeypatch.setattr(vizing._Fans, "fan", counted)
+    monkeypatch.setattr(partition, "misra_gries", no_call)
     g = complete(16)
     part = partition_p2(g)
+    assert calls[0] == (True, g.edge_count)
     assert [cold for cold, _ in calls] == [True] + [False] * (part.k - 1)
     assert sum(fans for _, fans in calls) < 2 * g.edge_count
+
+
+def _reference_graphs():
+    # 34 graphs: G(n,p), r-regular with r >= 6, complete graphs, and one
+    # whose lower levels lose host vertices (gnp(80,0.15,2) keeps 69 of its
+    # 80 vertices at level 4).
+    yield from normal_gnp_corpus(12, 500, 20, 90, 6, 40, p_lo=0.1, p_hi=0.5)
+    for r, n, seed in ((6, 20, 1), (6, 31 * 2, 2), (7, 24, 3), (8, 30, 4),
+                       (9, 40, 5), (10, 24, 17), (12, 50, 6), (15, 60, 7),
+                       (20, 64, 8), (6, 100, 9)):
+        yield random_regular(n, r, seed)
+    for n in (7, 8, 9, 12, 16, 21, 25, 30):
+        yield complete(n)
+    yield gnp(80, 0.15, 2)
+    yield gnp(150, 0.2, 3)
+    yield gnp(200, 0.1, 1)
+    yield gnp(300, 0.05, 4)
+
+
+def test_partition_p2_matches_the_per_level_route():
+    # The one coloring state and the incremental level graphs give the
+    # parts and move logs of the per-level rebuild, level by level.
+    graphs_seen = 0
+    shrinking = False
+    for g in _reference_graphs():
+        assert is_normal(g) and g.max_degree >= 6
+        logs, ref_logs = [], []
+        part = partition_p2(g, trace=logs.append)
+        ref = partition_p2_by_levels(g, trace=ref_logs.append)
+        assert part.parts == ref.parts, g
+        assert logs == ref_logs, g
+        graphs_seen += 1
+        # A level below the first whose remainder, still fanned, has lost
+        # vertices of the host.
+        shrinking |= any(
+            len(edge_induced(g, frozenset().union(*part.parts[:i])).vertices)
+            < len(g.vertices) for i in range(2, len(part.parts)))
+    assert graphs_seen >= 30 and shrinking
 
 
 def test_partition_p1_rejects_peel_over_degree_bound(monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from avdcolor import (Graph, check_proper, color_classes, complete, cycle,
                       edge_induced, exact_chromatic_index, gnp, make_coloring,
                       misra_gries, petersen, random_regular)
-from avdcolor.vizing import relabeled
+from avdcolor.vizing import _Fans, relabeled
 
 
 def test_c5_needs_three_colors():
@@ -171,6 +171,32 @@ def test_misra_gries_warm_outputs_golden():
             [u, v, c] for (u, v), c in misra_gries(g, start).assignment.items()
         )).encode()).hexdigest()
     assert digests == wanted
+
+
+def test_fans_compact_relabels_a_gapped_palette_at_any_base():
+    # A peel level keeps its colors absolute over a base.  A palette with a
+    # gap is mapped onto 1..K in its order, as ``relabeled`` maps it, and
+    # the maps stay consistent.
+    g = gnp(30, 0.3, 5)
+    full = misra_gries(g).assignment
+    for base in (0, 3, 9):
+        for dropped in (None, 2):
+            spread = {e: 3 * c for e, c in full.items() if c != dropped}
+            fans = _Fans(g)
+            fans.base = base
+            floor = (1 << base + 1) - 1
+            for v in g.vertices:
+                fans.used[v] |= floor
+            for (u, v), c in spread.items():
+                fans.paint(u, v, base + c)
+            assert fans.compact() == len(set(spread.values()))
+            assert {(v, w): c - base for v in g.vertices
+                    for w, c in fans.col[v].items() if v < w
+                    } == relabeled(spread)
+            for v in g.vertices:
+                assert fans.used[v] == floor | sum(1 << c for c in fans.at[v])
+                assert all(fans.at[v][c] == w
+                           for w, c in fans.col[v].items())
 
 
 @st.composite
