@@ -7,7 +7,7 @@ from collections import deque
 
 from avdcolor import (EdgePartition, Graph, SubgraphSelection,
                       check_membership, complete, edge_induced, find_move, gnp,
-                      is_normal, misra_gries, partition_p1, random_regular)
+                      is_normal, misra_gries, partition, random_regular)
 
 
 def girth(g: Graph):
@@ -191,8 +191,8 @@ def partition_p2_by_levels(g: Graph, trace=None) -> EdgePartition:
     carry = None
     while rest.max_degree > 5:
         coloring = misra_gries(rest, carry)
-        h_edges, hbar_edges = partition_p1(rest, trace=trace,
-                                           coloring=coloring).parts
+        h_edges, hbar_edges = partition.partition_p1(
+            rest, trace=trace, coloring=coloring).parts
         peels.append(h_edges)
         rest = edge_induced(rest, hbar_edges)
         top = rest.max_degree + 4  # colors 4..top become 1..Delta'+1

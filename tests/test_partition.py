@@ -577,7 +577,7 @@ def _reference_graphs():
     # whose lower levels lose host vertices (gnp(80,0.15,2) keeps 69 of its
     # 80 vertices at level 4).
     yield from normal_gnp_corpus(12, 500, 20, 90, 6, 40, p_lo=0.1, p_hi=0.5)
-    for r, n, seed in ((6, 20, 1), (6, 31 * 2, 2), (7, 24, 3), (8, 30, 4),
+    for r, n, seed in ((6, 20, 1), (6, 62, 2), (7, 24, 3), (8, 30, 4),
                        (9, 40, 5), (10, 24, 17), (12, 50, 6), (15, 60, 7),
                        (20, 64, 8), (6, 100, 9)):
         yield random_regular(n, r, seed)
@@ -608,6 +608,32 @@ def test_partition_p2_matches_the_per_level_route():
             len(edge_induced(g, frozenset().union(*part.parts[:i])).vertices)
             < len(g.vertices) for i in range(2, len(part.parts)))
     assert graphs_seen >= 30 and shrinking
+
+
+def test_partition_p2_cuts_colors_above_the_next_delta(monkeypatch):
+    # A peel of max degree 8 off K_16 leaves the 7-regular circulant with
+    # offsets 5..8, so colors 12..16 of the level above have no place below
+    # it: both routes uncolor them, and fans color those edges again.
+    g = complete(16)
+    real = partition.partition_p1
+
+    def peel_offsets_1_to_4(h, trace=None, coloring=None):
+        if h.max_degree < 15:
+            return real(h, trace=trace, coloring=coloring)
+        part = frozenset(e for e in h.edges if (e[1] - e[0]) % 16 in
+                         (1, 2, 3, 4, 12, 13, 14, 15))
+        return EdgePartition(h, [part, h.edges - part])
+
+    monkeypatch.setattr(partition, "partition_p1", peel_offsets_1_to_4)
+    rest = {e for e in g.edges if (e[1] - e[0]) % 16 in (5, 6, 7, 8, 9, 10,
+                                                          11)}
+    assert max(c for e, c in misra_gries(g).assignment.items()
+               if e in rest) > 7 + 4
+    logs, ref_logs = [], []
+    part = partition_p2(g, trace=logs.append)
+    assert part.parts == partition_p2_by_levels(
+        g, trace=ref_logs.append).parts
+    assert logs == ref_logs and part.k >= 2
 
 
 def test_partition_p1_rejects_peel_over_degree_bound(monkeypatch):
