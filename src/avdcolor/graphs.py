@@ -205,7 +205,7 @@ class SubgraphSelection:
         return frozenset(self._selected)
 
     def complement_edges(self) -> frozenset[Edge]:
-        return frozenset(self.host.edges - self._selected)
+        return self.host.edges - self._selected
 
     def is_selected(self, e: Edge) -> bool:
         return e in self._selected

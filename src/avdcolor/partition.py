@@ -34,7 +34,7 @@ from .errors import (CounterexampleFound, InternalBoundViolationError,
 from .graphs import (Edge, EdgePartition, Graph, SubgraphSelection,
                      canon_edge, edge_induced, is_normal, without_edges)
 from .graph_io import emit_graph
-from .vizing import EdgeColoring, _Fans, color_classes, misra_gries
+from .vizing import _Fans, color_classes, misra_gries
 
 
 class VertexType(enum.Enum):
@@ -455,25 +455,25 @@ def _first_valid(g: Graph, sel: SubgraphSelection,
 # -- selections and partitions ------------------------------------------------
 
 
-def initial_selection(g: Graph,
-                      coloring: EdgeColoring | _Fans | None = None
+def initial_selection(g: Graph, coloring: _Fans | None = None
                       ) -> SubgraphSelection:
     """Selection of color classes 1..3 of a proper edge coloring.
 
-    ``coloring`` is a proper coloring of ``g`` with at most Delta+1 colors
-    that gives its classes by ``edges_upto``: ``misra_gries(g)`` by default;
-    ``partition_p2`` passes the coloring state it extends level by level,
-    which reads the three classes in O(n).  Any such coloring will do.  The
-    counting behind the membership guarantee: a Delta-vertex misses at most
-    one of any three classes, a (Delta-1)-vertex at most two.  The
-    membership check below rejects a coloring that breaks this.
+    ``coloring`` is a coloring state (``vizing._Fans``) holding a proper
+    coloring of all of ``g`` in at most Delta+1 colors, read in O(n) by
+    ``edges_upto(3)``: ``_Fans.cold(g)``, ``misra_gries``'s coloring, by
+    default; ``partition_p2`` passes the state it extends level by level.
+    Any such coloring will do.  The counting behind the membership
+    guarantee: a Delta-vertex misses at most one of any three classes, a
+    (Delta-1)-vertex at most two.  The membership check below rejects a
+    coloring that breaks this.
     """
     if not is_normal(g):
         raise NotNormalError("initial selection requires a normal graph")
     if g.max_degree < 6:
         raise ValueError("initial selection requires max degree >= 6")
     if coloring is None:
-        coloring = misra_gries(g)
+        coloring = _Fans.cold(g)
     sel = SubgraphSelection(g, coloring.edges_upto(3))
     report = check_membership(g, sel)
     if not report.is_member:
@@ -516,13 +516,13 @@ def run_engine(g: Graph, sel: SubgraphSelection,
 
 
 def partition_p1(g: Graph, trace: Callable[[dict], None] | None = None,
-                 coloring: EdgeColoring | _Fans | None = None
-                 ) -> EdgePartition:
+                 coloring: _Fans | None = None) -> EdgePartition:
     """Two-part partition: selection side of max degree <= 3, complement of
     max degree <= Delta-2, both normal.
 
     Runs the engine once, from ``initial_selection(g, coloring)``, which
-    checks the preconditions; there are no restarts.  A stall raises
+    checks the preconditions and builds the cold coloring state when
+    ``coloring`` is None; there are no restarts.  A stall raises
     CounterexampleFound with a full state dump.  The final selection is
     checked again: ``check_membership`` gives the degree bounds (complement
     degree at most Delta-2 is selection degree at least 2 at a Delta-vertex
@@ -533,9 +533,10 @@ def partition_p1(g: Graph, trace: Callable[[dict], None] | None = None,
     run_engine(g, sel, trace)
     if not check_membership(g, sel).is_member:
         raise AssertionError("partition degree bounds violated")
-    if any(sel.deg(u) == 1 and sel.deg(v) == 1 for u, v in sel.selected):
+    h_edges = sel.selected
+    if any(sel.deg(u) == 1 and sel.deg(v) == 1 for u, v in h_edges):
         raise AssertionError("selection side has an isolated edge")
-    return EdgePartition(g, [sel.selected, sel.complement_edges()])
+    return EdgePartition(g, [h_edges, sel.complement_edges()])
 
 
 def partition_p2(g: Graph,

@@ -29,10 +29,6 @@ class EdgeColoring:
         return frozenset(self.assignment[canon_edge(v, w)]
                          for w in self.host.neighbors(v))
 
-    def edges_upto(self, k: int) -> list[Edge]:
-        """The edges of colors 1..k."""
-        return [e for e, c in self.assignment.items() if c <= k]
-
 
 def make_coloring(host: Graph, assignment: dict[Edge, int]) -> EdgeColoring:
     return EdgeColoring(host, dict(assignment),
@@ -48,9 +44,10 @@ class _Fans:
     of ``used[v]`` is set when c is at v, and bits 0..base always are, so
     the lowest clear bit of a mask is the smallest color it leaves free.
 
-    ``misra_gries`` builds one for a single coloring; ``partition_p2`` keeps
-    one through every level of its peel (``peel``), so each level fans only
-    the edges the level above left uncolored.
+    ``cold`` builds the state of a whole coloring, ``misra_gries``'s;
+    ``partition_p2`` keeps one state through every level of its peel
+    (``peel``), so each level fans only the edges the level above left
+    uncolored.
     """
 
     __slots__ = ("host", "col", "at", "used", "base")
@@ -61,6 +58,14 @@ class _Fans:
         self.at: dict[int, dict[int, int]] = {v: {} for v in host.vertices}
         self.used = dict.fromkeys(host.vertices, 1)
         self.base = 0
+
+    @classmethod
+    def cold(cls, host: Graph) -> _Fans:
+        """Every edge of ``host`` fanned in sorted order, colors on 1..K."""
+        fans = cls(host)
+        fans.fan(host.sorted_edges())
+        fans.compact()
+        return fans
 
     def paint(self, u: int, v: int, c: int) -> None:
         """Color the uncolored edge uv with absolute c, free at both ends."""
@@ -233,8 +238,7 @@ class _Fans:
         return todo
 
 
-def misra_gries(g: Graph,
-                start: dict[Edge, int] | None = None) -> EdgeColoring:
+def misra_gries(g: Graph) -> EdgeColoring:
     """Color the edges of a simple graph with at most Delta+1 colors.
 
     Misra-Gries fans with deterministic tie-breaking.  The anchor x is the
@@ -245,34 +249,17 @@ def misra_gries(g: Graph,
     the d/c path from x, where c and d are the smallest free colors at x
     and at the fan's last vertex, and then rotates its first prefix that
     ends where d is free.  The result is reproducible for a fixed vertex
-    labeling.
-
-    ``start`` is a partial proper coloring of ``g`` (edge -> color in
-    1..Delta+1) to extend: only its uncolored edges are colored by fans,
-    since a fan extends any partial proper (Delta+1)-coloring by one edge.
-    Path swaps and fan rotations may recolor its edges; the result is a
-    proper coloring of all of ``g`` with its colors relabeled in order onto
-    1..K.  A start that names an edge outside ``g``, uses a color outside
-    1..Delta+1 or gives two edges at a vertex one color raises ValueError.
-    ``partition_p2`` extends each level's coloring the same way, on the one
-    ``_Fans`` state it keeps through the peel.
+    labeling, and its colors are mapped onto 1..K in their order.
+    The coloring is ``_Fans.cold(g)``'s, the state ``initial_selection``
+    builds by default; ``partition_p2`` extends each level's coloring on
+    the one state it keeps through the peel.
     """
-    k = g.max_degree + 1
-    fans = _Fans(g)
-    at = fans.at
-    edges = g.edges
-    for (u, v), c in (start or {}).items():
-        if (u, v) not in edges:
-            raise ValueError(f"start colors {(u, v)}, not an edge of g")
-        if not 1 <= c <= k:
-            raise ValueError(f"start color {c} of {(u, v)} outside 1..{k}")
-        if c in at[u] or c in at[v]:
-            raise ValueError(f"start color {c} of {(u, v)} is not proper")
-        fans.paint(u, v, c)
-    fans.fan(sorted(edges - (start or {}).keys()))
-    palette = frozenset(range(1, fans.compact() + 1))
+    fans = _Fans.cold(g)
+    # The palette is 1..K, so K is the highest bit of any vertex's mask.
+    k = max(map(int.bit_length, fans.used.values()), default=1) - 1
     return EdgeColoring(g, {(v, w): c for v in g.vertices
-                            for w, c in fans.col[v].items() if v < w}, palette)
+                            for w, c in fans.col[v].items() if v < w},
+                        frozenset(range(1, k + 1)))
 
 
 def relabeled(color: dict[Edge, int]) -> dict[Edge, int]:

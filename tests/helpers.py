@@ -5,9 +5,10 @@ from __future__ import annotations
 import random
 from collections import deque
 
-from avdcolor import (EdgePartition, Graph, SubgraphSelection,
+from avdcolor import (EdgeColoring, EdgePartition, Graph, SubgraphSelection,
                       check_membership, complete, edge_induced, find_move, gnp,
-                      is_normal, misra_gries, partition, random_regular)
+                      is_normal, make_coloring, partition, random_regular)
+from avdcolor.vizing import _Fans
 
 
 def girth(g: Graph):
@@ -180,22 +181,42 @@ def exhaust_searches(monkeypatch,
     return calls
 
 
+def warm_fans(g: Graph, start: dict) -> _Fans:
+    """A fresh coloring state of ``g`` extended from ``start``, a partial
+    proper coloring (edge -> color in 1..Delta+1): the start is painted,
+    the uncolored edges are fanned in sorted order, and the colors are
+    mapped onto 1..K.  This is the warm fan path ``partition_p2`` runs on
+    every level below the first."""
+    fans = _Fans(g)
+    for (u, v), c in start.items():
+        fans.paint(u, v, c)
+    fans.fan(sorted(g.edges - start.keys()))
+    fans.compact()
+    return fans
+
+
+def fans_coloring(fans: _Fans) -> EdgeColoring:
+    """The coloring a state of base 0 holds, as an ``EdgeColoring``."""
+    return make_coloring(fans.host, {(v, w): c for v in fans.host.vertices
+                                     for w, c in fans.col[v].items() if v < w})
+
+
 def partition_p2_by_levels(g: Graph, trace=None) -> EdgePartition:
     """``partition_p2`` by its per-level route, the reference for the one
     coloring state it keeps: each level's graph is ``edge_induced`` on the
-    remainder, and its coloring is a warm ``misra_gries`` from a carry dict
-    (colors 4..Delta'+4 on the remainder, moved down by 3).  The normality
-    checks are ``partition_p2``'s, left out here."""
+    remainder, and its coloring is a fresh state extended from a carry dict
+    (``warm_fans``; colors 4..Delta'+4 on the remainder, moved down by 3).
+    The normality checks are ``partition_p2``'s, left out here."""
     peels = []
     rest = g
-    carry = None
+    carry: dict = {}
     while rest.max_degree > 5:
-        coloring = misra_gries(rest, carry)
+        fans = warm_fans(rest, carry)
         h_edges, hbar_edges = partition.partition_p1(
-            rest, trace=trace, coloring=coloring).parts
+            rest, trace=trace, coloring=fans).parts
         peels.append(h_edges)
         rest = edge_induced(rest, hbar_edges)
         top = rest.max_degree + 4  # colors 4..top become 1..Delta'+1
-        carry = {e: c - 3 for e, c in coloring.assignment.items()
+        carry = {e: c - 3 for e, c in fans_coloring(fans).assignment.items()
                  if 3 < c <= top and e in hbar_edges}
     return EdgePartition(g, [rest.edges, *reversed(peels)])

@@ -278,6 +278,8 @@ def test_certificate_parts_are_the_colored_partition():
     cert = avd_color(k7)
     assert list(cert.parts) == partition_p2(k7).parts
     assert cert.with_bound(cert.bound_claimed + 1).parts == cert.parts
+    with pytest.raises(AssertionError, match="cannot claim bound"):
+        cert.with_bound(cert.colors_used - 1)
     assert avd_color(petersen()).parts == (petersen().edges,)
     assert avd_color(complete(6)).parts == (complete(6).edges,)
     back = certificate_from_dict(certificate_to_dict(cert), host=k7)

@@ -505,7 +505,10 @@ def test_partition_p2_degree_six():
     assert graphs[0].max_degree <= 5
     assert all(p.max_degree <= 3 for p in graphs[1:])
     assert all(is_normal(p) for p in graphs)
-    assert partition_p2(g).parts[-1] == partition_p1(g).parts[0]
+    # partition_p1 builds its own cold coloring state; partition_p2 keeps one.
+    for n in range(7, 13):
+        g = complete(n)
+        assert partition_p2(g).parts[-1] == partition_p1(g).parts[0]
 
 
 def test_partition_p2_degree_ten():
@@ -516,7 +519,10 @@ def test_partition_p2_degree_ten():
     assert graphs[0].max_degree <= 5
     assert all(p.max_degree <= 3 for p in graphs[1:])
     assert all(is_normal(p) for p in graphs)
-    assert partition_p2(g).parts[-1] == partition_p1(g).parts[0]
+    more = [random_regular(n, r, seed=s)
+            for n, r, s in ((20, 6, 1), (30, 7, 2), (16, 8, 3), (40, 12, 4))]
+    for h in [g, *more, *normal_gnp_corpus(6, 40, 20, 60, 6, 30)]:
+        assert partition_p2(h).parts[-1] == partition_p1(h).parts[0]
 
 
 def test_partition_p2_checks_and_builds_each_level_once(monkeypatch):

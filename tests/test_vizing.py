@@ -9,6 +9,7 @@ from avdcolor import (Graph, check_proper, color_classes, complete, cycle,
                       edge_induced, exact_chromatic_index, gnp, make_coloring,
                       misra_gries, petersen, random_regular)
 from avdcolor.vizing import _Fans, relabeled
+from helpers import fans_coloring, warm_fans
 
 
 def test_c5_needs_three_colors():
@@ -144,9 +145,11 @@ def test_misra_gries_outputs_golden():
 
 
 def test_misra_gries_warm_outputs_golden():
-    # Pins the warm-start path edge by edge, as above: the start is a
-    # seeded half of the cold coloring under a seeded palette permutation,
-    # so fans, path swaps and rotations all run against carried colors.
+    # Pins the warm fan path edge by edge, as above: a fresh state is
+    # extended from a seeded half of the cold coloring under a seeded
+    # palette permutation, so fans, path swaps and rotations all run
+    # against carried colors.  ``partition_p2`` runs this path on every
+    # level below the first.
     wanted = {
         "petersen()":
             "33a2ffbefa616a61d9f35fc8faaf5431d06d3a6de4843974d5f733b907b7180c",
@@ -168,7 +171,8 @@ def test_misra_gries_warm_outputs_golden():
                  for e, c in sorted(misra_gries(g).assignment.items())
                  if rng.random() < 0.5}
         digests[name] = hashlib.sha256(json.dumps(sorted(
-            [u, v, c] for (u, v), c in misra_gries(g, start).assignment.items()
+            [u, v, c] for (u, v), c
+            in fans_coloring(warm_fans(g, start)).assignment.items()
         )).encode()).hexdigest()
     assert digests == wanted
 
@@ -222,31 +226,25 @@ def test_misra_gries_properties(g):
 @settings(max_examples=100, deadline=None)
 @given(_small_graphs(), st.randoms(use_true_random=False))
 def test_misra_gries_extends_a_start(g, rng):
+    # A fresh state extends a start, misra_gries's coloring or part of it.
     full = misra_gries(g).assignment
+
+    def extend(start):
+        return fans_coloring(warm_fans(g, start))
+
     # A complete start is kept, relabeled in order onto 1..K.
-    assert misra_gries(g, full).assignment == full
+    assert extend(full).assignment == full
     shifted = {e: c + g.max_degree + 1 - max(full.values(), default=0)
                for e, c in full.items()}
-    assert misra_gries(g, shifted).assignment == full
+    assert extend(shifted).assignment == full
     # A partial start is extended.  Path swaps and fan rotations may
     # recolor its edges, so only the coloring's own guarantees are checked.
     start = {e: c for e, c in full.items() if rng.random() < 0.5}
-    mg = misra_gries(g, start)
+    mg = extend(start)
     assert check_proper(g, mg) == (True, None)
     assert mg.colors_used <= g.max_degree + 1
     assert mg.assignment.keys() == g.edges
-    assert misra_gries(g, start).assignment == mg.assignment
-
-
-@pytest.mark.parametrize("start, message", [
-    ({(0, 1): 1, (1, 2): 1}, "not proper"),
-    ({(0, 2): 1}, "not an edge"),
-    ({(0, 1): 4}, "outside 1..3"),  # cycle(5): Delta + 1 = 3
-    ({(0, 1): 0}, "outside 1..3"),
-])
-def test_misra_gries_rejects_bad_start(start, message):
-    with pytest.raises(ValueError, match=message):
-        misra_gries(cycle(5), start)
+    assert extend(start).assignment == mg.assignment
 
 
 def _assert_delta_plus_one(g, mg):
@@ -294,6 +292,6 @@ def _graphs_with_starts(draw):
 def test_misra_gries_extends_random_partial_starts(case):
     g, start = case
     _assert_delta_plus_one(g, misra_gries(g))
-    mg = misra_gries(g, start)
+    mg = fans_coloring(warm_fans(g, start))
     _assert_delta_plus_one(g, mg)
-    assert misra_gries(g, start).assignment == mg.assignment
+    assert fans_coloring(warm_fans(g, start)).assignment == mg.assignment
