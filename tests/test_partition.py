@@ -349,13 +349,17 @@ def test_closure_chain_swap_move():
     assert sel.potential()[0] == before[0] - 1
 
 
-def test_closure_swap_cleanup_move():
+def _closure_swap_cleanup_state():
     # The swap state plus a pendant selected edge (6,25): the witness 6 now
     # has selection degree 2 with a pendant partner, so the swap takes the
     # partner edge out as well.
     g, sel = _closure_swap_state()
     g = Graph(26, sorted(g.edges) + [(6, 25)])
-    sel = SubgraphSelection(g, sorted(sel.selected) + [(6, 25)])
+    return g, SubgraphSelection(g, sorted(sel.selected) + [(6, 25)])
+
+
+def test_closure_swap_cleanup_move():
+    g, sel = _closure_swap_cleanup_state()
     assert check_membership(g, sel).is_member
     assert sel.potential() == (1, 15)
     move = find_move(g, sel)
@@ -725,15 +729,23 @@ def test_engine_from_scrambled_selections(case):
     assert is_normal(edge_induced(g, sel.complement_edges()))
 
 
-def test_engine_reaches_closure_moves_from_scrambled_selections():
-    # (seed, walk length) pairs from a sweep of dense_normal_graph: the
-    # engine's own runs grow the chain closure and apply its rewrites.
-    tags = set()
-    for seed, steps in ((125, 119), (222, 56), (1624, 45), (2331, 86)):
+# (seed, walk length) pairs from a sweep of dense_normal_graph: the engine's
+# own runs grow the chain closure and apply its rewrites.
+_CLOSURE_WALKS = ((125, 119), (222, 56), (1624, 45), (2331, 86))
+
+
+def _closure_walk_states():
+    for seed, steps in _CLOSURE_WALKS:
         rng = random.Random(seed)
         g = dense_normal_graph(rng)
         sel = initial_selection(g)
         scramble_selection(g, sel, rng, steps)
+        yield g, sel
+
+
+def test_engine_reaches_closure_moves_from_scrambled_selections():
+    tags = set()
+    for g, sel in _closure_walk_states():
         tags.update(move.witness for move in step_to_zero(g, sel))
     assert {"claims.drop", "claims.iswap", "claims.swap"} <= tags
 
@@ -868,3 +880,18 @@ def test_engine_outputs_golden():
         "739827f83d23c270fde71708f41568de3651d58433dfd3ca2fcf0ff0b6c67605")
     assert _sha256(logs) == (
         "b8aacae84c4604e35e0f982904ffb367e2a3b281e8f0f02c2aafc972cddb314f")
+
+
+def test_closure_moves_golden():
+    # Pins the moves the engine applies from the hand-built closure states
+    # and the scrambled walks above, witness by witness: the closure paths
+    # of one and two chains that the seeded corpora rarely reach.
+    states = [_closure_swap_state(), _closure_swap_cleanup_state(),
+              closure_revisit_state(), *_closure_walk_states()]
+    logs = [[[m.witness, sorted(m.add_set), sorted(m.remove_set)]
+             for m in step_to_zero(g, sel)] for g, sel in states]
+    tags = Counter(entry[0] for log in logs for entry in log)
+    assert tags == {"claims.drop": 3, "claims.swap": 2, "claims.iswap": 2,
+                    "claim1.add": 2, "claims.swap-cleanup": 1}
+    assert _sha256(logs) == (
+        "ca941da71c497cf3028962cb3d919afbc950ba7de0ae822da257690fe503631a")
