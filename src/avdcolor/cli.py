@@ -179,10 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "certificates, edge partitions, and exact oracles.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_input=True):
-        if with_input:
-            p.add_argument("input", nargs="?",
-                           help="graph file (stdin when omitted)")
+    def add_common(p):
+        p.add_argument("input", nargs="?",
+                       help="graph file (stdin when omitted)")
         p.add_argument("--format", choices=FORMATS,
                        help="input format (sniffed when omitted)")
         p.add_argument("--out", help="output path (stdout when omitted)")

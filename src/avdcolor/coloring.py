@@ -350,25 +350,25 @@ def _luby(i: int) -> int:
 def _guaranteed_search(g: Graph, budget: int, context: str) -> AvdCertificate:
     """Search under a budget whose feasibility a cited bound guarantees.
 
-    Attempt i takes the breadth-first edge order for i = 0 and a shuffled
-    one seeded with i after that, under a node cap of ``_luby(i + 1)``
-    units: the universal restart schedule of Luby, Sinclair and Zuckerman.
-    A unit is 2m nodes, close to a typical run (a cap below m can never
-    color the part), so an unlucky order is abandoned early.  The caps are
-    clipped to sum to at most the node budget, ``GUARANTEED_UNITS`` times
-    ``DEFAULT_NODE_CAP`` or 2m nodes, whichever is larger, so the search
-    may raise SearchCapExceededError after that budget; its payload holds the
-    part's edge list (host labels, O(m) to build), the color budget, the
-    nodes spent and the attempts made.  A completed refutation means the
-    guarantee failed and is reported as such, with the part's edge list.
+    Attempt i takes ``avd_color_budget``'s breadth-first edge order for
+    i = 0 and a shuffled one seeded with i after that, under a node cap of
+    ``_luby(i + 1)`` units: the universal restart schedule of Luby, Sinclair
+    and Zuckerman.  A unit is 2m nodes, close to a typical run (a cap below
+    m can never color the part), so an unlucky order is abandoned early.
+    The caps are clipped to sum to at most the node budget,
+    ``GUARANTEED_UNITS`` times ``DEFAULT_NODE_CAP`` or 2m nodes, whichever
+    is larger, so the search may raise SearchCapExceededError after that
+    budget; its payload holds the part's edge list (host labels, O(m) to
+    build), the color budget, the nodes spent and the attempts made.  A
+    completed refutation means the guarantee failed and is reported as
+    such, with the part's edge list.
     """
     unit = 2 * g.edge_count
     total = GUARANTEED_UNITS * max(DEFAULT_NODE_CAP, unit)
     spent = attempt = 0
     while spent < total:
         cap = min(unit * _luby(attempt + 1), total - spent)
-        order = (_vertex_major_order(g) if attempt == 0
-                 else _shuffled_order(g, attempt))
+        order = _shuffled_order(g, attempt) if attempt else None
         attempt += 1
         try:
             cert = avd_color_budget(g, budget, node_cap=cap, order=order)
@@ -426,26 +426,25 @@ def avd_subcubic(g: Graph) -> AvdCertificate:
     return cert.with_bound(5)
 
 
-def compose(parts: list[tuple[Graph, AvdCertificate]],
-            host: Graph) -> AvdCertificate:
+def compose(certs: list[AvdCertificate], host: Graph) -> AvdCertificate:
     """Merge part certificates over disjoint palettes into a host certificate.
 
-    The parts must edge-partition the host and every part must be normal
-    with a valid certificate.  Palettes are relabeled onto consecutive
-    disjoint ranges in part order, so the result uses the sum of the part
-    palette sizes, and its ``parts`` lists the part edge sets in that order.
+    Each certificate's graph is its part.  The parts must edge-partition
+    the host and every part must be normal with a valid certificate.
+    Palettes are relabeled onto consecutive disjoint ranges in part order,
+    so the result uses the sum of the part palette sizes, and its ``parts``
+    lists the part edge sets in that order.
     Its witnesses check that it is distinguishing; it is proper as a union
     of proper parts on disjoint palettes.
     """
-    if not parts:
+    if not certs:
         raise ValueError("nothing to compose")
     union: set[Edge] = set()
     total_edges = 0
-    for part, cert in parts:
+    for cert in certs:
+        part = cert.coloring.host
         if not is_normal(part):
             raise NotNormalError("every composed part must be normal")
-        if cert.coloring.host.edges != part.edges:
-            raise ValueError("certificate does not match its part graph")
         # check_avd raises ValueError on an improper coloring.
         ok, detail = verify.check_avd(part, cert.coloring)
         if not ok:
@@ -458,13 +457,13 @@ def compose(parts: list[tuple[Graph, AvdCertificate]],
         raise ValueError("parts do not cover the host edge set")
     merged: dict[Edge, int] = {}
     offset = 0
-    for _, cert in parts:
+    for cert in certs:
         for e, c in relabeled(cert.coloring.assignment).items():
             merged[e] = offset + c
         offset += cert.coloring.colors_used
     return _certificate(host, merged,
-                        sum(cert.bound_claimed for _, cert in parts),
-                        tuple(part.edges for part, _ in parts))
+                        sum(cert.bound_claimed for cert in certs),
+                        tuple(cert.coloring.host.edges for cert in certs))
 
 
 def _color_bounded_part(part: Graph) -> AvdCertificate:
@@ -475,7 +474,7 @@ def _color_bounded_part(part: Graph) -> AvdCertificate:
 
 
 def _color_parts(g: Graph, partition: EdgePartition) -> AvdCertificate:
-    return compose([(part, _color_bounded_part(part))
+    return compose([_color_bounded_part(part)
                     for part in partition.part_graphs()], host=g)
 
 

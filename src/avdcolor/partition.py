@@ -244,26 +244,21 @@ def _other_selected(sel: SubgraphSelection, v: int, excl: int) -> int:
     return others[0]
 
 
-def _split_chain_edges(chains: Iterable[Chain]) -> tuple[set[Edge], set[Edge]]:
-    hbar: set[Edge] = set()
-    h: set[Edge] = set()
-    for ch in chains:
-        (hbar if ch.kind == "hbar" else h).update(ch.edges())
-    return hbar, h
-
-
-def _cands_failing_type_ii(g: Graph, sel: SubgraphSelection, path: list[Chain],
-                           uk: int) -> Iterator[tuple[set[Edge], set[Edge], str]]:
+def _cands_failing_type_ii(
+        g: Graph, sel: SubgraphSelection,
+        path: tuple[frozenset[Edge], frozenset[Edge], frozenset[int]],
+        uk: int) -> Iterator[tuple[frozenset[Edge], frozenset[Edge], str]]:
     """Rewrites for a complement-chain end that fails the type-II test.
 
-    One candidate per witness, following the published case analysis: the
+    ``path`` is the closure's triple for ``uk`` (``_grow_closure``).  One
+    candidate per witness, following the published case analysis: the
     two-edge cleanup when the witness has a pendant partner, else a simple
     drop for a selection-degree-3 end, else the full path swap for a (2,2)
     end.  Every candidate is validated by the caller before use.  On the
     empty path (the direct rewrites of claim 2) every candidate is tagged
     ``claim2.drop``.
 
-    A witness x that is an earlier type-II end of ``path`` (each one starts
+    A witness x that is an earlier type-II end of the path (each one starts
     an ``h`` chain of it) gets no candidate: under Delta >= 6 the published
     revisit rewrite and its follow-up never give a legal move there.
 
@@ -285,8 +280,7 @@ def _cands_failing_type_ii(g: Graph, sel: SubgraphSelection, path: list[Chain],
       from x before it reached ``uk``, on the same path, so all of them
       were already evaluated and rejected.
     """
-    hbar_edges, h_edges = _split_chain_edges(path)
-    ii_ends = {ch.vertices[0] for ch in path if ch.kind == "h"}
+    hbar_edges, h_edges, ii_ends = path
     for x in sel.selected_neighbors(uk):
         if _cond4(g, sel, x) or _cond5(g, sel, x, uk) or x in ii_ends:
             continue
@@ -295,14 +289,16 @@ def _cands_failing_type_ii(g: Graph, sel: SubgraphSelection, path: list[Chain],
             add, remove, tag = (hbar_edges, h_edges | {canon_edge(x, y), xe},
                                 "claims.swap-cleanup")
         elif sel.deg(uk) == 3:
-            add, remove, tag = set(), {xe}, "claims.drop"
+            add, remove, tag = frozenset(), frozenset({xe}), "claims.drop"
         else:
             add, remove, tag = hbar_edges, h_edges | {xe}, "claims.swap"
-        yield add, remove, tag if path else "claim2.drop"
+        yield add, remove, tag if hbar_edges or h_edges else "claim2.drop"
 
 
-def _cands_failing_type_i(g: Graph, sel: SubgraphSelection, path: list[Chain],
-                          vk: int) -> Iterator[tuple[set[Edge], set[Edge], str]]:
+def _cands_failing_type_i(
+        g: Graph, sel: SubgraphSelection,
+        path: tuple[frozenset[Edge], frozenset[Edge], frozenset[int]],
+        vk: int) -> Iterator[tuple[frozenset[Edge], frozenset[Edge], str]]:
     """Rewrites for a selection-chain end that fails the type-I test.
 
     A failing witness x is never an end of ``path`` under Delta >= 6.
@@ -311,7 +307,7 @@ def _cands_failing_type_i(g: Graph, sel: SubgraphSelection, path: list[Chain],
     ``_cond1``-``_cond3`` at x, and x would not be type I.  On the empty
     path (the direct rewrites of claim 1) the tag is ``claim1.add``.
     """
-    hbar_edges, h_edges = _split_chain_edges(path)
+    hbar_edges, h_edges, _ = path
     for x in sel.unselected_neighbors(vk):
         if _cond1(sel, x) or _cond2(sel, x) or _cond3(g, sel, x, vk):
             continue
@@ -322,8 +318,8 @@ def _cands_failing_type_i(g: Graph, sel: SubgraphSelection, path: list[Chain],
             y = next(w for w in sel.unselected_neighbors(x) if w != vk)
             if sel.codeg(y) == 1:
                 s_set.add(canon_edge(x, y))
-        yield (hbar_edges | s_set, set(h_edges),
-               "claims.iswap" if path else "claim1.add")
+        yield (hbar_edges | s_set, h_edges,
+               "claims.iswap" if hbar_edges or h_edges else "claim1.add")
 
 
 def _counterexample(message: str, g: Graph, sel: SubgraphSelection,
@@ -392,9 +388,14 @@ def _grow_closure(g: Graph, sel: SubgraphSelection, origin: int,
     that reached it: on the origin, the direct rewrites of claims 1 and 2.
     A vertex that passes has no failing witness.  CounterexampleFound is
     raised when no vertex is left and no rewrite was valid.
+
+    ``paths`` maps each vertex reached to the triple its rewrites read off
+    the chains that reached it: their complement-side edges, selected-side
+    edges and type-II ends (each ``h`` chain's start).  It is empty at the
+    origin, and every chain has an edge, so both edge sets are empty there
+    only.
     """
-    visited = {origin}
-    parent: dict[int, tuple[int, Chain]] = {}
+    paths = {origin: (frozenset(), frozenset(), frozenset())}
     queue: deque[tuple[int, VertexType]] = deque([(origin, origin_role)])
     ends = {VertexType.TYPE_I: set(), VertexType.TYPE_II: set()}
     unresolved: list[int] = []
@@ -407,17 +408,19 @@ def _grow_closure(g: Graph, sel: SubgraphSelection, origin: int,
             fails, kind, expected = (_cands_failing_type_ii, "h",
                                      VertexType.TYPE_I)
         if classify_vertex(g, sel, z) is not role:
-            move = _first_valid(g, sel, fails(g, sel, _path_to(parent, z), z))
+            move = _first_valid(g, sel, fails(g, sel, paths[z], z))
             if move is not None:
                 return move
             unresolved.append(z)
             continue
         ends[role].add(z)
+        hbar_edges, h_edges, ii_ends = paths[z]
         for ch in enumerate_chains(g, sel, z, kind):
             t = ch.terminal
-            if t not in visited:
-                visited.add(t)
-                parent[t] = (z, ch)
+            if t not in paths:
+                paths[t] = ((hbar_edges | ch.edges(), h_edges, ii_ends)
+                            if kind == "hbar" else
+                            (hbar_edges, h_edges | ch.edges(), ii_ends | {z}))
                 queue.append((t, expected))
     raise _counterexample(
         "chain closure saturated with no rewrite; this contradicts the "
@@ -427,19 +430,8 @@ def _grow_closure(g: Graph, sel: SubgraphSelection, origin: int,
         unresolved=sorted(unresolved))
 
 
-def _path_to(parent: dict[int, tuple[int, Chain]], t: int) -> list[Chain]:
-    chains = []
-    cur = t
-    while cur in parent:
-        prev, ch = parent[cur]
-        chains.append(ch)
-        cur = prev
-    chains.reverse()
-    return chains
-
-
 def _first_valid(g: Graph, sel: SubgraphSelection,
-                 cands: Iterable[tuple[set[Edge], set[Edge], str]]
+                 cands: Iterable[tuple[Iterable[Edge], Iterable[Edge], str]]
                  ) -> Move | None:
     """The first candidate that ``_try_move`` applies, as a Move.
 

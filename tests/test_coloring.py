@@ -133,7 +133,7 @@ def test_subcubic_rejects():
 def test_compose_single_part_relabels_from_one():
     g = cycle(6)
     cert = avd_subcubic(g)
-    out = compose([(g, cert)], host=g)
+    out = compose([cert], host=g)
     assert out.colors_used == cert.colors_used
     assert sorted(out.coloring.palette) == list(range(1, out.colors_used + 1))
     _checked(g, out)
@@ -142,14 +142,12 @@ def test_compose_single_part_relabels_from_one():
 def test_compose_two_parts_disjoint_palettes():
     g = complete(7)
     part = partition_p2(g)
-    pieces = []
-    for sub in part.part_graphs():
-        cert = (avd_subcubic(sub) if sub.max_degree <= 3
-                else avd_color_budget(sub, 3 * sub.max_degree))
-        pieces.append((sub, cert))
+    pieces = [avd_subcubic(sub) if sub.max_degree <= 3
+              else avd_color_budget(sub, 3 * sub.max_degree)
+              for sub in part.part_graphs()]
     out = compose(pieces, host=g)
-    assert out.colors_used == sum(c.colors_used for _, c in pieces)
-    assert out.colors_used <= sum(c.bound_claimed for _, c in pieces)
+    assert out.colors_used == sum(c.colors_used for c in pieces)
+    assert out.colors_used <= sum(c.bound_claimed for c in pieces)
     _checked(g, out)
 
 
@@ -158,40 +156,38 @@ def test_compose_rejects_bad_partition():
     half = edge_induced(g, [(0, 1), (1, 2), (2, 3)])
     half_cert = avd_subcubic(half)
     with pytest.raises(ValueError):
-        compose([(half, half_cert)], host=g)  # does not cover the host
+        compose([half_cert], host=g)  # does not cover the host
     full_cert = avd_subcubic(g)
-    with pytest.raises(ValueError):
-        compose([(half, full_cert)], host=g)  # certificate/part mismatch
     clash = dict(full_cert.coloring.assignment)
     clash[(0, 1)] = clash[(1, 2)]
     bad_cert = dataclasses.replace(full_cert,
                                    coloring=make_coloring(g, clash))
     with pytest.raises(ValueError):
-        compose([(g, bad_cert)], host=g)  # improper part certificate
+        compose([bad_cert], host=g)  # improper part certificate
     with pytest.raises(ValueError, match="nothing to compose"):
         compose([], host=g)
+    one_edge = dataclasses.replace(half_cert, coloring=make_coloring(
+        edge_induced(g, [(0, 1)]), {(0, 1): 1}))
     with pytest.raises(NotNormalError, match="must be normal"):
-        compose([(edge_induced(g, [(0, 1)]), half_cert)], host=g)
+        compose([one_edge], host=g)
     # Proper but not distinguishing: every vertex sees colors 1 and 2.
     alternating = make_coloring(g, {e: 1 + i % 2 for i, e in
                                     enumerate([(0, 1), (1, 2), (2, 3),
                                                (3, 4), (4, 5), (0, 5)])})
     two_colors = dataclasses.replace(full_cert, coloring=alternating)
     with pytest.raises(ValueError, match="not distinguishing"):
-        compose([(g, two_colors)], host=g)
+        compose([two_colors], host=g)
     rest = edge_induced(g, [(2, 3), (3, 4), (4, 5), (0, 5)])
     with pytest.raises(ValueError, match="parts overlap"):
-        compose([(half, half_cert), (rest, avd_subcubic(rest))], host=g)
+        compose([half_cert, avd_subcubic(rest)], host=g)
 
 
 def test_compose_property_random():
     for g in normal_gnp_corpus(8, 700, 10, 26, 6, 10, p_lo=0.3, p_hi=0.6):
         part = partition_p2(g)
-        pieces = []
-        for sub in part.part_graphs():
-            cert = (avd_subcubic(sub) if sub.max_degree <= 3
-                    else avd_color_budget(sub, 3 * sub.max_degree))
-            pieces.append((sub, cert))
+        pieces = [avd_subcubic(sub) if sub.max_degree <= 3
+                  else avd_color_budget(sub, 3 * sub.max_degree)
+                  for sub in part.part_graphs()]
         out = compose(pieces, host=g)
         _checked(g, out)
 
