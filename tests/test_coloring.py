@@ -323,6 +323,86 @@ def test_search_outputs_golden():
         "4b298a1a58fc61a6967e8227e566743029a6e9d7d83c641210b9ad8943b1b684")
 
 
+def _repair_golden_graphs():
+    for n in (32, 36):
+        for s in range(12):
+            yield f"random_regular({n},3,{s})", random_regular(n, 3, s)
+    # Budget-4 repairs that fail, so the ladder pays its exact rung.
+    for n, s in ((12, 46), (32, 2045316809), (36, 1792540428)):
+        yield f"random_regular({n},3,{s})", random_regular(n, 3, s)
+    # Subcubic parts of the paper route: degrees 1 to 3 side by side.
+    for i, g in enumerate(normal_gnp_corpus(8, 500, 20, 40, 6, 12,
+                                            p_lo=0.2, p_hi=0.4)):
+        for j, part in enumerate(partition_p2(g).part_graphs()):
+            if part.max_degree <= 3:
+                yield f"gnp {i} part {j}", part
+
+
+def test_repair_outputs_golden():
+    # Pins every repair outcome, so a rewrite of its loop must make the
+    # same moves: the same candidates, ties, generator draws and swaps.
+    out, failed = [], 0
+    for name, g in _repair_golden_graphs():
+        start = misra_gries(g)
+        for budget in range(coloring._lower_bound(g), 6):
+            cert = coloring._repair(g, budget, start)
+            failed += cert is None
+            out.append([name, budget, None if cert is None else sorted(
+                [u, v, c] for (u, v), c in cert.coloring.assignment.items())])
+    assert (len(out), failed) == (101, 3)
+    digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
+    assert digest == (
+        "78c580cf121a9bd8abb22f7c8398f7a5875d323c46d54a21c9f6acb335dded6a")
+
+
+def _least_cap(g, budget, order):
+    # The smallest node_cap under which avd_color_budget returns, and what
+    # it returns: the caps that raise are exactly those below it.
+    lo, hi = -1, 1
+    while True:
+        try:
+            avd_color_budget(g, budget, node_cap=hi, order=order)
+            break
+        except SearchCapExceededError:
+            lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            avd_color_budget(g, budget, node_cap=mid, order=order)
+            hi = mid
+        except SearchCapExceededError:
+            lo = mid
+    return hi, avd_color_budget(g, budget, node_cap=hi, order=order)
+
+
+def test_search_node_counts_golden():
+    # Pins the node count of every search (the least cap that does not
+    # raise) and its outcome, in the breadth-first and two shuffled orders,
+    # at budgets Delta to lb + 1: refutations and colorings alike.
+    graphs = [("petersen", petersen()), ("cycle(5)", cycle(5)),
+              ("cycle(7)", cycle(7)), ("complete(4)", complete(4)),
+              ("complete(5)", complete(5)), ("complete(6)", complete(6))]
+    graphs += [(f"random_regular({n},{r},{s})", random_regular(n, r, s))
+               for n, r, s in ((10, 3, 1), (10, 3, 2), (12, 4, 1), (12, 4, 2),
+                               (10, 5, 1))]
+    graphs += [(f"gnp {i}", g)
+               for i, g in enumerate(normal_gnp_corpus(6, 700, 6, 11, 3, 5))]
+    out, refuted = [], 0
+    for name, g in graphs:
+        for budget in range(g.max_degree, coloring._lower_bound(g) + 2):
+            for seed in (0, 1, 2):
+                order = coloring._shuffled_order(g, seed) if seed else None
+                cap, cert = _least_cap(g, budget, order)
+                refuted += cert is None
+                out.append([name, budget, seed, cap, None if cert is None
+                            else sorted([u, v, c] for (u, v), c
+                                        in cert.coloring.assignment.items())])
+    assert (len(out), refuted) == (147, 63)
+    digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
+    assert digest == (
+        "67a69bec639cb44bfdb5ac093ef7f527049e2bc6330be371a57b4a3ccd32e48b")
+
+
 def test_subcubic_budget_four_exact_rung_lowers_the_palette(monkeypatch):
     # The budget-4 repair fails on this cubic graph, so without the exact
     # budget-4 rung the ladder would end at the guaranteed budget 5.  Its
