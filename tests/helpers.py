@@ -6,9 +6,11 @@ import random
 from collections import deque
 
 from avdcolor import (EdgeColoring, EdgePartition, Graph, SubgraphSelection,
-                      check_membership, complete, edge_induced, find_move, gnp,
-                      is_normal, make_coloring, partition, random_regular)
-from avdcolor.vizing import _Fans
+                      SearchCapExceededError, canon_edge, check_membership,
+                      complete, edge_induced, find_move, gnp, is_normal,
+                      make_coloring, partition, random_regular)
+from avdcolor.coloring import AvdCertificate, Edge, _certificate
+from avdcolor.vizing import _Fans, relabeled
 
 
 def girth(g: Graph):
@@ -220,3 +222,178 @@ def partition_p2_by_levels(g: Graph, trace=None) -> EdgePartition:
         carry = {e: c - 3 for e, c in fans_coloring(fans).assignment.items()
                  if 3 < c <= top and e in hbar_edges}
     return EdgePartition(g, [rest.edges, *reversed(peels)])
+
+
+# The two part-coloring kernels as they were before their inner loops were
+# rewritten for speed, kept verbatim as the reference the rewrite must match
+# decision for decision (tests/test_coloring.py).
+
+
+def search_reference(g: Graph, budget: int, order: list[Edge],
+                     node_cap: int | None) -> dict[Edge, int] | None:
+    """Complete backtracking for an AVD coloring within a color budget.
+
+    Edges are colored in ``order``; ``color[i]`` is the color edge i holds
+    and ``used[i]`` the largest color on the edges before it, so a new
+    color is only ever the next unused one.  An edge whose color completes
+    an undistinguished pair, or an edge that is backtracked to, resumes at
+    the color after the one it held.  Every color placed counts as a node.
+    """
+    masks = {v: 0 for v in g.vertices}
+    remaining = {v: g.degree(v) for v in g.vertices}
+    eq_adj = {v: [w for w in g.neighbors(v) if g.degree(w) == g.degree(v)]
+              for v in g.vertices}
+
+    def complete_ok(w: int) -> bool:
+        # A plain loop: any() over a generator is measurably slower here.
+        if remaining[w] != 0:
+            return True
+        mw = masks[w]
+        for x in eq_adj[w]:
+            if remaining[x] == 0 and masks[x] == mw:
+                return False
+        return True
+
+    m = len(order)
+    color = [0] * m
+    used = [0] * (m + 1)
+    nodes = 0
+    i = 0
+    while 0 <= i < m:
+        u, v = order[i]
+        c = color[i]
+        if c:
+            bit = 1 << c
+            masks[u] &= ~bit
+            masks[v] &= ~bit
+            remaining[u] += 1
+            remaining[v] += 1
+        forbidden = masks[u] | masks[v]
+        limit = min(budget, used[i] + 1)
+        c += 1
+        while c <= limit and forbidden >> c & 1:
+            c += 1
+        if c > limit:
+            color[i] = 0
+            i -= 1
+            continue
+        nodes += 1
+        if node_cap is not None and nodes > node_cap:
+            raise SearchCapExceededError(
+                f"budget-{budget} search exceeded {node_cap} nodes")
+        bit = 1 << c
+        masks[u] |= bit
+        masks[v] |= bit
+        remaining[u] -= 1
+        remaining[v] -= 1
+        color[i] = c
+        if complete_ok(u) and complete_ok(v):
+            used[i + 1] = max(used[i], c)
+            i += 1
+    return dict(zip(order, color)) if i == m else None
+
+
+def repair_reference(g: Graph, budget: int,
+                     start: EdgeColoring) -> AvdCertificate | None:
+    """Min-conflicts repair of a proper coloring into an AVD one.
+
+    Starts from ``start`` when it uses at most ``budget`` colors.  A
+    conflict is an adjacent equal-degree pair with equal color sets.  Each
+    step takes a random conflict and, at either of its ends x, considers
+    every swap of the a/b Kempe chain from x, for a color a at x and a
+    color b <= budget missing there (Minton et al. 1992).  The chain is a
+    path from x to some y, so the swap keeps the coloring proper and
+    changes only the color sets of x and y; the swap that lowers the
+    conflicts at x and y the most is made, ties broken by a fixed-seed
+    generator, and the a/b swaps at x and y are then tabu for 7 steps.
+    Returns None after 2m steps without an AVD coloring.  Callers start at
+    ``_lower_bound(g)``, so no budget is one that two adjacent vertices of
+    degree ``budget`` make impossible.
+    """
+    if start.colors_used > budget:
+        return None
+    # at[v][c] is v's neighbor across color c; mask[v] has bit c for c at v.
+    at: dict[int, dict[int, int]] = {v: {} for v in g.vertices}
+    mask = {v: 0 for v in g.vertices}
+    for (u, v), c in start.assignment.items():
+        at[u][c], at[v][c] = v, u
+        mask[u] |= 1 << c
+        mask[v] |= 1 << c
+    eq = {v: [w for w in g.neighbors(v) if g.degree(w) == g.degree(v)]
+          for v in g.vertices}
+    conflicts: list[Edge] = []
+    slot: dict[Edge, int] = {}
+
+    def mark(x: int) -> None:
+        # Bring the conflicts on x's equal-degree pairs up to date.
+        for w in eq[x]:
+            e = canon_edge(x, w)
+            if mask[x] == mask[w]:
+                if e not in slot:
+                    slot[e] = len(conflicts)
+                    conflicts.append(e)
+            elif e in slot:
+                last = conflicts.pop()
+                i = slot.pop(e)
+                if last != e:
+                    conflicts[i] = last
+                    slot[last] = i
+
+    def clashes(x: int, mx: int, y: int, my: int) -> int:
+        # Conflicts on the pairs at x or y, were their masks mx and my.
+        n = 0
+        for w in eq[x]:
+            n += (my if w == y else mask[w]) == mx
+        for w in eq[y]:
+            n += w != x and mask[w] == my
+        return n
+
+    def chain(x: int, a: int, b: int) -> list[int]:
+        # x has a and misses b, so its a/b chain is a path, never a cycle.
+        path = [x]
+        while (nxt := at[path[-1]].get(a)) is not None:
+            path.append(nxt)
+            a, b = b, a
+        return path
+
+    for v in g.vertices:
+        mark(v)
+    rng = random.Random(budget)
+    tabu: dict[tuple[int, int], int] = {}
+    for step in range(2 * g.edge_count):
+        if not conflicts:
+            break
+        best, ties = None, []
+        for x in conflicts[rng.randrange(len(conflicts))]:
+            for a in at[x]:
+                for b in range(1, budget + 1):
+                    ab = 1 << a | 1 << b
+                    if mask[x] >> b & 1 or tabu.get((x, ab), -1) > step:
+                        continue
+                    path = chain(x, a, b)
+                    y = path[-1]
+                    score = (clashes(x, mask[x] ^ ab, y, mask[y] ^ ab)
+                             - clashes(x, mask[x], y, mask[y]))
+                    if best is None or score < best:
+                        best, ties = score, []
+                    if score == best:
+                        ties.append((path, a, b, ab))
+        if not ties:
+            continue
+        path, a, b, ab = rng.choice(ties)
+        for v in path:
+            ta, tb = at[v].pop(a, None), at[v].pop(b, None)
+            if ta is not None:
+                at[v][b] = ta
+            if tb is not None:
+                at[v][a] = tb
+        for v in (path[0], path[-1]):
+            mask[v] ^= ab
+            tabu[v, ab] = step + 7
+        mark(path[0])
+        mark(path[-1])
+    if conflicts:
+        return None
+    return _certificate(g, relabeled({(u, v): c for u in g.vertices
+                                      for c, v in at[u].items() if u < v}),
+                        budget, (g.edges,))

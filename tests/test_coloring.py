@@ -15,7 +15,8 @@ from avdcolor import (InternalBoundViolationError, SearchCapExceededError,
                       audit, check_certificate, coloring, emit_graph,
                       exact_chi_a, is_normal, parse_graph)
 from avdcolor.coloring import certificate_from_dict, certificate_to_dict
-from helpers import exhaust_searches, normal_gnp_corpus
+from helpers import (exhaust_searches, normal_gnp_corpus, repair_reference,
+                     search_reference)
 
 
 def _checked(g, cert):
@@ -615,13 +616,13 @@ def test_drivers_certify_within_bounds(g):
 
 
 @st.composite
-def _small_normal_subcubic_graphs(draw):
+def _small_normal_graphs(draw, max_degree=3):
     n = draw(st.integers(3, 12))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     deg = [0] * n
     edges = []
     for u, v in draw(st.permutations(pairs)):
-        if len(edges) < 16 and deg[u] < 3 and deg[v] < 3:
+        if len(edges) < 16 and deg[u] < max_degree and deg[v] < max_degree:
             deg[u] += 1
             deg[v] += 1
             edges.append((u, v))
@@ -634,7 +635,7 @@ def _small_normal_subcubic_graphs(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(_small_normal_subcubic_graphs())
+@given(_small_normal_graphs())
 def test_repair_returns_only_checked_colorings(g):
     assert g.edge_count <= 16 and g.max_degree <= 3
     start = misra_gries(g)
@@ -649,6 +650,40 @@ def test_repair_returns_only_checked_colorings(g):
         assert cert.parts == (g.edges,)
         again = coloring._repair(g, budget, start)
         assert again.coloring.assignment == cert.coloring.assignment
+
+
+def _certificate_bytes(cert):
+    return None if cert is None else json.dumps(
+        [certificate_to_dict(cert), [sorted(map(list, p)) for p in cert.parts]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_normal_graphs(5))
+def test_repair_matches_its_reference(g):
+    start = misra_gries(g)
+    for budget in range(g.max_degree, g.max_degree + 3):
+        assert (_certificate_bytes(coloring._repair(g, budget, start))
+                == _certificate_bytes(repair_reference(g, budget, start)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_normal_graphs(5), st.integers(0, 2), st.integers(0, 3),
+       st.data())
+def test_search_matches_its_reference(g, extra, seed, data):
+    # Same assignment, same refutation, or a cap error at the same node.
+    budget = g.max_degree + extra
+    order = (coloring._shuffled_order(g, seed) if seed
+             else coloring._vertex_major_order(g))
+    cap = data.draw(st.one_of(st.none(), st.integers(-2, 0),
+                              st.integers(1, 2 * g.edge_count)))
+
+    def outcome(search):
+        try:
+            return search(g, budget, order, cap)
+        except SearchCapExceededError as exc:
+            return str(exc)
+
+    assert outcome(coloring._search) == outcome(search_reference)
 
 
 def test_repair_skips_a_budget_it_cannot_meet():
