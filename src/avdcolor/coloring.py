@@ -19,6 +19,7 @@ disjoint palettes.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -73,18 +74,22 @@ class AvdCertificate:
 def _witnesses(g: Graph, coloring: EdgeColoring) -> dict[Edge, int]:
     # Bit c of mask[v] is set when c is at v, so min(C(u) ^ C(v)) is the
     # lowest set bit of mask[u] ^ mask[v].
-    mask = dict.fromkeys(g.vertices, 0)
+    adj = g.adjacency
+    mask = dict.fromkeys(adj, 0)
     for (u, v), c in coloring.assignment.items():
         mask[u] |= 1 << c
         mask[v] |= 1 << c
+    # Vertices and neighbors ascend, so the pairs come in sorted order.
     out: dict[Edge, int] = {}
-    for u, v in g.sorted_edges():
-        if g.degree(u) == g.degree(v):
-            diff = mask[u] ^ mask[v]
-            if not diff:
-                raise AssertionError(
-                    f"equal color sets at adjacent pair {(u, v)}")
-            out[(u, v)] = (diff & -diff).bit_length() - 1
+    for u, ns in adj.items():
+        d, mu = len(ns), mask[u]
+        for v in ns:
+            if v > u and len(adj[v]) == d:
+                diff = mu ^ mask[v]
+                if not diff:
+                    raise AssertionError(
+                        f"equal color sets at adjacent pair {(u, v)}")
+                out[(u, v)] = (diff & -diff).bit_length() - 1
     return out
 
 
@@ -96,10 +101,11 @@ def _vertex_major_order(g: Graph,
     the distinguishing constraint prunes near the mistakes that violate it;
     a scattered edge order lets conflicts surface far too late to matter.
     """
+    adj = g.adjacency
     if vertex_seq is None:
         vertex_seq = []
         seen: set[int] = set()
-        for s in g.vertices:
+        for s in adj:
             if s in seen:
                 continue
             seen.add(s)
@@ -107,18 +113,17 @@ def _vertex_major_order(g: Graph,
             while queue:
                 v = queue.popleft()
                 vertex_seq.append(v)
-                for w in g.neighbors(v):
+                for w in adj[v]:
                     if w not in seen:
                         seen.add(w)
                         queue.append(w)
+    # An edge is listed at whichever of its ends comes first.
     order: list[Edge] = []
-    listed: set[Edge] = set()
+    done: set[int] = set()
     for v in vertex_seq:
-        for w in g.neighbors(v):
-            e = canon_edge(v, w)
-            if e not in listed:
-                listed.add(e)
-                order.append(e)
+        done.add(v)
+        order += [(v, w) if v < w else (w, v) for w in adj[v]
+                  if w not in done]
     return order
 
 
@@ -131,22 +136,21 @@ def _search(g: Graph, budget: int, order: list[Edge],
     color is only ever the next unused one.  An edge whose color completes
     an undistinguished pair, or an edge that is backtracked to, resumes at
     the color after the one it held.  Every color placed counts as a node.
+    A vertex none of whose edges is left to color is complete, and an edge
+    is rejected when it completes a vertex with the same colors as a
+    complete equal-degree neighbor.
     """
-    masks = {v: 0 for v in g.vertices}
-    remaining = {v: g.degree(v) for v in g.vertices}
-    eq_adj = {v: [w for w in g.neighbors(v) if g.degree(w) == g.degree(v)]
-              for v in g.vertices}
-
-    def complete_ok(w: int) -> bool:
-        # A plain loop: any() over a generator is measurably slower here.
-        if remaining[w] != 0:
-            return True
-        mw = masks[w]
-        for x in eq_adj[w]:
-            if remaining[x] == 0 and masks[x] == mw:
-                return False
-        return True
-
+    # Per vertex label: the color bitmask, the edges left to color and the
+    # equal-degree neighbors.  Plain loops and lists throughout: this loop
+    # runs for every node.
+    adj = g.adjacency
+    masks = [0] * g.n
+    remaining = [0] * g.n
+    eq_adj: list[tuple[int, ...]] = [()] * g.n
+    for v, ns in adj.items():
+        d = remaining[v] = len(ns)
+        eq_adj[v] = tuple(w for w in ns if len(adj[w]) == d)
+    cap = math.inf if node_cap is None else node_cap
     m = len(order)
     color = [0] * m
     used = [0] * (m + 1)
@@ -154,34 +158,51 @@ def _search(g: Graph, budget: int, order: list[Edge],
     i = 0
     while 0 <= i < m:
         u, v = order[i]
-        c = color[i]
-        if c:
-            bit = 1 << c
-            masks[u] &= ~bit
-            masks[v] &= ~bit
-            remaining[u] += 1
-            remaining[v] += 1
-        forbidden = masks[u] | masks[v]
-        limit = min(budget, used[i] + 1)
-        c += 1
-        while c <= limit and forbidden >> c & 1:
+        held = color[i]
+        mu, mv = masks[u], masks[v]
+        if held:
+            mu ^= 1 << held
+            mv ^= 1 << held
+        # The first color after held, up to min(budget, used[i] + 1), that
+        # is free at u and v.
+        top = used[i] + 1
+        if top > budget:
+            top = budget
+        forbidden = mu | mv
+        c = held + 1
+        while c <= top and forbidden >> c & 1:
             c += 1
-        if c > limit:
-            color[i] = 0
+        if c > top:
+            if held:
+                masks[u], masks[v] = mu, mv
+                remaining[u] += 1
+                remaining[v] += 1
+                color[i] = 0
             i -= 1
             continue
         nodes += 1
-        if node_cap is not None and nodes > node_cap:
+        if nodes > cap:
             raise SearchCapExceededError(
                 f"budget-{budget} search exceeded {node_cap} nodes")
-        bit = 1 << c
-        masks[u] |= bit
-        masks[v] |= bit
-        remaining[u] -= 1
-        remaining[v] -= 1
+        masks[u] = mu = mu | 1 << c
+        masks[v] = mv = mv | 1 << c
+        if not held:
+            remaining[u] -= 1
+            remaining[v] -= 1
         color[i] = c
-        if complete_ok(u) and complete_ok(v):
-            used[i + 1] = max(used[i], c)
+        clash = False
+        if not remaining[u]:
+            for x in eq_adj[u]:
+                if not remaining[x] and masks[x] == mu:
+                    clash = True
+                    break
+        if not clash and not remaining[v]:
+            for x in eq_adj[v]:
+                if not remaining[x] and masks[x] == mv:
+                    clash = True
+                    break
+        if not clash:
+            used[i + 1] = used[i] if used[i] > c else c
             i += 1
     return dict(zip(order, color)) if i == m else None
 
@@ -215,7 +236,9 @@ def _lower_bound(g: Graph) -> int:
     # under a budget of Delta both would see every color, and no coloring
     # could tell them apart (Zhang, Liu and Wang 2002).
     d = g.max_degree
-    return d + any(g.degree(u) == g.degree(v) == d for u, v in g.edges)
+    adj = g.adjacency
+    return d + any(len(ns) == d and any(len(adj[w]) == d for w in ns)
+                   for ns in adj.values())
 
 
 def _certificate(g: Graph, assignment: dict[Edge, int], bound: int,
@@ -245,23 +268,26 @@ def _repair(g: Graph, budget: int,
     """
     if start.colors_used > budget:
         return None
-    # at[v][c] is v's neighbor across color c; mask[v] has bit c for c at v.
-    at: dict[int, dict[int, int]] = {v: {} for v in g.vertices}
-    mask = {v: 0 for v in g.vertices}
+    # at[v][c] is v's neighbor across color c; mask[v] has bit c for c at v;
+    # eq[v] lists v's neighbors of its own degree.
+    adj = g.adjacency
+    at: dict[int, dict[int, int]] = {v: {} for v in adj}
+    mask = dict.fromkeys(adj, 0)
     for (u, v), c in start.assignment.items():
         at[u][c], at[v][c] = v, u
         mask[u] |= 1 << c
         mask[v] |= 1 << c
-    eq = {v: [w for w in g.neighbors(v) if g.degree(w) == g.degree(v)]
-          for v in g.vertices}
+    eq = {v: [w for w in ns if len(adj[w]) == len(ns)]
+          for v, ns in adj.items()}
     conflicts: list[Edge] = []
     slot: dict[Edge, int] = {}
 
     def mark(x: int) -> None:
         # Bring the conflicts on x's equal-degree pairs up to date.
+        mx = mask[x]
         for w in eq[x]:
-            e = canon_edge(x, w)
-            if mask[x] == mask[w]:
+            e = (x, w) if x < w else (w, x)
+            if mx == mask[w]:
                 if e not in slot:
                     slot[e] = len(conflicts)
                     conflicts.append(e)
@@ -272,59 +298,76 @@ def _repair(g: Graph, budget: int,
                     conflicts[i] = last
                     slot[last] = i
 
-    def clashes(x: int, mx: int, y: int, my: int) -> int:
-        # Conflicts on the pairs at x or y, were their masks mx and my.
-        n = 0
-        for w in eq[x]:
-            n += (my if w == y else mask[w]) == mx
-        for w in eq[y]:
-            n += w != x and mask[w] == my
-        return n
-
-    def chain(x: int, a: int, b: int) -> list[int]:
-        # x has a and misses b, so its a/b chain is a path, never a cycle.
-        path = [x]
-        while (nxt := at[path[-1]].get(a)) is not None:
-            path.append(nxt)
-            a, b = b, a
-        return path
-
-    for v in g.vertices:
-        mark(v)
+    # Vertices and neighbors ascend: each pair is listed at its lower end,
+    # as marking every vertex in turn would.
+    conflicts += [(v, w) for v, ws in eq.items() for w in ws
+                  if w > v and mask[v] == mask[w]]
+    slot.update((e, i) for i, e in enumerate(conflicts))
     rng = random.Random(budget)
-    tabu: dict[tuple[int, int], int] = {}
+    # tabu[v][ab]: the step from which the a/b swaps at v are allowed again.
+    tabu: dict[int, dict[int, int]] = {v: {} for v in adj}
+    colors = range(1, budget + 1)
     for step in range(2 * g.edge_count):
         if not conflicts:
             break
         best, ties = None, []
         for x in conflicts[rng.randrange(len(conflicts))]:
+            mx, ex, tx = mask[x], eq[x], tabu[x]
+            before = 0  # conflicts on x's pairs before any swap
+            for w in ex:
+                if mask[w] == mx:
+                    before += 1
+            missing = [b for b in colors if not mx >> b & 1]
             for a in at[x]:
-                for b in range(1, budget + 1):
+                for b in missing:
                     ab = 1 << a | 1 << b
-                    if mask[x] >> b & 1 or tabu.get((x, ab), -1) > step:
+                    if tx.get(ab, -1) > step:
                         continue
-                    path = chain(x, a, b)
-                    y = path[-1]
-                    score = (clashes(x, mask[x] ^ ab, y, mask[y] ^ ab)
-                             - clashes(x, mask[x], y, mask[y]))
+                    # x has a and misses b, so its a/b chain is a path;
+                    # y is the other end.
+                    y, p = x, a
+                    while (nxt := at[y].get(p)) is not None:
+                        y, p = nxt, p ^ a ^ b
+                    my = mask[y]
+                    nx, ny = mx ^ ab, my ^ ab
+                    # Conflicts at x and y after the swap, less those before.
+                    score = -before
+                    for w in ex:
+                        if (ny if w == y else mask[w]) == nx:
+                            score += 1
+                    for w in eq[y]:
+                        if w != x:
+                            mw = mask[w]
+                            if mw == ny:
+                                score += 1
+                            elif mw == my:
+                                score -= 1
                     if best is None or score < best:
                         best, ties = score, []
                     if score == best:
-                        ties.append((path, a, b, ab))
+                        ties.append((x, a, b, ab))
         if not ties:
             continue
-        path, a, b, ab = rng.choice(ties)
-        for v in path:
-            ta, tb = at[v].pop(a, None), at[v].pop(b, None)
+        x, a, b, ab = rng.choice(ties)
+        # Walk the chain again, swapping as it goes.  Each at[v] pops a,
+        # then b, and puts back b, then a: its order is the candidate order.
+        y, p = x, a
+        while True:
+            ay = at[y]
+            nxt = ay.get(p)
+            ta, tb = ay.pop(a, None), ay.pop(b, None)
             if ta is not None:
-                at[v][b] = ta
+                ay[b] = ta
             if tb is not None:
-                at[v][a] = tb
-        for v in (path[0], path[-1]):
+                ay[a] = tb
+            if nxt is None:
+                break
+            y, p = nxt, p ^ a ^ b
+        for v in (x, y):
             mask[v] ^= ab
-            tabu[v, ab] = step + 7
-        mark(path[0])
-        mark(path[-1])
+            tabu[v][ab] = step + 7
+        mark(x)
+        mark(y)
     if conflicts:
         return None
     return _certificate(g, relabeled({(u, v): c for u in g.vertices

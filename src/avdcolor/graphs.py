@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable, Iterator
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 Edge = tuple[int, int]
 
@@ -78,6 +79,12 @@ class Graph:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
+
+    @property
+    def adjacency(self) -> Mapping[int, tuple[int, ...]]:
+        """Read-only map of each vertex to its neighbor tuple, for loops
+        that visit every vertex: vertices and neighbors ascend."""
+        return MappingProxyType(self._adj)
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])

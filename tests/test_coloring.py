@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import types
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -684,6 +685,28 @@ def test_search_matches_its_reference(g, extra, seed, data):
             return str(exc)
 
     assert outcome(coloring._search) == outcome(search_reference)
+
+
+def test_repair_draws_among_tied_swaps(monkeypatch):
+    # Line coverage cannot tell a swap drawn among several tied candidates
+    # from one drawn alone, so count the tie lists the generator draws from.
+    sizes = []
+
+    class Spy(random.Random):
+        def choice(self, seq):
+            sizes.append(len(seq))
+            return super().choice(seq)
+
+    monkeypatch.setattr(coloring, "random", types.SimpleNamespace(Random=Spy))
+    # Seed 2045316809's budget-4 repair fails after 2m steps; seed 7's works.
+    for s, colored in ((2045316809, False), (7, True)):
+        g = random_regular(32, 3, s)
+        start = misra_gries(g)
+        cert = coloring._repair(g, 4, start)
+        assert (cert is not None) == colored
+        assert (_certificate_bytes(cert)
+                == _certificate_bytes(repair_reference(g, 4, start)))
+    assert 1 in sizes and max(sizes) > 1
 
 
 def test_repair_skips_a_budget_it_cannot_meet():
