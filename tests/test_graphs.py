@@ -255,6 +255,21 @@ def test_without_edges_matches_edge_induced(case):
                for v in sub.vertices if v not in touched)
 
 
+@settings(max_examples=100, deadline=None)
+@given(_hosts_and_selections())
+def test_adjacency_is_an_ascending_read_only_view(case):
+    # The coloring kernels read sorted pairs and conflict lists off it.
+    g, picked = case
+    part = frozenset(canon_edge(u, v) for u, v in picked)
+    for h in (g, edge_induced(g, part), without_edges(g, part)):
+        adj = h.adjacency
+        assert tuple(adj) == h.vertices == tuple(sorted(h.vertices))
+        assert all(ns == h.neighbors(v) == tuple(sorted(ns))
+                   for v, ns in adj.items())
+        with pytest.raises(TypeError):
+            adj[h.n] = ()
+
+
 def test_without_edges_rejects_foreign_edges():
     with pytest.raises(ValueError, match="not all in the graph"):
         without_edges(cycle(5), {(0, 2)})
