@@ -4,9 +4,9 @@ Exit status: 0 all checks pass, 1 a check failed, 2 usage or input error,
 3 a potential counterexample, with its state dump, which names the graph
 or part by its edge list, written to ``*.counterexample.json``: the
 partition engine stalled, or a search refuted a budget that a cited bound
-guarantees.  4 a part's search spent its node budget before finishing
-(for a subcubic part, after the repair failed as well), with the part's
-state written to ``*.search-cap.json``.
+guarantees.  4 a part's guaranteed search spent its node budget (after
+the part's repair at that budget, which paths and cycles skip, failed as
+well), with the part's state written to ``*.search-cap.json``.
 """
 
 from __future__ import annotations

@@ -7,14 +7,14 @@ and one distinguishing color per adjacent equal-degree pair.
 The exact searcher is a deterministic backtracker over edges (grouped per
 vertex in breadth-first order, ascending colors, new colors introduced
 only in order) that prunes on properness and on completed adjacent
-equal-degree pairs.  The subcubic ladder tries budgets from a lower bound
-up.  Parts of max degree 3 try a repair first at each budget: min-conflicts
-Kempe-chain swaps that turn the part's Misra-Gries coloring into a
-distinguishing one, under a step budget, with the exact search as the
-fallback; paths and cycles take the exact search alone.  Each driver
-either colors a small-degree graph as one bounded part, or colors the
-parts of a partition and composes the part certificates over pairwise
-disjoint palettes.
+equal-degree pairs.  Every bounded part climbs one ladder of budgets from
+a lower bound to a guaranteed top, 5 or (after one short exact attempt
+there) 3 Delta at max degree 4-5.  Each budget tries a min-conflicts
+Kempe-chain repair of the part's Misra-Gries coloring first, under a step
+budget, with the exact search as the fallback; paths and cycles take the
+exact search alone.  Each driver either colors a small-degree graph as one
+bounded part, or colors the parts of a partition and composes the part
+certificates over pairwise disjoint palettes.
 """
 
 from __future__ import annotations
@@ -395,16 +395,15 @@ def _guaranteed_search(g: Graph, budget: int, context: str) -> AvdCertificate:
 
     Attempt i takes ``avd_color_budget``'s breadth-first edge order for
     i = 0 and a shuffled one seeded with i after that, under a node cap of
-    ``_luby(i + 1)`` units: the universal restart schedule of Luby, Sinclair
-    and Zuckerman.  A unit is 2m nodes, close to a typical run (a cap below
-    m can never color the part), so an unlucky order is abandoned early.
-    The caps are clipped to sum to at most the node budget,
-    ``GUARANTEED_UNITS`` times ``DEFAULT_NODE_CAP`` or 2m nodes, whichever
-    is larger, so the search may raise SearchCapExceededError after that
-    budget; its payload holds the part's edge list (host labels, O(m) to
-    build), the color budget, the nodes spent and the attempts made.  A
-    completed refutation means the guarantee failed and is reported as
-    such, with the part's edge list.
+    ``_luby(i + 1)`` units (Luby, Sinclair and Zuckerman's universal
+    restart schedule).  A unit is 2m nodes, about a typical run (a cap
+    below m never colors the part), so an unlucky order is abandoned
+    early.  The caps are clipped to sum to at most ``GUARANTEED_UNITS``
+    times ``max(DEFAULT_NODE_CAP, 2m)`` nodes, after which
+    SearchCapExceededError is raised; its payload holds the part's edge
+    list (host labels, O(m) to build), the color budget, the nodes spent
+    and the attempts made.  A completed refutation means the guarantee
+    failed and is reported as such, with the part's edge list.
     """
     unit = 2 * g.edge_count
     total = GUARANTEED_UNITS * max(DEFAULT_NODE_CAP, unit)
@@ -432,41 +431,39 @@ def _guaranteed_search(g: Graph, budget: int, context: str) -> AvdCertificate:
          "budget": budget, "nodes": spent, "attempts": attempt})
 
 
-def avd_subcubic(g: Graph) -> AvdCertificate:
-    """Certificate with at most 5 colors for a normal graph of max degree 3.
+def _ladder(g: Graph, top: int, context: str) -> AvdCertificate:
+    """Certificate within ``top``, a budget a cited bound guarantees for g.
 
-    Budgets ascend from ``_lower_bound(g)``.  When g has max degree 3, each
-    starts with ``_repair`` of one Misra-Gries coloring of g, shared by
-    every budget.  Paths and cycles (max degree 2) get no start and no
-    repair: the exact search colors or refutes each of their budgets in
-    about 2m nodes, less than a failed repair's 2m steps cost.  At a budget
-    below 5, a failed repair is followed by the exact search under a node
-    cap of ``LADDER_NODE_CAP`` or 2m nodes, whichever is larger, since a
-    cap below m can never finish; a search that reaches its cap skips the
-    budget (only minimality of the reported palette is affected).  At
-    budget 5, which Balister, Gyori, Lehel and Schelp (2007) guarantee, a
-    failed repair is followed by ``_guaranteed_search``, which may raise
-    SearchCapExceededError after its node budget.  An edgeless g gets its
-    first rung's certificate of no parts.
+    Budgets ascend from ``_lower_bound(g)``, each trying ``_repair`` from
+    one shared Misra-Gries coloring first; paths and cycles skip it, as the
+    exact search settles each of their budgets in about 2m nodes.  Below
+    ``top`` the exact search follows under ``max(LADDER_NODE_CAP, 2m)``
+    nodes (a cap below m never finishes), and a cap skips the budget; at
+    ``top``, ``_guaranteed_search``.  An edgeless g gets no parts.
+    """
+    start = misra_gries(g) if g.max_degree > 2 else None
+    cap = max(LADDER_NODE_CAP, 2 * g.edge_count)
+    for budget in range(_lower_bound(g), top):
+        try:
+            cert = ((_repair(g, budget, start) if start else None)
+                    or avd_color_budget(g, budget, node_cap=cap))
+        except SearchCapExceededError:
+            continue
+        if cert is not None:
+            return cert.with_bound(top)
+    return ((_repair(g, top, start) if start else None)
+            or _guaranteed_search(g, top, context)).with_bound(top)
+
+
+def avd_subcubic(g: Graph) -> AvdCertificate:
+    """Certificate with at most 5 colors for a normal graph of max degree 3:
+    ``_ladder`` up to 5, the bound of Balister, Gyori, Lehel, Schelp 2007.
     """
     if not is_normal(g):
         raise NotNormalError("subcubic AVD coloring requires a normal graph")
     if g.max_degree > 3:
         raise ValueError(f"max degree {g.max_degree} exceeds 3")
-    start = misra_gries(g) if g.max_degree == 3 else None
-    cap = max(LADDER_NODE_CAP, 2 * g.edge_count)
-    for budget in range(_lower_bound(g), 5):
-        cert = _repair(g, budget, start) if start else None
-        if cert is None:
-            try:
-                cert = avd_color_budget(g, budget, node_cap=cap)
-            except SearchCapExceededError:
-                continue
-        if cert is not None:
-            return cert.with_bound(5)
-    cert = ((_repair(g, 5, start) if start else None)
-            or _guaranteed_search(g, 5, "a normal subcubic graph"))
-    return cert.with_bound(5)
+    return _ladder(g, 5, "a normal subcubic graph")
 
 
 def compose(certs: list[AvdCertificate], host: Graph) -> AvdCertificate:
@@ -510,10 +507,15 @@ def compose(certs: list[AvdCertificate], host: Graph) -> AvdCertificate:
 
 
 def _color_bounded_part(part: Graph) -> AvdCertificate:
-    if part.max_degree <= 3:
+    d = part.max_degree
+    if d <= 3:
         return avd_subcubic(part)
-    return _guaranteed_search(part, 3 * part.max_degree,
-                              f"a part of max degree {part.max_degree}")
+    # A 2m-node attempt at 3 Delta colors most parts sooner than the ladder.
+    try:
+        cert = avd_color_budget(part, 3 * d, node_cap=2 * part.edge_count)
+    except SearchCapExceededError:
+        cert = None
+    return cert or _ladder(part, 3 * d, f"a part of max degree {d}")
 
 
 def _color_parts(g: Graph, partition: EdgePartition) -> AvdCertificate:
@@ -524,13 +526,12 @@ def _color_parts(g: Graph, partition: EdgePartition) -> AvdCertificate:
 def avd_color(g: Graph) -> AvdCertificate:
     """Certificate with at most floor(5 (Delta + 2) / 2) colors.
 
-    Two routes.  Up to max degree 5 the whole graph is one bounded part:
-    ``avd_subcubic``'s ladder when subcubic, else an exact search with
-    budget 3*Delta.  Above that, the recursive partition ``partition_p2(g)`` is
-    colored part by part and composed over disjoint palettes.  The
-    certificate's ``parts`` is the partition it colored: the single edge
-    set, or the parts of ``partition_p2(g)``.  A part's search may raise
-    SearchCapExceededError after the node budget.
+    Two routes.  Up to max degree 5 the whole graph is one bounded part
+    (``_color_bounded_part``).  Above that, the recursive partition
+    ``partition_p2(g)`` is colored part by part and composed over disjoint
+    palettes.  The certificate's ``parts`` is the partition it colored: the
+    single edge set, or the parts of ``partition_p2(g)``.  A part's search
+    may raise SearchCapExceededError after the node budget.
     """
     if not is_normal(g):
         raise NotNormalError("AVD colorings exist only for normal graphs")
@@ -544,9 +545,8 @@ def avd_color_regular(g: Graph) -> AvdCertificate:
     """Certificate with at most floor((5 r + 37) / 3) colors for r-regular g.
 
     Up to degree ``REGULAR_ROUTE_MAX`` the graph is one bounded part, as in
-    ``avd_color``, so the coloring is ``avd_color``'s;
-    above that, the color-class grouping of ``partition_regular(g)`` is
-    colored part by part.
+    ``avd_color``, so the coloring is ``avd_color``'s; above that, the
+    color-class grouping of ``partition_regular(g)`` is colored part by part.
     """
     if not g.vertices or not g.is_regular():
         raise ValueError("input graph is not regular")

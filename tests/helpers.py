@@ -154,11 +154,11 @@ def exhaust_searches(monkeypatch,
 
     Every search does, or with ``armed`` given only those made while that
     list is non-empty; the others run for real.  The repair that runs
-    before a subcubic search fails at the same times, so the searches are
-    reached.  ``coloring.GUARANTEED_UNITS`` is set to 1: a guaranteed
-    search on a small part then spends its node budget in hundreds of
-    2m-node attempts, not tens of thousands.  Returns the list each capped
-    call appends its (budget, node_cap) to.
+    before each search of a part's budget ladder fails at the same times,
+    so the searches are reached.  ``coloring.GUARANTEED_UNITS`` is set to
+    1: a guaranteed search on a small part then spends its node budget in
+    hundreds of 2m-node attempts, not tens of thousands.  Returns the list
+    each capped call appends its (budget, node_cap) to.
     """
     from avdcolor import SearchCapExceededError, coloring
 

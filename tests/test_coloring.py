@@ -477,7 +477,8 @@ def test_guaranteed_search_clips_the_last_cap(monkeypatch):
     calls = exhaust_searches(monkeypatch)
     monkeypatch.setattr(coloring, "GUARANTEED_UNITS", 2)
     with pytest.raises(SearchCapExceededError) as info:
-        avd_color(complete(5))  # one part of max degree 4, budget 12
+        # A part of max degree 4 at its guaranteed budget 3 Delta.
+        coloring._guaranteed_search(complete(5), 12, "K_5")
     # A unit is 2m = 20 nodes.  Two times DEFAULT_NODE_CAP is 6000 units,
     # which ends inside attempt 1277's Luby term of 64 units, so that cap
     # is clipped to 48 units.
@@ -504,10 +505,12 @@ def test_guaranteed_search_unit_covers_the_part(monkeypatch):
 
 
 def _guaranteed_caps(monkeypatch) -> list[int]:
-    """Node caps given to searches at a guaranteed budget (5, or 3 Delta).
+    """Node caps given to searches at budgets of 5 or more.
 
-    The subcubic ladder's exact rungs, at budgets below 5, have their own
-    cap and are not counted.
+    These are a guaranteed search's attempts (at 5, or 3 Delta), the
+    2m-node attempt at 3 Delta that a part of max degree 4-5 makes first,
+    and the exact rungs of that part's ladder.  The subcubic ladder's exact
+    rungs, at budgets below 5, have their own cap and are not counted.
     """
     caps = []
     search = coloring.avd_color_budget
@@ -527,9 +530,33 @@ def test_quartic_heavy_tail_restarts_within_its_part(monkeypatch, n, seed):
     # a shuffled order colors them in about m nodes.
     caps = _guaranteed_caps(monkeypatch)
     g = random_regular(n, 4, seed)
-    cert = avd_color(g)
+    cert = coloring._guaranteed_search(g, 12, "a quartic graph")
     assert sum(caps) < 20 * g.edge_count
     assert cert.colors_used == 7
+    assert all(ok for _, ok, _ in check_certificate(g, cert))
+    # The first 2m-node attempt reaches its cap, and the ladder's repair
+    # colors the graph at its lower bound.
+    cert = avd_color(g)
+    assert cert.colors_used == coloring._lower_bound(g) == 5
+    assert all(ok for _, ok, _ in check_certificate(g, cert))
+
+
+@pytest.mark.parametrize("n", [1000, 5000])
+def test_quartic_walls_color_at_the_lower_bound(n):
+    # The guaranteed search alone gave 8 colors for n = 1000 and spent its
+    # node budget for n = 5000.
+    g = random_regular(n, 4, 1)
+    cert = avd_color(g)
+    assert cert.colors_used == coloring._lower_bound(g) == 5
+    assert all(ok for _, ok, _ in check_certificate(g, cert))
+
+
+def test_dense_regular_graph_colors_its_quartic_part():
+    # G_0 of this graph's partition has max degree 4; the guaranteed search
+    # alone spent its node budget on it.
+    g = random_regular(2000, 30, 1)
+    cert = avd_color(g)
+    assert edge_induced(g, cert.parts[0]).max_degree == 4
     assert all(ok for _, ok, _ in check_certificate(g, cert))
 
 

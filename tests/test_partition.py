@@ -152,6 +152,12 @@ def test_enumerate_chains_empty():
     assert enumerate_chains(g, sel, 21, "hbar") == []
 
 
+def test_enumerate_chains_rejects_an_unknown_kind():
+    g, sel = _type_one_graph()
+    with pytest.raises(ValueError, match="unknown chain kind 'H'"):
+        enumerate_chains(g, sel, 21, "H")
+
+
 # -- direct moves ---------------------------------------------------------------
 
 
