@@ -35,7 +35,6 @@ from . import verify
 DEFAULT_NODE_CAP = 60_000
 LADDER_NODE_CAP = 30_000
 GUARANTEED_UNITS = 128
-REGULAR_ROUTE_MAX = 4
 
 
 def main_bound(delta: int) -> int:
@@ -544,9 +543,9 @@ def avd_color(g: Graph) -> AvdCertificate:
 def avd_color_regular(g: Graph) -> AvdCertificate:
     """Certificate with at most floor((5 r + 37) / 3) colors for r-regular g.
 
-    Up to degree ``REGULAR_ROUTE_MAX`` the graph is one bounded part, as in
-    ``avd_color``, so the coloring is ``avd_color``'s; above that, the
-    color-class grouping of ``partition_regular(g)`` is colored part by part.
+    Up to r = 9 the general bound is within this one, so the coloring is
+    ``avd_color``'s; from r = 10, where this bound is the tighter, the
+    class grouping ``partition_regular(g)`` is colored part by part.
     """
     if not g.vertices or not g.is_regular():
         raise ValueError("input graph is not regular")
@@ -554,8 +553,8 @@ def avd_color_regular(g: Graph) -> AvdCertificate:
     if r < 2:
         raise ValueError("regular driver requires degree >= 2")
     bound = regular_bound(r)
-    if r <= REGULAR_ROUTE_MAX:
-        return _color_bounded_part(g).with_bound(bound)
+    if main_bound(r) <= bound:
+        return avd_color(g).with_bound(bound)
     return _color_parts(g, partition_regular(g)).with_bound(bound)
 
 

@@ -266,16 +266,16 @@ def audit(g: Graph, oracle_edge_cap: int = ORACLE_EDGE_CAP) -> AuditReport:
 
     The certificate rows are ``check_certificate``'s, prefixed "avd
     certificate".  The partition rows are ``check_partition``'s on the parts
-    the certificate was composed from (``cert.parts``), so ``avd_color`` is
-    the only partitioning run.  The regular row passes iff every
+    the certificate was composed from (``cert.parts``), so they partition
+    nothing again.  The regular row passes iff every
     ``check_certificate`` row of the regular driver's certificate passes
-    and it is within the regular bound.  For a regular graph of degree at
-    most ``REGULAR_ROUTE_MAX`` that certificate is ``avd_color``'s
-    coloring, which is ``avd_color_regular``'s too.  A
-    driver that spends its node budget fails its row: "avd coloring
-    produced" for ``avd_color``, the regular driver row for
-    ``avd_color_regular``.  An oracle that spends its node budget gives a
-    passing skip row, as a graph above ``oracle_edge_cap`` does.
+    and it is within the regular bound.  Up to r = 9, where the general
+    bound is within the regular one, that certificate is ``avd_color``'s,
+    which is ``avd_color_regular``'s too.  A driver that spends its node
+    budget fails its row: "avd coloring produced" for ``avd_color``, the
+    regular driver row for ``avd_color_regular``.  An oracle that spends
+    its node budget gives a passing skip row, as a graph above
+    ``oracle_edge_cap`` does.
     """
     from . import coloring as avd
     from .vizing import misra_gries
@@ -320,8 +320,8 @@ def audit(g: Graph, oracle_edge_cap: int = ORACLE_EDGE_CAP) -> AuditReport:
         rbound = avd.regular_bound(delta)
         name = f"regular driver within floor((5r+37)/3) = {rbound}"
         try:
-            # Up to REGULAR_ROUTE_MAX both drivers color g as one bounded part.
-            rcert = (cert.with_bound(rbound) if delta <= avd.REGULAR_ROUTE_MAX
+            # Where bound <= rbound both drivers give avd_color's coloring.
+            rcert = (cert.with_bound(rbound) if bound <= rbound
                      else avd.avd_color_regular(g))
         except SearchCapExceededError as exc:
             rows.append((name, False, str(exc)))

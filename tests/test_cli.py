@@ -265,8 +265,8 @@ def test_audit_spent_search_budget_fails(tmp_path, monkeypatch, capsys, g):
 def test_audit_dir_goes_on_after_a_spent_regular_driver(tmp_path, monkeypatch,
                                                         capsys):
     # Searches run out of budget once avd_color has returned, so only the
-    # regular driver's parts (r = 5, partition_regular) spend their budget.
-    from avdcolor import coloring, random_regular
+    # regular driver's parts (r = 10, partition_regular) spend their budget.
+    from avdcolor import coloring, complete
     armed = []
     real_color = coloring.avd_color
     calls = exhaust_searches(monkeypatch, armed=armed)
@@ -280,12 +280,12 @@ def test_audit_dir_goes_on_after_a_spent_regular_driver(tmp_path, monkeypatch,
     monkeypatch.setattr(coloring, "avd_color", color_then_arm)
     d = tmp_path / "graphs"
     d.mkdir()
-    _write_graph(d, random_regular(12, 5, seed=2), name="a.g6")
+    _write_graph(d, complete(11), name="a.g6")
     _write_graph(d, cycle(7), name="b.g6")
     assert main(["audit", "--dir", str(d)]) == 1
     out = capsys.readouterr().out
     first, second = out.split("== ")[1:]
-    assert "FAIL regular driver within floor((5r+37)/3) = 20" in first
+    assert "FAIL regular driver within floor((5r+37)/3) = 29" in first
     assert "PASS avd certificate adjacent-vertex-distinguishing" in first
     assert "overall: FAIL" in first
     assert "overall: PASS" in second

@@ -10,8 +10,9 @@ from hypothesis import assume, given, settings, strategies as st
 from avdcolor import (Graph, NotNormalError, avd_color, avd_color_budget,
                       avd_color_regular, avd_subcubic, check_avd, check_proper,
                       complete, compose, cycle, edge_induced, gnp, main_bound,
-                      make_coloring, misra_gries, partition_p2, petersen,
-                      random_regular, regular_bound)
+                      make_coloring, misra_gries, partition_p2,
+                      partition_regular, petersen, random_regular,
+                      regular_bound)
 from avdcolor import (InternalBoundViolationError, SearchCapExceededError,
                       audit, check_certificate, coloring, emit_graph,
                       exact_chi_a, is_normal, parse_graph)
@@ -246,7 +247,7 @@ def test_avd_color_regular_disconnected():
 def test_avd_color_regular_examples():
     g5 = random_regular(16, 5, seed=21)
     cert = avd_color_regular(g5)
-    assert cert.colors_used <= 10  # two subcubic parts
+    assert cert.colors_used <= 10  # avd_color's one bounded part
     _checked(g5, cert)
 
     g7 = random_regular(16, 7, seed=22)
@@ -256,7 +257,7 @@ def test_avd_color_regular_examples():
 
     g6 = random_regular(15, 6, seed=23)
     cert = avd_color_regular(g6)
-    assert cert.colors_used <= 17  # 12 + 5
+    assert cert.colors_used <= 17  # avd_color's partition_p2 parts
     _checked(g6, cert)
 
 
@@ -322,7 +323,7 @@ def test_search_outputs_golden():
            for name, cert in _golden_cases()]
     digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
     assert digest == (
-        "4b298a1a58fc61a6967e8227e566743029a6e9d7d83c641210b9ad8943b1b684")
+        "f2d5da5058643eadee61e72c158a42daee08cdbd3744f78cd9d5890a60fc2857")
 
 
 def _repair_golden_graphs():
@@ -604,11 +605,28 @@ def test_refuted_budget_on_a_partitioned_part_raises(monkeypatch):
 def test_low_degree_regular_driver_is_avd_color():
     # audit reuses avd_color's certificate for its regular row on this fact.
     graphs = [cycle(5), cycle(8), complete(4), complete(5), petersen(),
-              random_regular(24, 3, 14), random_regular(24, 4, 2)]
+              random_regular(24, 3, 14), random_regular(24, 4, 2),
+              complete(6), random_regular(16, 5, 21),
+              random_regular(15, 6, 23), random_regular(16, 7, 22),
+              random_regular(18, 8, 1), random_regular(20, 9, 1)]
     for g in graphs:
-        assert g.max_degree <= coloring.REGULAR_ROUTE_MAX
-        assert (avd_color_regular(g).coloring.assignment
-                == avd_color(g).coloring.assignment)
+        r = g.max_degree
+        assert main_bound(r) <= regular_bound(r)
+        cert = avd_color_regular(g)
+        assert cert.coloring.assignment == avd_color(g).coloring.assignment
+        assert cert.bound_claimed == regular_bound(r)
+
+
+def test_high_degree_regular_driver_colors_the_class_grouping():
+    # From r = 10 the regular bound is the tighter, so the regular driver
+    # colors partition_regular's blocks; one graph per residue of r mod 3.
+    for g in (random_regular(22, 10, 1), random_regular(24, 11, 1),
+              random_regular(26, 12, 1)):
+        r = g.max_degree
+        cert = avd_color_regular(g)
+        assert list(cert.parts) == partition_regular(g).parts
+        assert cert.colors_used <= regular_bound(r) < main_bound(r)
+        assert all(ok for _, ok, _ in check_certificate(g, cert))
 
 
 @st.composite
@@ -808,16 +826,30 @@ def test_paths_and_cycles_skip_the_repair(monkeypatch):
     assert calls == [5]
 
 
-def test_quartic_and_quintic_routes_never_repair(monkeypatch):
-    def no_repair(*args):
-        raise AssertionError("repair ran on a max degree 4-5 route")
+def test_first_attempt_at_3_delta_colors_without_repair(monkeypatch):
+    # A part of max degree 4-5 runs the ladder, and with it _repair, only
+    # when its 2m-node attempt at 3 Delta reaches its cap.
+    calls = []
+    repair = coloring._repair
 
-    monkeypatch.setattr(coloring, "_repair", no_repair)
+    def spy(g, budget, start):
+        calls.append(budget)
+        return repair(g, budget, start)
+
+    monkeypatch.setattr(coloring, "_repair", spy)
     for g in (complete(5), random_regular(24, 4, 1), random_regular(20, 5, 1),
               complete(6)):
         _checked(g, avd_color(g))
     _checked(random_regular(24, 4, 1),
              avd_color_regular(random_regular(24, 4, 1)))
+    assert calls == []
+    # Counter-case: the attempt reaches its cap, and the repair colors the
+    # graph on the ladder's first rung, at its lower bound.
+    g = random_regular(40, 4, 63)
+    cert = avd_color(g)
+    assert calls == [5] == [coloring._lower_bound(g)]
+    assert cert.colors_used == 5
+    assert all(ok for _, ok, _ in check_certificate(g, cert))
 
 
 def test_repair_colors_cubic_graphs_the_search_could_not():

@@ -259,6 +259,21 @@ def test_audit_colors_a_low_degree_regular_graph_once(monkeypatch):
     assert report.bound_table["regular_bound"] == coloring.regular_bound(2)
 
 
+def test_audit_runs_the_regular_driver_only_where_its_bound_is_tighter(
+        monkeypatch):
+    calls = []
+    real = coloring.avd_color_regular
+
+    def counting(g):
+        calls.append(g.max_degree)
+        return real(g)
+
+    monkeypatch.setattr(coloring, "avd_color_regular", counting)
+    for g in (complete(10), complete(11)):
+        assert audit(g, oracle_edge_cap=0).overall_pass
+    assert calls == [10]
+
+
 def _audit_with_parts(monkeypatch, g, make_parts):
     real = coloring.avd_color
 
@@ -310,8 +325,8 @@ def test_audit_reports_improper_certificate(monkeypatch):
 @pytest.mark.parametrize("g", [petersen(), cycle(6)], ids=["cubic", "cycle"])
 def test_audit_fails_an_improper_regular_certificate(monkeypatch, tmp_path,
                                                      capsys, g):
-    # Up to REGULAR_ROUTE_MAX the regular row checks avd_color's certificate
-    # too, so it must report the improper coloring rather than raise.
+    # Up to r = 9 the regular row checks avd_color's certificate too, so it
+    # must report the improper coloring rather than raise.
     _clash_first_pair(monkeypatch)
     report = audit(g)
     assert not report.overall_pass
