@@ -1,19 +1,28 @@
 """Independent checkers and brute-force oracles.
 
-Everything here works from the definitions alone and shares no search code
-with the producing modules, so a passing check is evidence rather than an
-echo.  The exhaustive oracles fix the color of the first edge and introduce
-new colors in order (plain color-permutation symmetry breaking), which
-keeps them exact.
+Everything here works from the definitions alone and shares no code with
+the producing modules, so a passing check is evidence rather than an echo.
+The coloring checkers make one pass over the assignment that builds a color
+bitmask per vertex.  Each distinct color gets one bit by its index among
+the colors present, never by its value, so a color of 0, -2 or 10**30
+costs one bit like any other.  A coloring is proper iff every vertex has
+as many bits as edges, a vertex is distinguished from a neighbor iff their
+masks differ, and a witness is a bit test against the two masks.  The
+partition check counts degrees per part rather than building each part's
+graph.  The exhaustive oracles fix the color of the first edge and
+introduce new colors in order (plain color-permutation symmetry breaking),
+which keeps them exact.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import (CapExceededError, CounterexampleFound, NotNormalError,
                      SearchCapExceededError)
-from .graphs import Graph, canon_edge, edge_induced, is_normal
+from .graphs import Graph, canon_edge, is_normal
 from .vizing import EdgeColoring
 
 ORACLE_EDGE_CAP = 16
@@ -22,39 +31,75 @@ ORACLE_EDGE_CAP = 16
 ORACLE_NODE_BUDGET = 1_000_000
 
 
-def check_proper(g: Graph, coloring: EdgeColoring):
-    """True iff incident edges never share a color; else a violating pair."""
-    if set(coloring.assignment) != set(g.edges):
+def _assigned(g: Graph, coloring: EdgeColoring) -> dict:
+    assignment = coloring.assignment
+    if assignment.keys() != g.edges:
         raise ValueError("coloring does not assign exactly the graph's edges")
+    return assignment
+
+
+def _color_masks(g: Graph, assignment: dict):
+    """One pass over an assignment of g's edges: (masks, bits, proper).
+
+    ``masks[v]`` has the bit of every color at v and ``bits`` maps each
+    color to its bit.  No vertex has more colors than edges, so the
+    coloring is proper iff the masks hold two bits per edge.
+    """
+    bits = {c: 1 << i for i, c in enumerate(set(assignment.values()))}
+    masks = [0] * g.n
+    for (u, v), c in assignment.items():
+        b = bits[c]
+        masks[u] |= b
+        masks[v] |= b
+    return masks, bits, sum(map(int.bit_count, masks)) == 2 * len(assignment)
+
+
+def _first_clash(g: Graph, assignment: dict):
+    # The first pair of incident edges sharing a color, vertex by vertex,
+    # in an improper coloring.
     for v in g.vertices:
         seen: dict[int, tuple[int, int]] = {}
         for w in g.neighbors(v):
             e = canon_edge(v, w)
-            c = coloring.assignment[e]
+            c = assignment[e]
             if c in seen:
-                return False, (seen[c], e)
+                return seen[c], e
             seen[c] = e
-    return True, None
+
+
+def _undistinguished(edges, masks):
+    """The least edge whose ends have equal masks, or None."""
+    for u, v in edges:
+        if masks[u] == masks[v]:
+            return min(e for e in edges if masks[e[0]] == masks[e[1]])
+    return None
+
+
+def _distinguishing(g: Graph, masks: list[int], bits: dict):
+    """``check_avd`` on the masks of a coloring already found proper."""
+    e = _undistinguished(g.edges, masks)
+    if e is None:
+        return True, None
+    u, v = e
+    return False, (u, v, frozenset(c for c, b in bits.items() if masks[u] & b))
+
+
+def check_proper(g: Graph, coloring: EdgeColoring):
+    """True iff incident edges never share a color; else a violating pair."""
+    assignment = _assigned(g, coloring)
+    if _color_masks(g, assignment)[2]:
+        return True, None
+    return False, _first_clash(g, assignment)
 
 
 def check_avd(g: Graph, coloring: EdgeColoring):
     """True iff adjacent vertices carry distinct incident color sets."""
-    ok, detail = check_proper(g, coloring)
-    if not ok:
-        raise ValueError(f"input coloring is not proper: {detail}")
-    return _distinguishing(g, _color_sets(g, coloring))
-
-
-def _color_sets(g: Graph, coloring: EdgeColoring) -> dict:
-    return {v: coloring.colors_at(v) for v in g.vertices}
-
-
-def _distinguishing(g: Graph, sets: dict):
-    """``check_avd`` on the color sets of a coloring already found proper."""
-    for u, v in g.sorted_edges():
-        if sets[u] == sets[v]:
-            return False, (u, v, sets[u])
-    return True, None
+    assignment = _assigned(g, coloring)
+    masks, bits, proper = _color_masks(g, assignment)
+    if not proper:
+        raise ValueError("input coloring is not proper: "
+                         f"{_first_clash(g, assignment)}")
+    return _distinguishing(g, masks, bits)
 
 
 def check_certificate(g: Graph, cert) -> list[tuple[str, bool, object]]:
@@ -66,11 +111,12 @@ def check_certificate(g: Graph, cert) -> list[tuple[str, bool, object]]:
     endpoint and absent at the other.
     """
     rows = []
+    # check_proper raises unless the coloring assigns exactly g's edges.
     ok, detail = check_proper(g, cert.coloring)
     rows.append(("proper", ok, detail))
-    sets = _color_sets(g, cert.coloring)
+    masks, bits, _ = _color_masks(g, cert.coloring.assignment)
     if ok:
-        avd_ok, avd_detail = _distinguishing(g, sets)
+        avd_ok, avd_detail = _distinguishing(g, masks, bits)
     else:
         avd_ok, avd_detail = False, "skipped (not proper)"
     rows.append(("adjacent-vertex-distinguishing", avd_ok, avd_detail))
@@ -78,48 +124,71 @@ def check_certificate(g: Graph, cert) -> list[tuple[str, bool, object]]:
                  cert.colors_used == cert.coloring.colors_used, ""))
     rows.append(("colors_used within bound",
                  cert.colors_used <= cert.bound_claimed, ""))
-    expected = {(u, v) for u, v in g.edges if g.degree(u) == g.degree(v)}
-    # Pairs first: a pair off the graph has no color sets to compare.
-    wit_ok = set(cert.per_edge_witness) == expected and all(
-        (c in sets[u]) != (c in sets[v])
-        for (u, v), c in cert.per_edge_witness.items())
+    edges = g.edges
+    deg = [0] * g.n
+    for v, ns in g.adjacency.items():
+        deg[v] = len(ns)
+    witnesses = cert.per_edge_witness
+    # The witness pairs are the equal-degree edges iff there are as many
+    # and each is one.  Pairs first: a pair off the graph has no masks to
+    # compare.  A color absent from the coloring has no bit, so it
+    # witnesses nothing.
+    wit_ok = len(witnesses) == sum(
+        deg[u] == deg[v] for u, v in edges) and all(
+        e in edges and deg[e[0]] == deg[e[1]]
+        and (masks[e[0]] ^ masks[e[1]]) & bits.get(c, 0)
+        for e, c in witnesses.items())
     rows.append(("witnesses cover equal-degree pairs", wit_ok, ""))
     return rows
+
+
+def _normal(edges, deg: dict) -> bool:
+    # An edge-induced graph is normal iff no edge has two ends of degree 1.
+    for u, v in edges:
+        if deg[u] == 1 == deg[v]:
+            return False
+    return True
 
 
 def check_partition(g: Graph, parts) -> list[tuple[str, bool, str]]:
     """Check an edge partition as ``partition_p2`` builds it: one row per check.
 
-    The parts must cover the edges of ``g`` disjointly, G_0 must have max
-    degree at most 5, the later parts at most 3, every part must be normal,
-    and k (the index of the last part) at most floor(Delta/2) - 2.  For
-    Delta >= 6 the last part is the peel H of the first two-part split and
-    the other parts together are its complement.
+    The parts must be at least one and cover the edges of ``g`` disjointly,
+    G_0 must have max degree at most 5, the later parts at most 3, every
+    part must be normal, and k (the index of the last part) at most
+    floor(Delta/2) - 2.  For Delta >= 6 the last part is the peel H of the
+    first two-part split and the other parts together are its complement.
+    Degrees are counted per part; a part's vertices are its edges' ends.
     """
     delta = g.max_degree
     union = frozenset().union(*parts)
-    covered = (all(parts) and union == g.edges
+    covered = (len(parts) > 0 and all(parts) and union == g.edges
                and sum(map(len, parts)) == len(union))
     rows = [("parts partition the edge set", covered, f"{len(parts)} parts")]
     if not covered:
         return rows
-    graphs = [edge_induced(g, p) for p in parts]
+    degs = [Counter(chain.from_iterable(p)) for p in parts]
     if delta >= 6:
-        h, hbar = graphs[-1], edge_induced(g, union - parts[-1])
+        h = degs[-1]
+        # The parts cover g, so the complement's degrees are g's less H's.
+        hbar = {v: len(ns) - h[v] for v, ns in g.adjacency.items()}
+        h_max, hbar_max = max(h.values()), max(hbar.values())
         rows.append(("partition: selection side max degree <= 3",
-                     h.max_degree <= 3, f"max {h.max_degree}"))
+                     h_max <= 3, f"max {h_max}"))
         rows.append((f"partition: complement max degree <= {delta - 2}",
-                     hbar.max_degree <= delta - 2, f"max {hbar.max_degree}"))
+                     hbar_max <= delta - 2, f"max {hbar_max}"))
         rows.append(("partition: both sides normal",
-                     is_normal(h) and is_normal(hbar), ""))
+                     _normal(parts[-1], h)
+                     and _normal(chain.from_iterable(parts[:-1]), hbar), ""))
     k = len(parts) - 1
     k_bound = max(delta // 2 - 2, 0)
+    g0_max = max(degs[0].values())
     rows.append((f"recursion depth k = {k} <= {k_bound}", k <= k_bound, ""))
-    rows.append(("G0 max degree <= 5", graphs[0].max_degree <= 5,
-                 f"max {graphs[0].max_degree}"))
+    rows.append(("G0 max degree <= 5", g0_max <= 5, f"max {g0_max}"))
     rows.append(("later parts subcubic",
-                 all(p.max_degree <= 3 for p in graphs[1:]), ""))
-    rows.append(("all parts normal", all(is_normal(p) for p in graphs), ""))
+                 all(max(d.values()) <= 3 for d in degs[1:]), ""))
+    rows.append(("all parts normal",
+                 all(_normal(p, d) for p, d in zip(parts, degs)), ""))
     return rows
 
 
@@ -150,8 +219,9 @@ def _exists(g: Graph, k: int, distinguishing: bool) -> bool:
     while i >= 0:
         if i == len(edges):
             # Definition-level re-check of the finished assignment.
-            if not distinguishing or _distinguishing(g, {
-                    v: {color[j] for j in incident[v]} for v in g.vertices})[0]:
+            if not distinguishing or _undistinguished(edges, {
+                    v: {color[j] for j in incident[v]}
+                    for v in g.vertices}) is None:
                 return True
             i -= 1
             continue

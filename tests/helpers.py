@@ -397,3 +397,110 @@ def repair_reference(g: Graph, budget: int,
     return _certificate(g, relabeled({(u, v): c for u in g.vertices
                                       for c, v in at[u].items() if u < v}),
                         budget, (g.edges,))
+
+
+# The independent checkers as they were before their one-pass bitmask
+# rewrite, kept verbatim as the reference the rewrite must match row for
+# row, detail for detail and exception for exception (tests/test_verify.py).
+
+
+def check_proper_reference(g: Graph, coloring: EdgeColoring):
+    """True iff incident edges never share a color; else a violating pair."""
+    if set(coloring.assignment) != set(g.edges):
+        raise ValueError("coloring does not assign exactly the graph's edges")
+    for v in g.vertices:
+        seen: dict[int, tuple[int, int]] = {}
+        for w in g.neighbors(v):
+            e = canon_edge(v, w)
+            c = coloring.assignment[e]
+            if c in seen:
+                return False, (seen[c], e)
+            seen[c] = e
+    return True, None
+
+
+def check_avd_reference(g: Graph, coloring: EdgeColoring):
+    """True iff adjacent vertices carry distinct incident color sets."""
+    ok, detail = check_proper_reference(g, coloring)
+    if not ok:
+        raise ValueError(f"input coloring is not proper: {detail}")
+    return distinguishing_reference(g, color_sets_reference(g, coloring))
+
+
+def color_sets_reference(g: Graph, coloring: EdgeColoring) -> dict:
+    return {v: coloring.colors_at(v) for v in g.vertices}
+
+
+def distinguishing_reference(g: Graph, sets: dict):
+    """``check_avd`` on the color sets of a coloring already found proper."""
+    for u, v in g.sorted_edges():
+        if sets[u] == sets[v]:
+            return False, (u, v, sets[u])
+    return True, None
+
+
+def check_certificate_reference(g: Graph,
+                                cert) -> list[tuple[str, bool, object]]:
+    """Re-validate a certificate for ``g``: one (name, ok, detail) row per check.
+
+    The coloring must be proper and distinguishing, ``colors_used`` must be
+    its palette size and within ``bound_claimed``, and every adjacent
+    equal-degree pair must have exactly one witness color, present at one
+    endpoint and absent at the other.
+    """
+    rows = []
+    ok, detail = check_proper_reference(g, cert.coloring)
+    rows.append(("proper", ok, detail))
+    sets = color_sets_reference(g, cert.coloring)
+    if ok:
+        avd_ok, avd_detail = distinguishing_reference(g, sets)
+    else:
+        avd_ok, avd_detail = False, "skipped (not proper)"
+    rows.append(("adjacent-vertex-distinguishing", avd_ok, avd_detail))
+    rows.append(("colors_used matches palette",
+                 cert.colors_used == cert.coloring.colors_used, ""))
+    rows.append(("colors_used within bound",
+                 cert.colors_used <= cert.bound_claimed, ""))
+    expected = {(u, v) for u, v in g.edges if g.degree(u) == g.degree(v)}
+    # Pairs first: a pair off the graph has no color sets to compare.
+    wit_ok = set(cert.per_edge_witness) == expected and all(
+        (c in sets[u]) != (c in sets[v])
+        for (u, v), c in cert.per_edge_witness.items())
+    rows.append(("witnesses cover equal-degree pairs", wit_ok, ""))
+    return rows
+
+
+def check_partition_reference(g: Graph, parts) -> list[tuple[str, bool, str]]:
+    """Check an edge partition as ``partition_p2`` builds it: one row per check.
+
+    The parts must cover the edges of ``g`` disjointly, G_0 must have max
+    degree at most 5, the later parts at most 3, every part must be normal,
+    and k (the index of the last part) at most floor(Delta/2) - 2.  For
+    Delta >= 6 the last part is the peel H of the first two-part split and
+    the other parts together are its complement.
+    """
+    delta = g.max_degree
+    union = frozenset().union(*parts)
+    covered = (all(parts) and union == g.edges
+               and sum(map(len, parts)) == len(union))
+    rows = [("parts partition the edge set", covered, f"{len(parts)} parts")]
+    if not covered:
+        return rows
+    graphs = [edge_induced(g, p) for p in parts]
+    if delta >= 6:
+        h, hbar = graphs[-1], edge_induced(g, union - parts[-1])
+        rows.append(("partition: selection side max degree <= 3",
+                     h.max_degree <= 3, f"max {h.max_degree}"))
+        rows.append((f"partition: complement max degree <= {delta - 2}",
+                     hbar.max_degree <= delta - 2, f"max {hbar.max_degree}"))
+        rows.append(("partition: both sides normal",
+                     is_normal(h) and is_normal(hbar), ""))
+    k = len(parts) - 1
+    k_bound = max(delta // 2 - 2, 0)
+    rows.append((f"recursion depth k = {k} <= {k_bound}", k <= k_bound, ""))
+    rows.append(("G0 max degree <= 5", graphs[0].max_degree <= 5,
+                 f"max {graphs[0].max_degree}"))
+    rows.append(("later parts subcubic",
+                 all(p.max_degree <= 3 for p in graphs[1:]), ""))
+    rows.append(("all parts normal", all(is_normal(p) for p in graphs), ""))
+    return rows

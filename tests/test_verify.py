@@ -1,19 +1,22 @@
 import dataclasses
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from avdcolor import (CapExceededError, Graph, NotNormalError, audit,
-                      avd_color, check_avd, check_certificate, check_proper,
-                      complete, cycle, exact_chi_a, exact_chromatic_index, gnp,
-                      is_normal, emit_graph, make_coloring, misra_gries,
-                      petersen)
+                      avd_color, check_avd, check_certificate, check_partition,
+                      check_proper, complete, cycle, exact_chi_a,
+                      exact_chromatic_index, gnp, is_normal, emit_graph,
+                      make_coloring, misra_gries, partition_p2, petersen)
 from avdcolor import coloring, partition, verify
 from avdcolor.cli import main
-from helpers import normal_gnp_corpus
+from helpers import (check_avd_reference, check_certificate_reference,
+                     check_partition_reference, check_proper_reference,
+                     normal_gnp_corpus)
 
 
 def test_check_proper_accepts_misra_gries():
@@ -350,10 +353,10 @@ def test_audit_rejects_unbounded_g0(monkeypatch):
 
 
 @st.composite
-def _small_connected_graphs(draw):
-    # A random tree on 3..8 vertices plus extra edges: connected with at
-    # least three vertices, hence normal.
-    n = draw(st.integers(3, 8))
+def _small_connected_graphs(draw, n_max=8):
+    # A random tree on 3..n_max vertices plus extra edges: connected with
+    # at least three vertices, hence normal.
+    n = draw(st.integers(3, n_max))
     tree = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     return Graph(n, tree | draw(st.sets(st.sampled_from(pairs))))
@@ -376,3 +379,173 @@ def test_recolored_edge_fails_proper_and_cli_verify(g, data):
         gpath.write_bytes(emit_graph(g, "graph6"))
         cpath.write_text(json.dumps(cert))
         assert main(["verify", str(gpath), str(cpath)]) == 1
+
+
+# -- the checkers against their references in tests/helpers.py ---------------
+
+
+def _outcome(check, *args):
+    # A checker's rows or result, or the type and message of what it raised.
+    try:
+        return check(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _assert_checks_match(g, cert):
+    assert (_outcome(check_certificate, g, cert)
+            == _outcome(check_certificate_reference, g, cert))
+    for check, reference in ((check_proper, check_proper_reference),
+                             (check_avd, check_avd_reference)):
+        assert (_outcome(check, g, cert.coloring)
+                == _outcome(reference, g, cert.coloring))
+
+
+def _recolor(cert, e, c):
+    assignment = dict(cert.coloring.assignment)
+    assignment[e] = c
+    return dataclasses.replace(
+        cert, coloring=make_coloring(cert.coloring.host, assignment))
+
+
+def _tamper(cert, g, data):
+    """The certificate with one flaw drawn from ``data``, or as it is."""
+    edges = g.sorted_edges()
+    kind = data.draw(st.sampled_from(
+        ["none", "clash", "color", "witness", "colors_used", "proper only"]))
+    if kind == "clash":
+        e = data.draw(st.sampled_from(edges))
+        f = data.draw(st.sampled_from([f for f in edges
+                                       if f != e and set(f) & set(e)]))
+        return _recolor(cert, e, cert.coloring.assignment[f])
+    if kind == "color":
+        return _recolor(cert, data.draw(st.sampled_from(edges)),
+                        data.draw(st.sampled_from([0, -2, 10**30])))
+    if kind == "witness":
+        witnesses = dict(cert.per_edge_witness)
+        change = data.draw(st.sampled_from(
+            ["other", -1, 10**30, "off the graph", "unequal degrees"]))
+        unequal = [(u, v) for u, v in edges if g.degree(u) != g.degree(v)]
+        if change == "unequal degrees" and unequal:
+            # Moved to an edge whose ends differ in degree, with a color
+            # that tells them apart.
+            if witnesses:
+                del witnesses[min(witnesses)]
+            u, v = e = data.draw(st.sampled_from(unequal))
+            witnesses[e] = min(cert.coloring.colors_at(u)
+                               ^ cert.coloring.colors_at(v))
+        elif change in ("off the graph", "unequal degrees") or not witnesses:
+            if witnesses:
+                del witnesses[min(witnesses)]
+            witnesses[(0, g.n + 3)] = 1
+        else:
+            e = data.draw(st.sampled_from(sorted(witnesses)))
+            witnesses[e] = (data.draw(st.sampled_from(
+                sorted(cert.coloring.palette))) if change == "other"
+                else change)
+        return dataclasses.replace(cert, per_edge_witness=witnesses)
+    if kind == "colors_used":
+        return dataclasses.replace(
+            cert, colors_used=cert.colors_used + data.draw(
+                st.sampled_from([-1, 1])))
+    if kind == "proper only":
+        # Misra-Gries colors properly but seldom distinguishes every edge.
+        return dataclasses.replace(cert, coloring=misra_gries(g))
+    return cert
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_connected_graphs(9), st.data())
+def test_checkers_match_their_references(g, data):
+    cert = _tamper(avd_color(g), g, data)
+    _assert_checks_match(g, cert)
+
+
+def test_checkers_match_their_references_on_tampered_corpus():
+    # Every flaw at every edge of a few pipeline certificates.
+    for g in (petersen(), complete(7), cycle(5), gnp(12, 0.5, 4)):
+        cert = avd_color(g)
+        _assert_checks_match(g, cert)
+        _assert_checks_match(g, dataclasses.replace(
+            cert, coloring=misra_gries(g)))
+        for e in g.sorted_edges():
+            for f in g.sorted_edges():
+                if f != e and set(f) & set(e):
+                    _assert_checks_match(
+                        g, _recolor(cert, e, cert.coloring.assignment[f]))
+            for c in (0, -2, 10**30):
+                _assert_checks_match(g, _recolor(cert, e, c))
+        for e in sorted(cert.per_edge_witness):
+            for c in (*cert.coloring.palette, -1, 10**30):
+                witnesses = dict(cert.per_edge_witness)
+                witnesses[e] = c
+                _assert_checks_match(g, dataclasses.replace(
+                    cert, per_edge_witness=witnesses))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_connected_graphs(12), st.data())
+def test_check_partition_matches_its_reference(g, data):
+    parts = partition_p2(g).parts
+    variants = [parts, parts[:-1], [g.edges]]
+    if len(parts) > 1:
+        i = data.draw(st.integers(0, len(parts) - 2))
+        j = data.draw(st.integers(i + 1, len(parts) - 1))
+        variants.append(parts[:i] + [parts[i] | parts[j]]
+                        + parts[i + 1:j] + parts[j + 1:])
+    # Any two-part split, so that either side may have an isolated edge.
+    peel = frozenset(data.draw(st.sets(st.sampled_from(g.sorted_edges()),
+                                       min_size=1)))
+    if peel != g.edges:
+        variants.append([g.edges - peel, peel])
+    for variant in variants:
+        assert (_outcome(check_partition, g, variant)
+                == _outcome(check_partition_reference, g, variant))
+
+
+def test_check_partition_matches_its_reference_on_dense_graphs():
+    for g in (complete(12), complete(9), gnp(40, 0.4, 2), petersen()):
+        parts = partition_p2(g).parts
+        variants = [parts, parts[:-1], [g.edges]]
+        variants += [parts[:i] + [parts[i] | parts[i + 1]] + parts[i + 2:]
+                     for i in range(len(parts) - 1)]
+        for variant in variants:
+            assert (check_partition(g, variant)
+                    == check_partition_reference(g, variant))
+
+
+def test_single_part_of_a_dense_graph_has_a_normal_empty_complement():
+    g = complete(8)
+    rows = {name: (ok, detail) for name, ok, detail
+            in check_partition(g, [g.edges])}
+    assert rows["partition: complement max degree <= 5"] == (True, "max 0")
+    assert rows["partition: both sides normal"] == (True, "")
+    assert rows["partition: selection side max degree <= 3"] == (False,
+                                                                 "max 7")
+
+
+def test_check_partition_fails_an_empty_family():
+    row = ("parts partition the edge set", False, "0 parts")
+    assert check_partition(cycle(5), []) == [row]
+    assert check_partition(Graph(0), []) == [row]
+    assert check_partition(Graph(3), []) == [row]
+
+
+@pytest.mark.parametrize("colors", [[10**30], [0, -2]],
+                         ids=["huge", "zero-and-negative"])
+def test_verify_reads_colors_of_any_size(tmp_path, capsys, colors):
+    g = petersen()
+    payload = coloring.certificate_to_dict(avd_color(g))
+    for row, c in zip(payload["edges"], colors):
+        row[2] = c
+    cert = coloring.certificate_from_dict(payload, host=g)
+    rows = check_certificate(g, cert)
+    assert rows == check_certificate_reference(g, cert)
+    assert not all(ok for _, ok, _ in rows)
+    gpath, cpath = tmp_path / "g.g6", tmp_path / "cert.json"
+    gpath.write_bytes(emit_graph(g, "graph6"))
+    cpath.write_text(json.dumps(payload))
+    t0 = time.perf_counter()
+    assert main(["verify", str(gpath), str(cpath)]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    assert "FAIL colors_used matches palette" in capsys.readouterr().out
