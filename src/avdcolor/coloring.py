@@ -32,7 +32,6 @@ from .partition import partition_p2, partition_regular
 from .vizing import EdgeColoring, make_coloring, misra_gries, relabeled
 from . import verify
 
-DEFAULT_NODE_CAP = 60_000
 LADDER_NODE_CAP = 30_000
 GUARANTEED_UNITS = 128
 
@@ -398,14 +397,14 @@ def _guaranteed_search(g: Graph, budget: int, context: str) -> AvdCertificate:
     restart schedule).  A unit is 2m nodes, about a typical run (a cap
     below m never colors the part), so an unlucky order is abandoned
     early.  The caps are clipped to sum to at most ``GUARANTEED_UNITS``
-    times ``max(DEFAULT_NODE_CAP, 2m)`` nodes, after which
+    times ``max(2 * LADDER_NODE_CAP, 2m)`` nodes, after which
     SearchCapExceededError is raised; its payload holds the part's edge
     list (host labels, O(m) to build), the color budget, the nodes spent
     and the attempts made.  A completed refutation means the guarantee
     failed and is reported as such, with the part's edge list.
     """
     unit = 2 * g.edge_count
-    total = GUARANTEED_UNITS * max(DEFAULT_NODE_CAP, unit)
+    total = GUARANTEED_UNITS * max(2 * LADDER_NODE_CAP, unit)
     spent = attempt = 0
     while spent < total:
         cap = min(unit * _luby(attempt + 1), total - spent)
@@ -438,7 +437,8 @@ def _ladder(g: Graph, top: int, context: str) -> AvdCertificate:
     exact search settles each of their budgets in about 2m nodes.  Below
     ``top`` the exact search follows under ``max(LADDER_NODE_CAP, 2m)``
     nodes (a cap below m never finishes), and a cap skips the budget; at
-    ``top``, ``_guaranteed_search``.  An edgeless g gets no parts.
+    ``top``, ``_guaranteed_search``, whose node budget the same constant
+    sizes.  An edgeless g gets no parts.
     """
     start = misra_gries(g) if g.max_degree > 2 else None
     cap = max(LADDER_NODE_CAP, 2 * g.edge_count)

@@ -2,16 +2,16 @@
 
 Everything here works from the definitions alone and shares no code with
 the producing modules, so a passing check is evidence rather than an echo.
-The coloring checkers make one pass over the assignment that builds a color
-bitmask per vertex.  Each distinct color gets one bit by its index among
-the colors present, never by its value, so a color of 0, -2 or 10**30
-costs one bit like any other.  A coloring is proper iff every vertex has
-as many bits as edges, a vertex is distinguished from a neighbor iff their
-masks differ, and a witness is a bit test against the two masks.  The
-partition check counts degrees per part rather than building each part's
-graph.  The exhaustive oracles fix the color of the first edge and
-introduce new colors in order (plain color-permutation symmetry breaking),
-which keeps them exact.
+Each coloring checker, ``check_certificate`` too, makes one pass over the
+assignment that builds a color bitmask per vertex.  Each distinct color
+gets one bit by its index among the colors present, never by its value, so
+a color of 0, -2 or 10**30 costs one bit like any other.  A coloring is
+proper iff every vertex has as many bits as edges, a vertex is
+distinguished from a neighbor iff their masks differ, and a witness is a
+bit test against the two masks.  The partition check counts degrees per
+part rather than building each part's graph.  The exhaustive oracles fix
+the color of the first edge and introduce new colors in order (plain
+color-permutation symmetry breaking), which keeps them exact.
 """
 
 from __future__ import annotations
@@ -108,16 +108,15 @@ def check_certificate(g: Graph, cert) -> list[tuple[str, bool, object]]:
     The coloring must be proper and distinguishing, ``colors_used`` must be
     its palette size and within ``bound_claimed``, and every adjacent
     equal-degree pair must have exactly one witness color, present at one
-    endpoint and absent at the other.
+    endpoint and absent at the other.  Every row reads one mask pass.
     """
-    rows = []
-    # check_proper raises unless the coloring assigns exactly g's edges.
-    ok, detail = check_proper(g, cert.coloring)
-    rows.append(("proper", ok, detail))
-    masks, bits, _ = _color_masks(g, cert.coloring.assignment)
-    if ok:
+    assignment = _assigned(g, cert.coloring)
+    masks, bits, proper = _color_masks(g, assignment)
+    if proper:
+        rows = [("proper", True, None)]
         avd_ok, avd_detail = _distinguishing(g, masks, bits)
     else:
+        rows = [("proper", False, _first_clash(g, assignment))]
         avd_ok, avd_detail = False, "skipped (not proper)"
     rows.append(("adjacent-vertex-distinguishing", avd_ok, avd_detail))
     rows.append(("colors_used matches palette",
@@ -337,15 +336,15 @@ def audit(g: Graph, oracle_edge_cap: int = ORACLE_EDGE_CAP) -> AuditReport:
     The certificate rows are ``check_certificate``'s, prefixed "avd
     certificate".  The partition rows are ``check_partition``'s on the parts
     the certificate was composed from (``cert.parts``), so they partition
-    nothing again.  The regular row passes iff every
-    ``check_certificate`` row of the regular driver's certificate passes
-    and it is within the regular bound.  Up to r = 9, where the general
-    bound is within the regular one, that certificate is ``avd_color``'s,
-    which is ``avd_color_regular``'s too.  A driver that spends its node
-    budget fails its row: "avd coloring produced" for ``avd_color``, the
-    regular driver row for ``avd_color_regular``.  An oracle that spends
-    its node budget gives a passing skip row, as a graph above
-    ``oracle_edge_cap`` does.
+    nothing again.  The regular row passes iff every ``check_certificate``
+    row of the regular driver's certificate passes and it is within the
+    regular bound.  Up to r = 9, where the general bound is within the
+    regular one, that certificate is ``avd_color``'s (and
+    ``avd_color_regular``'s), so the row reads its rows: each certificate
+    is checked once.  A driver that spends its node budget fails its row:
+    "avd coloring produced" for ``avd_color``, the regular driver row for
+    ``avd_color_regular``.  An oracle that spends its node budget gives a
+    passing skip row, as a graph above ``oracle_edge_cap`` does.
     """
     from . import coloring as avd
     from .vizing import misra_gries
@@ -375,8 +374,9 @@ def audit(g: Graph, oracle_edge_cap: int = ORACLE_EDGE_CAP) -> AuditReport:
     except (CounterexampleFound, SearchCapExceededError) as exc:
         rows.append(("avd coloring produced", False, str(exc)))
         return report
+    cert_rows = check_certificate(g, cert)
     rows.extend((f"avd certificate {name}", ok, str(detail or ""))
-                for name, ok, detail in check_certificate(g, cert))
+                for name, ok, detail in cert_rows)
     bound = avd.main_bound(delta)
     rows.append((f"avd colors within floor(5(D+2)/2) = {bound}",
                  cert.colors_used <= bound, f"used {cert.colors_used}"))
@@ -391,13 +391,13 @@ def audit(g: Graph, oracle_edge_cap: int = ORACLE_EDGE_CAP) -> AuditReport:
         name = f"regular driver within floor((5r+37)/3) = {rbound}"
         try:
             # Where bound <= rbound both drivers give avd_color's coloring.
-            rcert = (cert.with_bound(rbound) if bound <= rbound
-                     else avd.avd_color_regular(g))
+            rcert = cert if bound <= rbound else avd.avd_color_regular(g)
         except SearchCapExceededError as exc:
             rows.append((name, False, str(exc)))
         else:
-            ok = all(ok for _, ok, _ in check_certificate(g, rcert))
-            rows.append((name, ok and rcert.colors_used <= rbound,
+            rrows = cert_rows if rcert is cert else check_certificate(g, rcert)
+            rows.append((name, all(ok for _, ok, _ in rrows)
+                         and rcert.colors_used <= rbound,
                          f"used {rcert.colors_used}"))
         report.bound_table["regular_bound"] = rbound
 

@@ -448,12 +448,13 @@ def test_guaranteed_search_restarts_after_cap(monkeypatch):
         return search(g, budget, **kw)
 
     monkeypatch.setattr(coloring, "avd_color_budget", spy)
-    monkeypatch.setattr(coloring, "DEFAULT_NODE_CAP", 8)
+    monkeypatch.setattr(coloring, "LADDER_NODE_CAP", 4)
     monkeypatch.setattr(coloring, "_repair", lambda *a: None)
     g = random_regular(24, 3, 14)
     cert = avd_subcubic(g)
-    # A unit is 2m = 72 nodes, above the patched DEFAULT_NODE_CAP: three
-    # attempts hit Luby caps of 1, 1 and 2 units, and the fourth finishes.
+    # A unit is 2m = 72 nodes, above twice the patched LADDER_NODE_CAP:
+    # three attempts hit Luby caps of 1, 1 and 2 units, and the fourth
+    # finishes.
     assert caps == [72, 72, 144, 72]
     assert cert.colors_used <= 5 == cert.bound_claimed
     _checked(g, cert)
@@ -465,10 +466,11 @@ def test_guaranteed_search_spends_one_node_budget(monkeypatch):
         avd_subcubic(petersen())
     caps = [cap for budget, cap in calls if budget == 5]
     # A unit is 2m = 30 nodes; the budget is still GUARANTEED_UNITS times
-    # DEFAULT_NODE_CAP.
+    # twice LADDER_NODE_CAP.
     assert caps[:7] == [30, 30, 60, 30, 30, 60, 120]
     assert None not in caps
-    assert sum(caps) == coloring.GUARANTEED_UNITS * coloring.DEFAULT_NODE_CAP
+    assert (sum(caps) == coloring.GUARANTEED_UNITS * 2
+            * coloring.LADDER_NODE_CAP == 60_000)
     assert info.value.payload == {
         "edgelist": emit_graph(petersen(), "edgelist").decode("ascii"),
         "budget": 5, "nodes": sum(caps), "attempts": len(caps)}
@@ -480,7 +482,7 @@ def test_guaranteed_search_clips_the_last_cap(monkeypatch):
     with pytest.raises(SearchCapExceededError) as info:
         # A part of max degree 4 at its guaranteed budget 3 Delta.
         coloring._guaranteed_search(complete(5), 12, "K_5")
-    # A unit is 2m = 20 nodes.  Two times DEFAULT_NODE_CAP is 6000 units,
+    # A unit is 2m = 20 nodes.  Two times 2 * LADDER_NODE_CAP is 6000 units,
     # which ends inside attempt 1277's Luby term of 64 units, so that cap
     # is clipped to 48 units.
     caps = [cap for _, cap in calls]
@@ -488,21 +490,28 @@ def test_guaranteed_search_clips_the_last_cap(monkeypatch):
     assert caps[:3] == [20, 20, 40]
     assert len(caps) == 1277
     assert caps[-1] == 20 * 48 < 20 * coloring._luby(len(caps))
-    assert sum(caps) == 2 * coloring.DEFAULT_NODE_CAP
-    assert info.value.payload["nodes"] == 2 * coloring.DEFAULT_NODE_CAP
+    assert sum(caps) == 2 * 2 * coloring.LADDER_NODE_CAP == 120_000
+    assert info.value.payload["nodes"] == 120_000
 
 
 def test_guaranteed_search_unit_covers_the_part(monkeypatch):
-    # The state of a spent search on a large sparse part costs O(m).
+    # The state of a spent search on a large sparse part costs O(m).  One
+    # budget unit is max(2 * LADDER_NODE_CAP, 2m) nodes: 60,000 on a small
+    # part, which takes many 2m-node attempts, and 2m on C_60001.
     calls = exhaust_searches(monkeypatch)
     monkeypatch.setattr(coloring, "GUARANTEED_UNITS", 1)
-    g = cycle(60001)
-    with pytest.raises(SearchCapExceededError) as info:
-        avd_subcubic(g)
-    assert [cap for budget, cap in calls if budget == 5] == [2 * g.edge_count]
-    assert info.value.payload["nodes"] == 2 * g.edge_count
-    assert (info.value.payload["edgelist"].encode("ascii")
-            == emit_graph(g, "edgelist"))
+    for n in (15, 60001):
+        g = cycle(n)
+        calls.clear()
+        with pytest.raises(SearchCapExceededError) as info:
+            avd_subcubic(g)
+        caps = [cap for budget, cap in calls if budget == 5]
+        assert caps[0] == 2 * g.edge_count
+        assert (sum(caps) == info.value.payload["nodes"]
+                == max(60_000, 2 * g.edge_count))
+        assert (info.value.payload["edgelist"].encode("ascii")
+                == emit_graph(g, "edgelist"))
+    assert caps == [2 * g.edge_count]
 
 
 def _guaranteed_caps(monkeypatch) -> list[int]:

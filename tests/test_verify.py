@@ -11,7 +11,8 @@ from avdcolor import (CapExceededError, Graph, NotNormalError, audit,
                       avd_color, check_avd, check_certificate, check_partition,
                       check_proper, complete, cycle, exact_chi_a,
                       exact_chromatic_index, gnp, is_normal, emit_graph,
-                      make_coloring, misra_gries, partition_p2, petersen)
+                      make_coloring, misra_gries, partition_p2, petersen,
+                      random_regular)
 from avdcolor import coloring, partition, verify
 from avdcolor.cli import main
 from helpers import (check_avd_reference, check_certificate_reference,
@@ -200,18 +201,26 @@ def test_check_certificate_rejects_witness_off_the_graph():
 
 
 def test_check_certificate_checks_properness_once(monkeypatch):
+    # One mask pass gives every row, the proper row included, on a proper
+    # and on an improper coloring alike.
     g = gnp(16, 0.6, 3)
     cert = avd_color(g)
+    (e, _), (f, c) = sorted(cert.coloring.assignment.items())[:2]
+    assert set(e) & set(f)
+    clash = dataclasses.replace(cert, coloring=make_coloring(
+        g, {**cert.coloring.assignment, e: c}))
     calls = []
-    real = verify.check_proper
+    real = verify._color_masks
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(verify, "check_proper", counting)
+    monkeypatch.setattr(verify, "_color_masks", counting)
     assert all(ok for _, ok, _ in check_certificate(g, cert))
     assert len(calls) == 1
+    assert check_certificate(g, clash)[0] == ("proper", False, (e, f))
+    assert len(calls) == 2
 
 
 def test_audit_runs_the_pipeline_once(monkeypatch):
@@ -277,6 +286,28 @@ def test_audit_runs_the_regular_driver_only_where_its_bound_is_tighter(
     assert calls == [10]
 
 
+@pytest.mark.parametrize("g, checks", [
+    (gnp(12, 0.5, 4), 1),
+    (random_regular(30, 6, 2), 1),
+    (random_regular(30, 10, 2), 2),
+], ids=["irregular", "r6", "r10"])
+def test_audit_checks_each_certificate_once(monkeypatch, g, checks):
+    # Up to r = 9 the regular row reads the avd certificate's rows; from
+    # r = 10 the regular driver's own certificate is checked once more.
+    calls = []
+    real = verify.check_certificate
+
+    def counting(graph, cert):
+        calls.append(cert)
+        return real(graph, cert)
+
+    monkeypatch.setattr(verify, "check_certificate", counting)
+    report = audit(g, oracle_edge_cap=0)
+    assert report.overall_pass
+    assert len(calls) == checks
+    assert len({id(cert) for cert in calls}) == checks
+
+
 def _audit_with_parts(monkeypatch, g, make_parts):
     real = coloring.avd_color
 
@@ -325,16 +356,18 @@ def test_audit_reports_improper_certificate(monkeypatch):
             == "skipped (not proper)")
 
 
-@pytest.mark.parametrize("g", [petersen(), cycle(6)], ids=["cubic", "cycle"])
+@pytest.mark.parametrize("g", [petersen(), cycle(6), random_regular(20, 9, 1)],
+                         ids=["cubic", "cycle", "r9"])
 def test_audit_fails_an_improper_regular_certificate(monkeypatch, tmp_path,
                                                      capsys, g):
-    # Up to r = 9 the regular row checks avd_color's certificate too, so it
-    # must report the improper coloring rather than raise.
+    # Up to r = 9 the regular row reads the rows of avd_color's certificate,
+    # so it must fail with them rather than pass or raise.
     _clash_first_pair(monkeypatch)
     report = audit(g)
     assert not report.overall_pass
     failed = {name for name, ok, _ in report.checks if not ok}
-    assert "avd certificate proper" in failed
+    assert {"avd certificate proper",
+            "avd certificate adjacent-vertex-distinguishing"} <= failed
     rbound = coloring.regular_bound(g.max_degree)
     assert f"regular driver within floor((5r+37)/3) = {rbound}" in failed
     path = tmp_path / "g.g6"
