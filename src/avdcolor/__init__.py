@@ -11,8 +11,7 @@ from .coloring import (AvdCertificate, avd_color, avd_color_budget,
                        regular_bound)
 from .errors import (CapExceededError, CounterexampleFound, GenerationError,
                      GraphFormatError, InternalBoundViolationError,
-                     InvalidGroupingError, NotNormalError,
-                     SearchCapExceededError)
+                     NotNormalError, SearchCapExceededError)
 from .generators import complete, cycle, generate, gnp, petersen, random_regular
 from .graph_io import emit_graph, parse_graph, sniff_format
 from .graphs import (Edge, EdgePartition, Graph, SubgraphSelection, canon_edge,
@@ -30,7 +29,7 @@ __all__ = [
     "AuditReport", "AvdCertificate", "CapExceededError", "Chain",
     "CounterexampleFound", "Edge", "EdgeColoring",
     "EdgePartition", "GenerationError", "Graph", "GraphFormatError",
-    "InternalBoundViolationError", "InvalidGroupingError", "MembershipReport",
+    "InternalBoundViolationError", "MembershipReport",
     "Move", "NotNormalError", "SearchCapExceededError", "SubgraphSelection",
     "VertexType", "audit", "avd_color", "avd_color_budget",
     "avd_color_regular", "avd_subcubic", "canon_edge", "check_avd",

@@ -15,10 +15,6 @@ class GenerationError(RuntimeError):
     """Random generator exhausted its rejection-sampling retry budget."""
 
 
-class InvalidGroupingError(RuntimeError):
-    """A color-class grouping produced a non-normal or empty part."""
-
-
 class CapExceededError(RuntimeError):
     """An exact oracle hit its configured cap before finishing."""
 

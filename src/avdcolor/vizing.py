@@ -12,17 +12,16 @@ from .graphs import Edge, Graph, canon_edge
 class EdgeColoring:
     """A proper edge coloring: colors are positive integers.
 
-    ``palette`` is exactly the image of ``assignment``.  Treat instances as
-    immutable; helpers below build fresh ones.
+    Treat instances as immutable; helpers below build fresh ones.
     """
 
     host: Graph
     assignment: dict[Edge, int]
-    palette: frozenset[int]
 
     @property
     def colors_used(self) -> int:
-        return len(self.palette)
+        """The number of distinct colors in ``assignment``."""
+        return len(set(self.assignment.values()))
 
     def colors_at(self, v: int) -> frozenset[int]:
         """C(v): the set of colors on edges incident to v."""
@@ -31,8 +30,7 @@ class EdgeColoring:
 
 
 def make_coloring(host: Graph, assignment: dict[Edge, int]) -> EdgeColoring:
-    return EdgeColoring(host, dict(assignment),
-                        frozenset(assignment.values()))
+    return EdgeColoring(host, dict(assignment))
 
 
 class _Fans:
@@ -255,11 +253,8 @@ def misra_gries(g: Graph) -> EdgeColoring:
     the one state it keeps through the peel.
     """
     fans = _Fans.cold(g)
-    # The palette is 1..K, so K is the highest bit of any vertex's mask.
-    k = max(map(int.bit_length, fans.used.values()), default=1) - 1
     return EdgeColoring(g, {(v, w): c for v in g.vertices
-                            for w, c in fans.col[v].items() if v < w},
-                        frozenset(range(1, k + 1)))
+                            for w, c in fans.col[v].items() if v < w})
 
 
 def relabeled(color: dict[Edge, int]) -> dict[Edge, int]:
@@ -276,7 +271,7 @@ def color_classes(coloring: EdgeColoring) -> list[frozenset[Edge]]:
     above Delta+1 raises ValueError.
     """
     k = coloring.host.max_degree + 1
-    if max(coloring.palette, default=0) > k:
+    if max(coloring.assignment.values(), default=0) > k:
         raise ValueError(f"a color above Delta+1 = {k}")
     classes: list[set[Edge]] = [set() for _ in range(k)]
     for e, c in coloring.assignment.items():

@@ -148,6 +148,13 @@ def closure_revisit_state() -> tuple[Graph, SubgraphSelection]:
     return g, SubgraphSelection(g, edges_sel)
 
 
+def isolated_edge_block(blocks: list) -> list:
+    """``blocks`` with the least edge of the first moved into a block of
+    its own, ahead of the others: a grouping with an isolated-edge block."""
+    e = min(blocks[0])
+    return [{e}, blocks[0] - {e}, *blocks[1:]]
+
+
 def exhaust_searches(monkeypatch,
                      armed: list | None = None) -> list[tuple[int, int | None]]:
     """Make budgeted coloring searches hit their node cap.

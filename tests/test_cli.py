@@ -4,7 +4,8 @@ import pytest
 
 from avdcolor import complete, cycle, emit_graph, gnp, parse_graph, petersen
 from avdcolor.cli import main
-from helpers import closure_revisit_state, exhaust_searches
+from helpers import (closure_revisit_state, exhaust_searches,
+                     isolated_edge_block)
 
 
 def _write_graph(tmp_path, g, name="g.g6", fmt="graph6"):
@@ -300,17 +301,24 @@ def test_partition_regular_cli(tmp_path, capsys):
     assert "checks=pass" in capsys.readouterr().out
 
 
-def test_partition_regular_invalid_grouping_exits_one(tmp_path, monkeypatch,
-                                                      capsys):
-    from avdcolor import InvalidGroupingError, cli, random_regular
-
-    def invalid(g):
-        raise InvalidGroupingError("empty class block")
-
-    monkeypatch.setattr(cli, "partition_regular", invalid)
+@pytest.mark.parametrize("regroup, normal, max_degrees", [
+    (lambda g, blocks: isolated_edge_block(blocks), False, [1, 3, 3]),
+    (lambda g, blocks: [g.edges], True, [5]),
+], ids=["isolated-edge-block", "degree-5-block"])
+def test_partition_regular_bad_grouping_fails_the_checklist(
+        tmp_path, monkeypatch, capsys, regroup, normal, max_degrees):
+    # The grouping is checked where it is used: the checklist gates on
+    # normality and on max degree at most 4.
+    from avdcolor import EdgePartition, cli, partition_regular, random_regular
+    monkeypatch.setattr(cli, "partition_regular", lambda g: EdgePartition(
+        g, regroup(g, partition_regular(g).parts)))
     gpath = _write_graph(tmp_path, random_regular(12, 5, seed=2))
-    assert main(["partition-regular", gpath]) == 1
-    assert "check failed: empty class block" in capsys.readouterr().err
+    out = tmp_path / "p.json"
+    assert main(["partition-regular", gpath, "--out", str(out)]) == 1
+    assert capsys.readouterr().out == f"parts={len(max_degrees)} checks=fail\n"
+    checklist = json.loads(out.read_text())["checklist"]
+    assert checklist["all_parts_normal"] is normal
+    assert checklist["max_degrees"] == max_degrees
 
 
 def test_oracle_c5(tmp_path, capsys):
@@ -385,6 +393,14 @@ def test_audit_directory(tmp_path, capsys):
     assert main(["audit", "--dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert out.count("overall: PASS") == 2
+
+
+def test_audit_empty_directory_is_a_usage_error(tmp_path, capsys):
+    (tmp_path / "sub").mkdir()  # a directory is not a graph file
+    assert main(["audit", "--dir", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: no graph files in {tmp_path}\n"
 
 
 def test_usage_error_exit_two():

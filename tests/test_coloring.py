@@ -7,18 +7,18 @@ import types
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from avdcolor import (Graph, NotNormalError, avd_color, avd_color_budget,
-                      avd_color_regular, avd_subcubic, check_avd, check_proper,
-                      complete, compose, cycle, edge_induced, gnp, main_bound,
-                      make_coloring, misra_gries, partition_p2,
-                      partition_regular, petersen, random_regular,
-                      regular_bound)
+from avdcolor import (EdgePartition, Graph, NotNormalError, avd_color,
+                      avd_color_budget, avd_color_regular, avd_subcubic,
+                      check_avd, check_proper, complete, compose, cycle,
+                      edge_induced, gnp, main_bound, make_coloring,
+                      misra_gries, partition_p2, partition_regular, petersen,
+                      random_regular, regular_bound)
 from avdcolor import (InternalBoundViolationError, SearchCapExceededError,
                       audit, check_certificate, coloring, emit_graph,
                       exact_chi_a, is_normal, parse_graph)
 from avdcolor.coloring import certificate_from_dict, certificate_to_dict
-from helpers import (exhaust_searches, normal_gnp_corpus, repair_reference,
-                     search_reference)
+from helpers import (exhaust_searches, isolated_edge_block,
+                     normal_gnp_corpus, repair_reference, search_reference)
 
 
 def _checked(g, cert):
@@ -138,7 +138,8 @@ def test_compose_single_part_relabels_from_one():
     cert = avd_subcubic(g)
     out = compose([cert], host=g)
     assert out.colors_used == cert.colors_used
-    assert sorted(out.coloring.palette) == list(range(1, out.colors_used + 1))
+    assert sorted(set(out.coloring.assignment.values())) == list(
+        range(1, out.colors_used + 1))
     _checked(g, out)
 
 
@@ -636,6 +637,16 @@ def test_high_degree_regular_driver_colors_the_class_grouping():
         assert list(cert.parts) == partition_regular(g).parts
         assert cert.colors_used <= regular_bound(r) < main_bound(r)
         assert all(ok for _, ok, _ in check_certificate(g, cert))
+
+
+def test_regular_driver_rejects_a_bad_grouping(monkeypatch):
+    # partition_regular does not check its blocks; the part colorers do.
+    g = random_regular(22, 10, 1)
+    blocks = isolated_edge_block(partition_regular(g).parts)
+    monkeypatch.setattr(coloring, "partition_regular",
+                        lambda g: EdgePartition(g, blocks))
+    with pytest.raises(NotNormalError):
+        avd_color_regular(g)
 
 
 @st.composite

@@ -547,8 +547,9 @@ def test_partition_p2_checks_and_builds_each_level_once(monkeypatch):
     for module in (graphs, partition):
         monkeypatch.setattr(module, "is_normal",
                             counted("is_normal", module.is_normal))
-        monkeypatch.setattr(module, "edge_induced",
-                            counted("edge_induced", module.edge_induced))
+    # partition imports no edge_induced; a part graph is built in graphs.
+    monkeypatch.setattr(graphs, "edge_induced",
+                        counted("edge_induced", graphs.edge_induced))
     monkeypatch.setattr(partition, "without_edges",
                         counted("without_edges", partition.without_edges))
     monkeypatch.setattr(partition, "partition_p1",
@@ -683,15 +684,25 @@ def test_partition_p2_rejects_non_normal_remainder(monkeypatch):
 
 
 def test_partition_regular_case_table_small():
-    for r, sizes in ((5, [3, 3]), (6, [4, 3]), (7, [4, 4])):
+    # Every residue of r mod 3, below and from r = 10, where
+    # avd_color_regular colors the grouping: each block is its run of
+    # consecutive classes.
+    table = {5: [3, 3], 6: [4, 3], 7: [4, 4], 8: [3, 3, 3], 9: [4, 3, 3],
+             10: [4, 4, 3], 11: [3, 3, 3, 3], 12: [4, 3, 3, 3],
+             13: [4, 4, 3, 3]}
+    for r, sizes in table.items():
         n = 14 if (14 * r) % 2 == 0 else 15
         g = random_regular(n, r, seed=r + 30)
+        classes = vizing.color_classes(misra_gries(g))
         part = partition_regular(g)
-        graphs = part.part_graphs()
-        assert len(graphs) == len(sizes)
-        for sub, cap in zip(graphs, sizes):
-            assert sub.max_degree <= cap
+        assert len(part) == len(sizes)
+        start = 0
+        for block, sub, size in zip(part, part.part_graphs(), sizes):
+            assert block == frozenset().union(*classes[start:start + size])
+            start += size
             assert is_normal(sub)
+            assert sub.max_degree <= size
+        assert start == r + 1
 
 
 def test_partition_regular_rejects():

@@ -7,12 +7,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from avdcolor import (CapExceededError, Graph, NotNormalError, audit,
-                      avd_color, check_avd, check_certificate, check_partition,
-                      check_proper, complete, cycle, exact_chi_a,
-                      exact_chromatic_index, gnp, is_normal, emit_graph,
-                      make_coloring, misra_gries, partition_p2, petersen,
-                      random_regular)
+from avdcolor import (CapExceededError, EdgeColoring, Graph, NotNormalError,
+                      audit, avd_color, check_avd, check_certificate,
+                      check_partition, check_proper, complete, cycle,
+                      exact_chi_a, exact_chromatic_index, gnp, is_normal,
+                      emit_graph, make_coloring, misra_gries, partition_p2,
+                      petersen, random_regular)
 from avdcolor import coloring, partition, verify
 from avdcolor.cli import main
 from helpers import (check_avd_reference, check_certificate_reference,
@@ -198,6 +198,19 @@ def test_check_certificate_rejects_witness_off_the_graph():
                                                     per_edge_witness=extra))
     failed = [name for name, ok, _ in rows if not ok]
     assert failed == ["witnesses cover equal-degree pairs"]
+
+
+def test_check_certificate_counts_the_palette_itself():
+    # A stated palette size of 1 on Petersen's 4-color certificate fails
+    # the palette row: the checker counts the colors of the assignment.
+    g = petersen()
+    cert = avd_color(g)
+    assert cert.colors_used == 4
+    understated = dataclasses.replace(cert, coloring=EdgeColoring(
+        g, cert.coloring.assignment), colors_used=1, bound_claimed=1)
+    rows = check_certificate(g, understated)
+    assert [name for name, ok, _ in rows if not ok] == [
+        "colors_used matches palette"]
 
 
 def test_check_certificate_checks_properness_once(monkeypatch):
@@ -473,9 +486,9 @@ def _tamper(cert, g, data):
             witnesses[(0, g.n + 3)] = 1
         else:
             e = data.draw(st.sampled_from(sorted(witnesses)))
-            witnesses[e] = (data.draw(st.sampled_from(
-                sorted(cert.coloring.palette))) if change == "other"
-                else change)
+            colors = sorted(set(cert.coloring.assignment.values()))
+            witnesses[e] = (data.draw(st.sampled_from(colors))
+                            if change == "other" else change)
         return dataclasses.replace(cert, per_edge_witness=witnesses)
     if kind == "colors_used":
         return dataclasses.replace(
@@ -509,7 +522,7 @@ def test_checkers_match_their_references_on_tampered_corpus():
             for c in (0, -2, 10**30):
                 _assert_checks_match(g, _recolor(cert, e, c))
         for e in sorted(cert.per_edge_witness):
-            for c in (*cert.coloring.palette, -1, 10**30):
+            for c in (*set(cert.coloring.assignment.values()), -1, 10**30):
                 witnesses = dict(cert.per_edge_witness)
                 witnesses[e] = c
                 _assert_checks_match(g, dataclasses.replace(

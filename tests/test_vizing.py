@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -5,9 +6,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from avdcolor import (Graph, check_proper, color_classes, complete, cycle,
-                      edge_induced, exact_chromatic_index, gnp, make_coloring,
-                      misra_gries, petersen, random_regular)
+from avdcolor import (EdgeColoring, Graph, check_proper, color_classes,
+                      complete, cycle, edge_induced, exact_chromatic_index,
+                      gnp, make_coloring, misra_gries, petersen,
+                      random_regular)
 from avdcolor.vizing import _Fans, relabeled
 from helpers import fans_coloring, warm_fans
 
@@ -51,6 +53,18 @@ def test_every_vertex_sees_its_degree_in_colors():
     mg = misra_gries(g)
     for v in g.vertices:
         assert len(mg.colors_at(v)) == g.degree(v)
+
+
+def test_a_coloring_is_its_host_and_assignment():
+    assert [f.name for f in dataclasses.fields(EdgeColoring)] == [
+        "host", "assignment"]
+    g = cycle(6)
+    coloring = make_coloring(g, dict.fromkeys(g.edges, 9) | {(0, 1): 4})
+    assert coloring.colors_used == 2
+    assert make_coloring(Graph(3), {}).colors_used == 0
+    for g in (petersen(), gnp(30, 0.3, 1)):
+        mg = misra_gries(g)
+        assert mg.colors_used == max(mg.assignment.values())
 
 
 def test_relabeled_keeps_color_order():
