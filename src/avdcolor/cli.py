@@ -1,12 +1,14 @@
 """Command-line surface: color, partition, generate, verify, audit.
 
-Exit status: 0 all checks pass, 1 a check failed, 2 usage or input error,
-3 a potential counterexample, with its state dump, which names the graph
-or part by its edge list, written to ``*.counterexample.json``: the
-partition engine stalled, or a search refuted a budget that a cited bound
-guarantees.  4 a part's guaranteed search spent its node budget (after
-the part's repair at that budget, which paths and cycles skip, failed as
-well), with the part's state written to ``*.search-cap.json``.
+Exit status: 0 all checks pass, 1 a check failed, 2 usage or input error
+(``audit`` over several files goes on past one that does not parse and
+exits with the worst of 2, 1 and 0), 3 a potential counterexample, with
+its state dump, which names the graph or part by its edge list, written
+to ``*.counterexample.json``: the partition engine stalled, or a search
+refuted a budget that a cited bound guarantees.  4 a part's guaranteed
+search spent its node budget (after the part's repair at that budget,
+which paths and cycles skip, failed as well), with the part's state
+written to ``*.search-cap.json``.
 """
 
 from __future__ import annotations
@@ -134,7 +136,12 @@ def _cmd_gen(args) -> int:
 
 def _cmd_verify(args) -> int:
     g = _read_graph(args.graph, args.format)
-    data = json.loads(Path(args.certificate).read_text(encoding="ascii"))
+    text = Path(args.certificate).read_text(encoding="ascii")
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError(
+            f"{args.certificate}: JSON nested too deeply") from None
     try:
         cert = avd.certificate_from_dict(data, host=g)
     except ValueError as exc:
@@ -145,11 +152,6 @@ def _cmd_verify(args) -> int:
         print(("PASS " if ok else "FAIL ") + name
               + (f" ({detail})" if detail and not ok else ""))
     return 0 if all(ok for _, ok, _ in rows) else CHECK_EXIT
-
-
-def _audit_one(path: str | None, args) -> verify.AuditReport:
-    return verify.audit(_read_graph(path, args.format),
-                        oracle_edge_cap=args.oracle_edge_cap)
 
 
 def _cmd_audit(args) -> int:
@@ -163,17 +165,26 @@ def _cmd_audit(args) -> int:
         paths = list(args.inputs)
     else:
         paths = [None]
-    all_pass = True
+    # A file that does not parse is reported and skipped; the exit code is
+    # the worst of usage error, failed check and pass, in that order.
+    code = 0
     for path in paths:
-        report = _audit_one(path, args)
+        try:
+            g = _read_graph(path, args.format)
+        except (ValueError, OSError) as exc:
+            print(f"error: {path or '-'}: {exc}", file=sys.stderr)
+            code = USAGE_EXIT
+            continue
+        report = verify.audit(g, oracle_edge_cap=args.oracle_edge_cap)
         if len(paths) > 1:
             print(f"== {path}")
         if args.json:
             sys.stdout.write(_json_bytes(report.to_dict()).decode("ascii"))
         else:
             print(report.to_text())
-        all_pass = all_pass and report.overall_pass
-    return 0 if all_pass else CHECK_EXIT
+        if not report.overall_pass:
+            code = max(code, CHECK_EXIT)
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,8 +1,8 @@
 """Adjacent-vertex-distinguishing edge colorings with certificates.
 
-A certificate bundles a coloring with enough witness data for independent
-re-validation: the palette size, the bound the producing routine claims,
-and one distinguishing color per adjacent equal-degree pair.
+A certificate is a coloring and its claims, the palette size and the bound
+the producing routine claims; ``verify.check_certificate`` re-validates it
+from the coloring alone.
 
 The exact searcher is a deterministic backtracker over edges (grouped per
 vertex in breadth-first order, ascending colors, new colors introduced
@@ -58,7 +58,6 @@ class AvdCertificate:
     coloring: EdgeColoring
     colors_used: int
     bound_claimed: int
-    per_edge_witness: dict[Edge, int]
     parts: tuple[frozenset[Edge], ...] = ()
 
     def with_bound(self, bound: int) -> "AvdCertificate":
@@ -66,29 +65,7 @@ class AvdCertificate:
             raise AssertionError(
                 f"cannot claim bound {bound} with {self.colors_used} colors")
         return AvdCertificate(self.coloring, self.colors_used, bound,
-                              self.per_edge_witness, self.parts)
-
-
-def _witnesses(g: Graph, coloring: EdgeColoring) -> dict[Edge, int]:
-    # Bit c of mask[v] is set when c is at v, so min(C(u) ^ C(v)) is the
-    # lowest set bit of mask[u] ^ mask[v].
-    adj = g.adjacency
-    mask = dict.fromkeys(adj, 0)
-    for (u, v), c in coloring.assignment.items():
-        mask[u] |= 1 << c
-        mask[v] |= 1 << c
-    # Vertices and neighbors ascend, so the pairs come in sorted order.
-    out: dict[Edge, int] = {}
-    for u, ns in adj.items():
-        d, mu = len(ns), mask[u]
-        for v in ns:
-            if v > u and len(adj[v]) == d:
-                diff = mu ^ mask[v]
-                if not diff:
-                    raise AssertionError(
-                        f"equal color sets at adjacent pair {(u, v)}")
-                out[(u, v)] = (diff & -diff).bit_length() - 1
-    return out
+                              self.parts)
 
 
 def _vertex_major_order(g: Graph,
@@ -243,8 +220,7 @@ def _certificate(g: Graph, assignment: dict[Edge, int], bound: int,
                  parts: tuple[frozenset[Edge], ...]) -> AvdCertificate:
     """Certificate of ``assignment`` on g; its colors must be 1..K."""
     coloring = make_coloring(g, assignment)
-    return AvdCertificate(coloring, coloring.colors_used, bound,
-                          _witnesses(g, coloring), parts)
+    return AvdCertificate(coloring, coloring.colors_used, bound, parts)
 
 
 def _repair(g: Graph, budget: int,
@@ -473,8 +449,12 @@ def compose(certs: list[AvdCertificate], host: Graph) -> AvdCertificate:
     Palettes are relabeled onto consecutive disjoint ranges in part order,
     so the result uses the sum of the part palette sizes, and its ``parts``
     lists the part edge sets in that order.
-    Its witnesses check that it is distinguishing; it is proper as a union
-    of proper parts on disjoint palettes.
+    The result is proper as a union of proper parts on disjoint palettes,
+    and distinguishing because each edge uv lies in a part whose coloring
+    tells u and v apart, on a palette no other part uses.  So every route
+    yields a distinguishing coloring by construction: ``_search`` prunes
+    completed equal pairs, ``_repair`` returns only with no conflict left,
+    and this join checks each part with ``check_avd``.
     """
     if not certs:
         raise ValueError("nothing to compose")
@@ -570,10 +550,6 @@ def certificate_to_dict(cert: AvdCertificate) -> dict:
         "bound_claimed": cert.bound_claimed,
         "edges": [[u, v, cert.coloring.assignment[(u, v)]]
                   for u, v in g.sorted_edges()],
-        "vertex_color_sets": {str(v): sorted(cert.coloring.colors_at(v))
-                              for v in g.vertices},
-        "witnesses": [[u, v, c]
-                      for (u, v), c in sorted(cert.per_edge_witness.items())],
     }
 
 
@@ -581,13 +557,13 @@ def certificate_from_dict(data: object, host: Graph) -> AvdCertificate:
     """Read back a ``certificate_to_dict`` payload as a certificate of ``host``.
 
     Raises ValueError when the payload is not an object, lacks a key,
-    holds an entry that is not an integer, or names an edge twice.
+    holds an entry that is not an integer, or names an edge twice.  Keys
+    it does not know, such as an older payload's ``witnesses``, are ignored.
     """
     if not isinstance(data, dict) or data.get("type") != "avd-certificate":
         raise ValueError("not an AVD certificate payload")
     try:
         assignment = _edge_map(data, "edges")
-        witnesses = _edge_map(data, "witnesses")
         colors_used, bound = data["colors_used"], data["bound_claimed"]
     except KeyError as exc:
         raise ValueError(f"certificate lacks key {exc}") from None
@@ -595,8 +571,7 @@ def certificate_from_dict(data: object, host: Graph) -> AvdCertificate:
         raise ValueError("certificate palette size or bound is not an integer")
     if set(assignment) != set(host.edges):
         raise ValueError("certificate edges do not match the graph")
-    return AvdCertificate(make_coloring(host, assignment), colors_used, bound,
-                          witnesses)
+    return AvdCertificate(make_coloring(host, assignment), colors_used, bound)
 
 
 def _edge_map(data: dict, key: str) -> dict[Edge, int]:

@@ -6,12 +6,12 @@ Each coloring checker, ``check_certificate`` too, makes one pass over the
 assignment that builds a color bitmask per vertex.  Each distinct color
 gets one bit by its index among the colors present, never by its value, so
 a color of 0, -2 or 10**30 costs one bit like any other.  A coloring is
-proper iff every vertex has as many bits as edges, a vertex is
-distinguished from a neighbor iff their masks differ, and a witness is a
-bit test against the two masks.  The partition check counts degrees per
-part rather than building each part's graph.  The exhaustive oracles fix
-the color of the first edge and introduce new colors in order (plain
-color-permutation symmetry breaking), which keeps them exact.
+proper iff every vertex has as many bits as edges, and a vertex is
+distinguished from a neighbor iff their masks differ.  The partition check
+counts degrees per part rather than building each part's graph.  The
+exhaustive oracles fix the color of the first edge and introduce new
+colors in order (plain color-permutation symmetry breaking), which keeps
+them exact.
 """
 
 from __future__ import annotations
@@ -105,12 +105,10 @@ def check_avd(g: Graph, coloring: EdgeColoring):
 def check_certificate(g: Graph, cert) -> list[tuple[str, bool, object]]:
     """Re-validate a certificate for ``g``: one (name, ok, detail) row per check.
 
-    The coloring must be proper and distinguishing, ``colors_used`` must be
-    the number of distinct colors in its assignment and within
-    ``bound_claimed``, and every adjacent equal-degree pair must have
-    exactly one witness color, present at one endpoint and absent at the
-    other.  Every row reads one mask pass; no count a producer stored is
-    read.
+    The coloring must be proper and distinguishing, and ``colors_used``
+    must be the number of distinct colors in its assignment and within
+    ``bound_claimed``.  Every row reads one mask pass; no count a producer
+    stored is read.
     """
     assignment = _assigned(g, cert.coloring)
     masks, bits, proper = _color_masks(g, assignment)
@@ -125,21 +123,6 @@ def check_certificate(g: Graph, cert) -> list[tuple[str, bool, object]]:
                  cert.colors_used == len(bits), ""))
     rows.append(("colors_used within bound",
                  cert.colors_used <= cert.bound_claimed, ""))
-    edges = g.edges
-    deg = [0] * g.n
-    for v, ns in g.adjacency.items():
-        deg[v] = len(ns)
-    witnesses = cert.per_edge_witness
-    # The witness pairs are the equal-degree edges iff there are as many
-    # and each is one.  Pairs first: a pair off the graph has no masks to
-    # compare.  A color absent from the coloring has no bit, so it
-    # witnesses nothing.
-    wit_ok = len(witnesses) == sum(
-        deg[u] == deg[v] for u, v in edges) and all(
-        e in edges and deg[e[0]] == deg[e[1]]
-        and (masks[e[0]] ^ masks[e[1]]) & bits.get(c, 0)
-        for e, c in witnesses.items())
-    rows.append(("witnesses cover equal-degree pairs", wit_ok, ""))
     return rows
 
 

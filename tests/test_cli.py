@@ -60,21 +60,53 @@ def test_verify_rejects_tampered_certificate(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_verify_rejects_flipped_witness(tmp_path, capsys):
-    gpath = _write_graph(tmp_path, complete(7))
+def test_verify_ignores_an_older_payloads_witness_map(tmp_path, capsys):
+    # An older payload also held per-vertex color sets and a witness map.
+    # They are not read: a wrong witness next to an AVD coloring passes,
+    # and a clash in the coloring fails whatever the witnesses say.
+    g = complete(7)
+    gpath = _write_graph(tmp_path, g)
     cert = tmp_path / "cert.json"
     main(["color", gpath, "--out", str(cert)])
     data = json.loads(cert.read_text())
-    u, v, _ = data["witnesses"][0]
+    assert set(data) == {"type", "vertex_count", "colors_used",
+                         "bound_claimed", "edges"}
+    colors = {(u, v): c for u, v, c in data["edges"]}
     # The edge's own color is at both ends, so it distinguishes nothing.
-    data["witnesses"][0][2] = next(c for a, b, c in data["edges"]
-                                   if (a, b) == (u, v))
+    data["witnesses"] = [[u, v, c] for (u, v), c in colors.items()]
+    data["vertex_color_sets"] = {
+        str(x): sorted(c for e, c in colors.items() if x in e)
+        for x in g.vertices}
     cert.write_text(json.dumps(data))
     capsys.readouterr()
+    assert main(["verify", gpath, str(cert)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    (u, v, _), (x, y, c) = data["edges"][:2]
+    assert {u, v} & {x, y}
+    data["edges"][0][2] = c
+    cert.write_text(json.dumps(data))
     assert main(["verify", gpath, str(cert)]) == 1
-    out = capsys.readouterr().out
-    assert "FAIL witnesses cover equal-degree pairs" in out
-    assert "PASS adjacent-vertex-distinguishing" in out
+    assert "FAIL proper" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"[" * 100_000 + b"]" * 100_000, "JSON nested too deeply"),
+    ('{"type": "avd-certificate \u00e9"}'.encode(), None),
+    (b'{"type": "avd-certificate", "edges": [[0, 1', None),
+], ids=["deep", "non-ascii", "truncated"])
+def test_verify_unreadable_certificate_is_a_usage_error(tmp_path, capsys,
+                                                         content, message):
+    # One error line and exit 2, never a traceback.
+    gpath = _write_graph(tmp_path, cycle(7))
+    path = tmp_path / "cert.json"
+    path.write_bytes(content)
+    assert main(["verify", gpath, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    if message:
+        assert captured.err == f"error: {path}: {message}\n"
 
 
 def _without_edges(data):
@@ -94,19 +126,11 @@ def _edge_twice(data):
     return data
 
 
-def _witness_twice(data):
-    # The same witness again, with its endpoints swapped.
-    u, v, c = data["witnesses"][0]
-    data["witnesses"].append([v, u, c])
-    return data
-
-
 @pytest.mark.parametrize("malform", [
     _without_edges, lambda d: [d], _null_color,
     lambda d: {**d, "colors_used": str(d["colors_used"])},
-    _edge_twice, _witness_twice,
-], ids=["no-edges", "list", "null-color", "string-palette", "edge-twice",
-        "witness-twice"])
+    _edge_twice,
+], ids=["no-edges", "list", "null-color", "string-palette", "edge-twice"])
 def test_verify_rejects_malformed_certificate(tmp_path, capsys, malform):
     gpath = _write_graph(tmp_path, complete(7))
     cert = tmp_path / "cert.json"
@@ -393,6 +417,27 @@ def test_audit_directory(tmp_path, capsys):
     assert main(["audit", "--dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert out.count("overall: PASS") == 2
+
+
+@pytest.mark.parametrize("use_dir", [False, True], ids=["files", "dir"])
+def test_audit_goes_on_past_a_file_that_does_not_parse(tmp_path, capsys,
+                                                       use_dir):
+    # Sorted: a file that does not parse as graph6, a graph that passes and
+    # one that fails.  The exit code is the worst, not the last.
+    from avdcolor import Graph
+    junk = tmp_path / "a-junk.txt"
+    junk.write_bytes(b"junk")
+    good = _write_graph(tmp_path, cycle(7), "b-c7.g6")
+    bad = _write_graph(tmp_path, Graph(2, [(0, 1)]), "c-bad.g6")
+    argv = ["audit", "--dir", str(tmp_path)] if use_dir else [
+        "audit", str(junk), good, bad]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {junk}: graph6 body length 3 does not "
+                            "match n=43\n")
+    assert captured.out.startswith(f"== {good}\n")
+    assert captured.out.count("overall: PASS") == 1
+    assert captured.out.count("overall: FAIL") == 1
 
 
 def test_audit_empty_directory_is_a_usage_error(tmp_path, capsys):

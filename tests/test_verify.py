@@ -175,31 +175,6 @@ def test_audit_skips_oracle_above_cap():
     assert report.to_dict()["overall_pass"]
 
 
-def test_check_certificate_rejects_flipped_witness():
-    g = complete(7)
-    cert = avd_color(g)
-    assert all(ok for _, ok, _ in check_certificate(g, cert))
-    e = min(cert.per_edge_witness)
-    # The edge's own color is seen at both ends, so it witnesses nothing.
-    flipped = dict(cert.per_edge_witness)
-    flipped[e] = cert.coloring.assignment[e]
-    rows = check_certificate(g, dataclasses.replace(cert,
-                                                    per_edge_witness=flipped))
-    failed = [name for name, ok, _ in rows if not ok]
-    assert failed == ["witnesses cover equal-degree pairs"]
-
-
-def test_check_certificate_rejects_witness_off_the_graph():
-    g = complete(7)
-    cert = avd_color(g)
-    extra = dict(cert.per_edge_witness)
-    extra[(0, 99)] = 1
-    rows = check_certificate(g, dataclasses.replace(cert,
-                                                    per_edge_witness=extra))
-    failed = [name for name, ok, _ in rows if not ok]
-    assert failed == ["witnesses cover equal-degree pairs"]
-
-
 def test_check_certificate_counts_the_palette_itself():
     # A stated palette size of 1 on Petersen's 4-color certificate fails
     # the palette row: the checker counts the colors of the assignment.
@@ -458,7 +433,7 @@ def _tamper(cert, g, data):
     """The certificate with one flaw drawn from ``data``, or as it is."""
     edges = g.sorted_edges()
     kind = data.draw(st.sampled_from(
-        ["none", "clash", "color", "witness", "colors_used", "proper only"]))
+        ["none", "clash", "color", "colors_used", "proper only"]))
     if kind == "clash":
         e = data.draw(st.sampled_from(edges))
         f = data.draw(st.sampled_from([f for f in edges
@@ -467,29 +442,6 @@ def _tamper(cert, g, data):
     if kind == "color":
         return _recolor(cert, data.draw(st.sampled_from(edges)),
                         data.draw(st.sampled_from([0, -2, 10**30])))
-    if kind == "witness":
-        witnesses = dict(cert.per_edge_witness)
-        change = data.draw(st.sampled_from(
-            ["other", -1, 10**30, "off the graph", "unequal degrees"]))
-        unequal = [(u, v) for u, v in edges if g.degree(u) != g.degree(v)]
-        if change == "unequal degrees" and unequal:
-            # Moved to an edge whose ends differ in degree, with a color
-            # that tells them apart.
-            if witnesses:
-                del witnesses[min(witnesses)]
-            u, v = e = data.draw(st.sampled_from(unequal))
-            witnesses[e] = min(cert.coloring.colors_at(u)
-                               ^ cert.coloring.colors_at(v))
-        elif change in ("off the graph", "unequal degrees") or not witnesses:
-            if witnesses:
-                del witnesses[min(witnesses)]
-            witnesses[(0, g.n + 3)] = 1
-        else:
-            e = data.draw(st.sampled_from(sorted(witnesses)))
-            colors = sorted(set(cert.coloring.assignment.values()))
-            witnesses[e] = (data.draw(st.sampled_from(colors))
-                            if change == "other" else change)
-        return dataclasses.replace(cert, per_edge_witness=witnesses)
     if kind == "colors_used":
         return dataclasses.replace(
             cert, colors_used=cert.colors_used + data.draw(
@@ -521,12 +473,6 @@ def test_checkers_match_their_references_on_tampered_corpus():
                         g, _recolor(cert, e, cert.coloring.assignment[f]))
             for c in (0, -2, 10**30):
                 _assert_checks_match(g, _recolor(cert, e, c))
-        for e in sorted(cert.per_edge_witness):
-            for c in (*set(cert.coloring.assignment.values()), -1, 10**30):
-                witnesses = dict(cert.per_edge_witness)
-                witnesses[e] = c
-                _assert_checks_match(g, dataclasses.replace(
-                    cert, per_edge_witness=witnesses))
 
 
 @settings(max_examples=60, deadline=None)
