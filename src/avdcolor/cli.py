@@ -135,13 +135,18 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    g = _read_graph(args.graph, args.format)
-    text = Path(args.certificate).read_text(encoding="ascii")
+    # An input error names the file it is about, as ``audit``'s do.
     try:
-        data = json.loads(text)
+        g = _read_graph(args.graph, args.format)
+    except ValueError as exc:
+        raise ValueError(f"{args.graph}: {exc}") from None
+    try:
+        data = json.loads(Path(args.certificate).read_text(encoding="ascii"))
     except RecursionError:
         raise ValueError(
             f"{args.certificate}: JSON nested too deeply") from None
+    except ValueError as exc:  # not ASCII, or not JSON
+        raise ValueError(f"{args.certificate}: {exc}") from None
     try:
         cert = avd.certificate_from_dict(data, host=g)
     except ValueError as exc:

@@ -71,7 +71,9 @@ class Graph:
         return self._edges
 
     def sorted_edges(self) -> list[Edge]:
-        return sorted(self._edges)
+        """The edges in ascending order, read off the adjacency, whose
+        vertices and neighbor tuples already ascend: no sort."""
+        return [(u, v) for u, ns in self._adj.items() for v in ns if u < v]
 
     @property
     def edge_count(self) -> int:
@@ -185,17 +187,29 @@ class SubgraphSelection:
 
     def __init__(self, host: Graph, edges: Iterable[Edge] = ()):
         self.host = host
-        self._selected: set[Edge] = set()
-        self._deg = dict.fromkeys(host.vertices, 0)
+        self._deg = deg = dict.fromkeys(host.vertices, 0)
         self._iso_sel: set[Edge] = set()
         self._iso_unsel: set[Edge] = set()
-        for e in edges:
-            self._select(canon_edge(*e))
+        # Validated in bulk: distinct host edges are canonical, so a set of
+        # them as large as the input holds no repeat in either orientation.
+        # ``tuple`` keeps pairs given as lists, as ``canon_edge`` does.
+        es = list(edges)
+        sel = set(map(tuple, es))
+        if len(sel) == len(es) and sel <= host._edges:
+            self._selected = sel
+            for u, v in sel:
+                deg[u] += 1
+                deg[v] += 1
+        else:
+            # Other orientations, or an edge to reject with its own error.
+            self._selected = set()
+            for e in es:
+                self._select(canon_edge(*e))
         # Settle both isolated-edge sets as _update_isolation would edge by
         # edge, in O(n + |H|): an isolated complement edge joins two
         # vertices of complement degree 1, each found by scanning neighbors
         # that are all selected but one.
-        sel, deg, adj = self._selected, self._deg, host._adj
+        sel, adj = self._selected, host._adj
         for u, v in sel:
             if deg[u] == 1 and deg[v] == 1:
                 self._iso_sel.add((u, v))

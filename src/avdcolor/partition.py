@@ -96,10 +96,21 @@ def _member_at(g: Graph, sel: SubgraphSelection, v: int) -> int:
 
 
 def check_membership(g: Graph, sel: SubgraphSelection) -> MembershipReport:
-    """Report every violation of the three selection-degree conditions."""
-    violations = tuple((v, c) for v in g.vertices
-                       if (c := _member_at(g, sel, v)))
-    return MembershipReport(violations)
+    """Report every violation of the three selection-degree conditions.
+
+    ``_member_at`` at every vertex, in one pass over the adjacency.
+    """
+    deg, delta = sel._deg, g.max_degree
+    violations = []
+    for v, ns in g._adj.items():
+        d = deg[v]
+        if d > 3:
+            violations.append((v, 1))
+        elif d < 2 and len(ns) == delta:
+            violations.append((v, 2))
+        elif d < 1 and len(ns) == delta - 1:
+            violations.append((v, 3))
+    return MembershipReport(tuple(violations))
 
 
 def _cond1(sel: SubgraphSelection, u: int) -> bool:
@@ -525,8 +536,8 @@ def partition_p1(g: Graph, trace: Callable[[dict], None] | None = None,
     run_engine(g, sel, trace)
     if not check_membership(g, sel).is_member:
         raise AssertionError("partition degree bounds violated")
-    h_edges = sel.selected
-    if any(sel.deg(u) == 1 and sel.deg(v) == 1 for u, v in h_edges):
+    h_edges, deg = sel.selected, sel._deg
+    if any(deg[u] == 1 and deg[v] == 1 for u, v in h_edges):
         raise AssertionError("selection side has an isolated edge")
     return EdgePartition(g, [h_edges, sel.complement_edges()])
 

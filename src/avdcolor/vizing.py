@@ -148,8 +148,13 @@ class _Fans:
                     break
             if len(fan) == 1:
                 # A swap needs a fan of two or more, so this fan stopped at
-                # once: f itself shares d with x.  Most fans do.
-                paint(x, f, d)
+                # once: f itself shares d with x.  Most fans do.  ``paint``,
+                # inline.
+                colx[f] = col[f][x] = d
+                at[x][d] = f
+                at[f][d] = x
+                used[x] |= 1 << d
+                used[f] |= 1 << d
                 continue
             # d is free at x; rotate the first fan prefix ending at a vertex
             # where d is free.  After a path swap the prefix must still be a fan
@@ -211,16 +216,23 @@ class _Fans:
         What stays colored is a partial proper coloring of ``host``; returns
         its uncolored edges in order, the ones ``fan`` is to color.
         """
+        col, at, used = self.col, self.at, self.used
+        # Both loops are ``uncolor``, inline.
         for u, v in part:
-            self.uncolor(u, v)
+            c = col[u].pop(v)
+            del col[v][u], at[u][c], at[v][c]
+            used[u] ^= 1 << c
+            used[v] ^= 1 << c
         self.host = host
         todo = self.edges_upto(3)
         for u, v in todo:
-            self.uncolor(u, v)
+            c = col[u].pop(v)
+            del col[v][u], at[u][c], at[v][c]
+            used[u] ^= 1 << c
+            used[v] ^= 1 << c
         self.base += 3
         floor = (1 << self.base + 1) - 1
         top = self.base + host.max_degree + 1
-        at, used = self.at, self.used
         # Colors 1..Delta+1 move down to at most Delta-2, so a cut needs a
         # part of max degree above 3, which ``partition_p1`` never peels.
         for v in host.vertices:

@@ -109,6 +109,28 @@ def test_verify_unreadable_certificate_is_a_usage_error(tmp_path, capsys,
         assert captured.err == f"error: {path}: {message}\n"
 
 
+@pytest.mark.parametrize("bad_graph, content, message", [
+    (False, '{"type": "avd-certificate é"}'.encode(),
+     "'ascii' codec can't decode byte 0xc3 in position 26"),
+    (False, b'{"type" "avd-certificate"}', "Expecting ':' delimiter"),
+    (True, b"{}", "graph6 body length 3 does not match n=43"),
+], ids=["non-ascii", "malformed-json", "bad-graph6"])
+def test_verify_error_names_the_failing_file(tmp_path, capsys, bad_graph,
+                                             content, message):
+    gpath = _write_graph(tmp_path, cycle(7))
+    if bad_graph:
+        gpath = tmp_path / "junk.g6"
+        gpath.write_bytes(b"junk")
+    cert = tmp_path / "cert.json"
+    cert.write_bytes(content)
+    assert main(["verify", str(gpath), str(cert)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    failing = gpath if bad_graph else cert
+    assert captured.err.startswith(f"error: {failing}: {message}")
+    assert captured.err.count("\n") == 1
+
+
 def _without_edges(data):
     del data["edges"]
     return data

@@ -126,11 +126,15 @@ def test_selection_construction_matches_recompute(case):
 
 
 def test_selection_construction_rejects_foreign_and_duplicate():
+    # The bulk check falls back to the per-edge one for its error.
     g = cycle(4)
-    with pytest.raises(ValueError, match="not in host"):
-        SubgraphSelection(g, [(0, 2)])
-    with pytest.raises(ValueError, match="already selected"):
-        SubgraphSelection(g, [(0, 1), (1, 0)])
+    for edges, message in (
+            ([(0, 1), (0, 2)], r"edge \(0, 2\) not in host graph"),
+            ([(0, 1), (1, 2), (0, 1)], r"edge \(0, 1\) already selected"),
+            ([(1, 2), (2, 1)], r"edge \(1, 2\) already selected"),
+            ([(0, 1), (3, 3)], "self-loop at vertex 3")):
+        with pytest.raises(ValueError, match=message):
+            SubgraphSelection(g, edges)
 
 
 def test_selection_rejects_foreign_and_double():
@@ -268,6 +272,15 @@ def test_adjacency_is_an_ascending_read_only_view(case):
                    for v, ns in adj.items())
         with pytest.raises(TypeError):
             adj[h.n] = ()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_hosts_and_selections())
+def test_sorted_edges_reads_the_adjacency_in_order(case):
+    g, picked = case
+    part = frozenset(canon_edge(u, v) for u, v in picked)
+    for h in (g, edge_induced(g, part), without_edges(g, part)):
+        assert h.sorted_edges() == sorted(h.edges)
 
 
 def test_without_edges_rejects_foreign_edges():

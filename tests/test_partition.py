@@ -13,7 +13,7 @@ from avdcolor import (EdgePartition, Graph, NotNormalError,
                       initial_selection, is_normal, partition_p1,
                       partition_p2, partition_regular, random_regular,
                       run_engine)
-from avdcolor import edge_induced, misra_gries, parse_graph
+from avdcolor import canon_edge, edge_induced, misra_gries, parse_graph
 from avdcolor import CounterexampleFound, graphs, partition, vizing
 from helpers import (closure_revisit_state, dense_normal_graph,
                      normal_gnp_corpus, partition_p2_by_levels,
@@ -37,6 +37,29 @@ def test_check_membership_overfull_vertex():
     sel = SubgraphSelection(g, [(0, 1), (0, 2), (0, 3), (0, 4)])
     report = check_membership(g, sel)
     assert (0, 1) in report.violations
+
+
+def test_check_membership_matches_the_per_vertex_test():
+    # One pass over the adjacency reports what _member_at finds vertex by
+    # vertex, in vertex order, on membership-preserving walks and on
+    # random selections that break every condition.
+    rng = random.Random(5)
+    seen = Counter()
+    for g in [*normal_gnp_corpus(6, 70, 12, 40, 6, 20), complete(9)]:
+        sel = initial_selection(g)
+        high = [v for v in g.vertices if g.degree(v) >= g.max_degree - 1]
+        for _ in range(3):
+            scramble_selection(g, sel, rng, g.edge_count)
+            for e in rng.sample(sorted(g.edges), 3):
+                (sel.remove if sel.is_selected(e) else sel.add)(e)
+            v = rng.choice(high)
+            for w in sel.selected_neighbors(v):
+                sel.remove(canon_edge(v, w))
+            expected = tuple((v, c) for v in g.vertices
+                             if (c := partition._member_at(g, sel, v)))
+            assert check_membership(g, sel).violations == expected
+            seen.update(c for _, c in expected)
+    assert set(seen) == {1, 2, 3}
 
 
 def test_initial_selection_k7():
@@ -590,9 +613,10 @@ def test_partition_p2_colors_each_edge_about_once(monkeypatch):
 
 
 def _reference_graphs():
-    # 34 graphs: G(n,p), r-regular with r >= 6, complete graphs, and one
-    # whose lower levels lose host vertices (gnp(80,0.15,2) keeps 69 of its
-    # 80 vertices at level 4).
+    # 35 graphs: G(n,p), r-regular with r >= 6, complete graphs, one whose
+    # lower levels lose host vertices (gnp(80,0.15,2) keeps 69 of its 80
+    # vertices at level 4), and one of the partition bench's size
+    # (gnp(1000,0.03,1): m = 15081, 17 parts).
     yield from normal_gnp_corpus(12, 500, 20, 90, 6, 40, p_lo=0.1, p_hi=0.5)
     for r, n, seed in ((6, 20, 1), (6, 62, 2), (7, 24, 3), (8, 30, 4),
                        (9, 40, 5), (10, 24, 17), (12, 50, 6), (15, 60, 7),
@@ -604,6 +628,7 @@ def _reference_graphs():
     yield gnp(150, 0.2, 3)
     yield gnp(200, 0.1, 1)
     yield gnp(300, 0.05, 4)
+    yield gnp(1000, 0.03, 1)
 
 
 def test_partition_p2_matches_the_per_level_route():
