@@ -52,9 +52,9 @@ def test_check_membership_matches_the_per_vertex_test():
             scramble_selection(g, sel, rng, g.edge_count)
             for e in rng.sample(sorted(g.edges), 3):
                 (sel.remove if sel.is_selected(e) else sel.add)(e)
-            v = rng.choice(high)
-            for w in sel.selected_neighbors(v):
-                sel.remove(canon_edge(v, w))
+            x = rng.choice(high)
+            for w in sel.selected_neighbors(x):
+                sel.remove(canon_edge(x, w))
             expected = tuple((v, c) for v in g.vertices
                              if (c := partition._member_at(g, sel, v)))
             assert check_membership(g, sel).violations == expected
