@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import (InternalBoundViolationError, NotNormalError,
@@ -76,29 +75,30 @@ def _vertex_major_order(g: Graph,
     the distinguishing constraint prunes near the mistakes that violate it;
     a scattered edge order lets conflicts surface far too late to matter.
     """
+    # Flags in lists indexed by vertex label, as in _search, not sets; a
+    # label that is no vertex of a part stays False.  Each breadth-first
+    # queue is a list read as it grows.
     adj = g.adjacency
     if vertex_seq is None:
         vertex_seq = []
-        seen: set[int] = set()
+        seen = [False] * g.n
         for s in adj:
-            if s in seen:
+            if seen[s]:
                 continue
-            seen.add(s)
-            queue = deque([s])
-            while queue:
-                v = queue.popleft()
-                vertex_seq.append(v)
+            seen[s] = True
+            queue = [s]
+            for v in queue:
                 for w in adj[v]:
-                    if w not in seen:
-                        seen.add(w)
+                    if not seen[w]:
+                        seen[w] = True
                         queue.append(w)
+            vertex_seq += queue
     # An edge is listed at whichever of its ends comes first.
     order: list[Edge] = []
-    done: set[int] = set()
+    done = [False] * g.n
     for v in vertex_seq:
-        done.add(v)
-        order += [(v, w) if v < w else (w, v) for w in adj[v]
-                  if w not in done]
+        done[v] = True
+        order += [(v, w) if v < w else (w, v) for w in adj[v] if not done[w]]
     return order
 
 
@@ -115,16 +115,17 @@ def _search(g: Graph, budget: int, order: list[Edge],
     is rejected when it completes a vertex with the same colors as a
     complete equal-degree neighbor.
     """
-    # Per vertex label: the color bitmask, the edges left to color and the
-    # equal-degree neighbors.  Plain loops and lists throughout: this loop
-    # runs for every node.
+    # Lists indexed by vertex label: the color bitmask, the edges left to
+    # color and the equal-degree neighbors.  A part keeps its host's labels;
+    # a label that is no vertex is never read.  Plain loops and lists
+    # throughout: this loop runs for every node.
     adj = g.adjacency
     masks = [0] * g.n
     remaining = [0] * g.n
-    eq_adj: list[tuple[int, ...]] = [()] * g.n
+    eq_adj: list[list[int] | None] = [None] * g.n
     for v, ns in adj.items():
         d = remaining[v] = len(ns)
-        eq_adj[v] = tuple(w for w in ns if len(adj[w]) == d)
+        eq_adj[v] = [w for w in ns if len(adj[w]) == d]
     cap = math.inf if node_cap is None else node_cap
     m = len(order)
     color = [0] * m
@@ -227,7 +228,7 @@ def _repair(g: Graph, budget: int,
             start: EdgeColoring) -> AvdCertificate | None:
     """Min-conflicts repair of a proper coloring into an AVD one.
 
-    Starts from ``start`` when it uses at most ``budget`` colors.  A
+    Starts from ``start`` when none of its colors is above ``budget``.  A
     conflict is an adjacent equal-degree pair with equal color sets.  Each
     step takes a random conflict and, at either of its ends x, considers
     every swap of the a/b Kempe chain from x, for a color a at x and a
@@ -240,47 +241,43 @@ def _repair(g: Graph, budget: int,
     ``_lower_bound(g)``, so no budget is one that two adjacent vertices of
     degree ``budget`` make impossible.
     """
-    if start.colors_used > budget:
-        return None
-    # at[v][c] is v's neighbor across color c; mask[v] has bit c for c at v;
-    # eq[v] lists v's neighbors of its own degree.
+    # Lists indexed by vertex label, as in _search: at[v][c] is v's
+    # neighbor across color c, mask[v] has bit c for c at v, eq[v] lists
+    # v's neighbors of its own degree, and tabu[v][ab] is the step from
+    # which the a/b swaps at v are allowed again.  A part keeps its host's
+    # labels; a label that is no vertex keeps None.  Each at[v] is a dict
+    # filled in start.assignment order, not a list indexed by color: its
+    # insertion order, which the swaps keep, is the order candidates are
+    # tried in, and so fixes the ties the generator draws from.
     adj = g.adjacency
-    at: dict[int, dict[int, int]] = {v: {} for v in adj}
-    mask = dict.fromkeys(adj, 0)
+    at: list[dict[int, int] | None] = [None] * g.n
+    tabu: list[dict[int, int] | None] = [None] * g.n
+    eq: list[list[int] | None] = [None] * g.n
+    mask = [0] * g.n
+    deg = [0] * g.n
+    for v, ns in adj.items():
+        at[v], tabu[v], deg[v] = {}, {}, len(ns)
     for (u, v), c in start.assignment.items():
         at[u][c], at[v][c] = v, u
         mask[u] |= 1 << c
         mask[v] |= 1 << c
-    eq = {v: [w for w in ns if len(adj[w]) == len(ns)]
-          for v, ns in adj.items()}
-    conflicts: list[Edge] = []
-    slot: dict[Edge, int] = {}
-
-    def mark(x: int) -> None:
-        # Bring the conflicts on x's equal-degree pairs up to date.
-        mx = mask[x]
-        for w in eq[x]:
-            e = (x, w) if x < w else (w, x)
-            if mx == mask[w]:
-                if e not in slot:
-                    slot[e] = len(conflicts)
-                    conflicts.append(e)
-            elif e in slot:
-                last = conflicts.pop()
-                i = slot.pop(e)
-                if last != e:
-                    conflicts[i] = last
-                    slot[last] = i
-
-    # Vertices and neighbors ascend: each pair is listed at its lower end,
-    # as marking every vertex in turn would.
-    conflicts += [(v, w) for v, ws in eq.items() for w in ws
-                  if w > v and mask[v] == mask[w]]
-    slot.update((e, i) for i, e in enumerate(conflicts))
+    # No swap has to clear a start color above the budget, so such a start
+    # could end in a certificate beyond its bound.
+    palette = 0
+    for mv in mask:
+        palette |= mv
+    if palette >> budget + 1:
+        return None
+    for v, ns in adj.items():
+        d = deg[v]
+        eq[v] = [w for w in ns if deg[w] == d]
+    # Vertices and neighbors ascend: each pair is listed at its lower end.
+    conflicts: list[Edge] = [(v, w) for v in adj for w in eq[v]
+                             if w > v and mask[v] == mask[w]]
+    slot = {e: i for i, e in enumerate(conflicts)}
     rng = random.Random(budget)
-    # tabu[v][ab]: the step from which the a/b swaps at v are allowed again.
-    tabu: dict[int, dict[int, int]] = {v: {} for v in adj}
     colors = range(1, budget + 1)
+    free: dict[int, list[int]] = {}  # per mask, the colors it misses
     for step in range(2 * g.edge_count):
         if not conflicts:
             break
@@ -291,7 +288,9 @@ def _repair(g: Graph, budget: int,
             for w in ex:
                 if mask[w] == mx:
                     before += 1
-            missing = [b for b in colors if not mx >> b & 1]
+            missing = free.get(mx)
+            if missing is None:
+                missing = free[mx] = [b for b in colors if not mx >> b & 1]
             for a in at[x]:
                 for b in missing:
                     ab = 1 << a | 1 << b
@@ -337,16 +336,35 @@ def _repair(g: Graph, budget: int,
             if nxt is None:
                 break
             y, p = nxt, p ^ a ^ b
+        mask[x] ^= ab
+        mask[y] ^= ab
+        tabu[x][ab] = tabu[y][ab] = step + 7
+        # Bring the conflicts on the equal-degree pairs at x, then y, up to
+        # date.
         for v in (x, y):
-            mask[v] ^= ab
-            tabu[v][ab] = step + 7
-        mark(x)
-        mark(y)
+            mv = mask[v]
+            for w in eq[v]:
+                e = (v, w) if v < w else (w, v)
+                if mv == mask[w]:
+                    if e not in slot:
+                        slot[e] = len(conflicts)
+                        conflicts.append(e)
+                elif e in slot:
+                    last = conflicts.pop()
+                    i = slot.pop(e)
+                    if last != e:
+                        conflicts[i] = last
+                        slot[last] = i
     if conflicts:
         return None
-    return _certificate(g, relabeled({(u, v): c for u in g.vertices
-                                      for c, v in at[u].items() if u < v}),
-                        budget, (g.edges,))
+    # The palette is 1..K unless the start or the swaps left a gap in it.
+    palette = 0
+    for mv in mask:
+        palette |= mv
+    assignment = {(u, v): c for u in adj for c, v in at[u].items() if u < v}
+    if palette != (1 << palette.bit_length()) - 2:
+        assignment = relabeled(assignment)
+    return _certificate(g, assignment, budget, (g.edges,))
 
 
 def _shuffled_order(g: Graph, seed: int) -> list[Edge]:

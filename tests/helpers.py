@@ -300,6 +300,37 @@ def search_reference(g: Graph, budget: int, order: list[Edge],
     return dict(zip(order, color)) if i == m else None
 
 
+def vertex_major_order_reference(g: Graph,
+                                 vertex_seq: list[int] | None = None
+                                 ) -> list[Edge]:
+    """Edges grouped per vertex, vertices breadth-first from the lowest;
+    the set-and-deque version the list-indexed one must match."""
+    adj = g.adjacency
+    if vertex_seq is None:
+        vertex_seq = []
+        seen: set[int] = set()
+        for s in adj:
+            if s in seen:
+                continue
+            seen.add(s)
+            queue = deque([s])
+            while queue:
+                v = queue.popleft()
+                vertex_seq.append(v)
+                for w in adj[v]:
+                    if w not in seen:
+                        seen.add(w)
+                        queue.append(w)
+    # An edge is listed at whichever of its ends comes first.
+    order: list[Edge] = []
+    done: set[int] = set()
+    for v in vertex_seq:
+        done.add(v)
+        order += [(v, w) if v < w else (w, v) for w in adj[v]
+                  if w not in done]
+    return order
+
+
 def repair_reference(g: Graph, budget: int,
                      start: EdgeColoring) -> AvdCertificate | None:
     """Min-conflicts repair of a proper coloring into an AVD one.

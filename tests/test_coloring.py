@@ -18,7 +18,8 @@ from avdcolor import (InternalBoundViolationError, SearchCapExceededError,
                       exact_chi_a, is_normal, parse_graph)
 from avdcolor.coloring import certificate_from_dict, certificate_to_dict
 from helpers import (exhaust_searches, isolated_edge_block,
-                     normal_gnp_corpus, repair_reference, search_reference)
+                     normal_gnp_corpus, repair_reference, search_reference,
+                     vertex_major_order_reference)
 
 
 def _checked(g, cert):
@@ -695,6 +696,60 @@ def test_repair_matches_its_reference(g):
     for budget in range(g.max_degree, g.max_degree + 3):
         assert (_certificate_bytes(coloring._repair(g, budget, start))
                 == _certificate_bytes(repair_reference(g, budget, start)))
+
+
+def _gapped_parts(max_degrees):
+    # Parts of the paper route keep their host's labels, so their labels
+    # have gaps: per-vertex state indexed by label must skip the missing.
+    for g in normal_gnp_corpus(30, 900, 30, 70, 6, 20, p_lo=0.15, p_hi=0.35):
+        for part in partition_p2(g).part_graphs():
+            if (part.max_degree in max_degrees
+                    and len(part.vertices) < part.n):
+                yield part
+
+
+@pytest.mark.parametrize("max_degrees, budgets", [
+    ((3,), lambda lb: range(lb, 6)),
+    ((4, 5), lambda lb: range(lb, lb + 3))])
+def test_repair_matches_its_reference_on_gapped_parts(max_degrees, budgets):
+    cases = 0
+    for part in _gapped_parts(max_degrees):
+        start = misra_gries(part)
+        for budget in budgets(coloring._lower_bound(part)):
+            cases += 1
+            assert (_certificate_bytes(coloring._repair(part, budget, start))
+                    == _certificate_bytes(
+                        repair_reference(part, budget, start)))
+    assert cases >= 60
+
+
+def test_vertex_major_order_matches_its_reference_on_gapped_parts():
+    parts = list(_gapped_parts((3, 4, 5)))
+    assert len(parts) >= 100
+    for part in parts:
+        assert (coloring._vertex_major_order(part)
+                == vertex_major_order_reference(part))
+        for seed in (1, 2):
+            vseq = list(part.vertices)
+            random.Random(seed).shuffle(vseq)
+            assert (coloring._vertex_major_order(part, vseq)
+                    == vertex_major_order_reference(part, vseq))
+
+
+def test_repair_refuses_a_start_above_its_budget():
+    # A proper start on colors {1, 2, 3, 5} has 4 colors but one above a
+    # budget of 4, which swaps would keep: no certificate beyond its bound.
+    # Under a budget of 5 the start is taken, and the palette is relabeled
+    # onto 1..K if it still has a gap.
+    for s in range(30):
+        g = random_regular(20, 3, s)
+        start = make_coloring(g, {e: 5 if c == 4 else c for e, c
+                                  in misra_gries(g).assignment.items()})
+        assert start.colors_used == 4
+        assert coloring._repair(g, 4, start) is None
+        cert = coloring._repair(g, 5, start)
+        if cert is not None:
+            assert all(ok for _, ok, _ in check_certificate(g, cert))
 
 
 @settings(max_examples=300, deadline=None)
