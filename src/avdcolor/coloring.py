@@ -77,7 +77,8 @@ def _vertex_major_order(g: Graph,
     """
     # Flags in lists indexed by vertex label, as in _search, not sets; a
     # label that is no vertex of a part stays False.  Each breadth-first
-    # queue is a list read as it grows.
+    # queue is a list read as it grows.  Plain loops: a comprehension per
+    # vertex costs a call each on Python 3.11.
     adj = g.adjacency
     if vertex_seq is None:
         vertex_seq = []
@@ -98,7 +99,9 @@ def _vertex_major_order(g: Graph,
     done = [False] * g.n
     for v in vertex_seq:
         done[v] = True
-        order += [(v, w) if v < w else (w, v) for w in adj[v] if not done[w]]
+        for w in adj[v]:
+            if not done[w]:
+                order.append((v, w) if v < w else (w, v))
     return order
 
 
@@ -118,14 +121,20 @@ def _search(g: Graph, budget: int, order: list[Edge],
     # Lists indexed by vertex label: the color bitmask, the edges left to
     # color and the equal-degree neighbors.  A part keeps its host's labels;
     # a label that is no vertex is never read.  Plain loops and lists
-    # throughout: this loop runs for every node.
+    # throughout: this loop runs for every node, and the set-up for every
+    # call.
     adj = g.adjacency
     masks = [0] * g.n
     remaining = [0] * g.n
     eq_adj: list[list[int] | None] = [None] * g.n
     for v, ns in adj.items():
-        d = remaining[v] = len(ns)
-        eq_adj[v] = [w for w in ns if len(adj[w]) == d]
+        remaining[v] = len(ns)
+    for v, ns in adj.items():
+        d = remaining[v]
+        eq_adj[v] = ev = []
+        for w in ns:
+            if remaining[w] == d:
+                ev.append(w)
     cap = math.inf if node_cap is None else node_cap
     m = len(order)
     color = [0] * m
@@ -270,7 +279,10 @@ def _repair(g: Graph, budget: int,
         return None
     for v, ns in adj.items():
         d = deg[v]
-        eq[v] = [w for w in ns if deg[w] == d]
+        eq[v] = ev = []
+        for w in ns:
+            if deg[w] == d:
+                ev.append(w)
     # Vertices and neighbors ascend: each pair is listed at its lower end.
     conflicts: list[Edge] = [(v, w) for v in adj for w in eq[v]
                              if w > v and mask[v] == mask[w]]
