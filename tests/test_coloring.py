@@ -750,6 +750,15 @@ def test_repair_refuses_a_start_above_its_budget():
         cert = coloring._repair(g, 5, start)
         if cert is not None:
             assert all(ok for _, ok, _ in check_certificate(g, cert))
+    # A spider has no equal-degree pair, so no step runs and the gap stays
+    # until the certificate closes it: 5 becomes 4.
+    spider = Graph(7, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6)])
+    start = make_coloring(spider, {(0, 1): 1, (0, 2): 2, (0, 3): 5,
+                                   (1, 4): 2, (2, 5): 3, (3, 6): 1})
+    assert coloring._repair(spider, 4, start) is None
+    cert = coloring._repair(spider, 5, start)
+    assert cert.colors_used == 4 and cert.coloring.assignment[(0, 3)] == 4
+    assert all(ok for _, ok, _ in check_certificate(spider, cert))
 
 
 @settings(max_examples=300, deadline=None)
