@@ -28,7 +28,7 @@ from .errors import (InternalBoundViolationError, NotNormalError,
 from .graph_io import emit_graph
 from .graphs import Edge, EdgePartition, Graph, canon_edge, is_normal
 from .partition import partition_p2, partition_regular
-from .vizing import EdgeColoring, make_coloring, misra_gries, relabeled
+from .vizing import EdgeColoring, misra_gries, relabeled
 from . import verify
 
 LADDER_NODE_CAP = 30_000
@@ -228,8 +228,9 @@ def _lower_bound(g: Graph) -> int:
 
 def _certificate(g: Graph, assignment: dict[Edge, int], bound: int,
                  parts: tuple[frozenset[Edge], ...]) -> AvdCertificate:
-    """Certificate of ``assignment`` on g; its colors must be 1..K."""
-    coloring = make_coloring(g, assignment)
+    """Certificate of ``assignment`` on g; its colors must be 1..K.  The
+    certificate keeps ``assignment``, which each caller has just built."""
+    coloring = EdgeColoring(g, assignment)
     return AvdCertificate(coloring, coloring.colors_used, bound, parts)
 
 
@@ -488,8 +489,6 @@ def compose(certs: list[AvdCertificate], host: Graph) -> AvdCertificate:
     """
     if not certs:
         raise ValueError("nothing to compose")
-    union: set[Edge] = set()
-    total_edges = 0
     for cert in certs:
         part = cert.coloring.host
         if not is_normal(part):
@@ -498,12 +497,8 @@ def compose(certs: list[AvdCertificate], host: Graph) -> AvdCertificate:
         ok, detail = verify.check_avd(part, cert.coloring)
         if not ok:
             raise ValueError(f"part certificate is not distinguishing: {detail}")
-        union |= part.edges
-        total_edges += part.edge_count
-    if total_edges != len(union):
-        raise ValueError("parts overlap")
-    if union != host.edges:
-        raise ValueError("parts do not cover the host edge set")
+    # EdgePartition checks that the parts are disjoint and cover the host.
+    parts = EdgePartition(host, [cert.coloring.host.edges for cert in certs])
     merged: dict[Edge, int] = {}
     offset = 0
     for cert in certs:
@@ -512,7 +507,7 @@ def compose(certs: list[AvdCertificate], host: Graph) -> AvdCertificate:
         offset += cert.coloring.colors_used
     return _certificate(host, merged,
                         sum(cert.bound_claimed for cert in certs),
-                        tuple(cert.coloring.host.edges for cert in certs))
+                        tuple(parts))
 
 
 def _color_bounded_part(part: Graph) -> AvdCertificate:
@@ -593,7 +588,18 @@ def certificate_from_dict(data: object, host: Graph) -> AvdCertificate:
     if not isinstance(data, dict) or data.get("type") != "avd-certificate":
         raise ValueError("not an AVD certificate payload")
     try:
-        assignment = _edge_map(data, "edges")
+        rows = data["edges"]
+        if not (isinstance(rows, list) and all(
+                isinstance(row, list) and len(row) == 3
+                and all(type(x) is int for x in row) for row in rows)):
+            raise ValueError(
+                "certificate 'edges' is not a list of integer triples")
+        assignment: dict[Edge, int] = {}
+        for u, v, c in rows:
+            e = canon_edge(u, v)
+            if e in assignment:
+                raise ValueError(f"certificate 'edges' names edge {e} twice")
+            assignment[e] = c
         colors_used, bound = data["colors_used"], data["bound_claimed"]
     except KeyError as exc:
         raise ValueError(f"certificate lacks key {exc}") from None
@@ -601,19 +607,4 @@ def certificate_from_dict(data: object, host: Graph) -> AvdCertificate:
         raise ValueError("certificate palette size or bound is not an integer")
     if set(assignment) != set(host.edges):
         raise ValueError("certificate edges do not match the graph")
-    return AvdCertificate(make_coloring(host, assignment), colors_used, bound)
-
-
-def _edge_map(data: dict, key: str) -> dict[Edge, int]:
-    rows = data[key]
-    if not (isinstance(rows, list) and all(
-            isinstance(row, list) and len(row) == 3
-            and all(type(x) is int for x in row) for row in rows)):
-        raise ValueError(f"certificate {key!r} is not a list of integer triples")
-    out: dict[Edge, int] = {}
-    for u, v, c in rows:
-        e = canon_edge(u, v)
-        if e in out:
-            raise ValueError(f"certificate {key!r} names edge {e} twice")
-        out[e] = c
-    return out
+    return AvdCertificate(EdgeColoring(host, assignment), colors_used, bound)

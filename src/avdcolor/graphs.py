@@ -43,10 +43,11 @@ class Graph:
 
     def _build(self, n: int, es: frozenset[Edge],
                verts: tuple[int, ...] | None) -> None:
-        # The one adjacency builder.  ``es`` holds canonical, distinct edges
-        # with both endpoints in ``verts``, or ``verts`` is None for the
-        # endpoints of ``es``.  Only vertices with edges get a neighbor list;
-        # the rest share the empty tuple.
+        # The adjacency builder of ``Graph`` and ``edge_induced``;
+        # ``without_edges`` trims its host's instead.  ``es`` holds
+        # canonical, distinct edges with both endpoints in ``verts``, or
+        # ``verts`` is None for the endpoints of ``es``.  Only vertices with
+        # edges get a neighbor list; the rest share the empty tuple.
         adj: dict[int, list[int]] = {}
         for u, v in es:
             adj.setdefault(u, []).append(v)
@@ -119,37 +120,51 @@ def is_normal(g: Graph) -> bool:
     return True
 
 
-def edge_induced(g: Graph, s: Iterable[Edge]) -> Graph:
-    """Subgraph with edge set ``s`` and vertex set the endpoints of ``s``.
+def _host_edges(g: Graph, s: Iterable[Edge]) -> frozenset[Edge]:
+    """The pairs of ``s``, in either orientation, as a frozenset of ``g``'s
+    own edges: the one check of every edge set of a host that comes in.
 
-    A set of ``g``'s own edges is taken as is; any other input is checked
-    edge by edge for being canonical, in ``g`` and not repeated.
+    Raises ValueError on the first self-loop, edge not in ``g`` or edge
+    named twice.  A set of ``g``'s edges is taken as is.  A list of them
+    passes one bulk test, since distinct host edges are canonical: its set
+    is as large as it and a subset of ``g``'s edges.  Only other input
+    goes edge by edge.
     """
-    if not (isinstance(s, (set, frozenset)) and s <= g.edges):
-        es = [canon_edge(u, v) for u, v in s]
-        for e in es:
-            if e not in g.edges:
-                raise ValueError(f"edge {e} not in host graph")
-        s = set()
-        for e in es:
-            if e in s:
-                raise ValueError(f"duplicate edge {e}")
-            s.add(e)
-    # Distinct edges of a validated host are canonical and in range.
+    host = g._edges
+    if isinstance(s, (set, frozenset)) and s <= host:
+        return frozenset(s)
+    es = list(s)
+    # ``tuple`` keeps pairs given as lists, as ``canon_edge`` does.
+    out = frozenset(map(tuple, es))
+    if len(out) == len(es) and out <= host:
+        return out
+    seen: set[Edge] = set()
+    for u, v in es:
+        e = canon_edge(u, v)
+        if e not in host:
+            raise ValueError(f"edge {e} not in host graph")
+        if e in seen:
+            raise ValueError(f"duplicate edge {e}")
+        seen.add(e)
+    return frozenset(seen)
+
+
+def edge_induced(g: Graph, s: Iterable[Edge]) -> Graph:
+    """Subgraph with edge set ``s`` and vertex set the endpoints of ``s``;
+    ``s`` holds edges of ``g`` in either orientation, each once."""
     sub = Graph.__new__(Graph)
-    sub._build(g.n, frozenset(s), None)
+    sub._build(g.n, _host_edges(g, s), None)
     return sub
 
 
-def without_edges(g: Graph, part: frozenset[Edge] | set[Edge]) -> Graph:
-    """``edge_induced(g, g.edges - part)`` for a set ``part`` of g's edges.
+def without_edges(g: Graph, part: Iterable[Edge]) -> Graph:
+    """``edge_induced(g, g.edges - part)`` for edges ``part`` of g.
 
     The remainder of a peel: beside one set difference it takes
     O(n + |part| log Delta).  It shares every neighbor tuple that ``part``
     does not touch, and drops the vertices left with no edge.
     """
-    if not part <= g._edges:
-        raise ValueError("edges to remove are not all in the graph")
+    part = _host_edges(g, part)
     lost: dict[int, list[int]] = {}
     for u, v in part:
         lost.setdefault(u, []).append(v)
@@ -190,21 +205,10 @@ class SubgraphSelection:
         self._deg = deg = dict.fromkeys(host.vertices, 0)
         self._iso_sel: set[Edge] = set()
         self._iso_unsel: set[Edge] = set()
-        # Validated in bulk: distinct host edges are canonical, so a set of
-        # them as large as the input holds no repeat in either orientation.
-        # ``tuple`` keeps pairs given as lists, as ``canon_edge`` does.
-        es = list(edges)
-        sel = set(map(tuple, es))
-        if len(sel) == len(es) and sel <= host._edges:
-            self._selected = sel
-            for u, v in sel:
-                deg[u] += 1
-                deg[v] += 1
-        else:
-            # Other orientations, or an edge to reject with its own error.
-            self._selected = set()
-            for e in es:
-                self._select(canon_edge(*e))
+        self._selected = set(_host_edges(host, edges))
+        for u, v in self._selected:
+            deg[u] += 1
+            deg[v] += 1
         # Settle both isolated-edge sets as _update_isolation would edge by
         # edge, in O(n + |H|): an isolated complement edge joins two
         # vertices of complement degree 1, each found by scanning neighbors
@@ -262,7 +266,13 @@ class SubgraphSelection:
     # -- mutation --------------------------------------------------------
 
     def add(self, e: Edge) -> None:
-        self._select(e)
+        if e not in self.host.edges:
+            raise ValueError(f"edge {e} not in host graph")
+        if e in self._selected:
+            raise ValueError(f"edge {e} already selected")
+        self._selected.add(e)
+        self._deg[e[0]] += 1
+        self._deg[e[1]] += 1
         self._refresh_around(e)
 
     def remove(self, e: Edge) -> None:
@@ -272,16 +282,6 @@ class SubgraphSelection:
         self._deg[e[0]] -= 1
         self._deg[e[1]] -= 1
         self._refresh_around(e)
-
-    def _select(self, e: Edge) -> None:
-        # Membership and degrees only; callers settle the isolation sets.
-        if e not in self.host.edges:
-            raise ValueError(f"edge {e} not in host graph")
-        if e in self._selected:
-            raise ValueError(f"edge {e} already selected")
-        self._selected.add(e)
-        self._deg[e[0]] += 1
-        self._deg[e[1]] += 1
 
     def _refresh_around(self, e: Edge) -> None:
         for v in e:
@@ -319,18 +319,12 @@ class EdgePartition:
         last: frozenset[Edge] = frozenset()
         covered = 0
         for i, p in enumerate(parts):
-            in_host = isinstance(p, (set, frozenset)) and p <= host.edges
-            if in_host:
-                pset = frozenset(p)  # host edges are canonical already
-            else:
-                pset = frozenset(canon_edge(u, v) for u, v in p)
+            pset = _host_edges(host, p)
             if not pset:
                 raise ValueError(f"part {i} is empty")
             seen |= last
             if not pset.isdisjoint(seen):
                 raise ValueError(f"part {i} overlaps an earlier part")
-            if not (in_host or pset <= host.edges):
-                raise ValueError(f"part {i} contains non-host edges")
             last = pset
             covered += len(pset)
             self.parts.append(pset)

@@ -555,17 +555,20 @@ def partition_p2(g: Graph,
     One coloring state (``vizing._Fans``) lives through every level.  The
     first level's is the cold ``misra_gries`` coloring; below it, the state
     keeps the level's colors on the remainder's edges outside the selected
-    classes 1..3, moved down by 3, without colors above the remainder's
-    Delta'+1, and fans color only the edges left uncolored: those the engine
-    moved out of the selection and those whose color was cut.  Colors are
-    mapped onto 1..K in their order on every level, as ``misra_gries``
-    does.  Each level's ``Graph`` is built from the one above
-    (``without_edges``).  The membership guarantee needs only some proper
-    (Delta'+1)-coloring, and ``initial_selection`` checks membership on
-    every level.
+    classes 1..3, moved down by 3, which puts them within the remainder's
+    Delta'+1 (a subcubic peel leaves Delta' >= Delta-3), and fans color only
+    the edges left uncolored: those the engine moved out of the selection.
+    Colors are mapped onto 1..K in their order on every level, as
+    ``misra_gries`` does.  Each level's ``Graph`` is built from the one
+    above (``without_edges``).  The membership guarantee needs only some
+    proper (Delta'+1)-coloring, and ``initial_selection`` checks membership
+    on every level.  A graph with no edge has no partition: it raises
+    ValueError.
     """
     if not is_normal(g):
         raise NotNormalError("partition requires a normal graph")
+    if not g.edges:
+        raise ValueError("partition requires a graph with at least one edge")
     peels: list[frozenset[Edge]] = []
     rest = g
     fans = _Fans(g)

@@ -45,7 +45,7 @@ class _Fans:
     ``cold`` builds the state of a whole coloring, ``misra_gries``'s;
     ``partition_p2`` keeps one state through every level of its peel
     (``peel``), so each level fans only the edges the level above left
-    uncolored.
+    uncolored: those of classes 1..3 that it did not peel.
     """
 
     __slots__ = ("host", "col", "at", "used", "base")
@@ -211,10 +211,13 @@ class _Fans:
     def peel(self, part: frozenset[Edge], host: Graph) -> list[Edge]:
         """Move to ``host``, the host less the edges of ``part``.
 
-        Uncolors ``part`` and what is left of classes 1..3, moves every
-        color down by 3 and uncolors the colors above ``host``'s Delta+1.
-        What stays colored is a partial proper coloring of ``host``; returns
-        its uncolored edges in order, the ones ``fan`` is to color.
+        Uncolors ``part`` and what is left of classes 1..3 and moves every
+        color down by 3.  What stays colored is a partial proper coloring of
+        ``host``; returns its uncolored edges in order, the ones ``fan`` is
+        to color.  A part of max degree at most 3, as ``partition_p1``
+        peels, leaves ``host`` a Delta' of at least Delta-3, so colors
+        1..Delta+1 move down to at most Delta-2 <= Delta'+1: no color is
+        left above ``host``'s Delta'+1.
         """
         col, at, used = self.col, self.at, self.used
         # Both loops are ``uncolor``, inline.
@@ -232,18 +235,8 @@ class _Fans:
             used[v] ^= 1 << c
         self.base += 3
         floor = (1 << self.base + 1) - 1
-        top = self.base + host.max_degree + 1
-        # Colors 1..Delta+1 move down to at most Delta-2, so a cut needs a
-        # part of max degree above 3, which ``partition_p1`` never peels.
         for v in host.vertices:
             used[v] |= floor
-            # Vertices run in ascending order, so v is the lower end of an
-            # edge it is the first to find.
-            for c in range(top + 1, used[v].bit_length()):
-                w = at[v].get(c)
-                if w is not None:
-                    todo.append((v, w))
-                    self.uncolor(v, w)
         todo.sort()
         return todo
 

@@ -207,6 +207,18 @@ def test_partition_checklist(tmp_path, capsys):
         assert entry["potential_after"] < entry["potential_before"]
 
 
+@pytest.mark.parametrize("data", [b"", b"p edge 0 0\n"],
+                         ids=["empty-edge-list", "empty-dimacs"])
+def test_partition_of_an_edgeless_graph_names_the_cause(tmp_path, capsys,
+                                                         data):
+    # Not EdgePartition's "part 0 is empty": the graph has no edge at all.
+    path = tmp_path / "g"
+    path.write_bytes(data)
+    assert main(["partition", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: partition requires a graph with at least one edge\n")
+
+
 def test_partition_exits_1_on_a_failing_row(tmp_path, monkeypatch, capsys):
     from avdcolor import EdgePartition, cli
     g = gnp(10, 0.5, 1)

@@ -93,7 +93,9 @@ _fuzz = settings(max_examples=60, deadline=None,
 
 
 @_fuzz
-@given(_graph_files(), st.sampled_from(["verify", "audit"]))
+@given(_graph_files(), st.sampled_from(["verify", "audit", "color",
+                                        "color-regular", "partition",
+                                        "partition-regular", "oracle"]))
 def test_random_graph_files_end_in_a_documented_exit(tmp_path, monkeypatch,
                                                      case, command):
     # A state dump, if any, lands in the temporary directory.

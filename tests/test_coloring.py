@@ -142,7 +142,7 @@ def test_compose_rejects_bad_partition():
     with pytest.raises(ValueError, match="not distinguishing"):
         compose([two_colors], host=g)
     rest = edge_induced(g, [(2, 3), (3, 4), (4, 5), (0, 5)])
-    with pytest.raises(ValueError, match="parts overlap"):
+    with pytest.raises(ValueError, match="part 1 overlaps an earlier part"):
         compose([half_cert, avd_subcubic(rest)], host=g)
 
 

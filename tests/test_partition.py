@@ -14,7 +14,8 @@ from avdcolor import (EdgePartition, Graph, NotNormalError,
                       partition_p2, partition_regular, random_regular,
                       run_engine)
 from avdcolor import canon_edge, edge_induced, misra_gries, parse_graph
-from avdcolor import CounterexampleFound, graphs, partition, vizing
+from avdcolor import (CounterexampleFound, InternalBoundViolationError,
+                      graphs, partition, vizing)
 from helpers import (closure_revisit_state, dense_normal_graph,
                      normal_gnp_corpus, partition_p2_by_levels,
                      recompute_selection_state, scramble_selection,
@@ -652,10 +653,34 @@ def test_partition_p2_matches_the_per_level_route():
     assert graphs_seen >= 30 and shrinking
 
 
-def test_partition_p2_cuts_colors_above_the_next_delta(monkeypatch):
+def test_partition_p2_peels_leave_no_color_above_the_next_delta(
+        monkeypatch):
+    # A subcubic peel leaves a remainder of max degree Delta' >= Delta-3,
+    # so the colors 4..Delta+1 it keeps, moved down by 3, are within
+    # Delta'+1: no peel needs to cut a color.
+    peel = vizing._Fans.peel
+    levels = 0
+
+    def checked(self, part, host):
+        nonlocal levels
+        todo = peel(self, part, host)
+        top = self.base + host.max_degree + 1
+        assert all(self.used[v].bit_length() - 1 <= top
+                   for v in host.vertices)
+        levels += 1
+        return todo
+
+    monkeypatch.setattr(vizing._Fans, "peel", checked)
+    for g in _reference_graphs():
+        partition_p2(g)
+    assert levels > 100
+
+
+def test_partition_p2_rejects_a_peel_above_max_degree_3(monkeypatch):
     # A peel of max degree 8 off K_16 leaves the 7-regular circulant with
-    # offsets 5..8, so colors 12..16 of the level above have no place below
-    # it: both routes uncolor them, and fans color those edges again.
+    # offsets 5..8, so colors 12..16 of the level above stay above its
+    # Delta'+1 = 8: the peel cuts no color, and the next level's
+    # membership check rejects classes 1..3 of that coloring.
     g = complete(16)
     real = partition.partition_p1
 
@@ -671,11 +696,9 @@ def test_partition_p2_cuts_colors_above_the_next_delta(monkeypatch):
                                                           11)}
     assert max(c for e, c in misra_gries(g).assignment.items()
                if e in rest) > 7 + 4
-    logs, ref_logs = [], []
-    part = partition_p2(g, trace=logs.append)
-    assert part.parts == partition_p2_by_levels(
-        g, trace=ref_logs.append).parts
-    assert logs == ref_logs and part.k >= 2
+    with pytest.raises(InternalBoundViolationError,
+                       match="initial selection is not a member"):
+        partition_p2(g)
 
 
 def test_partition_p1_rejects_peel_over_degree_bound(monkeypatch):
