@@ -219,7 +219,9 @@ class SubgraphSelection:
                 self._iso_sel.add((u, v))
         for u, ns in adj.items():
             if len(ns) - deg[u] == 1:
-                v = next(w for w in ns if canon_edge(u, w) not in sel)
+                for v in ns:
+                    if ((u, v) if u < v else (v, u)) not in sel:
+                        break
                 if u < v and len(adj[v]) - deg[v] == 1:
                     self._iso_unsel.add((u, v))
 

@@ -42,6 +42,13 @@ class _Fans:
     of ``used[v]`` is set when c is at v, and bits 0..base always are, so
     the lowest clear bit of a mask is the smallest color it leaves free.
 
+    ``col``, ``at`` and ``used`` are lists indexed by vertex label, of
+    length ``host.n``, as in ``coloring._repair``; a label that is not a
+    vertex of the first host keeps None, or 1 in ``used``.  Each ``col[v]``
+    stays a dict, not a list indexed by neighbor: its insertion order is
+    the order the edges at v were last colored in, which ``misra_gries``'s
+    assignment, and so ``_repair``'s candidate order, follows.
+
     ``cold`` builds the state of a whole coloring, ``misra_gries``'s;
     ``partition_p2`` keeps one state through every level of its peel
     (``peel``), so each level fans only the edges the level above left
@@ -52,9 +59,13 @@ class _Fans:
 
     def __init__(self, host: Graph):
         self.host = host
-        self.col: dict[int, dict[int, int]] = {v: {} for v in host.vertices}
-        self.at: dict[int, dict[int, int]] = {v: {} for v in host.vertices}
-        self.used = dict.fromkeys(host.vertices, 1)
+        n = host.n
+        self.col: list[dict[int, int] | None] = [None] * n
+        self.at: list[dict[int, int] | None] = [None] * n
+        self.used = [1] * n
+        for v in host.vertices:
+            self.col[v] = {}
+            self.at[v] = {}
         self.base = 0
 
     @classmethod
@@ -114,16 +125,29 @@ class _Fans:
 
         # Anchor at the lower endpoint.
         for x, f in edges:
+            # Most edges share a free color with their anchor at once and
+            # take the smallest, the lowest clear bit of both masks:
+            # ``paint``, inline, with no fan.
+            ux = used[x]
+            uf = used[f]
+            mask = ux | uf
+            bit = ~mask & (mask + 1)
+            d = bit.bit_length() - 1
+            if d <= top:
+                col[x][f] = col[f][x] = d
+                at[x][d] = f
+                at[f][d] = x
+                used[x] = ux | bit
+                used[f] = uf | bit
+                continue
             colx = col[x]
             # Fan of x from f: each step takes the lowest colored neighbor not
             # yet in the fan whose color is free at the fan's last vertex, so a
             # taken entry leaves the candidate list for good.  The fan stops at
             # its first vertex sharing a free color with x; d is the smallest.
             fan = [f]
-            cands = None
+            cands = [(w, colx[w]) for w in g.neighbors(x) if w in colx]
             while (d := lowest_free(used[x] | used[fan[-1]])) > top:
-                if cands is None:
-                    cands = [(w, colx[w]) for w in g.neighbors(x) if w in colx]
                 last = used[fan[-1]]
                 for i, (w, cw) in enumerate(cands):
                     if not last >> cw & 1:
@@ -146,16 +170,6 @@ class _Fans:
                         cur, want, other = nxt, other, want
                     recolor(path)
                     break
-            if len(fan) == 1:
-                # A swap needs a fan of two or more, so this fan stopped at
-                # once: f itself shares d with x.  Most fans do.  ``paint``,
-                # inline.
-                colx[f] = col[f][x] = d
-                at[x][d] = f
-                at[f][d] = x
-                used[x] |= 1 << d
-                used[f] |= 1 << d
-                continue
             # d is free at x; rotate the first fan prefix ending at a vertex
             # where d is free.  After a path swap the prefix must still be a fan
             # under the swapped colors; after an early stop it is the whole fan.

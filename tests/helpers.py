@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from typing import Iterable
 
 from avdcolor import (EdgeColoring, EdgePartition, Graph, SubgraphSelection,
                       SearchCapExceededError, canon_edge, check_membership,
@@ -229,6 +230,220 @@ def partition_p2_by_levels(g: Graph, trace=None) -> EdgePartition:
         carry = {e: c - 3 for e, c in fans_coloring(fans).assignment.items()
                  if 3 < c <= top and e in hbar_edges}
     return EdgePartition(g, [rest.edges, *reversed(peels)])
+
+
+# The Misra-Gries coloring state as it was before its per-vertex dicts
+# became lists indexed by vertex label and ``fan`` gained its one-edge
+# fast path, kept verbatim as the reference the rewrite must match state
+# for state (tests/test_vizing.py).
+
+
+class FansReference:
+    """A partial proper edge coloring of ``host`` in Misra-Gries's maps.
+
+    ``col[v][w]`` is the color of vw and ``at[v][c]`` is v's neighbor across
+    color c.  Colors are stored absolute over ``base``: absolute color c is
+    color c - base, so moving every color down by 3 is ``base += 3``.  Bit c
+    of ``used[v]`` is set when c is at v, and bits 0..base always are, so
+    the lowest clear bit of a mask is the smallest color it leaves free.
+
+    ``cold`` builds the state of a whole coloring, ``misra_gries``'s;
+    ``partition_p2`` keeps one state through every level of its peel
+    (``peel``), so each level fans only the edges the level above left
+    uncolored: those of classes 1..3 that it did not peel.
+    """
+
+    __slots__ = ("host", "col", "at", "used", "base")
+
+    def __init__(self, host: Graph):
+        self.host = host
+        self.col: dict[int, dict[int, int]] = {v: {} for v in host.vertices}
+        self.at: dict[int, dict[int, int]] = {v: {} for v in host.vertices}
+        self.used = dict.fromkeys(host.vertices, 1)
+        self.base = 0
+
+    @classmethod
+    def cold(cls, host: Graph) -> FansReference:
+        """Every edge of ``host`` fanned in sorted order, colors on 1..K."""
+        fans = cls(host)
+        fans.fan(host.sorted_edges())
+        fans.compact()
+        return fans
+
+    def paint(self, u: int, v: int, c: int) -> None:
+        """Color the uncolored edge uv with absolute c, free at both ends."""
+        self.col[u][v] = self.col[v][u] = c
+        self.at[u][c] = v
+        self.at[v][c] = u
+        self.used[u] |= 1 << c
+        self.used[v] |= 1 << c
+
+    def uncolor(self, u: int, v: int) -> None:
+        c = self.col[u].pop(v)
+        del self.col[v][u], self.at[u][c], self.at[v][c]
+        self.used[u] ^= 1 << c
+        self.used[v] ^= 1 << c
+
+    def fan(self, edges: Iterable[Edge]) -> None:
+        """Color the uncolored ``edges`` of ``host``, in order, by fans.
+
+        Misra-Gries fans with deterministic tie-breaking in colors
+        1..Delta+1 (see ``misra_gries``).  Path swaps and rotations may
+        recolor colored edges; an edge colored here stays colored.
+        """
+        g = self.host
+        col, at, used = self.col, self.at, self.used
+        k = g.max_degree + 1
+        top = self.base + k
+        m = g.edge_count
+        paint = self.paint
+
+        def lowest_free(mask: int) -> int:
+            # The lowest clear bit: the smallest color the mask leaves free.
+            return (~mask & (mask + 1)).bit_length() - 1
+
+        def free(v: int) -> int:
+            c = lowest_free(used[v])
+            if c > top:
+                raise AssertionError(f"no free color at {v} with k={k}")
+            return c
+
+        def recolor(batch: list[tuple[int, int, int]]) -> None:
+            # Uncolor everything first: a sequential rewrite would transiently
+            # give a vertex two edges of one color and corrupt ``at``.
+            for u, v, _ in batch:
+                if v in col[u]:
+                    self.uncolor(u, v)
+            for u, v, c in batch:
+                paint(u, v, c)
+
+        # Anchor at the lower endpoint.
+        for x, f in edges:
+            colx = col[x]
+            # Fan of x from f: each step takes the lowest colored neighbor not
+            # yet in the fan whose color is free at the fan's last vertex, so a
+            # taken entry leaves the candidate list for good.  The fan stops at
+            # its first vertex sharing a free color with x; d is the smallest.
+            fan = [f]
+            cands = None
+            while (d := lowest_free(used[x] | used[fan[-1]])) > top:
+                if cands is None:
+                    cands = [(w, colx[w]) for w in g.neighbors(x) if w in colx]
+                last = used[fan[-1]]
+                for i, (w, cw) in enumerate(cands):
+                    if not last >> cw & 1:
+                        del cands[i]
+                        fan.append(w)
+                        break
+                else:
+                    # A maximal fan with no color free at both x and its last
+                    # vertex: swap d and c on the maximal d/c path from x.  x
+                    # misses c, so the path is no cycle and ends before it holds
+                    # every edge.
+                    c = free(x)
+                    d = free(fan[-1])
+                    path = []
+                    cur, want, other = x, d, c
+                    while (nxt := at[cur].get(want)) is not None:
+                        path.append((cur, nxt, other))
+                        if len(path) == m:
+                            raise AssertionError("alternating path does not end")
+                        cur, want, other = nxt, other, want
+                    recolor(path)
+                    break
+            if len(fan) == 1:
+                # A swap needs a fan of two or more, so this fan stopped at
+                # once: f itself shares d with x.  Most fans do.  ``paint``,
+                # inline.
+                colx[f] = col[f][x] = d
+                at[x][d] = f
+                at[f][d] = x
+                used[x] |= 1 << d
+                used[f] |= 1 << d
+                continue
+            # d is free at x; rotate the first fan prefix ending at a vertex
+            # where d is free.  After a path swap the prefix must still be a fan
+            # under the swapped colors; after an early stop it is the whole fan.
+            for j, w in enumerate(fan):
+                if j > 0 and used[fan[j - 1]] >> colx[w] & 1:
+                    raise AssertionError("path swap broke the fan prefix")
+                if not used[w] >> d & 1:
+                    break
+            else:
+                raise AssertionError("fan rotation target missing")
+            # Shift each fan edge's color down, then finish with d.
+            recolor([(x, fan[i], colx[fan[i + 1]]) for i in range(j)]
+                    + [(x, w, d)])
+
+    def compact(self) -> int:
+        """Map the colors onto 1..K in their order, as ``relabeled`` does;
+        return K.  Only a palette with a gap is rewritten."""
+        base, col, at, used = self.base, self.col, self.at, self.used
+        vertices = self.host.vertices
+        palette = 0
+        for v in vertices:
+            palette |= used[v]
+        palette >>= base + 1
+        k = palette.bit_length()
+        if palette == (1 << k) - 1:
+            return k
+        rank: dict[int, int] = {}
+        for i in range(k):
+            if palette >> i & 1:
+                rank[base + 1 + i] = base + 1 + len(rank)
+        floor = (1 << base + 1) - 1
+        for v in vertices:
+            col[v] = {w: rank[c] for w, c in col[v].items()}
+            at[v] = {rank[c]: w for c, w in at[v].items()}
+            used[v] = floor | sum(1 << c for c in at[v])
+        return len(rank)
+
+    def edges_upto(self, k: int) -> list[Edge]:
+        """The edges of colors 1..k, in order, read from ``at`` in O(nk)."""
+        out = []
+        at, used = self.at, self.used
+        lo = self.base + 1
+        bits = (1 << k) - 1
+        for v in self.host.vertices:
+            if used[v] >> lo & bits:
+                at_v = at[v]
+                for c in range(lo, lo + k):
+                    w = at_v.get(c)
+                    if w is not None and v < w:
+                        out.append((v, w))
+        return out
+
+    def peel(self, part: frozenset[Edge], host: Graph) -> list[Edge]:
+        """Move to ``host``, the host less the edges of ``part``.
+
+        Uncolors ``part`` and what is left of classes 1..3 and moves every
+        color down by 3.  What stays colored is a partial proper coloring of
+        ``host``; returns its uncolored edges in order, the ones ``fan`` is
+        to color.  A part of max degree at most 3, as ``partition_p1``
+        peels, leaves ``host`` a Delta' of at least Delta-3, so colors
+        1..Delta+1 move down to at most Delta-2 <= Delta'+1: no color is
+        left above ``host``'s Delta'+1.
+        """
+        col, at, used = self.col, self.at, self.used
+        # Both loops are ``uncolor``, inline.
+        for u, v in part:
+            c = col[u].pop(v)
+            del col[v][u], at[u][c], at[v][c]
+            used[u] ^= 1 << c
+            used[v] ^= 1 << c
+        self.host = host
+        todo = self.edges_upto(3)
+        for u, v in todo:
+            c = col[u].pop(v)
+            del col[v][u], at[u][c], at[v][c]
+            used[u] ^= 1 << c
+            used[v] ^= 1 << c
+        self.base += 3
+        floor = (1 << self.base + 1) - 1
+        for v in host.vertices:
+            used[v] |= floor
+        todo.sort()
+        return todo
 
 
 # The two part-coloring kernels as they were before their inner loops were

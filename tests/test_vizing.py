@@ -10,8 +10,9 @@ from avdcolor import (EdgeColoring, Graph, check_proper, color_classes,
                       complete, cycle, edge_induced, exact_chromatic_index,
                       gnp, make_coloring, misra_gries, petersen,
                       random_regular)
+from avdcolor.graphs import without_edges
 from avdcolor.vizing import _Fans, relabeled
-from helpers import fans_coloring, warm_fans
+from helpers import FansReference, fans_coloring, warm_fans
 
 
 def test_c5_needs_three_colors():
@@ -217,6 +218,34 @@ def test_fans_compact_relabels_a_gapped_palette_at_any_base():
                            for w, c in fans.col[v].items())
 
 
+_PATH = [(0, 1), (0, 2)]
+
+
+@pytest.mark.parametrize("edges, painted, used, at, message", [
+    (_PATH, [], {0: 0b1111}, [], "no free color at 0"),
+    (_PATH, [], {0: 0b1101, 1: 0b1011}, [(0, 2, 2), (2, 1, 0)],
+     "alternating path does not end"),
+    (_PATH, [(0, 2, 3)], {0: 0b1101, 1: 0b0111, 2: 0b1011}, [(0, 2, 2)],
+     "path swap broke the fan prefix"),
+    (_PATH + [(1, 2)], [], {0: 0b1101, 1: 0b1011}, [(0, 2, 2), (2, 1, 1)],
+     "fan rotation target missing"),
+])
+def test_fan_stops_on_a_state_no_coloring_has(edges, painted, used, at,
+                                              message):
+    # Each guard of ``fan`` against masks and maps that disagree: fanning
+    # edge 01 ends in AssertionError, not in an endless walk or a coloring
+    # that is not proper.  No proper partial coloring reaches these lines.
+    fans = _Fans(Graph(3, edges))
+    for u, v, c in painted:
+        fans.paint(u, v, c)
+    for v, mask in used.items():
+        fans.used[v] = mask
+    for v, c, w in at:
+        fans.at[v][c] = w
+    with pytest.raises(AssertionError, match=message):
+        fans.fan([(0, 1)])
+
+
 @st.composite
 def _small_graphs(draw):
     n = draw(st.integers(2, 12))
@@ -276,19 +305,9 @@ def test_misra_gries_on_complete_graphs():
         _assert_delta_plus_one(complete(n), misra_gries(complete(n)))
 
 
-@st.composite
-def _graphs_with_starts(draw):
-    seed = draw(st.integers(0, 10**6))
-    if draw(st.booleans()):
-        g = gnp(draw(st.integers(2, 40)), draw(st.floats(0.05, 0.95)), seed)
-    else:
-        n = draw(st.integers(4, 30))
-        r = draw(st.integers(1, min(n - 1, 12)))
-        g = random_regular(n + n * r % 2, r, seed)
+def _random_start(g, rng, share):
     # A random partial proper coloring in 1..Delta+1, not derived from
     # misra_gries: each edge drawn is given a color free at both ends.
-    rng = random.Random(draw(st.integers(0, 10**6)))
-    share = draw(st.floats(0, 1))
     seen = {v: set() for v in g.vertices}
     start = {}
     for u, v in sorted(g.edges):
@@ -298,7 +317,24 @@ def _graphs_with_starts(draw):
             start[(u, v)] = c = rng.choice(free)
             seen[u].add(c)
             seen[v].add(c)
-    return g, start
+    return start
+
+
+@st.composite
+def _random_graphs(draw):
+    seed = draw(st.integers(0, 10**6))
+    if draw(st.booleans()):
+        return gnp(draw(st.integers(2, 40)), draw(st.floats(0.05, 0.95)), seed)
+    n = draw(st.integers(4, 30))
+    r = draw(st.integers(1, min(n - 1, 12)))
+    return random_regular(n + n * r % 2, r, seed)
+
+
+@st.composite
+def _graphs_with_starts(draw):
+    g = draw(_random_graphs())
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    return g, _random_start(g, rng, draw(st.floats(0, 1)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -309,3 +345,74 @@ def test_misra_gries_extends_random_partial_starts(case):
     mg = fans_coloring(warm_fans(g, start))
     _assert_delta_plus_one(g, mg)
     assert fans_coloring(warm_fans(g, start)).assignment == mg.assignment
+
+
+@st.composite
+def _fan_runs(draw):
+    # A graph, possibly edge-induced with gaps in its labels; a base; a
+    # warm partial start; and a generator for the parts the levels peel.
+    g = draw(_random_graphs())
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    if draw(st.booleans()):
+        keep = draw(st.floats(0.3, 1))
+        g = edge_induced(g, [e for e in sorted(g.edges) if rng.random() < keep])
+    base = draw(st.sampled_from((0, 3, 9)))
+    return g, base, _random_start(g, rng, draw(st.floats(0, 1))), rng
+
+
+def _assert_same_fans(fans, ref):
+    assert fans.host is ref.host and fans.base == ref.base
+    assert len(fans.col) == len(fans.at) == len(fans.used) == ref.host.n
+    vertices = set(ref.col)
+    for v in range(ref.host.n):
+        if v in vertices:
+            assert list(fans.col[v].items()) == list(ref.col[v].items())
+            assert list(fans.at[v].items()) == list(ref.at[v].items())
+            assert fans.used[v] == ref.used[v]
+        else:
+            assert (fans.col[v], fans.at[v], fans.used[v]) == (None, None, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fan_runs())
+def test_fans_match_their_reference(case):
+    # The list-indexed state against the dict-keyed one it replaced, step
+    # by step through partition_p2's sequence: paint a warm start over a
+    # base, then on each level fan, compact and read classes 1..3, and peel
+    # a part of max degree at most 3 grown from them.
+    g, base, start, rng = case
+    _assert_same_fans(_Fans.cold(g), FansReference.cold(g))
+    fans, ref = _Fans(g), FansReference(g)
+    floor = (1 << base + 1) - 1
+    for state in (fans, ref):
+        state.base = base
+        for v in g.vertices:
+            state.used[v] |= floor
+        for (u, v), c in start.items():
+            state.paint(u, v, base + c)
+    _assert_same_fans(fans, ref)
+    rest, todo = g, sorted(g.edges - start.keys())
+    for _ in range(4):
+        fans.fan(todo)
+        ref.fan(todo)
+        _assert_same_fans(fans, ref)
+        assert fans.compact() == ref.compact()
+        _assert_same_fans(fans, ref)
+        low = fans.edges_upto(3)
+        assert low == ref.edges_upto(3)
+        if not rest.edges:
+            break
+        # Drop some of classes 1..3 and add other edges while both ends
+        # stay within degree 3, as the engine's moves do.
+        deg = dict.fromkeys(rest.vertices, 0)
+        part = set()
+        for u, v in low + sorted(rest.edges - set(low)):
+            if deg[u] < 3 and deg[v] < 3 and rng.random() < 0.7:
+                part.add((u, v))
+                deg[u] += 1
+                deg[v] += 1
+        part = frozenset(part)
+        rest = without_edges(rest, part)
+        todo = fans.peel(part, rest)
+        assert todo == ref.peel(part, rest)
+        _assert_same_fans(fans, ref)
