@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -44,10 +43,11 @@ class Graph:
     def _build(self, n: int, es: frozenset[Edge],
                verts: tuple[int, ...] | None) -> None:
         # The adjacency builder of ``Graph`` and ``edge_induced``;
-        # ``without_edges`` trims its host's instead.  ``es`` holds
-        # canonical, distinct edges with both endpoints in ``verts``, or
-        # ``verts`` is None for the endpoints of ``es``.  Only vertices with
-        # edges get a neighbor list; the rest share the empty tuple.
+        # ``partition_p2``'s remainder copies its host's once and trims it
+        # in place.  ``es`` holds canonical, distinct edges with both
+        # endpoints in ``verts``, or ``verts`` is None for the endpoints of
+        # ``es``.  Only vertices with edges get a neighbor list; the rest
+        # share the empty tuple.
         adj: dict[int, list[int]] = {}
         for u, v in es:
             adj.setdefault(u, []).append(v)
@@ -115,7 +115,8 @@ def is_normal(g: Graph) -> bool:
     adj = g._adj
     for ns in adj.values():
         # An isolated vertex, or a pendant one whose neighbor is pendant.
-        if not ns or (len(ns) == 1 and len(adj[ns[0]]) == 1):
+        # ``next(iter(ns))``: a neighbor list may also be a dict's keys.
+        if not ns or (len(ns) == 1 and len(adj[next(iter(ns))]) == 1):
             return False
     return True
 
@@ -154,37 +155,6 @@ def edge_induced(g: Graph, s: Iterable[Edge]) -> Graph:
     ``s`` holds edges of ``g`` in either orientation, each once."""
     sub = Graph.__new__(Graph)
     sub._build(g.n, _host_edges(g, s), None)
-    return sub
-
-
-def without_edges(g: Graph, part: Iterable[Edge]) -> Graph:
-    """``edge_induced(g, g.edges - part)`` for edges ``part`` of g.
-
-    The remainder of a peel: beside one set difference it takes
-    O(n + |part| log Delta).  It shares every neighbor tuple that ``part``
-    does not touch, and drops the vertices left with no edge.
-    """
-    part = _host_edges(g, part)
-    lost: dict[int, list[int]] = {}
-    for u, v in part:
-        lost.setdefault(u, []).append(v)
-        lost.setdefault(v, []).append(u)
-    adj = {v: ns for v, ns in g._adj.items() if ns}
-    for v, ws in lost.items():
-        ns = list(adj[v])
-        for w in ws:
-            del ns[bisect_left(ns, w)]
-        if ns:
-            adj[v] = tuple(ns)
-        else:
-            del adj[v]
-    sub = Graph.__new__(Graph)
-    sub.n = g.n
-    # Dict order is g's ascending vertex order.
-    sub._vertices = g._vertices if len(adj) == len(g._adj) else tuple(adj)
-    sub._edges = g._edges - part
-    sub._adj = adj
-    sub.max_degree = max(map(len, adj.values()), default=0)
     return sub
 
 

@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Iterator
 from .errors import (CounterexampleFound, InternalBoundViolationError,
                      NotNormalError)
 from .graphs import (Edge, EdgePartition, Graph, SubgraphSelection,
-                     canon_edge, is_normal, without_edges)
+                     canon_edge, is_normal)
 from .graph_io import emit_graph
 from .vizing import _Fans, color_classes, misra_gries
 
@@ -542,6 +542,43 @@ def partition_p1(g: Graph, trace: Callable[[dict], None] | None = None,
     return EdgePartition(g, [h_edges, sel.complement_edges()])
 
 
+class _Level(Graph):
+    """The remainder of ``partition_p2``'s peel, trimmed in place.
+
+    A ``Graph`` copied once from the input, with each neighbor list a dict
+    (``dict.fromkeys`` in ascending order): deleting a key is O(1) and keeps
+    the ascending order that the engine and ``_Fans.fan`` read.  It is the
+    one ``Graph`` that changes, so it never leaves ``partition_p2``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, g: Graph):
+        self.n = g.n
+        self._vertices = g.vertices
+        self._edges = g.edges
+        self._adj = {v: dict.fromkeys(ns) for v, ns in g._adj.items()}
+        self.max_degree = g.max_degree
+
+    def trim(self, part: frozenset[Edge], rest: frozenset[Edge]) -> None:
+        """Remove the edges of ``part``, leaving ``rest``, and drop the
+        vertices left with no edge: ``edge_induced(self, rest)``, in
+        O(n + |part|).  ``part`` and ``rest`` are the two sides of a checked
+        ``EdgePartition`` of this level, so ``rest`` is taken as is."""
+        adj = self._adj
+        for u, v in part:
+            nu, nv = adj[u], adj[v]
+            del nu[v], nv[u]
+            if not nu:
+                del adj[u]
+            if not nv:
+                del adj[v]
+        if len(adj) < len(self._vertices):
+            self._vertices = tuple(adj)
+        self._edges = rest
+        self.max_degree = max(map(len, adj.values()), default=0)
+
+
 def partition_p2(g: Graph,
                  trace: Callable[[dict], None] | None = None) -> EdgePartition:
     """Decomposition into G_0 .. G_k with k <= floor(Delta/2) - 2.
@@ -559,26 +596,29 @@ def partition_p2(g: Graph,
     Delta'+1 (a subcubic peel leaves Delta' >= Delta-3), and fans color only
     the edges left uncolored: those the engine moved out of the selection.
     Colors are mapped onto 1..K in their order on every level, as
-    ``misra_gries`` does.  Each level's ``Graph`` is built from the one
-    above (``without_edges``).  The membership guarantee needs only some
-    proper (Delta'+1)-coloring, and ``initial_selection`` checks membership
-    on every level.  A graph with no edge has no partition: it raises
-    ValueError.
+    ``misra_gries`` does.  The remainder is one ``_Level``, built once from
+    ``g``: each level trims its peel off in place and keeps the complement
+    ``partition_p1`` built and checked as its edge set, so a level costs
+    O(n + |peel|) beside the engine, not a new graph.  The membership
+    guarantee needs only some proper (Delta'+1)-coloring, and
+    ``initial_selection`` checks membership on every level.  A graph with
+    no edge has no partition: it raises ValueError.
     """
     if not is_normal(g):
         raise NotNormalError("partition requires a normal graph")
     if not g.edges:
         raise ValueError("partition requires a graph with at least one edge")
     peels: list[frozenset[Edge]] = []
-    rest = g
+    rest = _Level(g)
     fans = _Fans(g)
     todo = g.sorted_edges()
     while rest.max_degree > 5:
         fans.fan(todo)
         fans.compact()
-        h_edges, _ = partition_p1(rest, trace=trace, coloring=fans).parts
+        h_edges, hbar_edges = partition_p1(rest, trace=trace,
+                                           coloring=fans).parts
         peels.append(h_edges)
-        rest = without_edges(rest, h_edges)
+        rest.trim(h_edges, hbar_edges)
         todo = fans.peel(h_edges, rest)
     if peels and not is_normal(rest):
         raise AssertionError("remainder G_0 is not normal")

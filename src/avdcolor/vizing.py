@@ -271,9 +271,11 @@ def misra_gries(g: Graph) -> EdgeColoring:
     builds by default; ``partition_p2`` extends each level's coloring on
     the one state it keeps through the peel.
     """
-    fans = _Fans.cold(g)
+    # Only ``col`` is kept, so the rest of the state is freed before the
+    # assignment is built.
+    col = _Fans.cold(g).col
     return EdgeColoring(g, {(v, w): c for v in g.vertices
-                            for w, c in fans.col[v].items() if v < w})
+                            for w, c in col[v].items() if v < w})
 
 
 def relabeled(color: dict[Edge, int]) -> dict[Edge, int]:

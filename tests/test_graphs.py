@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from avdcolor import (EdgePartition, Graph, SubgraphSelection, canon_edge,
                       complete, cycle, edge_induced, gnp, is_normal)
-from avdcolor.graphs import without_edges
+from avdcolor.partition import _Level
 from helpers import recompute_selection_state
 
 
@@ -199,13 +199,12 @@ def test_edge_induced_from_a_host_edge_set_matches_a_list(case):
 ])
 def test_edge_induced_errors(s, message):
     # Every edge-set input of a host takes the same check, with the same
-    # errors: as a subgraph, a selection, edges to remove, and a partition's
-    # part 0 with the rest of C_5 as part 1.
+    # errors: as a subgraph, a selection, and a partition's part 0 with the
+    # rest of C_5 as part 1.
     g = cycle(5)
     rest = g.edges - {canon_edge(u, v) for u, v in s if u != v}
     for build in (lambda: edge_induced(g, s),
                   lambda: SubgraphSelection(g, s),
-                  lambda: without_edges(g, s),
                   lambda: EdgePartition(g, [s, rest])):
         with pytest.raises(ValueError, match=message):
             build()
@@ -255,17 +254,67 @@ def test_selection_isolation_matches_recount_on_random_hosts():
     assert iso_unsel_seen > 100
 
 
+@st.composite
+def _levels_and_trims(draw):
+    # A host with no isolated vertex, as partition_p2's is, and a seed for
+    # the subcubic parts its levels peel.
+    n = draw(st.integers(2, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = Graph(n, draw(st.sets(st.sampled_from(pairs))))
+    return edge_induced(g, g.edges), random.Random(draw(st.integers(0, 10**6)))
+
+
+def _subcubic_part(remaining: set, rng: random.Random) -> frozenset:
+    # Every edge of a vertex of least degree first, so that the trim
+    # empties it when that degree is at most 3, then random other edges
+    # while both ends stay within degree 3.
+    deg = {}
+    for u, v in remaining:
+        deg[u] = deg.get(u, 0) + 1
+        deg[v] = deg.get(v, 0) + 1
+    low = min(deg, key=lambda v: (deg[v], v))
+    first = sorted(e for e in remaining if low in e)
+    rest = sorted(remaining - set(first))
+    rng.shuffle(rest)
+    taken = dict.fromkeys(deg, 0)
+    part = set()
+    for u, v in first + rest:
+        if taken[u] < 3 and taken[v] < 3 and (low in (u, v)
+                                              or rng.random() < 0.5):
+            part.add((u, v))
+            taken[u] += 1
+            taken[v] += 1
+    return frozenset(part)
+
+
 @settings(max_examples=100, deadline=None)
-@given(_hosts_and_selections())
-def test_without_edges_matches_edge_induced(case):
-    g, picked = case
-    part = frozenset(canon_edge(u, v) for u, v in picked)
-    sub = without_edges(g, part)
-    _same_graph(sub, edge_induced(g, g.edges - part))
-    # Untouched neighbor tuples are shared with the host.
-    touched = {v for e in part for v in e}
-    assert all(sub.neighbors(v) is g.neighbors(v)
-               for v in sub.vertices if v not in touched)
+@given(_levels_and_trims())
+def test_level_trim_matches_edge_induced(case):
+    # partition_p2's remainder, trimmed in place by subcubic parts as its
+    # levels are, reads as the edge-induced graph of the edges left.
+    g, rng = case
+    level = _Level(g)
+    remaining = set(g.edges)
+    while True:
+        sub = edge_induced(g, remaining)
+        assert level.vertices == sub.vertices
+        assert level.edges == sub.edges and level.edge_count == len(remaining)
+        for v in sub.vertices:
+            ns = list(level.neighbors(v))
+            assert ns == list(sub.neighbors(v)) == sorted(ns)
+            assert level.degree(v) == sub.degree(v)
+        assert level.max_degree == sub.max_degree
+        assert level.sorted_edges() == sub.sorted_edges()
+        assert is_normal(level) == is_normal(sub)
+        if not remaining:
+            break
+        part = _subcubic_part(remaining, rng)
+        before = len(level.vertices)
+        low = min(map(level.degree, level.vertices))
+        remaining -= part
+        level.trim(part, frozenset(remaining))
+        # A vertex of least degree lost every edge if that was at most 3.
+        assert len(level.vertices) < before or low > 3
 
 
 @settings(max_examples=100, deadline=None)
@@ -274,7 +323,7 @@ def test_adjacency_is_an_ascending_read_only_view(case):
     # The coloring kernels read sorted pairs and conflict lists off it.
     g, picked = case
     part = frozenset(canon_edge(u, v) for u, v in picked)
-    for h in (g, edge_induced(g, part), without_edges(g, part)):
+    for h in (g, edge_induced(g, part)):
         adj = h.adjacency
         assert tuple(adj) == h.vertices == tuple(sorted(h.vertices))
         assert all(ns == h.neighbors(v) == tuple(sorted(ns))
@@ -283,11 +332,6 @@ def test_adjacency_is_an_ascending_read_only_view(case):
         assert h.sorted_edges() == sorted(h.edges)
         with pytest.raises(TypeError):
             adj[h.n] = ()
-
-
-def test_without_edges_rejects_foreign_edges():
-    with pytest.raises(ValueError, match=r"edge \(0, 2\) not in host graph"):
-        without_edges(cycle(5), {(0, 2)})
 
 
 def test_edge_partition_set_parts_match_lists():

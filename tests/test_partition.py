@@ -574,8 +574,6 @@ def test_partition_p2_checks_and_builds_each_level_once(monkeypatch):
     # partition imports no edge_induced; a part graph is built in graphs.
     monkeypatch.setattr(graphs, "edge_induced",
                         counted("edge_induced", graphs.edge_induced))
-    monkeypatch.setattr(partition, "without_edges",
-                        counted("without_edges", partition.without_edges))
     monkeypatch.setattr(partition, "partition_p1",
                         counted("levels", partition.partition_p1))
     part = partition_p2(complete(16))
@@ -583,8 +581,7 @@ def test_partition_p2_checks_and_builds_each_level_once(monkeypatch):
     assert levels == part.k == 4
     # The entry check, one per level (initial_selection) and one for G_0.
     assert counts["is_normal"] <= levels + 2
-    # One Graph per level, the remainder below it, built from the one above.
-    assert counts["without_edges"] == levels
+    # The remainder is trimmed in place: no level builds a part graph.
     assert counts["edge_induced"] == 0
 
 
