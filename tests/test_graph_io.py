@@ -112,6 +112,29 @@ def test_edgelist_examples():
     assert g2.edges == frozenset({(0, 1), (2, 3)})
 
 
+@pytest.mark.parametrize("fmt, text, message", [
+    # Comment and blank lines count toward the line number.
+    ("dimacs", "c k3\np edge 3 1\n\ne 2 2\n", "line 4: self-loop"),
+    ("dimacs", "p edge 3 2\ne 1 2\ne 1 2\n", "line 3: duplicate edge (0, 1)"),
+    ("dimacs", "p edge 3 2\ne 3 2\ne 2 3\n", "line 3: duplicate edge (1, 2)"),
+    ("dimacs", "p edge 3 2\ne 1 2\ne 2 1\n", "line 3: duplicate edge (0, 1)"),
+    ("dimacs", "p edge 3 1\ne 1 4\n", "line 2: vertex out of range"),
+    ("dimacs", "p edge 3 1\ne 0 1\n", "line 2: vertex out of range"),
+    ("dimacs", "p edge 3 1\ne 1 x\n", "line 2: bad endpoints"),
+    ("edgelist", "# k3\n0 1\n\n2 2\n", "line 4: self-loop"),
+    ("edgelist", "0 1\n0 1\n", "line 2: duplicate edge (0, 1)"),
+    ("edgelist", "2 1\n1 2 # again\n", "line 2: duplicate edge (1, 2)"),
+    ("edgelist", "0 1\n1 0\n", "line 2: duplicate edge (0, 1)"),
+    ("edgelist", "0 1\n0 258047\n",
+     "line 2: vertex index outside 0..258046"),
+    ("edgelist", "0 1\n0 x\n", "line 2: bad endpoints"),
+])
+def test_edge_line_errors_name_the_line(fmt, text, message):
+    with pytest.raises(GraphFormatError) as exc:
+        parse_graph(text, fmt)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("tok", ["1_0", "+3", "٣"])  # ٣, Arabic-Indic 3
 @pytest.mark.parametrize("fmt, template", [
     ("dimacs", "p edge {} 0\n"),
