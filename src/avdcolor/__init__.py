@@ -23,7 +23,7 @@ from .partition import (Chain, MembershipReport, Move, VertexType,
 from .verify import (AuditReport, audit, check_avd, check_certificate,
                      check_partition, check_proper, exact_chi_a,
                      exact_chromatic_index)
-from .vizing import EdgeColoring, color_classes, make_coloring, misra_gries
+from .vizing import EdgeColoring, color_classes, misra_gries
 
 __all__ = [
     "AuditReport", "AvdCertificate", "CapExceededError", "Chain",
@@ -39,7 +39,7 @@ __all__ = [
     "compose", "cycle", "edge_induced",
     "emit_graph", "enumerate_chains", "exact_chi_a", "exact_chromatic_index",
     "find_move", "generate", "gnp", "initial_selection", "is_normal",
-    "main_bound", "make_coloring", "misra_gries", "parse_graph",
+    "main_bound", "misra_gries", "parse_graph",
     "partition_p1", "partition_p2", "partition_regular", "petersen",
     "random_regular", "regular_bound", "run_engine", "sniff_format",
 ]

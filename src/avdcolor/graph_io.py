@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 
 from .errors import GraphFormatError
-from .graphs import Graph
+from .graphs import Edge, Graph
 
 FORMATS = ("graph6", "dimacs", "edgelist")
 
@@ -62,7 +62,8 @@ def sniff_format(text: bytes | str) -> str:
         return "dimacs"
     if line.startswith("#"):
         return "edgelist"
-    toks = line.split()
+    # An edge list's line may end in a comment, as ``_parse_edgelist`` reads.
+    toks = line.split("#", 1)[0].split()
     if len(toks) == 2 and all(t.isdigit() for t in toks):
         return "edgelist"
     return "graph6"
@@ -144,11 +145,22 @@ def _decimal(tok: str) -> int:
     return int(tok)
 
 
+def _add_edge(edges: dict[Edge, None], u: int, v: int, lineno: int) -> None:
+    """Record the edge uv of line ``lineno`` in ``edges``, canonical; a
+    self-loop or an edge already recorded, in either orientation, is an
+    error."""
+    if u == v:
+        raise GraphFormatError(f"line {lineno}: self-loop")
+    key = (u, v) if u < v else (v, u)
+    if key in edges:
+        raise GraphFormatError(f"line {lineno}: duplicate edge {key}")
+    edges[key] = None
+
+
 def _parse_dimacs(text: str) -> Graph:
     n = None
     m_declared = None
-    edges = []
-    seen = set()
+    edges: dict[Edge, None] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -177,13 +189,7 @@ def _parse_dimacs(text: str) -> Graph:
                 raise GraphFormatError(f"line {lineno}: bad endpoints") from None
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphFormatError(f"line {lineno}: vertex out of range")
-            if u == v:
-                raise GraphFormatError(f"line {lineno}: self-loop")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise GraphFormatError(f"line {lineno}: duplicate edge {key}")
-            seen.add(key)
-            edges.append(key)
+            _add_edge(edges, u, v, lineno)
         else:
             raise GraphFormatError(f"line {lineno}: unknown record {toks[0]!r}")
     if n is None:
@@ -205,8 +211,7 @@ def _emit_dimacs(g: Graph) -> bytes:
 
 
 def _parse_edgelist(text: str) -> Graph:
-    pairs = []
-    seen = set()
+    edges: dict[Edge, None] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -221,15 +226,9 @@ def _parse_edgelist(text: str) -> Graph:
         if not (0 <= u < _MAX_VERTICES and 0 <= v < _MAX_VERTICES):
             raise GraphFormatError(
                 f"line {lineno}: vertex index outside 0..{_MAX_VERTICES - 1}")
-        if u == v:
-            raise GraphFormatError(f"line {lineno}: self-loop")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise GraphFormatError(f"line {lineno}: duplicate edge {key}")
-        seen.add(key)
-        pairs.append(key)
-    n = 1 + max((max(u, v) for u, v in pairs), default=-1)
-    return Graph(n, pairs)
+        _add_edge(edges, u, v, lineno)
+    n = 1 + max((v for _, v in edges), default=-1)
+    return Graph(n, edges)
 
 
 def _emit_edgelist(g: Graph) -> bytes:

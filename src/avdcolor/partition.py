@@ -83,34 +83,24 @@ class Move:
 # -- membership and vertex typing ------------------------------------------
 
 
-def _member_at(g: Graph, sel: SubgraphSelection, v: int) -> int:
-    """The first membership condition ``v`` violates (1, 2 or 3), or 0."""
-    d_sel = sel.deg(v)
-    if d_sel > 3:
-        return 1
-    if g.degree(v) == g.max_degree and d_sel < 2:
-        return 2
-    if g.degree(v) == g.max_degree - 1 and d_sel < 1:
-        return 3
-    return 0
+def _violations(g: Graph, sel: SubgraphSelection,
+                vertices: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """Each of ``vertices`` that breaks a membership condition, with the
+    condition (1, 2 or 3; at most one can fail at a vertex)."""
+    deg, adj, delta = sel._deg, g._adj, g.max_degree
+    for v in vertices:
+        d = deg[v]
+        if d > 3:
+            yield v, 1
+        elif d < 2 and len(adj[v]) == delta:
+            yield v, 2
+        elif d < 1 and len(adj[v]) == delta - 1:
+            yield v, 3
 
 
 def check_membership(g: Graph, sel: SubgraphSelection) -> MembershipReport:
-    """Report every violation of the three selection-degree conditions.
-
-    ``_member_at`` at every vertex, in one pass over the adjacency.
-    """
-    deg, delta = sel._deg, g.max_degree
-    violations = []
-    for v, ns in g._adj.items():
-        d = deg[v]
-        if d > 3:
-            violations.append((v, 1))
-        elif d < 2 and len(ns) == delta:
-            violations.append((v, 2))
-        elif d < 1 and len(ns) == delta - 1:
-            violations.append((v, 3))
-    return MembershipReport(tuple(violations))
+    """Report every violation of the three selection-degree conditions."""
+    return MembershipReport(tuple(_violations(g, sel, g._adj)))
 
 
 def _cond1(sel: SubgraphSelection, u: int) -> bool:
@@ -227,8 +217,8 @@ def _try_move(g: Graph, sel: SubgraphSelection, add: frozenset[Edge],
         sel.add(e)
     for e in remove:
         sel.remove(e)
-    if sel.potential() < old_pot and not any(
-            _member_at(g, sel, v) for e in add | remove for v in e):
+    if sel.potential() < old_pot and not any(_violations(
+            g, sel, (v for e in add | remove for v in e))):
         return True
     for e in remove:
         sel.add(e)
@@ -357,13 +347,8 @@ def find_move(g: Graph, sel: SubgraphSelection) -> Move:
     out.
     """
     delta = g.max_degree
-    iso_h = sorted(sel.isolated_selected)
-    iso_hbar = sorted(sel.isolated_unselected)
-    if not iso_h and not iso_hbar:
-        raise ValueError("selection has zero potential; nothing to fix")
-
-    if iso_h:
-        e = iso_h[0]
+    if sel._iso_sel:
+        e = min(sel._iso_sel)
         v, _vp = _orient(g, e)
         if g.degree(v) > delta - 1:
             raise _counterexample("isolated selected edge at a Delta vertex",
@@ -375,7 +360,9 @@ def find_move(g: Graph, sel: SubgraphSelection) -> Move:
             return Move(frozenset(), frozenset({e}), "claim1.drop")
         return _grow_closure(g, sel, v, VertexType.TYPE_I)
 
-    e = iso_hbar[0]
+    if not sel._iso_unsel:
+        raise ValueError("selection has zero potential; nothing to fix")
+    e = min(sel._iso_unsel)
     u, _up = _orient(g, e)
     if sel.deg(u) < 1:
         raise _counterexample(

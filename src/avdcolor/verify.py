@@ -1,7 +1,11 @@
 """Independent checkers and brute-force oracles.
 
-Everything here works from the definitions alone and shares no code with
-the producing modules, so a passing check is evidence rather than an echo.
+Everything here works from the definitions.  The checkers share no
+coloring, search or partition code with the producing modules: they read
+only the graph model (``Graph``, ``canon_edge``, ``is_normal``) and the
+``EdgeColoring`` record, so a passing check is evidence rather than an
+echo.  ``audit`` runs the producers, imported inside it, and checks what
+they return.
 Each coloring checker, ``check_certificate`` too, makes one pass over the
 assignment that builds a color bitmask per vertex.  Each distinct color
 gets one bit by its index among the colors present, never by its value, so

@@ -5,14 +5,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import Edge, Graph, canon_edge
+from .graphs import Edge, Graph
 
 
 @dataclass(frozen=True)
 class EdgeColoring:
     """A proper edge coloring: colors are positive integers.
 
-    Treat instances as immutable; helpers below build fresh ones.
+    Treat instances as immutable: ``misra_gries``, the coloring routes and
+    the certificate reader each build a new one around a fresh assignment.
     """
 
     host: Graph
@@ -22,15 +23,6 @@ class EdgeColoring:
     def colors_used(self) -> int:
         """The number of distinct colors in ``assignment``."""
         return len(set(self.assignment.values()))
-
-    def colors_at(self, v: int) -> frozenset[int]:
-        """C(v): the set of colors on edges incident to v."""
-        return frozenset(self.assignment[canon_edge(v, w)]
-                         for w in self.host.neighbors(v))
-
-
-def make_coloring(host: Graph, assignment: dict[Edge, int]) -> EdgeColoring:
-    return EdgeColoring(host, dict(assignment))
 
 
 class _Fans:
@@ -84,11 +76,14 @@ class _Fans:
         self.used[u] |= 1 << c
         self.used[v] |= 1 << c
 
-    def uncolor(self, u: int, v: int) -> None:
-        c = self.col[u].pop(v)
-        del self.col[v][u], self.at[u][c], self.at[v][c]
-        self.used[u] ^= 1 << c
-        self.used[v] ^= 1 << c
+    def uncolor(self, edges: Iterable[Edge]) -> None:
+        """Uncolor the colored ``edges``."""
+        col, at, used = self.col, self.at, self.used
+        for u, v in edges:
+            c = col[u].pop(v)
+            del col[v][u], at[u][c], at[v][c]
+            used[u] ^= 1 << c
+            used[v] ^= 1 << c
 
     def fan(self, edges: Iterable[Edge]) -> None:
         """Color the uncolored ``edges`` of ``host``, in order, by fans.
@@ -117,9 +112,7 @@ class _Fans:
         def recolor(batch: list[tuple[int, int, int]]) -> None:
             # Uncolor everything first: a sequential rewrite would transiently
             # give a vertex two edges of one color and corrupt ``at``.
-            for u, v, _ in batch:
-                if v in col[u]:
-                    self.uncolor(u, v)
+            self.uncolor([(u, v) for u, v, _ in batch if v in col[u]])
             for u, v, c in batch:
                 paint(u, v, c)
 
@@ -233,22 +226,13 @@ class _Fans:
         1..Delta+1 move down to at most Delta-2 <= Delta'+1: no color is
         left above ``host``'s Delta'+1.
         """
-        col, at, used = self.col, self.at, self.used
-        # Both loops are ``uncolor``, inline.
-        for u, v in part:
-            c = col[u].pop(v)
-            del col[v][u], at[u][c], at[v][c]
-            used[u] ^= 1 << c
-            used[v] ^= 1 << c
+        self.uncolor(part)
         self.host = host
         todo = self.edges_upto(3)
-        for u, v in todo:
-            c = col[u].pop(v)
-            del col[v][u], at[u][c], at[v][c]
-            used[u] ^= 1 << c
-            used[v] ^= 1 << c
+        self.uncolor(todo)
         self.base += 3
         floor = (1 << self.base + 1) - 1
+        used = self.used
         for v in host.vertices:
             used[v] |= floor
         todo.sort()

@@ -9,7 +9,7 @@ from typing import Iterable
 from avdcolor import (EdgeColoring, EdgePartition, Graph, SubgraphSelection,
                       SearchCapExceededError, canon_edge, check_membership,
                       complete, edge_induced, find_move, gnp, is_normal,
-                      make_coloring, partition, random_regular)
+                      partition, random_regular)
 from avdcolor.coloring import AvdCertificate, Edge, _certificate
 from avdcolor.vizing import _Fans, relabeled
 
@@ -207,8 +207,8 @@ def warm_fans(g: Graph, start: dict) -> _Fans:
 
 def fans_coloring(fans: _Fans) -> EdgeColoring:
     """The coloring a state of base 0 holds, as an ``EdgeColoring``."""
-    return make_coloring(fans.host, {(v, w): c for v in fans.host.vertices
-                                     for w, c in fans.col[v].items() if v < w})
+    return EdgeColoring(fans.host, {(v, w): c for v in fans.host.vertices
+                                    for w, c in fans.col[v].items() if v < w})
 
 
 def partition_p2_by_levels(g: Graph, trace=None) -> EdgePartition:
@@ -681,7 +681,13 @@ def check_avd_reference(g: Graph, coloring: EdgeColoring):
 
 
 def color_sets_reference(g: Graph, coloring: EdgeColoring) -> dict:
-    return {v: coloring.colors_at(v) for v in g.vertices}
+    """C(v) at every vertex: the colors of the edges at v, read off the
+    assignment."""
+    sets: dict[int, set[int]] = {v: set() for v in g.vertices}
+    for (u, v), c in coloring.assignment.items():
+        sets[u].add(c)
+        sets[v].add(c)
+    return {v: frozenset(cs) for v, cs in sets.items()}
 
 
 def distinguishing_reference(g: Graph, sets: dict):

@@ -501,6 +501,13 @@ def test_oversized_vertex_count_exit_two(tmp_path, capsys):
     assert "vertex count" in capsys.readouterr().err
 
 
+def test_color_sniffs_an_edge_list_with_a_trailing_comment(tmp_path, capsys):
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"0 1 # e\n1 2\n2 0\n")
+    assert main(["color", str(path)]) == 0
+    assert capsys.readouterr().out == "colors=3 bound=10\n"
+
+
 def test_dimacs_format_flag(tmp_path, capsys):
     gpath = _write_graph(tmp_path, complete(7), "k7.col", fmt="dimacs")
     assert main(["color", gpath, "--format", "dimacs"]) == 0

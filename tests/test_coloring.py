@@ -7,11 +7,11 @@ import types
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from avdcolor import (EdgePartition, Graph, NotNormalError, avd_color,
-                      avd_color_budget, avd_color_regular, avd_subcubic,
-                      check_avd, check_proper, complete, compose, cycle,
-                      edge_induced, gnp, main_bound, make_coloring,
-                      misra_gries, partition_p2, partition_regular, petersen,
+from avdcolor import (EdgeColoring, EdgePartition, Graph, NotNormalError,
+                      avd_color, avd_color_budget, avd_color_regular,
+                      avd_subcubic, check_avd, check_proper, complete, compose,
+                      cycle, edge_induced, gnp, main_bound, misra_gries,
+                      partition_p2, partition_regular, petersen,
                       random_regular, regular_bound)
 from avdcolor import (InternalBoundViolationError, SearchCapExceededError,
                       audit, check_certificate, coloring, emit_graph,
@@ -125,19 +125,19 @@ def test_compose_rejects_bad_partition():
     clash = dict(full_cert.coloring.assignment)
     clash[(0, 1)] = clash[(1, 2)]
     bad_cert = dataclasses.replace(full_cert,
-                                   coloring=make_coloring(g, clash))
+                                   coloring=EdgeColoring(g, clash))
     with pytest.raises(ValueError):
         compose([bad_cert], host=g)  # improper part certificate
     with pytest.raises(ValueError, match="nothing to compose"):
         compose([], host=g)
-    one_edge = dataclasses.replace(half_cert, coloring=make_coloring(
+    one_edge = dataclasses.replace(half_cert, coloring=EdgeColoring(
         edge_induced(g, [(0, 1)]), {(0, 1): 1}))
     with pytest.raises(NotNormalError, match="must be normal"):
         compose([one_edge], host=g)
     # Proper but not distinguishing: every vertex sees colors 1 and 2.
-    alternating = make_coloring(g, {e: 1 + i % 2 for i, e in
-                                    enumerate([(0, 1), (1, 2), (2, 3),
-                                               (3, 4), (4, 5), (0, 5)])})
+    alternating = EdgeColoring(g, {e: 1 + i % 2 for i, e in
+                                   enumerate([(0, 1), (1, 2), (2, 3),
+                                              (3, 4), (4, 5), (0, 5)])})
     two_colors = dataclasses.replace(full_cert, coloring=alternating)
     with pytest.raises(ValueError, match="not distinguishing"):
         compose([two_colors], host=g)
@@ -743,8 +743,8 @@ def test_repair_refuses_a_start_above_its_budget():
     # onto 1..K if it still has a gap.
     for s in range(30):
         g = random_regular(20, 3, s)
-        start = make_coloring(g, {e: 5 if c == 4 else c for e, c
-                                  in misra_gries(g).assignment.items()})
+        start = EdgeColoring(g, {e: 5 if c == 4 else c for e, c
+                                 in misra_gries(g).assignment.items()})
         assert start.colors_used == 4
         assert coloring._repair(g, 4, start) is None
         cert = coloring._repair(g, 5, start)
@@ -753,8 +753,8 @@ def test_repair_refuses_a_start_above_its_budget():
     # A spider has no equal-degree pair, so no step runs and the gap stays
     # until the certificate closes it: 5 becomes 4.
     spider = Graph(7, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6)])
-    start = make_coloring(spider, {(0, 1): 1, (0, 2): 2, (0, 3): 5,
-                                   (1, 4): 2, (2, 5): 3, (3, 6): 1})
+    start = EdgeColoring(spider, {(0, 1): 1, (0, 2): 2, (0, 3): 5,
+                                  (1, 4): 2, (2, 5): 3, (3, 6): 1})
     assert coloring._repair(spider, 4, start) is None
     cert = coloring._repair(spider, 5, start)
     assert cert.colors_used == 4 and cert.coloring.assignment[(0, 3)] == 4

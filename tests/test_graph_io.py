@@ -166,6 +166,8 @@ def test_sniff_format():
     assert sniff_format(b"0 1\n1 2\n") == "edgelist"
     assert sniff_format(emit_graph(cycle(5), "graph6")) == "graph6"
     assert sniff_format(b"# comment\n0 1\n") == "edgelist"
+    assert sniff_format(b"0 1 # e\n1 2\n2 0\n") == "edgelist"
+    assert sniff_format(b"0 1#e\n") == "edgelist"
     assert sniff_format(b">>graph6<<Dhc\n") == "graph6"
     assert sniff_format(b"\n  \n\t\n0 1\n") == "edgelist"
     assert sniff_format(b"e 1 2\np edge 2 1\n") == "dimacs"

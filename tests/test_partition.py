@@ -40,9 +40,10 @@ def test_check_membership_overfull_vertex():
     assert (0, 1) in report.violations
 
 
-def test_check_membership_matches_the_per_vertex_test():
-    # One pass over the adjacency reports what _member_at finds vertex by
-    # vertex, in vertex order, on membership-preserving walks and on
+def test_check_membership_matches_a_recount():
+    # The violations, in vertex order, are those of the three conditions
+    # recounted from their definitions: selection degrees from the selected
+    # edges, degrees from the graph.  On membership-preserving walks and on
     # random selections that break every condition.
     rng = random.Random(5)
     seen = Counter()
@@ -56,8 +57,14 @@ def test_check_membership_matches_the_per_vertex_test():
             x = rng.choice(high)
             for w in sel.selected_neighbors(x):
                 sel.remove(canon_edge(x, w))
-            expected = tuple((v, c) for v in g.vertices
-                             if (c := partition._member_at(g, sel, v)))
+            d_sel = Counter(v for e in sel.selected for v in e)
+            delta = g.max_degree
+            expected = tuple(
+                (v, c) for v in g.vertices for c, broken in (
+                    (1, d_sel[v] > 3),
+                    (2, g.degree(v) == delta and d_sel[v] < 2),
+                    (3, g.degree(v) == delta - 1 and d_sel[v] < 1))
+                if broken)
             assert check_membership(g, sel).violations == expected
             seen.update(c for _, c in expected)
     assert set(seen) == {1, 2, 3}

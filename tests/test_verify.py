@@ -11,8 +11,8 @@ from avdcolor import (CapExceededError, EdgeColoring, Graph, NotNormalError,
                       audit, avd_color, check_avd, check_certificate,
                       check_partition, check_proper, complete, cycle,
                       exact_chi_a, exact_chromatic_index, gnp, is_normal,
-                      emit_graph, make_coloring, misra_gries, partition_p2,
-                      petersen, random_regular)
+                      emit_graph, misra_gries, partition_p2, petersen,
+                      random_regular)
 from avdcolor import coloring, partition, verify
 from avdcolor.cli import main
 from helpers import (check_avd_reference, check_certificate_reference,
@@ -30,7 +30,7 @@ def test_check_proper_accepts_misra_gries():
 
 def test_check_proper_counterexample():
     g = cycle(3)
-    bad = make_coloring(g, {e: 1 for e in g.edges})
+    bad = EdgeColoring(g, {e: 1 for e in g.edges})
     ok, witness = check_proper(g, bad)
     assert not ok
     e1, e2 = witness
@@ -39,18 +39,18 @@ def test_check_proper_counterexample():
 
 def test_check_proper_single_edge():
     g = Graph(2, [(0, 1)])
-    assert check_proper(g, make_coloring(g, {(0, 1): 1})) == (True, None)
+    assert check_proper(g, EdgeColoring(g, {(0, 1): 1})) == (True, None)
 
 
 def test_check_proper_requires_complete_assignment():
     g = cycle(4)
     with pytest.raises(ValueError):
-        check_proper(g, make_coloring(g, {(0, 1): 1}))
+        check_proper(g, EdgeColoring(g, {(0, 1): 1}))
 
 
 def test_check_avd_alternating_c4():
     g = cycle(4)
-    bad = make_coloring(g, {(0, 1): 1, (1, 2): 2, (2, 3): 1, (0, 3): 2})
+    bad = EdgeColoring(g, {(0, 1): 1, (1, 2): 2, (2, 3): 1, (0, 3): 2})
     ok, witness = check_avd(g, bad)
     assert not ok
     u, v, colors = witness
@@ -59,13 +59,13 @@ def test_check_avd_alternating_c4():
 
 def test_check_avd_p3():
     g = Graph(3, [(0, 1), (1, 2)])
-    assert check_avd(g, make_coloring(g, {(0, 1): 1, (1, 2): 2})) == (True, None)
+    assert check_avd(g, EdgeColoring(g, {(0, 1): 1, (1, 2): 2})) == (True, None)
 
 
 def test_check_avd_rejects_improper():
     g = cycle(3)
     with pytest.raises(ValueError):
-        check_avd(g, make_coloring(g, {e: 1 for e in g.edges}))
+        check_avd(g, EdgeColoring(g, {e: 1 for e in g.edges}))
 
 
 def test_exact_chi_a_spot_values():
@@ -195,7 +195,7 @@ def test_check_certificate_checks_properness_once(monkeypatch):
     cert = avd_color(g)
     (e, _), (f, c) = sorted(cert.coloring.assignment.items())[:2]
     assert set(e) & set(f)
-    clash = dataclasses.replace(cert, coloring=make_coloring(
+    clash = dataclasses.replace(cert, coloring=EdgeColoring(
         g, {**cert.coloring.assignment, e: c}))
     calls = []
     real = verify._color_masks
@@ -329,7 +329,7 @@ def _clash_first_pair(monkeypatch):
         assignment = dict(cert.coloring.assignment)
         assignment[e] = c
         return dataclasses.replace(
-            cert, coloring=make_coloring(graph, assignment))
+            cert, coloring=EdgeColoring(graph, assignment))
 
     monkeypatch.setattr(coloring, "avd_color", clashing)
 
@@ -426,7 +426,7 @@ def _recolor(cert, e, c):
     assignment = dict(cert.coloring.assignment)
     assignment[e] = c
     return dataclasses.replace(
-        cert, coloring=make_coloring(cert.coloring.host, assignment))
+        cert, coloring=EdgeColoring(cert.coloring.host, assignment))
 
 
 def _tamper(cert, g, data):

@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from avdcolor import (EdgeColoring, Graph, check_proper, color_classes,
                       complete, cycle, edge_induced, exact_chromatic_index,
-                      gnp, make_coloring, misra_gries, petersen,
-                      random_regular)
+                      gnp, misra_gries, petersen, random_regular)
 from avdcolor.vizing import _Fans, relabeled
-from helpers import FansReference, fans_coloring, warm_fans
+from helpers import (FansReference, color_sets_reference, fans_coloring,
+                     warm_fans)
 
 
 def test_c5_needs_three_colors():
@@ -50,18 +50,18 @@ def test_every_vertex_sees_its_degree_in_colors():
     # properness means |C(v)| = d(v); regular graphs then miss exactly
     # palette-size - r colors at every vertex
     g = random_regular(18, 5, seed=2)
-    mg = misra_gries(g)
+    sets = color_sets_reference(g, misra_gries(g))
     for v in g.vertices:
-        assert len(mg.colors_at(v)) == g.degree(v)
+        assert len(sets[v]) == g.degree(v)
 
 
 def test_a_coloring_is_its_host_and_assignment():
     assert [f.name for f in dataclasses.fields(EdgeColoring)] == [
         "host", "assignment"]
     g = cycle(6)
-    coloring = make_coloring(g, dict.fromkeys(g.edges, 9) | {(0, 1): 4})
+    coloring = EdgeColoring(g, dict.fromkeys(g.edges, 9) | {(0, 1): 4})
     assert coloring.colors_used == 2
-    assert make_coloring(Graph(3), {}).colors_used == 0
+    assert EdgeColoring(Graph(3), {}).colors_used == 0
     for g in (petersen(), gnp(30, 0.3, 1)):
         mg = misra_gries(g)
         assert mg.colors_used == max(mg.assignment.values())
@@ -104,7 +104,7 @@ def test_color_classes_padding_and_matching():
             seen.update((u, v))
     e = min(g.edges)
     with pytest.raises(ValueError, match="above Delta"):
-        color_classes(make_coloring(g, {**mg.assignment, e: 5}))
+        color_classes(EdgeColoring(g, {**mg.assignment, e: 5}))
 
 
 def test_deterministic_coloring():
@@ -260,8 +260,9 @@ def test_misra_gries_properties(g):
     mg = misra_gries(g)
     assert check_proper(g, mg) == (True, None)
     assert mg.colors_used <= g.max_degree + 1
+    sets = color_sets_reference(g, mg)
     for v in g.vertices:
-        assert len(mg.colors_at(v)) == g.degree(v)
+        assert len(sets[v]) == g.degree(v)
     assert misra_gries(g).assignment == mg.assignment
 
 
