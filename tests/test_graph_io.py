@@ -121,6 +121,8 @@ def test_edgelist_examples():
     ("dimacs", "p edge 3 1\ne 1 4\n", "line 2: vertex out of range"),
     ("dimacs", "p edge 3 1\ne 0 1\n", "line 2: vertex out of range"),
     ("dimacs", "p edge 3 1\ne 1 x\n", "line 2: bad endpoints"),
+    ("dimacs", "p edge 3 1\ne 1 2 3\n", "line 2: malformed edge line"),
+    ("dimacs", "p edge 3 0\np edge 3 0\n", "line 2: duplicate problem line"),
     ("edgelist", "# k3\n0 1\n\n2 2\n", "line 4: self-loop"),
     ("edgelist", "0 1\n0 1\n", "line 2: duplicate edge (0, 1)"),
     ("edgelist", "2 1\n1 2 # again\n", "line 2: duplicate edge (1, 2)"),
@@ -128,6 +130,7 @@ def test_edgelist_examples():
     ("edgelist", "0 1\n0 258047\n",
      "line 2: vertex index outside 0..258046"),
     ("edgelist", "0 1\n0 x\n", "line 2: bad endpoints"),
+    ("edgelist", "0 1\n0 1 2\n", "line 2: expected 'u v'"),
 ])
 def test_edge_line_errors_name_the_line(fmt, text, message):
     with pytest.raises(GraphFormatError) as exc:
