@@ -49,6 +49,87 @@ def recompute_selection_state(sel: SubgraphSelection):
     return deg, iso_sel, iso_unsel
 
 
+class _Conditions:
+    """The five conditions of the vertex typing, from their definitions:
+    selection degrees recounted from the selected edges, degrees and
+    neighbors from the host."""
+
+    def __init__(self, g: Graph, sel: SubgraphSelection):
+        self.g, self.h = g, sel.selected
+        self.d = {v: 0 for v in g.vertices}
+        for u, v in self.h:
+            self.d[u] += 1
+            self.d[v] += 1
+
+    def side(self, v: int, selected: bool) -> list[int]:
+        return [w for w in self.g.neighbors(v)
+                if (canon_edge(v, w) in self.h) == selected]
+
+    def codeg(self, v: int) -> int:
+        return self.g.degree(v) - self.d[v]
+
+    def c1(self, u: int) -> bool:
+        return self.d[u] == 3
+
+    def c2(self, u: int) -> bool:
+        return self.d[u] == 2 and self.codeg(u) == 2
+
+    def c3(self, u: int, v: int) -> int | None:
+        # The far end w of the complement path v-u-w, when u has selection
+        # degree <= 1 and complement degree 2, and w has complement degree
+        # 1 and selection degree 3.
+        if self.d[u] > 1 or self.codeg(u) != 2:
+            return None
+        w, = (x for x in self.side(u, False) if x != v)
+        return w if self.codeg(w) == 1 and self.d[w] == 3 else None
+
+    def c4(self, v: int) -> bool:
+        return 1 <= self.d[v] <= 2 and self.g.degree(v) >= self.g.max_degree - 1
+
+    def c5(self, v: int, u: int) -> int | None:
+        # The far end w of the selected path u-v-w, when v has selection
+        # degree 2 and degree < Delta-1, and w has selection degree 1 and
+        # degree Delta-1.
+        delta = self.g.max_degree
+        if self.d[v] != 2 or self.g.degree(v) >= delta - 1:
+            return None
+        w, = (x for x in self.side(v, True) if x != u)
+        return w if self.d[w] == 1 and self.g.degree(w) == delta - 1 else None
+
+
+def chains_reference(g: Graph, sel: SubgraphSelection, v: int,
+                     type_i: bool) -> list[tuple[int, ...]]:
+    """The chains from ``v`` as vertex paths, in ascending order of their
+    second vertex: complement chains for a type-I end (``type_i``),
+    selected chains for a type-II end.  A neighbor on that side that
+    starts no chain is a failing witness of ``v``'s type test."""
+    c = _Conditions(g, sel)
+    chains = []
+    for u in c.side(v, not type_i):
+        if (c.c1(u) or c.c2(u)) if type_i else c.c4(u):
+            chains.append((v, u))
+        elif (w := c.c3(u, v) if type_i else c.c5(u, v)) is not None:
+            chains.append((v, u, w))
+    return chains
+
+
+def vertex_type_reference(g: Graph, sel: SubgraphSelection, v: int) -> str:
+    """"type-I", "type-II" or "neither", from the definitions.
+
+    Type I: condition 4 at ``v``, and each complement neighbor u meets
+    condition 1, 2 or 3.  Type II: condition 1 or 2 at ``v``, and each
+    selected neighbor meets condition 4 or 5.  The two never both hold
+    for Delta >= 6; that is asserted.
+    """
+    c = _Conditions(g, sel)
+    t1 = c.c4(v) and all(c.c1(u) or c.c2(u) or c.c3(u, v) is not None
+                         for u in c.side(v, False))
+    t2 = (c.c1(v) or c.c2(v)) and all(c.c4(u) or c.c5(u, v) is not None
+                                      for u in c.side(v, True))
+    assert not (t1 and t2), f"vertex {v} is of both types"
+    return "type-I" if t1 else "type-II" if t2 else "neither"
+
+
 def normal_gnp_corpus(count: int, seed0: int, n_lo: int, n_hi: int,
                       d_lo: int, d_hi: int, p_lo=0.06, p_hi=0.55):
     """Deterministic stream of normal random graphs with bounded max degree."""

@@ -16,10 +16,10 @@ from avdcolor import (EdgePartition, Graph, NotNormalError,
 from avdcolor import canon_edge, edge_induced, misra_gries, parse_graph
 from avdcolor import (CounterexampleFound, InternalBoundViolationError,
                       graphs, partition, vizing)
-from helpers import (closure_revisit_state, dense_normal_graph,
-                     normal_gnp_corpus, partition_p2_by_levels,
-                     recompute_selection_state, scramble_selection,
-                     step_to_zero)
+from helpers import (chains_reference, closure_revisit_state,
+                     dense_normal_graph, normal_gnp_corpus,
+                     partition_p2_by_levels, recompute_selection_state,
+                     scramble_selection, step_to_zero, vertex_type_reference)
 
 
 # -- membership and typing -----------------------------------------------------
@@ -151,27 +151,35 @@ def test_enumerate_chains_length_two():
     assert [c.vertices for c in chains] == [(0, 1), (0, 2), (0, 3)]
 
 
-def test_enumerate_chains_length_three():
+def _selected_chain_state():
     # selected path 0-1-2 where 1 has degree 2 < Delta-1 and the far end 2
     # has selection degree 1 with degree Delta-1
     edges_sel = [(0, 1), (1, 2)]
     edges_unsel = [(2, 3), (2, 4), (2, 5), (2, 6)]
     hub = [(7, v) for v in (3, 4, 5, 6, 8, 9)]
     g = Graph(10, edges_sel + edges_unsel + hub)
-    sel = SubgraphSelection(g, edges_sel)
+    return g, SubgraphSelection(g, edges_sel)
+
+
+def test_enumerate_chains_length_three():
+    g, sel = _selected_chain_state()
     chains = enumerate_chains(g, sel, 0, "h")
     assert [c.vertices for c in chains] == [(0, 1, 2)]
     assert chains[0].edges() == frozenset({(0, 1), (1, 2)})
 
 
-def test_enumerate_chains_length_three_complement():
+def _complement_chain_state():
     # complement path 0-1-2 where 1 has selection degree 1 and complement
     # degree 2, and the far end 2 has complement degree 1 with selection
     # degree 3
     edges_sel = [(1, 3), (2, 4), (2, 5), (2, 6)]
     edges_unsel = [(0, 1), (1, 2)]
     g = Graph(7, edges_sel + edges_unsel)
-    sel = SubgraphSelection(g, edges_sel)
+    return g, SubgraphSelection(g, edges_sel)
+
+
+def test_enumerate_chains_length_three_complement():
+    g, sel = _complement_chain_state()
     chains = enumerate_chains(g, sel, 0, "hbar")
     assert [(c.kind, c.vertices) for c in chains] == [("hbar", (0, 1, 2))]
     assert chains[0].edges() == frozenset({(0, 1), (1, 2)})
@@ -187,6 +195,39 @@ def test_enumerate_chains_rejects_an_unknown_kind():
     g, sel = _type_one_graph()
     with pytest.raises(ValueError, match="unknown chain kind 'H'"):
         enumerate_chains(g, sel, 21, "H")
+
+
+def _typing_states():
+    # The hand-built states, every state of the closure walks on their way
+    # to zero potential, then scrambled selections of dense G(n,p) graphs.
+    yield from (_type_one_graph(), _type_two_graph(), _selected_chain_state(),
+                _complement_chain_state())
+    for g, sel in _closure_walk_states():
+        yield g, sel
+        while sel.potential()[0]:
+            find_move(g, sel)
+            yield g, sel
+    rng = random.Random(5)
+    for g in normal_gnp_corpus(12, 500, 10, 22, 6, 12, p_lo=0.3, p_hi=0.8):
+        sel = initial_selection(g)
+        scramble_selection(g, sel, rng, 2 * g.edge_count)
+        yield g, sel
+
+
+def test_vertex_typing_matches_the_references():
+    seen = Counter()
+    for g, sel in _typing_states():
+        for v in g.vertices:
+            kind = vertex_type_reference(g, sel, v)
+            assert classify_vertex(g, sel, v).value == kind
+            seen[kind] += 1
+            for type_i, side in ((True, "hbar"), (False, "h")):
+                chains = chains_reference(g, sel, v, type_i)
+                assert [c.vertices for c in enumerate_chains(
+                    g, sel, v, side)] == chains
+                seen.update((side, len(c)) for c in chains)
+    assert set(seen) == {"type-I", "type-II", "neither", ("h", 2), ("h", 3),
+                         ("hbar", 2), ("hbar", 3)}
 
 
 # -- direct moves ---------------------------------------------------------------
