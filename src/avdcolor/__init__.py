@@ -16,28 +16,27 @@ from .generators import complete, cycle, generate, gnp, petersen, random_regular
 from .graph_io import emit_graph, parse_graph, sniff_format
 from .graphs import (Edge, EdgePartition, Graph, SubgraphSelection, canon_edge,
                      edge_induced, is_normal)
-from .partition import (Chain, MembershipReport, Move, VertexType,
-                        check_membership, classify_vertex, enumerate_chains,
-                        find_move, initial_selection, partition_p1,
-                        partition_p2, partition_regular, run_engine)
+from .partition import (MembershipReport, Move, check_membership, find_move,
+                        initial_selection, partition_p1, partition_p2,
+                        partition_regular, run_engine)
 from .verify import (AuditReport, audit, check_avd, check_certificate,
                      check_partition, check_proper, exact_chi_a,
                      exact_chromatic_index)
 from .vizing import EdgeColoring, color_classes, misra_gries
 
 __all__ = [
-    "AuditReport", "AvdCertificate", "CapExceededError", "Chain",
+    "AuditReport", "AvdCertificate", "CapExceededError",
     "CounterexampleFound", "Edge", "EdgeColoring",
     "EdgePartition", "GenerationError", "Graph", "GraphFormatError",
     "InternalBoundViolationError", "MembershipReport",
     "Move", "NotNormalError", "SearchCapExceededError", "SubgraphSelection",
-    "VertexType", "audit", "avd_color", "avd_color_budget",
+    "audit", "avd_color", "avd_color_budget",
     "avd_color_regular", "avd_subcubic", "canon_edge", "check_avd",
     "check_certificate", "check_membership", "check_partition",
     "check_proper",
-    "classify_vertex", "color_classes", "complete",
+    "color_classes", "complete",
     "compose", "cycle", "edge_induced",
-    "emit_graph", "enumerate_chains", "exact_chi_a", "exact_chromatic_index",
+    "emit_graph", "exact_chi_a", "exact_chromatic_index",
     "find_move", "generate", "gnp", "initial_selection", "is_normal",
     "main_bound", "misra_gries", "parse_graph",
     "partition_p1", "partition_p2", "partition_regular", "petersen",

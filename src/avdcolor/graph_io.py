@@ -17,7 +17,8 @@ _SUB_63 = bytes((b - 63) % 256 for b in range(256))
 _SET_BITS = [[r for r in range(6) if b & (32 >> r)] for b in range(64)]
 
 # Largest vertex count graph6 can describe (its 4-byte size header).  Every
-# format rejects more, so any parsed graph can be dumped as graph6.
+# format refuses to read or to write more, so any parsed graph can be dumped
+# as graph6, and any emitted one read back.
 _MAX_VERTICES = 258047
 
 
@@ -39,6 +40,9 @@ def parse_graph(text: bytes | str, fmt: str) -> Graph:
 
 def emit_graph(g: Graph, fmt: str) -> bytes:
     """Serialize ``g``; parse_graph(emit_graph(g, f), f) preserves the edge set."""
+    if g.n > _MAX_VERTICES:
+        raise GraphFormatError(
+            f"vertex counts beyond {_MAX_VERTICES} not supported")
     if fmt == "graph6":
         return _emit_graph6(g)
     if fmt == "dimacs":
@@ -119,11 +123,8 @@ def _emit_graph6(g: Graph) -> bytes:
     n = g.n
     if n < 63:
         head = bytes([n + 63])
-    elif n <= _MAX_VERTICES:
-        head = bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
     else:
-        raise GraphFormatError(
-            f"graph6 sizes beyond {_MAX_VERTICES} not supported")
+        head = bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
     body = bytearray((n * (n - 1) // 2 + 5) // 6)
     for u, v in g.edges:
         i = v * (v - 1) // 2 + u

@@ -223,14 +223,6 @@ class SubgraphSelection:
         return [w for w in self.host.neighbors(v)
                 if canon_edge(v, w) not in self._selected]
 
-    @property
-    def isolated_selected(self) -> frozenset[Edge]:
-        return frozenset(self._iso_sel)
-
-    @property
-    def isolated_unselected(self) -> frozenset[Edge]:
-        return frozenset(self._iso_unsel)
-
     def potential(self) -> tuple[int, int]:
         """Lexicographic pair (isolated edges on both sides, |E(H)|)."""
         return (len(self._iso_sel) + len(self._iso_unsel), len(self._selected))

@@ -24,7 +24,6 @@ grouping build the multi-part variants.
 
 from __future__ import annotations
 
-import enum
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
@@ -37,12 +36,6 @@ from .graph_io import emit_graph
 from .vizing import _Fans, color_classes, misra_gries
 
 
-class VertexType(enum.Enum):
-    TYPE_I = "type-I"
-    TYPE_II = "type-II"
-    NEITHER = "neither"
-
-
 @dataclass(frozen=True)
 class MembershipReport:
     """Outcome of the three membership conditions; empty violations = member."""
@@ -52,22 +45,6 @@ class MembershipReport:
     @property
     def is_member(self) -> bool:
         return not self.violations
-
-
-@dataclass(frozen=True)
-class Chain:
-    """A length-2 or length-3 path inside the selection or its complement."""
-
-    kind: str  # "h" (selected side) or "hbar" (complement side)
-    vertices: tuple[int, ...]
-
-    @property
-    def terminal(self) -> int:
-        return self.vertices[-1]
-
-    def edges(self) -> frozenset[Edge]:
-        vs = self.vertices
-        return frozenset(canon_edge(vs[i], vs[i + 1]) for i in range(len(vs) - 1))
 
 
 @dataclass(frozen=True)
@@ -111,84 +88,65 @@ def _cond2(sel: SubgraphSelection, u: int) -> bool:
     return sel.deg(u) == 2 and sel.codeg(u) == 2
 
 
-def _cond3(g: Graph, sel: SubgraphSelection, u: int, v: int) -> bool:
+def _cond3(sel: SubgraphSelection, u: int, v: int) -> int | None:
     # u is inspected as a complement-side neighbor of v, so complement
-    # degree 2 leaves exactly one other complement neighbor.
+    # degree 2 leaves exactly one other complement neighbor w: the far end
+    # of the chain v-u-w when the condition holds.
     if sel.deg(u) > 1 or sel.codeg(u) != 2:
-        return False
+        return None
     w = next(x for x in sel.unselected_neighbors(u) if x != v)
-    return sel.codeg(w) == 1 and sel.deg(w) == 3
+    return w if sel.codeg(w) == 1 and sel.deg(w) == 3 else None
 
 
 def _cond4(g: Graph, sel: SubgraphSelection, v: int) -> bool:
     return 1 <= sel.deg(v) <= 2 and g.degree(v) >= g.max_degree - 1
 
 
-def _cond5(g: Graph, sel: SubgraphSelection, v: int, u: int) -> bool:
-    # v is inspected as a selected-side neighbor of u, so selection
-    # degree 2 leaves exactly one other selected neighbor.
+def _cond5(g: Graph, sel: SubgraphSelection, v: int, u: int) -> int | None:
+    # v is inspected as a selected-side neighbor of u, so selection degree
+    # 2 leaves exactly one other selected neighbor w: the far end of the
+    # chain u-v-w when the condition holds.
     if sel.deg(v) != 2 or g.degree(v) >= g.max_degree - 1:
-        return False
+        return None
     w = next(x for x in sel.selected_neighbors(v) if x != u)
-    return sel.deg(w) == 1 and g.degree(w) == g.max_degree - 1
+    return w if sel.deg(w) == 1 and g.degree(w) == g.max_degree - 1 else None
 
 
-def _is_type_i(g: Graph, sel: SubgraphSelection, v: int) -> bool:
-    # The prerequisite is the shape a selected-side chain end must have.
-    return _cond4(g, sel, v) and all(
-        _cond1(sel, u) or _cond2(sel, u) or _cond3(g, sel, u, v)
-        for u in sel.unselected_neighbors(v))
+def _scan(g: Graph, sel: SubgraphSelection, z: int, type_i: bool
+          ) -> tuple[bool, list[tuple[int, tuple[Edge, ...]]], list[int]]:
+    """One read of ``z``'s neighbors on its role's side: whether ``z``
+    passes the type test, its chains and its failing witnesses.
 
-
-def _is_type_ii(g: Graph, sel: SubgraphSelection, u: int) -> bool:
-    # The prerequisite is the shape a complement-side chain end must have.
-    return (_cond1(sel, u) or _cond2(sel, u)) and all(
-        _cond4(g, sel, v) or _cond5(g, sel, v, u)
-        for v in sel.selected_neighbors(u))
-
-
-def classify_vertex(g: Graph, sel: SubgraphSelection, v: int) -> VertexType:
-    """Exact evaluation of the two vertex classifications.
-
-    The degree prerequisites of the two types are mutually exclusive, so a
-    vertex can never satisfy both; that exclusivity is asserted here.
+    Type I (``type_i``): the prerequisite is condition 4, and the side is
+    the complement, with conditions 1-3.  Type II: condition 1 or 2, and
+    the selection, with conditions 4-5.  A neighbor u that meets one of
+    the side's conditions starts a chain (z,u) or (z,u,w); one that meets
+    none is a failing witness.  ``z`` passes when it meets the prerequisite
+    and has no failing witness.  Chains, as (far end, edges), and witnesses
+    are in ascending neighbor order.  From Delta = 6 up the prerequisites
+    exclude each other, so no vertex passes both tests.
     """
-    t1 = _is_type_i(g, sel, v)
-    t2 = _is_type_ii(g, sel, v)
-    if t1 and t2:
-        raise AssertionError(f"vertex {v} classified as both types")
-    if t1:
-        return VertexType.TYPE_I
-    if t2:
-        return VertexType.TYPE_II
-    return VertexType.NEITHER
-
-
-def enumerate_chains(g: Graph, sel: SubgraphSelection, frm: int,
-                     kind: str) -> list[Chain]:
-    """All selected-side or complement-side chains emanating from ``frm``.
-
-    Neighbors are scanned in ascending index order, so the result is
-    deterministic for a fixed labeling.
-    """
-    chains: list[Chain] = []
-    if kind == "h":
-        for v in sel.selected_neighbors(frm):
-            if _cond4(g, sel, v):
-                chains.append(Chain("h", (frm, v)))
-            elif _cond5(g, sel, v, frm):
-                w = next(x for x in sel.selected_neighbors(v) if x != frm)
-                chains.append(Chain("h", (frm, v, w)))
-    elif kind == "hbar":
-        for u in sel.unselected_neighbors(frm):
+    chains: list[tuple[int, tuple[Edge, ...]]] = []
+    witnesses: list[int] = []
+    if type_i:
+        passes = _cond4(g, sel, z)
+        for u in sel.unselected_neighbors(z):
             if _cond1(sel, u) or _cond2(sel, u):
-                chains.append(Chain("hbar", (frm, u)))
-            elif _cond3(g, sel, u, frm):
-                w = next(x for x in sel.unselected_neighbors(u) if x != frm)
-                chains.append(Chain("hbar", (frm, u, w)))
+                chains.append((u, (canon_edge(z, u),)))
+            elif (w := _cond3(sel, u, z)) is not None:
+                chains.append((w, (canon_edge(z, u), canon_edge(u, w))))
+            else:
+                witnesses.append(u)
     else:
-        raise ValueError(f"unknown chain kind {kind!r}")
-    return chains
+        passes = _cond1(sel, z) or _cond2(sel, z)
+        for v in sel.selected_neighbors(z):
+            if _cond4(g, sel, v):
+                chains.append((v, (canon_edge(z, v),)))
+            elif (w := _cond5(g, sel, v, z)) is not None:
+                chains.append((w, (canon_edge(z, v), canon_edge(v, w))))
+            else:
+                witnesses.append(v)
+    return passes and not witnesses, chains, witnesses
 
 
 # -- move trials --------------------------------------------------------------
@@ -246,12 +204,15 @@ def _other_selected(sel: SubgraphSelection, v: int, excl: int) -> int:
 
 
 def _cands_failing_type_ii(
-        g: Graph, sel: SubgraphSelection,
+        sel: SubgraphSelection,
         path: tuple[frozenset[Edge], frozenset[Edge], frozenset[int]],
-        uk: int) -> Iterator[tuple[frozenset[Edge], frozenset[Edge], str]]:
+        uk: int, witnesses: list[int]
+        ) -> Iterator[tuple[frozenset[Edge], frozenset[Edge], str]]:
     """Rewrites for a complement-chain end that fails the type-II test.
 
-    ``path`` is the closure's triple for ``uk`` (``_grow_closure``).  One
+    ``path`` is the closure's triple for ``uk`` (``_grow_closure``), and
+    ``witnesses`` are ``uk``'s failing witnesses, as ``_scan`` found them:
+    its selected neighbors that meet neither condition 4 nor 5.  One
     candidate per witness, following the published case analysis: the
     two-edge cleanup when the witness has a pendant partner, else a simple
     drop for a selection-degree-3 end, else the full path swap for a (2,2)
@@ -282,8 +243,8 @@ def _cands_failing_type_ii(
       were already evaluated and rejected.
     """
     hbar_edges, h_edges, ii_ends = path
-    for x in sel.selected_neighbors(uk):
-        if _cond4(g, sel, x) or _cond5(g, sel, x, uk) or x in ii_ends:
+    for x in witnesses:
+        if x in ii_ends:
             continue
         xe = canon_edge(x, uk)
         if sel.deg(x) == 2 and sel.deg(y := _other_selected(sel, x, uk)) == 1:
@@ -297,21 +258,22 @@ def _cands_failing_type_ii(
 
 
 def _cands_failing_type_i(
-        g: Graph, sel: SubgraphSelection,
+        sel: SubgraphSelection,
         path: tuple[frozenset[Edge], frozenset[Edge], frozenset[int]],
-        vk: int) -> Iterator[tuple[frozenset[Edge], frozenset[Edge], str]]:
+        vk: int, witnesses: list[int]
+        ) -> Iterator[tuple[frozenset[Edge], frozenset[Edge], str]]:
     """Rewrites for a selection-chain end that fails the type-I test.
 
-    A failing witness x is never an end of ``path`` under Delta >= 6.
+    ``witnesses`` are ``vk``'s failing witnesses, as ``_scan`` found them:
+    its complement neighbors that meet none of conditions 1-3, one
+    candidate each.  None of them is an end of ``path`` under Delta >= 6.
     Type-II ends meet ``_cond1`` or ``_cond2``, which x fails.  ``vk`` has
     selection degree 1 or 2 at degree >= Delta-1 >= 5, so it meets none of
     ``_cond1``-``_cond3`` at x, and x would not be type I.  On the empty
     path (the direct rewrites of claim 1) the tag is ``claim1.add``.
     """
     hbar_edges, h_edges, _ = path
-    for x in sel.unselected_neighbors(vk):
-        if _cond1(sel, x) or _cond2(sel, x) or _cond3(g, sel, x, vk):
-            continue
+    for x in witnesses:
         xe = canon_edge(x, vk)
         s_set = {xe}
         if sel.deg(x) <= 1 and sel.codeg(x) == 2:
@@ -344,9 +306,12 @@ def find_move(g: Graph, sel: SubgraphSelection) -> Move:
     endpoint's own direct rewrites.  When no rewrite is found, every trial
     was undone, ``sel`` is unchanged, and CounterexampleFound is raised
     with the state dump: the counting argument for Delta >= 6 rules that
-    out.
+    out.  Below Delta = 6 that argument does not hold, and ValueError is
+    raised.
     """
     delta = g.max_degree
+    if delta < 6:
+        raise ValueError("the move search requires max degree >= 6")
     if sel._iso_sel:
         e = min(sel._iso_sel)
         v, _vp = _orient(g, e)
@@ -358,7 +323,7 @@ def find_move(g: Graph, sel: SubgraphSelection) -> Move:
                 raise _counterexample("guaranteed isolated-edge drop rejected",
                                       g, sel)
             return Move(frozenset(), frozenset({e}), "claim1.drop")
-        return _grow_closure(g, sel, v, VertexType.TYPE_I)
+        return _grow_closure(g, sel, v, True)
 
     if not sel._iso_unsel:
         raise ValueError("selection has zero potential; nothing to fix")
@@ -372,20 +337,21 @@ def find_move(g: Graph, sel: SubgraphSelection) -> Move:
             raise _counterexample("guaranteed complement-edge add rejected",
                                   g, sel)
         return Move(frozenset({e}), frozenset(), "claim2.add")
-    return _grow_closure(g, sel, u, VertexType.TYPE_II)
+    return _grow_closure(g, sel, u, False)
 
 
 def _grow_closure(g: Graph, sel: SubgraphSelection, origin: int,
-                  origin_role: VertexType) -> Move:
+                  origin_type_i: bool) -> Move:
     """Breadth-first closure of chains from ``origin``; apply its first rewrite.
 
-    Each vertex reached, the origin first, is tested for the type its role
-    asks for.  One that passes is a chain end, and its chains are followed
-    (complement chains from type I, selected chains from type II).  One
-    that fails offers the rewrites of its failing witnesses along the path
-    that reached it: on the origin, the direct rewrites of claims 1 and 2.
-    A vertex that passes has no failing witness.  CounterexampleFound is
-    raised when no vertex is left and no rewrite was valid.
+    Each vertex reached, the origin first, is scanned once (``_scan``) for
+    the type its role asks for: type I for ``origin_type_i`` and the far
+    ends of complement chains, type II for the rest.  One that passes is a
+    chain end, and its chains are followed (complement chains from type I,
+    selected chains from type II).  One that fails offers the rewrites of
+    its failing witnesses along the path that reached it: on the origin,
+    the direct rewrites of claims 1 and 2.  CounterexampleFound is raised
+    when no vertex is left and no rewrite was valid.
 
     ``paths`` maps each vertex reached to the triple its rewrites read off
     the chains that reached it: their complement-side edges, selected-side
@@ -394,37 +360,31 @@ def _grow_closure(g: Graph, sel: SubgraphSelection, origin: int,
     only.
     """
     paths = {origin: (frozenset(), frozenset(), frozenset())}
-    queue: deque[tuple[int, VertexType]] = deque([(origin, origin_role)])
-    ends = {VertexType.TYPE_I: set(), VertexType.TYPE_II: set()}
+    queue = deque([(origin, origin_type_i)])
+    ends: dict[bool, set[int]] = {True: set(), False: set()}
     unresolved: list[int] = []
     while queue:
-        z, role = queue.popleft()
-        if role is VertexType.TYPE_I:
-            fails, kind, expected = (_cands_failing_type_i, "hbar",
-                                     VertexType.TYPE_II)
-        else:
-            fails, kind, expected = (_cands_failing_type_ii, "h",
-                                     VertexType.TYPE_I)
-        if classify_vertex(g, sel, z) is not role:
-            move = _first_valid(g, sel, fails(g, sel, paths[z], z))
+        z, type_i = queue.popleft()
+        passes, chains, witnesses = _scan(g, sel, z, type_i)
+        if not passes:
+            fails = _cands_failing_type_i if type_i else _cands_failing_type_ii
+            move = _first_valid(g, sel, fails(sel, paths[z], z, witnesses))
             if move is not None:
                 return move
             unresolved.append(z)
             continue
-        ends[role].add(z)
+        ends[type_i].add(z)
         hbar_edges, h_edges, ii_ends = paths[z]
-        for ch in enumerate_chains(g, sel, z, kind):
-            t = ch.terminal
+        for t, edges in chains:
             if t not in paths:
-                paths[t] = ((hbar_edges | ch.edges(), h_edges, ii_ends)
-                            if kind == "hbar" else
-                            (hbar_edges, h_edges | ch.edges(), ii_ends | {z}))
-                queue.append((t, expected))
+                paths[t] = ((hbar_edges.union(edges), h_edges, ii_ends)
+                            if type_i else
+                            (hbar_edges, h_edges.union(edges), ii_ends | {z}))
+                queue.append((t, not type_i))
     raise _counterexample(
         "chain closure saturated with no rewrite; this contradicts the "
         "counting argument for Delta >= 6", g, sel,
-        v1_set=sorted(ends[VertexType.TYPE_I]),
-        v2_set=sorted(ends[VertexType.TYPE_II]),
+        v1_set=sorted(ends[True]), v2_set=sorted(ends[False]),
         unresolved=sorted(unresolved))
 
 

@@ -49,6 +49,11 @@ def recompute_selection_state(sel: SubgraphSelection):
     return deg, iso_sel, iso_unsel
 
 
+def isolated_edges(sel: SubgraphSelection) -> tuple[set[Edge], set[Edge]]:
+    """The selection's own isolated-edge sets, of H and of its complement."""
+    return sel._iso_sel, sel._iso_unsel
+
+
 class _Conditions:
     """The five conditions of the vertex typing, from their definitions:
     selection degrees recounted from the selected edges, degrees and

@@ -189,6 +189,20 @@ def test_vertex_count_outside_graph6_limit_rejected(fmt, data):
         parse_graph(data, fmt)
 
 
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_emission_refuses_more_vertices_than_graph6_names(fmt):
+    # No reader takes a vertex past graph6's limit, so no writer emits one.
+    with pytest.raises(GraphFormatError, match="beyond 258047"):
+        emit_graph(Graph(258048, [(0, 258047)]), fmt)
+
+
+@pytest.mark.parametrize("fmt", ["edgelist", "dimacs"])
+def test_graph6_limit_round_trips(fmt):
+    # Not graph6: its body alone is n(n-1)/12 bytes, about 5.5 GB here.
+    g = Graph(258047, [(0, 258046)])
+    assert parse_graph(emit_graph(g, fmt), fmt) == g
+
+
 _TOKENS = st.one_of(
     st.sampled_from(["p edge ", "p ", "edge", "e ", "c ", "c", "-", "#", " ",
                      "\n", "\t", ">>graph6<<", "~", "?", "_", "0", "1"]),

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from avdcolor import (EdgePartition, Graph, SubgraphSelection, canon_edge,
                       complete, cycle, edge_induced, gnp, is_normal)
 from avdcolor.partition import _Level
-from helpers import recompute_selection_state
+from helpers import isolated_edges, recompute_selection_state
 
 
 def test_canon_edge_rejects_loops():
@@ -92,8 +92,7 @@ def test_selection_incremental_bookkeeping_matches_recompute():
                 sel.add(e)
             deg, iso_sel, iso_unsel = recompute_selection_state(sel)
             assert deg == {v: sel.deg(v) for v in g.vertices}
-            assert iso_sel == set(sel.isolated_selected)
-            assert iso_unsel == set(sel.isolated_unselected)
+            assert (iso_sel, iso_unsel) == isolated_edges(sel)
 
 
 @st.composite
@@ -121,8 +120,7 @@ def test_selection_construction_matches_recompute(case):
     assert sel.selected == {canon_edge(u, v) for u, v in picked}
     deg, iso_sel, iso_unsel = recompute_selection_state(sel)
     assert deg == {v: sel.deg(v) for v in g.vertices}
-    assert iso_sel == set(sel.isolated_selected)
-    assert iso_unsel == set(sel.isolated_unselected)
+    assert (iso_sel, iso_unsel) == isolated_edges(sel)
 
 
 def test_selection_construction_rejects_foreign_and_duplicate():
@@ -248,8 +246,7 @@ def test_selection_isolation_matches_recount_on_random_hosts():
             sel = SubgraphSelection(g, edges)
             deg, iso_sel, iso_unsel = recompute_selection_state(sel)
             assert deg == {v: sel.deg(v) for v in g.vertices}
-            assert iso_sel == sel.isolated_selected, seed
-            assert iso_unsel == sel.isolated_unselected, seed
+            assert (iso_sel, iso_unsel) == isolated_edges(sel), seed
             iso_unsel_seen += len(iso_unsel)
     assert iso_unsel_seen > 100
 

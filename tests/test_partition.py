@@ -7,17 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from avdcolor import (EdgePartition, Graph, NotNormalError,
-                      SubgraphSelection, VertexType,
-                      check_membership, classify_vertex, complete,
-                      cycle, enumerate_chains, find_move, gnp,
-                      initial_selection, is_normal, partition_p1,
-                      partition_p2, partition_regular, random_regular,
-                      run_engine)
+                      SubgraphSelection, check_membership, complete, cycle,
+                      find_move, gnp, initial_selection, is_normal,
+                      partition_p1, partition_p2, partition_regular,
+                      random_regular, run_engine)
 from avdcolor import canon_edge, edge_induced, misra_gries, parse_graph
 from avdcolor import (CounterexampleFound, InternalBoundViolationError,
                       graphs, partition, vizing)
 from helpers import (chains_reference, closure_revisit_state,
-                     dense_normal_graph, normal_gnp_corpus,
+                     dense_normal_graph, isolated_edges, normal_gnp_corpus,
                      partition_p2_by_levels, recompute_selection_state,
                      scramble_selection, step_to_zero, vertex_type_reference)
 
@@ -105,7 +103,7 @@ def _type_one_graph():
 def test_classify_type_one():
     g, sel = _type_one_graph()
     assert g.max_degree == 6
-    assert classify_vertex(g, sel, 0) is VertexType.TYPE_I
+    assert vertex_type_reference(g, sel, 0) == "type-I"
 
 
 def _type_two_graph():
@@ -124,13 +122,13 @@ def _type_two_graph():
 def test_classify_type_two():
     g, sel = _type_two_graph()
     assert g.max_degree == 6
-    assert classify_vertex(g, sel, 0) is VertexType.TYPE_II
+    assert vertex_type_reference(g, sel, 0) == "type-II"
 
 
 def test_classify_neither_without_selected_edges():
     g, sel = _type_one_graph()
     assert sel.deg(19) <= 1
-    assert classify_vertex(g, sel, 21) is VertexType.NEITHER
+    assert vertex_type_reference(g, sel, 21) == "neither"
 
 
 def test_types_never_overlap_on_scrambled_states():
@@ -139,7 +137,7 @@ def test_types_never_overlap_on_scrambled_states():
         sel = initial_selection(g)
         scramble_selection(g, sel, rng, 2 * g.edge_count)
         for v in g.vertices:
-            classify_vertex(g, sel, v)  # raises if both types match
+            vertex_type_reference(g, sel, v)  # asserts the types are apart
 
 
 # -- chains ---------------------------------------------------------------------
@@ -147,8 +145,7 @@ def test_types_never_overlap_on_scrambled_states():
 
 def test_enumerate_chains_length_two():
     g, sel = _type_two_graph()
-    chains = enumerate_chains(g, sel, 0, "h")
-    assert [c.vertices for c in chains] == [(0, 1), (0, 2), (0, 3)]
+    assert chains_reference(g, sel, 0, False) == [(0, 1), (0, 2), (0, 3)]
 
 
 def _selected_chain_state():
@@ -163,9 +160,7 @@ def _selected_chain_state():
 
 def test_enumerate_chains_length_three():
     g, sel = _selected_chain_state()
-    chains = enumerate_chains(g, sel, 0, "h")
-    assert [c.vertices for c in chains] == [(0, 1, 2)]
-    assert chains[0].edges() == frozenset({(0, 1), (1, 2)})
+    assert chains_reference(g, sel, 0, False) == [(0, 1, 2)]
 
 
 def _complement_chain_state():
@@ -180,21 +175,13 @@ def _complement_chain_state():
 
 def test_enumerate_chains_length_three_complement():
     g, sel = _complement_chain_state()
-    chains = enumerate_chains(g, sel, 0, "hbar")
-    assert [(c.kind, c.vertices) for c in chains] == [("hbar", (0, 1, 2))]
-    assert chains[0].edges() == frozenset({(0, 1), (1, 2)})
+    assert chains_reference(g, sel, 0, True) == [(0, 1, 2)]
 
 
 def test_enumerate_chains_empty():
     g, sel = _type_one_graph()
-    assert enumerate_chains(g, sel, 21, "h") == []
-    assert enumerate_chains(g, sel, 21, "hbar") == []
-
-
-def test_enumerate_chains_rejects_an_unknown_kind():
-    g, sel = _type_one_graph()
-    with pytest.raises(ValueError, match="unknown chain kind 'H'"):
-        enumerate_chains(g, sel, 21, "H")
+    assert chains_reference(g, sel, 21, False) == []
+    assert chains_reference(g, sel, 21, True) == []
 
 
 def _typing_states():
@@ -215,19 +202,31 @@ def _typing_states():
 
 
 def test_vertex_typing_matches_the_references():
+    # The closure's one scan per vertex, in both roles: its pass flag is
+    # the type test, its chains are the references' as (far end, edges),
+    # and its failing witnesses are the neighbors on the role's side that
+    # start no chain.
     seen = Counter()
     for g, sel in _typing_states():
         for v in g.vertices:
             kind = vertex_type_reference(g, sel, v)
-            assert classify_vertex(g, sel, v).value == kind
             seen[kind] += 1
             for type_i, side in ((True, "hbar"), (False, "h")):
-                chains = chains_reference(g, sel, v, type_i)
-                assert [c.vertices for c in enumerate_chains(
-                    g, sel, v, side)] == chains
-                seen.update((side, len(c)) for c in chains)
+                passes, chains, witnesses = partition._scan(g, sel, v, type_i)
+                assert passes == (kind == ("type-I" if type_i else "type-II"))
+                ref = chains_reference(g, sel, v, type_i)
+                assert chains == [
+                    (c[-1], tuple(canon_edge(a, b) for a, b in zip(c, c[1:])))
+                    for c in ref]
+                starts = {c[1] for c in ref}
+                assert witnesses == [
+                    u for u in (sel.unselected_neighbors(v) if type_i
+                                else sel.selected_neighbors(v))
+                    if u not in starts]
+                seen.update((side, len(c)) for c in ref)
+                seen["witness"] += len(witnesses)
     assert set(seen) == {"type-I", "type-II", "neither", ("h", 2), ("h", 3),
-                         ("hbar", 2), ("hbar", 3)}
+                         ("hbar", 2), ("hbar", 3), "witness"}
 
 
 # -- direct moves ---------------------------------------------------------------
@@ -247,16 +246,14 @@ def test_find_move_drops_low_degree_isolated_edge():
     # The longer tail keeps the complement side free of isolated edges.
     g, sel = _k7_plus([(7, 8), (8, 9), (9, 10)], 4, [(7, 8)])
     assert check_membership(g, sel).is_member
-    assert set(sel.isolated_selected) == {(7, 8)}
-    assert not sel.isolated_unselected
+    assert isolated_edges(sel) == ({(7, 8)}, set())
     before = sel.potential()
     move = find_move(g, sel)
     assert move.remove_set == frozenset({(7, 8)}) and not move.add_set
     assert move.witness == "claim1.drop"
     after = sel.potential()
     assert after[0] == before[0] - 1
-    assert not sel.isolated_selected
-    assert not sel.isolated_unselected
+    assert isolated_edges(sel) == (set(), set())
 
 
 def test_find_move_adds_isolated_complement_edge():
@@ -264,7 +261,7 @@ def test_find_move_adds_isolated_complement_edge():
     # endpoints have complement degree 1 and selection degree 1 <= 2.
     g, sel = _k7_plus([(7, 8), (8, 9), (7, 9)], 3, [(7, 8), (8, 9)])
     assert check_membership(g, sel).is_member
-    assert set(sel.isolated_unselected) == {(7, 9)}
+    assert isolated_edges(sel)[1] == {(7, 9)}
     before = sel.potential()
     move = find_move(g, sel)
     assert move.add_set == frozenset({(7, 9)}) and not move.remove_set
@@ -319,8 +316,8 @@ def test_find_move_claim1_two_edge_add():
 def _selection_state(g, sel):
     # The incremental bookkeeping, checked against a recount.
     deg, iso_sel, iso_unsel = recompute_selection_state(sel)
-    assert ({v: sel.deg(v) for v in g.vertices}, set(sel.isolated_selected),
-            set(sel.isolated_unselected)) == (deg, iso_sel, iso_unsel)
+    assert ({v: sel.deg(v) for v in g.vertices},
+            *isolated_edges(sel)) == (deg, iso_sel, iso_unsel)
     return sel.selected, deg, iso_sel, iso_unsel
 
 
@@ -393,7 +390,7 @@ def _closure_drop_state():
 def test_closure_simple_drop_move():
     g, sel = _closure_drop_state()
     assert check_membership(g, sel).is_member
-    assert classify_vertex(g, sel, 0) is VertexType.TYPE_I
+    assert vertex_type_reference(g, sel, 0) == "type-I"
     before = sel.potential()
     move = find_move(g, sel)
     assert move.witness == "claims.drop"
@@ -451,9 +448,9 @@ def test_closure_revisit_rejected_at_depth_two(monkeypatch):
     g, sel = closure_revisit_state()
     assert g.max_degree == 6
     assert check_membership(g, sel).is_member
-    assert classify_vertex(g, sel, 0) is VertexType.TYPE_II
-    assert classify_vertex(g, sel, 2) is VertexType.TYPE_I
-    assert classify_vertex(g, sel, 3) is VertexType.NEITHER
+    assert vertex_type_reference(g, sel, 0) == "type-II"
+    assert vertex_type_reference(g, sel, 2) == "type-I"
+    assert vertex_type_reference(g, sel, 3) == "neither"
     evaluated = []
     real = partition._try_move
 
@@ -493,8 +490,7 @@ def test_closure_inverse_swap_move():
     g, sel = _closure_iswap_state()
     assert g.max_degree == 6
     assert check_membership(g, sel).is_member
-    assert set(sel.isolated_unselected) == {(0, 1)}
-    assert not sel.isolated_selected
+    assert isolated_edges(sel) == (set(), {(0, 1)})
     before = sel.potential()
     move = find_move(g, sel)
     assert move.witness == "claims.iswap"
@@ -515,9 +511,9 @@ def test_closure_inverse_swap_two_edge_move():
     sel = SubgraphSelection(g, sorted(sel.selected) + [(13, 17)])
     assert g.max_degree == 6
     assert check_membership(g, sel).is_member
-    assert set(sel.isolated_unselected) == {(0, 1)}
-    assert classify_vertex(g, sel, 0) is VertexType.TYPE_II
-    assert classify_vertex(g, sel, 2) is VertexType.NEITHER
+    assert isolated_edges(sel)[1] == {(0, 1)}
+    assert vertex_type_reference(g, sel, 0) == "type-II"
+    assert vertex_type_reference(g, sel, 2) == "neither"
     assert sel.potential() == (1, 10)
     move = find_move(g, sel)
     assert move.witness == "claims.iswap"
@@ -525,6 +521,22 @@ def test_closure_inverse_swap_two_edge_move():
     assert move.remove_set == frozenset({(0, 2)})
     assert sel.potential() == (0, 11)
     assert check_membership(g, sel).is_member
+
+
+def test_find_move_requires_max_degree_six():
+    # Below Delta = 6 the type-I and type-II prerequisites can overlap and
+    # the counting argument does not hold: on this Delta = 5 state the
+    # closure saturates, which would be reported as a counterexample.
+    selected = [(1, 2), (1, 9), (2, 3), (2, 6), (3, 4), (4, 6), (5, 8),
+                (6, 9)]
+    g = Graph(10, selected + [(0, 2), (0, 7), (0, 9), (1, 3), (1, 7), (1, 8),
+                              (2, 7), (3, 7), (5, 6), (5, 7), (5, 9)])
+    sel = SubgraphSelection(g, selected)
+    assert g.max_degree == 5 and sel.potential() == (1, 8)
+    for search in (find_move, run_engine):
+        with pytest.raises(ValueError, match="requires max degree >= 6"):
+            search(g, sel)
+    assert sel.selected == frozenset(selected)
 
 
 def test_find_move_requires_positive_potential():
