@@ -61,10 +61,7 @@ class _Conditions:
 
     def __init__(self, g: Graph, sel: SubgraphSelection):
         self.g, self.h = g, sel.selected
-        self.d = {v: 0 for v in g.vertices}
-        for u, v in self.h:
-            self.d[u] += 1
-            self.d[v] += 1
+        self.d = recompute_selection_state(sel)[0]
 
     def side(self, v: int, selected: bool) -> list[int]:
         return [w for w in self.g.neighbors(v)
@@ -89,7 +86,8 @@ class _Conditions:
         return w if self.codeg(w) == 1 and self.d[w] == 3 else None
 
     def c4(self, v: int) -> bool:
-        return 1 <= self.d[v] <= 2 and self.g.degree(v) >= self.g.max_degree - 1
+        g = self.g
+        return 1 <= self.d[v] <= 2 and g.degree(v) >= g.max_degree - 1
 
     def c5(self, v: int, u: int) -> int | None:
         # The far end w of the selected path u-v-w, when v has selection
