@@ -32,7 +32,9 @@ class Graph:
             raise ValueError("vertex count must be nonnegative")
         es: set[Edge] = set()
         for u, v in edges:
-            e = canon_edge(int(u), int(v))
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"edge {(u, v)} has a non-integer label")
+            e = canon_edge(u, v)
             if e[0] < 0 or e[1] >= n:
                 raise ValueError(f"edge {e} outside 0..{n - 1}")
             if e in es:
@@ -153,8 +155,12 @@ def _host_edges(g: Graph, s: Iterable[Edge]) -> frozenset[Edge]:
 def edge_induced(g: Graph, s: Iterable[Edge]) -> Graph:
     """Subgraph with edge set ``s`` and vertex set the endpoints of ``s``;
     ``s`` holds edges of ``g`` in either orientation, each once."""
+    es = _host_edges(g, s)
+    for u, v in es:  # (0, 1.0) passes as host edge (0, 1)
+        if type(u) is not int or type(v) is not int:
+            raise ValueError(f"edge {(u, v)} has a non-integer label")
     sub = Graph.__new__(Graph)
-    sub._build(g.n, _host_edges(g, s), None)
+    sub._build(g.n, es, None)
     return sub
 
 

@@ -287,7 +287,11 @@ def _cands_failing_type_i(
 
 def _counterexample(message: str, g: Graph, sel: SubgraphSelection,
                     **extra) -> CounterexampleFound:
-    """CounterexampleFound carrying the state needed to reproduce a stall."""
+    """CounterexampleFound carrying the state needed to reproduce a stall;
+    a ``sel`` that is no member raises ValueError with its first violation."""
+    for v, cond in _violations(g, sel, g._adj):
+        raise ValueError(f"selection is not a member: vertex {v} breaks "
+                         f"membership condition {cond}")
     return CounterexampleFound(message, {
         "edgelist": emit_graph(g, "edgelist").decode("ascii"),
         "selection": sorted(sel.selected),
@@ -306,8 +310,8 @@ def find_move(g: Graph, sel: SubgraphSelection) -> Move:
     endpoint's own direct rewrites.  When no rewrite is found, every trial
     was undone, ``sel`` is unchanged, and CounterexampleFound is raised
     with the state dump: the counting argument for Delta >= 6 rules that
-    out.  Below Delta = 6 that argument does not hold, and ValueError is
-    raised.
+    out for a member ``sel``.  A ``sel`` that is not one, or Delta below 6,
+    where that argument does not hold, raises ValueError.
     """
     delta = g.max_degree
     if delta < 6:
@@ -542,12 +546,13 @@ def partition_p2(g: Graph,
     classes 1..3, moved down by 3, which puts them within the remainder's
     Delta'+1 (a subcubic peel leaves Delta' >= Delta-3), and fans color only
     the edges left uncolored: those the engine moved out of the selection.
-    Colors are mapped onto 1..K in their order on every level, as
-    ``misra_gries`` does.  The remainder is one ``_Level``, built once from
-    ``g``: each level trims its peel off in place and keeps the complement
-    ``partition_p1`` built and checked as its edge set, so a level costs
-    O(n + |peel|) beside the engine, not a new graph.  The membership
-    guarantee needs only some proper (Delta'+1)-coloring, and
+    A class the engine emptied stays a gap in the palette: if it is one of
+    classes 1..3, a Delta'-vertex meets the other two, and a
+    (Delta'-1)-vertex one of them.  The remainder is one ``_Level``, built
+    once from ``g``: each level trims its peel off in place and keeps the
+    complement ``partition_p1`` built and checked as its edge set, so a
+    level costs O(n + |peel|) beside the engine, not a new graph.  The
+    membership guarantee needs only some proper (Delta'+1)-coloring, and
     ``initial_selection`` checks membership on every level.  A graph with
     no edge has no partition: it raises ValueError.
     """
@@ -561,7 +566,6 @@ def partition_p2(g: Graph,
     todo = g.sorted_edges()
     while rest.max_degree > 5:
         fans.fan(todo)
-        fans.compact()
         h_edges, hbar_edges = partition_p1(rest, trace=trace,
                                            coloring=fans).parts
         peels.append(h_edges)

@@ -45,6 +45,10 @@ class _Fans:
     ``partition_p2`` keeps one state through every level of its peel
     (``peel``), so each level fans only the edges the level above left
     uncolored: those of classes 1..3 that it did not peel.
+
+    A cold state's colors are 1..K, with no gap to renumber: ``fan`` gives
+    an edge the lowest color free at its ends, so every smaller color is
+    already at one of them, and no rotation or path swap drops a color.
     """
 
     __slots__ = ("host", "col", "at", "used", "base")
@@ -62,10 +66,9 @@ class _Fans:
 
     @classmethod
     def cold(cls, host: Graph) -> _Fans:
-        """Every edge of ``host`` fanned in sorted order, colors on 1..K."""
+        """Every edge of ``host`` fanned in sorted order: colors 1..K."""
         fans = cls(host)
         fans.fan(host.sorted_edges())
-        fans.compact()
         return fans
 
     def paint(self, u: int, v: int, c: int) -> None:
@@ -177,29 +180,6 @@ class _Fans:
             recolor([(x, fan[i], colx[fan[i + 1]]) for i in range(j)]
                     + [(x, w, d)])
 
-    def compact(self) -> int:
-        """Map the colors onto 1..K in their order, as ``relabeled`` does;
-        return K.  Only a palette with a gap is rewritten."""
-        base, col, at, used = self.base, self.col, self.at, self.used
-        vertices = self.host.vertices
-        palette = 0
-        for v in vertices:
-            palette |= used[v]
-        palette >>= base + 1
-        k = palette.bit_length()
-        if palette == (1 << k) - 1:
-            return k
-        rank: dict[int, int] = {}
-        for i in range(k):
-            if palette >> i & 1:
-                rank[base + 1 + i] = base + 1 + len(rank)
-        floor = (1 << base + 1) - 1
-        for v in vertices:
-            col[v] = {w: rank[c] for w, c in col[v].items()}
-            at[v] = {rank[c]: w for c, w in at[v].items()}
-            used[v] = floor | sum(1 << c for c in at[v])
-        return len(rank)
-
     def edges_upto(self, k: int) -> list[Edge]:
         """The edges of colors 1..k, in order, read from ``at`` in O(nk)."""
         out = []
@@ -250,7 +230,7 @@ def misra_gries(g: Graph) -> EdgeColoring:
     the d/c path from x, where c and d are the smallest free colors at x
     and at the fan's last vertex, and then rotates its first prefix that
     ends where d is free.  The result is reproducible for a fixed vertex
-    labeling, and its colors are mapped onto 1..K in their order.
+    labeling, and its colors are 1..K, with no gap (see ``_Fans``).
     The coloring is ``_Fans.cold(g)``'s, the state ``initial_selection``
     builds by default; ``partition_p2`` extends each level's coloring on
     the one state it keeps through the peel.

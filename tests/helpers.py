@@ -278,14 +278,12 @@ def exhaust_searches(monkeypatch,
 def warm_fans(g: Graph, start: dict) -> _Fans:
     """A fresh coloring state of ``g`` extended from ``start``, a partial
     proper coloring (edge -> color in 1..Delta+1): the start is painted,
-    the uncolored edges are fanned in sorted order, and the colors are
-    mapped onto 1..K.  This is the warm fan path ``partition_p2`` runs on
-    every level below the first."""
+    and the uncolored edges are fanned in sorted order.  This is the warm
+    fan path ``partition_p2`` runs on every level below the first."""
     fans = _Fans(g)
     for (u, v), c in start.items():
         fans.paint(u, v, c)
     fans.fan(sorted(g.edges - start.keys()))
-    fans.compact()
     return fans
 
 

@@ -30,6 +30,20 @@ def test_graph_rejects_duplicates_and_range():
         Graph(3, [(0, 3)])
 
 
+@pytest.mark.parametrize("s, edge", [
+    ([(0, 1.0), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)], (0, 1.0)),
+    ([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5.0, 0)], (0, 5.0)),
+    ({(1, 2), (2.0, 3)}, (2.0, 3)),
+])
+def test_edge_induced_rejects_non_integer_labels(s, edge):
+    # (0, 1.0) == (0, 1), so the host-edge test takes such a pair, in a
+    # list, a set or either orientation; kept, its float label would end as
+    # a vertex or a neighbor that no list index takes.
+    with pytest.raises(ValueError) as info:
+        edge_induced(cycle(6), s)
+    assert str(info.value) == f"edge {edge} has a non-integer label"
+
+
 def test_is_normal_cases():
     assert not is_normal(Graph(2, [(0, 1)]))          # single edge
     assert is_normal(Graph(3, [(0, 1), (1, 2)]))      # two-edge path
@@ -346,6 +360,11 @@ def test_edge_partition_set_parts_match_lists():
     ((-1,), "vertex count must be nonnegative"),
     ((3, [(0, 3)]), r"edge \(0, 3\) outside 0\.\.2"),
     ((3, [(0, 1), (1, 0)]), r"duplicate edge \(0, 1\)"),
+    # Labels are never converted: 1.7 is not truncated to 1.
+    ((3, [(1, 2), (0, 1.7)]), r"edge \(0, 1\.7\) has a non-integer label"),
+    ((3, [(0, 1.0)]), r"edge \(0, 1\.0\) has a non-integer label"),
+    ((3, [("0", 1)]), r"edge \('0', 1\) has a non-integer label"),
+    ((3, [(True, 2)]), r"edge \(True, 2\) has a non-integer label"),
 ])
 def test_graph_input_errors(args, message):
     with pytest.raises(ValueError, match=message):

@@ -87,6 +87,23 @@ def test_initial_selection_requires_degree_six():
         initial_selection(cycle(5))
 
 
+def test_a_level_with_an_empty_low_class_still_selects_a_member():
+    # A level's palette is not renumbered, so class 2 can be empty.  K_7,7
+    # with the Latin-square coloring, color 2 moved to 8: every vertex
+    # meets classes 1 and 3, so the selection is still a member.
+    g = Graph(14, [(i, 7 + j) for i in range(7) for j in range(7)])
+    state = vizing._Fans(g)
+    for i in range(7):
+        for j in range(7):
+            c = (i + j) % 7 + 1
+            state.paint(i, 7 + j, 8 if c == 2 else c)
+    sel = initial_selection(g, state)
+    assert check_membership(g, sel).is_member
+    assert len(sel.selected) == 14
+    parts = partition_p1(g, coloring=state).parts
+    assert [len(p) for p in parts] == [14, 35]
+
+
 def _type_one_graph():
     # 0 has one selected edge (to 1), degree Delta-1 = 5, and every
     # complement neighbor (2..5) has selection degree 3.
@@ -916,6 +933,25 @@ def test_engine_counterexample_carries_move_log(monkeypatch):
     assert len(log) == 2
     assert [e["witness"] for e in log] == [m.witness for m in moves]
     assert info.value.payload["potential"] == log[-1]["potential_after"]
+
+
+def test_engine_refuses_a_non_member_selection_on_its_failure_path():
+    # Random selections break membership.  The engine still fixes most of
+    # them, but a state it has no move for is reported as no member, with
+    # its first violation, not as a counterexample to the argument.
+    rng = random.Random(1)
+    refused = 0
+    for g in normal_gnp_corpus(30, 1, 12, 30, 6, 8, p_lo=0.2, p_hi=0.4):
+        sel = SubgraphSelection(
+            g, [e for e in sorted(g.edges) if rng.random() < 0.3])
+        try:
+            run_engine(g, sel)
+        except ValueError as exc:
+            (v, cond), *_ = check_membership(g, sel).violations
+            assert str(exc) == (f"selection is not a member: vertex {v} "
+                                f"breaks membership condition {cond}")
+            refused += 1
+    assert refused == 3
 
 
 def test_stall_below_the_first_level_dumps_its_graph(monkeypatch):

@@ -191,32 +191,6 @@ def test_misra_gries_warm_outputs_golden():
     assert digests == wanted
 
 
-def test_fans_compact_relabels_a_gapped_palette_at_any_base():
-    # A peel level keeps its colors absolute over a base.  A palette with a
-    # gap is mapped onto 1..K in its order, as ``relabeled`` maps it, and
-    # the maps stay consistent.
-    g = gnp(30, 0.3, 5)
-    full = misra_gries(g).assignment
-    for base in (0, 3, 9):
-        for dropped in (None, 2):
-            spread = {e: 3 * c for e, c in full.items() if c != dropped}
-            fans = _Fans(g)
-            fans.base = base
-            floor = (1 << base + 1) - 1
-            for v in g.vertices:
-                fans.used[v] |= floor
-            for (u, v), c in spread.items():
-                fans.paint(u, v, base + c)
-            assert fans.compact() == len(set(spread.values()))
-            assert {(v, w): c - base for v in g.vertices
-                    for w, c in fans.col[v].items() if v < w
-                    } == relabeled(spread)
-            for v in g.vertices:
-                assert fans.used[v] == floor | sum(1 << c for c in fans.at[v])
-                assert all(fans.at[v][c] == w
-                           for w, c in fans.col[v].items())
-
-
 _PATH = [(0, 1), (0, 2)]
 
 
@@ -260,6 +234,8 @@ def test_misra_gries_properties(g):
     mg = misra_gries(g)
     assert check_proper(g, mg) == (True, None)
     assert mg.colors_used <= g.max_degree + 1
+    # The palette has no gap: nothing renumbers it.
+    assert set(mg.assignment.values()) == set(range(1, mg.colors_used + 1))
     sets = color_sets_reference(g, mg)
     for v in g.vertices:
         assert len(sets[v]) == g.degree(v)
@@ -275,11 +251,8 @@ def test_misra_gries_extends_a_start(g, rng):
     def extend(start):
         return fans_coloring(warm_fans(g, start))
 
-    # A complete start is kept, relabeled in order onto 1..K.
+    # A complete start is kept.
     assert extend(full).assignment == full
-    shifted = {e: c + g.max_degree + 1 - max(full.values(), default=0)
-               for e, c in full.items()}
-    assert extend(shifted).assignment == full
     # A partial start is extended.  Path swaps and fan rotations may
     # recolor its edges, so only the coloring's own guarantees are checked.
     start = {e: c for e, c in full.items() if rng.random() < 0.5}
@@ -378,7 +351,7 @@ def _assert_same_fans(fans, ref):
 def test_fans_match_their_reference(case):
     # The list-indexed state against the dict-keyed one it replaced, step
     # by step through partition_p2's sequence: paint a warm start over a
-    # base, then on each level fan, compact and read classes 1..3, and peel
+    # base, then on each level fan and read classes 1..3, and peel
     # a part of max degree at most 3 grown from them.
     g, base, start, rng = case
     _assert_same_fans(_Fans.cold(g), FansReference.cold(g))
@@ -395,8 +368,6 @@ def test_fans_match_their_reference(case):
     for _ in range(4):
         fans.fan(todo)
         ref.fan(todo)
-        _assert_same_fans(fans, ref)
-        assert fans.compact() == ref.compact()
         _assert_same_fans(fans, ref)
         low = fans.edges_upto(3)
         assert low == ref.edges_upto(3)
