@@ -16,9 +16,9 @@ from .generators import complete, cycle, generate, gnp, petersen, random_regular
 from .graph_io import emit_graph, parse_graph, sniff_format
 from .graphs import (Edge, EdgePartition, Graph, SubgraphSelection, canon_edge,
                      edge_induced, is_normal)
-from .partition import (MembershipReport, Move, check_membership, find_move,
-                        initial_selection, partition_p1, partition_p2,
-                        partition_regular, run_engine)
+from .partition import (Move, check_membership, find_move, initial_selection,
+                        partition_p1, partition_p2, partition_regular,
+                        run_engine)
 from .verify import (AuditReport, audit, check_avd, check_certificate,
                      check_partition, check_proper, exact_chi_a,
                      exact_chromatic_index)
@@ -28,8 +28,8 @@ __all__ = [
     "AuditReport", "AvdCertificate", "CapExceededError",
     "CounterexampleFound", "Edge", "EdgeColoring",
     "EdgePartition", "GenerationError", "Graph", "GraphFormatError",
-    "InternalBoundViolationError", "MembershipReport",
-    "Move", "NotNormalError", "SearchCapExceededError", "SubgraphSelection",
+    "InternalBoundViolationError", "Move", "NotNormalError",
+    "SearchCapExceededError", "SubgraphSelection",
     "audit", "avd_color", "avd_color_budget",
     "avd_color_regular", "avd_subcubic", "canon_edge", "check_avd",
     "check_certificate", "check_membership", "check_partition",

@@ -8,7 +8,8 @@ to ``*.counterexample.json``: the partition engine stalled, or a search
 refuted a budget that a cited bound guarantees.  4 a part's guaranteed
 search spent its node budget (after the part's repair at that budget,
 which paths and cycles skip, failed as well), with the part's state
-written to ``*.search-cap.json``.
+written to ``*.search-cap.json``.  A report that cannot be written is one
+``error: <path>: <reason>`` line on stderr; the exit code, 3 or 4, stands.
 """
 
 from __future__ import annotations
@@ -56,11 +57,15 @@ def _write_out(args, data: bytes) -> None:
 
 
 def _dump_state(args, exc: StateDumpError, kind: str, code: int) -> int:
-    stem = Path(args.out).with_suffix("") if getattr(args, "out", None) \
-        else Path("avdcolor")
+    stem = Path(getattr(args, "out", None) or "avdcolor").with_suffix("")
     path = Path(f"{stem}.{kind}.json")
-    path.write_bytes(_json_bytes({"message": str(exc), "state": exc.payload}))
-    print(f"{kind} report written to {path}", file=sys.stderr)
+    try:
+        path.write_bytes(_json_bytes({"message": str(exc),
+                                      "state": exc.payload}))
+    except OSError as err:
+        print(f"error: {path}: {err.strerror or err}", file=sys.stderr)
+    else:
+        print(f"{kind} report written to {path}", file=sys.stderr)
     return code
 
 

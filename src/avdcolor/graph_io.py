@@ -11,7 +11,6 @@ FORMATS = ("graph6", "dimacs", "edgelist")
 
 _G6_HEADER = ">>graph6<<"
 # graph6 stores each 6-bit value plus 63, as a printable byte '?'..'~'.
-_ADD_63 = bytes((b + 63) % 256 for b in range(256))
 _SUB_63 = bytes((b - 63) % 256 for b in range(256))
 # Positions of the set bits of a 6-bit value, high bit first.
 _SET_BITS = [[r for r in range(6) if b & (32 >> r)] for b in range(64)]
@@ -121,15 +120,16 @@ def _emit_graph6(g: Graph) -> bytes:
     if g.vertices != tuple(range(g.n)):
         raise GraphFormatError("graph6 requires a dense vertex set 0..n-1")
     n = g.n
-    if n < 63:
-        head = bytes([n + 63])
-    else:
-        head = bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
-    body = bytearray((n * (n - 1) // 2 + 5) // 6)
+    head = [n] if n < 63 else [63, n >> 12, (n >> 6) & 63, n & 63]
+    # One '?'-filled buffer (each 6-bit value 0) holds header and body;
+    # bits are added, which ORs them, as distinct edges set distinct bits.
+    out = bytearray(b"?") * (len(head) + (n * (n - 1) // 2 + 5) // 6)
+    out[:len(head)] = bytes(b + 63 for b in head)
+    off = 6 * len(head)
     for u, v in g.edges:
-        i = v * (v - 1) // 2 + u
-        body[i // 6] |= 32 >> (i % 6)
-    return head + body.translate(_ADD_63)
+        i = v * (v - 1) // 2 + u + off
+        out[i // 6] += 32 >> (i % 6)
+    return bytes(out)
 
 
 # -- DIMACS edge format -----------------------------------------------------

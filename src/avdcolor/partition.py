@@ -37,17 +37,6 @@ from .vizing import _Fans, color_classes, misra_gries
 
 
 @dataclass(frozen=True)
-class MembershipReport:
-    """Outcome of the three membership conditions; empty violations = member."""
-
-    violations: tuple[tuple[int, int], ...]  # (vertex, condition 1|2|3)
-
-    @property
-    def is_member(self) -> bool:
-        return not self.violations
-
-
-@dataclass(frozen=True)
 class Move:
     """An applied rewrite; its witness tag names the case of the analysis,
     and with it whether the move adds, drops or swaps along a chain."""
@@ -75,9 +64,11 @@ def _violations(g: Graph, sel: SubgraphSelection,
             yield v, 3
 
 
-def check_membership(g: Graph, sel: SubgraphSelection) -> MembershipReport:
-    """Report every violation of the three selection-degree conditions."""
-    return MembershipReport(tuple(_violations(g, sel, g._adj)))
+def check_membership(g: Graph, sel: SubgraphSelection
+                     ) -> tuple[tuple[int, int], ...]:
+    """Each (vertex, condition 1|2|3) that breaks membership, in vertex
+    order; empty for a member."""
+    return tuple(_violations(g, sel, g._adj))
 
 
 def _cond1(sel: SubgraphSelection, u: int) -> bool:
@@ -414,9 +405,9 @@ def initial_selection(g: Graph, coloring: _Fans | None = None
     """Selection of color classes 1..3 of a proper edge coloring.
 
     ``coloring`` is a coloring state (``vizing._Fans``) holding a proper
-    coloring of all of ``g`` in at most Delta+1 colors, read in O(n) by
-    ``edges_upto(3)``: ``_Fans.cold(g)``, ``misra_gries``'s coloring, by
-    default; ``partition_p2`` passes the state it extends level by level.
+    coloring of all of ``g`` in at most Delta+1 colors; ``take_low`` takes
+    classes 1..3 out of it, uncolored, in O(n).  ``_Fans.cold(g)``,
+    ``misra_gries``'s coloring, by default; ``partition_p2`` passes its own.
     Any such coloring will do.  The counting behind the membership
     guarantee: a Delta-vertex misses at most one of any three classes, a
     (Delta-1)-vertex at most two.  The membership check below rejects a
@@ -428,12 +419,11 @@ def initial_selection(g: Graph, coloring: _Fans | None = None
         raise ValueError("initial selection requires max degree >= 6")
     if coloring is None:
         coloring = _Fans.cold(g)
-    sel = SubgraphSelection(g, coloring.edges_upto(3))
-    report = check_membership(g, sel)
-    if not report.is_member:
+    sel = SubgraphSelection(g, coloring.take_low())
+    if violations := check_membership(g, sel):
         raise InternalBoundViolationError(
             "initial selection is not a member; the edge coloring is suspect",
-            {"violations": report.violations})
+            {"violations": violations})
     return sel
 
 
@@ -475,8 +465,8 @@ def partition_p1(g: Graph, trace: Callable[[dict], None] | None = None,
     max degree <= Delta-2, both normal.
 
     Runs the engine once, from ``initial_selection(g, coloring)``, which
-    checks the preconditions and builds the cold coloring state when
-    ``coloring`` is None; there are no restarts.  A stall raises
+    checks the preconditions and takes classes 1..3 out of ``coloring``,
+    the cold state when None; there are no restarts.  A stall raises
     CounterexampleFound with a full state dump.  The final selection is
     checked again: ``check_membership`` gives the degree bounds (complement
     degree at most Delta-2 is selection degree at least 2 at a Delta-vertex
@@ -485,7 +475,7 @@ def partition_p1(g: Graph, trace: Callable[[dict], None] | None = None,
     """
     sel = initial_selection(g, coloring)
     run_engine(g, sel, trace)
-    if not check_membership(g, sel).is_member:
+    if check_membership(g, sel):
         raise AssertionError("partition degree bounds violated")
     h_edges, deg = sel.selected, sel._deg
     if any(deg[u] == 1 and deg[v] == 1 for u, v in h_edges):
@@ -540,12 +530,12 @@ def partition_p2(g: Graph,
     first, so the last part is the selection side of ``partition_p1(g)``.
     ``initial_selection`` checks each level's normality; G_0 is checked last.
 
-    One coloring state (``vizing._Fans``) lives through every level.  The
-    first level's is the cold ``misra_gries`` coloring; below it, the state
-    keeps the level's colors on the remainder's edges outside the selected
-    classes 1..3, moved down by 3, which puts them within the remainder's
-    Delta'+1 (a subcubic peel leaves Delta' >= Delta-3), and fans color only
-    the edges left uncolored: those the engine moved out of the selection.
+    One coloring state (``vizing._Fans``) lives through every level, the
+    cold ``misra_gries`` coloring at first.  Each level's selection takes
+    classes 1..3 out of it; the peel keeps the other colors on the
+    remainder's edges, moved down by 3, within the remainder's Delta'+1
+    (a subcubic peel leaves Delta' >= Delta-3), and fans color only the
+    edges left uncolored: those the engine moved out of the selection.
     A class the engine emptied stays a gap in the palette: if it is one of
     classes 1..3, a Delta'-vertex meets the other two, and a
     (Delta'-1)-vertex one of them.  The remainder is one ``_Level``, built

@@ -42,9 +42,9 @@ class _Fans:
     assignment, and so ``_repair``'s candidate order, follows.
 
     ``cold`` builds the state of a whole coloring, ``misra_gries``'s;
-    ``partition_p2`` keeps one state through every level of its peel
-    (``peel``), so each level fans only the edges the level above left
-    uncolored: those of classes 1..3 that it did not peel.
+    ``partition_p2`` keeps one state through every level: the selection
+    takes classes 1..3 (``take_low``), so each level fans only the edges
+    the level above left uncolored: those of classes 1..3 it did not peel.
 
     A cold state's colors are 1..K, with no gap to renumber: ``fan`` gives
     an edge the lowest color free at its ends, so every smaller color is
@@ -80,13 +80,13 @@ class _Fans:
         self.used[v] |= 1 << c
 
     def uncolor(self, edges: Iterable[Edge]) -> None:
-        """Uncolor the colored ``edges``."""
+        """Uncolor those of ``edges`` that are colored."""
         col, at, used = self.col, self.at, self.used
         for u, v in edges:
-            c = col[u].pop(v)
-            del col[v][u], at[u][c], at[v][c]
-            used[u] ^= 1 << c
-            used[v] ^= 1 << c
+            if c := col[u].pop(v, 0):
+                del col[v][u], at[u][c], at[v][c]
+                used[u] ^= 1 << c
+                used[v] ^= 1 << c
 
     def fan(self, edges: Iterable[Edge]) -> None:
         """Color the uncolored ``edges`` of ``host``, in order, by fans.
@@ -115,7 +115,7 @@ class _Fans:
         def recolor(batch: list[tuple[int, int, int]]) -> None:
             # Uncolor everything first: a sequential rewrite would transiently
             # give a vertex two edges of one color and corrupt ``at``.
-            self.uncolor([(u, v) for u, v, _ in batch if v in col[u]])
+            self.uncolor([(u, v) for u, v, _ in batch])
             for u, v, c in batch:
                 paint(u, v, c)
 
@@ -180,42 +180,42 @@ class _Fans:
             recolor([(x, fan[i], colx[fan[i + 1]]) for i in range(j)]
                     + [(x, w, d)])
 
-    def edges_upto(self, k: int) -> list[Edge]:
-        """The edges of colors 1..k, in order, read from ``at`` in O(nk)."""
+    def take_low(self) -> list[Edge]:
+        """Uncolor classes 1..3 and return their edges in order, in O(n)."""
         out = []
         at, used = self.at, self.used
         lo = self.base + 1
-        bits = (1 << k) - 1
         for v in self.host.vertices:
-            if used[v] >> lo & bits:
+            if used[v] >> lo & 7:
                 at_v = at[v]
-                for c in range(lo, lo + k):
-                    w = at_v.get(c)
-                    if w is not None and v < w:
+                for c in range(lo, lo + 3):
+                    if (w := at_v.get(c, -1)) > v:
                         out.append((v, w))
+        self.uncolor(out)
         return out
 
     def peel(self, part: frozenset[Edge], host: Graph) -> list[Edge]:
         """Move to ``host``, the host less the edges of ``part``.
 
-        Uncolors ``part`` and what is left of classes 1..3 and moves every
-        color down by 3.  What stays colored is a partial proper coloring of
-        ``host``; returns its uncolored edges in order, the ones ``fan`` is
-        to color.  A part of max degree at most 3, as ``partition_p1``
-        peels, leaves ``host`` a Delta' of at least Delta-3, so colors
-        1..Delta+1 move down to at most Delta-2 <= Delta'+1: no color is
-        left above ``host``'s Delta'+1.
+        Uncolors the edges of ``part`` still colored (``take_low`` took
+        classes 1..3), the ones the engine added, and moves every color
+        down by 3.  Returns ``host``'s uncolored edges, sorted: those the
+        engine dropped, the ones ``fan`` is to color.  A part of max degree
+        at most 3, as ``partition_p1`` peels, leaves ``host`` a Delta' of
+        at least Delta-3, so colors 1..Delta+1 move down to at most
+        Delta-2 <= Delta'+1: no color is left above ``host``'s Delta'+1.
         """
+        col, used = self.col, self.used
         self.uncolor(part)
         self.host = host
-        todo = self.edges_upto(3)
-        self.uncolor(todo)
         self.base += 3
         floor = (1 << self.base + 1) - 1
-        used = self.used
-        for v in host.vertices:
+        todo = []
+        for v, ns in host.adjacency.items():
             used[v] |= floor
-        todo.sort()
+            col_v = col[v]
+            if len(col_v) < len(ns):
+                todo.extend((v, w) for w in ns if v < w and w not in col_v)
         return todo
 
 

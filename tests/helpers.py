@@ -208,7 +208,7 @@ def step_to_zero(g: Graph, sel: SubgraphSelection) -> list:
     pot = sel.potential()
     while pot[0]:
         moves.append(find_move(g, sel))
-        assert check_membership(g, sel).is_member
+        assert not check_membership(g, sel)
         assert sel.potential() < pot
         pot = sel.potential()
     return moves

@@ -169,7 +169,7 @@ def test_criterion_7_potential_monotonicity():
         pot = sel.potential()
         while pot[0]:
             find_move(g, sel)
-            assert check_membership(g, sel).is_member
+            assert not check_membership(g, sel)
             assert sel.potential() < pot
             pot = sel.potential()
         runs += 1

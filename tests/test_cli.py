@@ -257,6 +257,25 @@ def test_partition_stall_exits_with_counterexample(tmp_path, monkeypatch,
     assert dumped.edges == g.edges
 
 
+def test_unwritable_counterexample_report_still_exits_three(
+        tmp_path, monkeypatch, capsys):
+    # The report goes next to --out, in a directory that does not exist:
+    # one error line names it, and the finding's exit code stands.
+    from avdcolor import SubgraphSelection, partition
+    g, sel = closure_revisit_state()
+    gpath = _write_graph(tmp_path, g)
+    monkeypatch.setattr(partition, "initial_selection",
+                        lambda h, coloring=None:
+                        SubgraphSelection(h, sel.selected))
+    monkeypatch.setattr(partition, "_first_valid", lambda g, sel, cands: None)
+    out = tmp_path / "missing" / "p.json"
+    assert main(["partition", gpath, "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {out.with_suffix('')}.counterexample.json: "
+                   "No such file or directory"]
+    assert not out.parent.exists()
+
+
 def test_color_refuted_budget_exits_with_counterexample(tmp_path, monkeypatch,
                                                         capsys):
     from avdcolor import coloring
@@ -308,6 +327,18 @@ def test_color_spent_search_budget_exits_four(tmp_path, monkeypatch, capsys,
     part = parse_graph(data["state"]["edgelist"], "edgelist")
     assert part.edge_count and part.edges <= g.edges
     assert not (tmp_path / "cert.json").exists()
+
+
+def test_unwritable_search_cap_report_still_exits_four(tmp_path, monkeypatch,
+                                                       capsys):
+    exhaust_searches(monkeypatch)
+    gpath = _write_graph(tmp_path, petersen())
+    out = tmp_path / "missing" / "cert.json"
+    assert main(["color", gpath, "--out", str(out)]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {out.with_suffix('')}.search-cap.json: "
+                   "No such file or directory"]
+    assert not out.parent.exists()
 
 
 @pytest.mark.parametrize("g", [petersen(), gnp(10, 0.5, 2)],

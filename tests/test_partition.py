@@ -27,15 +27,15 @@ def test_check_membership_empty_on_k7():
     g = complete(7)
     sel = SubgraphSelection(g)
     report = check_membership(g, sel)
-    assert not report.is_member
-    assert sorted(report.violations) == [(v, 2) for v in range(7)]
+    assert report
+    assert sorted(report) == [(v, 2) for v in range(7)]
 
 
 def test_check_membership_overfull_vertex():
     g = complete(7)
     sel = SubgraphSelection(g, [(0, 1), (0, 2), (0, 3), (0, 4)])
     report = check_membership(g, sel)
-    assert (0, 1) in report.violations
+    assert (0, 1) in report
 
 
 def test_check_membership_matches_a_recount():
@@ -63,7 +63,7 @@ def test_check_membership_matches_a_recount():
                     (2, g.degree(v) == delta and d_sel[v] < 2),
                     (3, g.degree(v) == delta - 1 and d_sel[v] < 1))
                 if broken)
-            assert check_membership(g, sel).violations == expected
+            assert check_membership(g, sel) == expected
             seen.update(c for _, c in expected)
     assert set(seen) == {1, 2, 3}
 
@@ -71,14 +71,14 @@ def test_check_membership_matches_a_recount():
 def test_initial_selection_k7():
     g = complete(7)
     sel = initial_selection(g)
-    assert check_membership(g, sel).is_member
+    assert not check_membership(g, sel)
     assert all(sel.deg(v) >= 2 for v in g.vertices)
 
 
 def test_initial_selection_regular():
     g = random_regular(12, 6, seed=4)
     sel = initial_selection(g)
-    assert check_membership(g, sel).is_member
+    assert not check_membership(g, sel)
     assert all(sel.deg(v) in (2, 3) for v in g.vertices)
 
 
@@ -91,16 +91,24 @@ def test_a_level_with_an_empty_low_class_still_selects_a_member():
     # A level's palette is not renumbered, so class 2 can be empty.  K_7,7
     # with the Latin-square coloring, color 2 moved to 8: every vertex
     # meets classes 1 and 3, so the selection is still a member.
+    # The selection takes classes 1..3 out of the state, so a second take
+    # finds none, and partition_p1 gets a freshly painted state.
     g = Graph(14, [(i, 7 + j) for i in range(7) for j in range(7)])
-    state = vizing._Fans(g)
-    for i in range(7):
-        for j in range(7):
-            c = (i + j) % 7 + 1
-            state.paint(i, 7 + j, 8 if c == 2 else c)
+
+    def painted():
+        state = vizing._Fans(g)
+        for i in range(7):
+            for j in range(7):
+                c = (i + j) % 7 + 1
+                state.paint(i, 7 + j, 8 if c == 2 else c)
+        return state
+
+    state = painted()
     sel = initial_selection(g, state)
-    assert check_membership(g, sel).is_member
+    assert not check_membership(g, sel)
     assert len(sel.selected) == 14
-    parts = partition_p1(g, coloring=state).parts
+    assert state.take_low() == []
+    parts = partition_p1(g, coloring=painted()).parts
     assert [len(p) for p in parts] == [14, 35]
 
 
@@ -262,7 +270,7 @@ def test_find_move_drops_low_degree_isolated_edge():
     # higher-degree endpoint has degree 2 <= Delta-2, so it is dropped.
     # The longer tail keeps the complement side free of isolated edges.
     g, sel = _k7_plus([(7, 8), (8, 9), (9, 10)], 4, [(7, 8)])
-    assert check_membership(g, sel).is_member
+    assert not check_membership(g, sel)
     assert isolated_edges(sel) == ({(7, 8)}, set())
     before = sel.potential()
     move = find_move(g, sel)
@@ -277,7 +285,7 @@ def test_find_move_adds_isolated_complement_edge():
     # K7 with a triangle whose edges are selected except (7,9): both its
     # endpoints have complement degree 1 and selection degree 1 <= 2.
     g, sel = _k7_plus([(7, 8), (8, 9), (7, 9)], 3, [(7, 8), (8, 9)])
-    assert check_membership(g, sel).is_member
+    assert not check_membership(g, sel)
     assert isolated_edges(sel)[1] == {(7, 9)}
     before = sel.potential()
     move = find_move(g, sel)
@@ -298,7 +306,7 @@ def test_find_move_claim1_witness_add():
     hub = [(18, i) for i in range(19, 25)]
     g = Graph(25, edges_sel + edges_unsel + hub)
     sel = SubgraphSelection(g, edges_sel + [(18, 19), (18, 20)])
-    assert check_membership(g, sel).is_member
+    assert not check_membership(g, sel)
     # vertex 2: selection degree 1, complement degree 3 -> no shape fits
     move = find_move(g, sel)
     assert move.add_set == frozenset({(0, 2)})
@@ -322,7 +330,7 @@ def _claim1_two_edge_state():
 
 def test_find_move_claim1_two_edge_add():
     g, sel = _claim1_two_edge_state()
-    assert check_membership(g, sel).is_member
+    assert not check_membership(g, sel)
     assert sel.potential() == (2, 15)
     move = find_move(g, sel)
     assert move.witness == "claim1.add"
@@ -406,7 +414,7 @@ def _closure_drop_state():
 
 def test_closure_simple_drop_move():
     g, sel = _closure_drop_state()
-    assert check_membership(g, sel).is_member
+    assert not check_membership(g, sel)
     assert vertex_type_reference(g, sel, 0) == "type-I"
     before = sel.potential()
     move = find_move(g, sel)
@@ -432,7 +440,7 @@ def _closure_swap_state():
 
 def test_closure_chain_swap_move():
     g, sel = _closure_swap_state()
-    assert check_membership(g, sel).is_member
+    assert not check_membership(g, sel)
     before = sel.potential()
     move = find_move(g, sel)
     assert move.witness == "claims.swap"
@@ -452,7 +460,7 @@ def _closure_swap_cleanup_state():
 
 def test_closure_swap_cleanup_move():
     g, sel = _closure_swap_cleanup_state()
-    assert check_membership(g, sel).is_member
+    assert not check_membership(g, sel)
     assert sel.potential() == (1, 15)
     move = find_move(g, sel)
     assert move.witness == "claims.swap-cleanup"
@@ -464,7 +472,7 @@ def test_closure_swap_cleanup_move():
 def test_closure_revisit_rejected_at_depth_two(monkeypatch):
     g, sel = closure_revisit_state()
     assert g.max_degree == 6
-    assert check_membership(g, sel).is_member
+    assert not check_membership(g, sel)
     assert vertex_type_reference(g, sel, 0) == "type-II"
     assert vertex_type_reference(g, sel, 2) == "type-I"
     assert vertex_type_reference(g, sel, 3) == "neither"
@@ -506,7 +514,7 @@ def _closure_iswap_state():
 def test_closure_inverse_swap_move():
     g, sel = _closure_iswap_state()
     assert g.max_degree == 6
-    assert check_membership(g, sel).is_member
+    assert not check_membership(g, sel)
     assert isolated_edges(sel) == (set(), {(0, 1)})
     before = sel.potential()
     move = find_move(g, sel)
@@ -514,7 +522,7 @@ def test_closure_inverse_swap_move():
     assert move.add_set == frozenset({(2, 7)})
     assert move.remove_set == frozenset({(0, 2)})
     assert sel.potential()[0] == before[0] - 1
-    assert check_membership(g, sel).is_member
+    assert not check_membership(g, sel)
 
 
 def test_closure_inverse_swap_two_edge_move():
@@ -527,7 +535,7 @@ def test_closure_inverse_swap_two_edge_move():
     g = Graph(20, sorted(g.edges - {(7, 18)}))
     sel = SubgraphSelection(g, sorted(sel.selected) + [(13, 17)])
     assert g.max_degree == 6
-    assert check_membership(g, sel).is_member
+    assert not check_membership(g, sel)
     assert isolated_edges(sel)[1] == {(0, 1)}
     assert vertex_type_reference(g, sel, 0) == "type-II"
     assert vertex_type_reference(g, sel, 2) == "neither"
@@ -537,7 +545,7 @@ def test_closure_inverse_swap_two_edge_move():
     assert move.add_set == frozenset({(2, 7), (7, 17)})
     assert move.remove_set == frozenset({(0, 2)})
     assert sel.potential() == (0, 11)
-    assert check_membership(g, sel).is_member
+    assert not check_membership(g, sel)
 
 
 def test_find_move_requires_max_degree_six():
@@ -947,7 +955,7 @@ def test_engine_refuses_a_non_member_selection_on_its_failure_path():
         try:
             run_engine(g, sel)
         except ValueError as exc:
-            (v, cond), *_ = check_membership(g, sel).violations
+            (v, cond), *_ = check_membership(g, sel)
             assert str(exc) == (f"selection is not a member: vertex {v} "
                                 f"breaks membership condition {cond}")
             refused += 1

@@ -351,8 +351,8 @@ def _assert_same_fans(fans, ref):
 def test_fans_match_their_reference(case):
     # The list-indexed state against the dict-keyed one it replaced, step
     # by step through partition_p2's sequence: paint a warm start over a
-    # base, then on each level fan and read classes 1..3, and peel
-    # a part of max degree at most 3 grown from them.
+    # base, then on each level fan, take classes 1..3 (the reference
+    # reads them), and peel a part of max degree at most 3 grown from them.
     g, base, start, rng = case
     _assert_same_fans(_Fans.cold(g), FansReference.cold(g))
     fans, ref = _Fans(g), FansReference(g)
@@ -369,7 +369,7 @@ def test_fans_match_their_reference(case):
         fans.fan(todo)
         ref.fan(todo)
         _assert_same_fans(fans, ref)
-        low = fans.edges_upto(3)
+        low = fans.take_low()
         assert low == ref.edges_upto(3)
         if not rest.edges:
             break
