@@ -207,9 +207,6 @@ class SubgraphSelection:
     def selected(self) -> frozenset[Edge]:
         return frozenset(self._selected)
 
-    def complement_edges(self) -> frozenset[Edge]:
-        return self.host.edges - self._selected
-
     def is_selected(self, e: Edge) -> bool:
         return e in self._selected
 

@@ -460,18 +460,19 @@ def run_engine(g: Graph, sel: SubgraphSelection,
 
 
 def partition_p1(g: Graph, trace: Callable[[dict], None] | None = None,
-                 coloring: _Fans | None = None) -> EdgePartition:
-    """Two-part partition: selection side of max degree <= 3, complement of
-    max degree <= Delta-2, both normal.
+                 coloring: _Fans | None = None) -> frozenset[Edge]:
+    """The selection side H of a two-part partition of ``g``: H has max
+    degree <= 3, ``g.edges - H`` max degree <= Delta-2, both normal.
 
-    Runs the engine once, from ``initial_selection(g, coloring)``, which
-    checks the preconditions and takes classes 1..3 out of ``coloring``,
-    the cold state when None; there are no restarts.  A stall raises
-    CounterexampleFound with a full state dump.  The final selection is
-    checked again: ``check_membership`` gives the degree bounds (complement
-    degree at most Delta-2 is selection degree at least 2 at a Delta-vertex
-    and at least 1 at a (Delta-1)-vertex), and degree counts give the
-    selection side's normality.
+    ``g.edges - H`` is the other part; ``partition_p2`` takes it as the
+    next remainder.  Runs the engine once, from ``initial_selection(g,
+    coloring)``, which checks the preconditions and takes classes 1..3 out
+    of ``coloring``, the cold state when None; there are no restarts.  A
+    stall raises CounterexampleFound with a full state dump.  The final
+    selection is checked again: ``check_membership`` gives the degree
+    bounds (complement degree at most Delta-2 is selection degree at least
+    2 at a Delta-vertex and at least 1 at a (Delta-1)-vertex), and degree
+    counts give the selection side's normality.
     """
     sel = initial_selection(g, coloring)
     run_engine(g, sel, trace)
@@ -480,7 +481,7 @@ def partition_p1(g: Graph, trace: Callable[[dict], None] | None = None,
     h_edges, deg = sel.selected, sel._deg
     if any(deg[u] == 1 and deg[v] == 1 for u, v in h_edges):
         raise AssertionError("selection side has an isolated edge")
-    return EdgePartition(g, [h_edges, sel.complement_edges()])
+    return h_edges
 
 
 class _Level(Graph):
@@ -488,8 +489,9 @@ class _Level(Graph):
 
     A ``Graph`` copied once from the input, with each neighbor list a dict
     (``dict.fromkeys`` in ascending order): deleting a key is O(1) and keeps
-    the ascending order that the engine and ``_Fans.fan`` read.  It is the
-    one ``Graph`` that changes, so it never leaves ``partition_p2``.
+    the ascending order that the engine and ``_Fans.fan`` read.  Its edge
+    set is one mutable set, copied once too.  It is the one ``Graph`` that
+    changes, so it never leaves ``partition_p2``.
     """
 
     __slots__ = ()
@@ -497,15 +499,14 @@ class _Level(Graph):
     def __init__(self, g: Graph):
         self.n = g.n
         self._vertices = g.vertices
-        self._edges = g.edges
+        self._edges = set(g.edges)
         self._adj = {v: dict.fromkeys(ns) for v, ns in g._adj.items()}
         self.max_degree = g.max_degree
 
-    def trim(self, part: frozenset[Edge], rest: frozenset[Edge]) -> None:
-        """Remove the edges of ``part``, leaving ``rest``, and drop the
-        vertices left with no edge: ``edge_induced(self, rest)``, in
-        O(n + |part|).  ``part`` and ``rest`` are the two sides of a checked
-        ``EdgePartition`` of this level, so ``rest`` is taken as is."""
+    def trim(self, part: frozenset[Edge]) -> None:
+        """Remove the edges of ``part``, edges of this level, and drop the
+        vertices left with no edge: ``edge_induced(self, edges - part)``,
+        in O(n + |part|)."""
         adj = self._adj
         for u, v in part:
             nu, nv = adj[u], adj[v]
@@ -516,7 +517,7 @@ class _Level(Graph):
                 del adj[v]
         if len(adj) < len(self._vertices):
             self._vertices = tuple(adj)
-        self._edges = rest
+        self._edges.difference_update(part)
         self.max_degree = max(map(len, adj.values()), default=0)
 
 
@@ -525,10 +526,11 @@ def partition_p2(g: Graph,
     """Decomposition into G_0 .. G_k with k <= floor(Delta/2) - 2.
 
     One loop: while the remainder has max degree >= 6, ``partition_p1``
-    peels a subcubic part off it, and the complement is the next remainder;
-    the last one is G_0.  The parts are G_0 first, then the peels, deepest
-    first, so the last part is the selection side of ``partition_p1(g)``.
-    ``initial_selection`` checks each level's normality; G_0 is checked last.
+    peels a subcubic part H off it, and the remainder less H is the next
+    one; the last one is G_0.  The parts are G_0 first, then the peels,
+    deepest first, so the last part is ``partition_p1(g)``.
+    ``initial_selection`` checks each level's normality; G_0 is checked
+    last, and the parts are checked once, as one ``EdgePartition`` of ``g``.
 
     One coloring state (``vizing._Fans``) lives through every level, the
     cold ``misra_gries`` coloring at first.  Each level's selection takes
@@ -539,12 +541,12 @@ def partition_p2(g: Graph,
     A class the engine emptied stays a gap in the palette: if it is one of
     classes 1..3, a Delta'-vertex meets the other two, and a
     (Delta'-1)-vertex one of them.  The remainder is one ``_Level``, built
-    once from ``g``: each level trims its peel off in place and keeps the
-    complement ``partition_p1`` built and checked as its edge set, so a
-    level costs O(n + |peel|) beside the engine, not a new graph.  The
-    membership guarantee needs only some proper (Delta'+1)-coloring, and
-    ``initial_selection`` checks membership on every level.  A graph with
-    no edge has no partition: it raises ValueError.
+    once from ``g``, which is left as it was: each level trims its peel
+    off in place, so a level costs O(n + |peel|) beside the engine, not a
+    new graph or edge set.  The membership guarantee needs only some
+    proper (Delta'+1)-coloring, and ``initial_selection`` checks
+    membership on every level.  A graph with no edge has no partition: it
+    raises ValueError.
     """
     if not is_normal(g):
         raise NotNormalError("partition requires a normal graph")
@@ -556,10 +558,9 @@ def partition_p2(g: Graph,
     todo = g.sorted_edges()
     while rest.max_degree > 5:
         fans.fan(todo)
-        h_edges, hbar_edges = partition_p1(rest, trace=trace,
-                                           coloring=fans).parts
+        h_edges = partition_p1(rest, trace=trace, coloring=fans)
         peels.append(h_edges)
-        rest.trim(h_edges, hbar_edges)
+        rest.trim(h_edges)
         todo = fans.peel(h_edges, rest)
     if peels and not is_normal(rest):
         raise AssertionError("remainder G_0 is not normal")

@@ -51,7 +51,7 @@ class _Fans:
     already at one of them, and no rotation or path swap drops a color.
     """
 
-    __slots__ = ("host", "col", "at", "used", "base")
+    __slots__ = ("host", "col", "at", "used", "base", "taken")
 
     def __init__(self, host: Graph):
         self.host = host
@@ -63,6 +63,7 @@ class _Fans:
             self.col[v] = {}
             self.at[v] = {}
         self.base = 0
+        self.taken: frozenset[Edge] = frozenset()
 
     @classmethod
     def cold(cls, host: Graph) -> _Fans:
@@ -181,7 +182,8 @@ class _Fans:
                     + [(x, w, d)])
 
     def take_low(self) -> list[Edge]:
-        """Uncolor classes 1..3 and return their edges in order, in O(n)."""
+        """Uncolor classes 1..3 and return their edges in order, in O(n);
+        the level's ``peel`` reads them as ``taken``."""
         out = []
         at, used = self.at, self.used
         lo = self.base + 1
@@ -192,31 +194,27 @@ class _Fans:
                     if (w := at_v.get(c, -1)) > v:
                         out.append((v, w))
         self.uncolor(out)
+        self.taken = frozenset(out)
         return out
 
     def peel(self, part: frozenset[Edge], host: Graph) -> list[Edge]:
-        """Move to ``host``, the host less the edges of ``part``.
-
-        Uncolors the edges of ``part`` still colored (``take_low`` took
-        classes 1..3), the ones the engine added, and moves every color
-        down by 3.  Returns ``host``'s uncolored edges, sorted: those the
-        engine dropped, the ones ``fan`` is to color.  A part of max degree
-        at most 3, as ``partition_p1`` peels, leaves ``host`` a Delta' of
-        at least Delta-3, so colors 1..Delta+1 move down to at most
-        Delta-2 <= Delta'+1: no color is left above ``host``'s Delta'+1.
+        """Move to ``host``, the host less the edges of ``part``, after the
+        level's ``take_low``: uncolor ``part - taken``, the edges the engine
+        added, move every color down by 3 and set ``host``'s floor bits.
+        Returns ``sorted(taken - part)``, the edges the engine dropped:
+        ``host``'s uncolored edges, which ``fan`` is to color.  A part of max
+        degree at most 3, as ``partition_p1`` peels, leaves ``host`` a Delta'
+        of at least Delta-3, so colors 1..Delta+1 move down to at most
+        Delta-2 <= Delta'+1: none is left above ``host``'s Delta'+1.
         """
-        col, used = self.col, self.used
-        self.uncolor(part)
+        self.uncolor(part - self.taken)
         self.host = host
         self.base += 3
         floor = (1 << self.base + 1) - 1
-        todo = []
-        for v, ns in host.adjacency.items():
+        used = self.used
+        for v in host.vertices:
             used[v] |= floor
-            col_v = col[v]
-            if len(col_v) < len(ns):
-                todo.extend((v, w) for w in ns if v < w and w not in col_v)
-        return todo
+        return sorted(self.taken - part)
 
 
 def misra_gries(g: Graph) -> EdgeColoring:

@@ -304,8 +304,9 @@ def partition_p2_by_levels(g: Graph, trace=None) -> EdgePartition:
     carry: dict = {}
     while rest.max_degree > 5:
         fans = warm_fans(rest, carry)
-        h_edges, hbar_edges = partition.partition_p1(
-            rest, trace=trace, coloring=fans).parts
+        h_edges = partition.partition_p1(rest, trace=trace, coloring=fans)
+        h_edges, hbar_edges = EdgePartition(
+            rest, [h_edges, rest.edges - h_edges]).parts
         peels.append(h_edges)
         rest = edge_induced(rest, hbar_edges)
         top = rest.max_degree + 4  # colors 4..top become 1..Delta'+1

@@ -8,7 +8,7 @@ import time
 
 import networkx as nx
 
-from avdcolor import (Graph, avd_color, avd_color_budget,
+from avdcolor import (EdgePartition, Graph, avd_color, avd_color_budget,
                       avd_color_regular, avd_subcubic, check_avd, check_proper,
                       check_membership, exact_chi_a, exact_chromatic_index,
                       complete, cycle, find_move, gnp, initial_selection,
@@ -48,7 +48,8 @@ def test_criterion_1_main_bound():
 def test_criterion_2_partition_conditions():
     t0 = time.time()
     for g in _corpus_high():
-        part = partition_p1(g)  # CounterexampleFound would fail the test
+        h = partition_p1(g)  # CounterexampleFound would fail the test
+        part = EdgePartition(g, [h, g.edges - h])
         h, hbar = part.part_graphs()
         delta = g.max_degree
         assert h.max_degree <= 3

@@ -323,7 +323,7 @@ def test_level_trim_matches_edge_induced(case):
         before = len(level.vertices)
         low = min(map(level.degree, level.vertices))
         remaining -= part
-        level.trim(part, frozenset(remaining))
+        level.trim(part)
         # A vertex of least degree lost every edge if that was at most 3.
         assert len(level.vertices) < before or low > 3
 

@@ -108,7 +108,8 @@ def test_a_level_with_an_empty_low_class_still_selects_a_member():
     assert not check_membership(g, sel)
     assert len(sel.selected) == 14
     assert state.take_low() == []
-    parts = partition_p1(g, coloring=painted()).parts
+    h = partition_p1(g, coloring=painted())
+    parts = EdgePartition(g, [h, g.edges - h]).parts
     assert [len(p) for p in parts] == [14, 35]
 
 
@@ -566,8 +567,8 @@ def test_find_move_requires_max_degree_six():
 
 def test_find_move_requires_positive_potential():
     g = complete(7)
-    part = partition_p1(g)
-    sel = SubgraphSelection(g, part.parts[0])
+    h = partition_p1(g)
+    sel = SubgraphSelection(g, h)
     with pytest.raises(ValueError):
         find_move(g, sel)
 
@@ -577,7 +578,8 @@ def test_find_move_requires_positive_potential():
 
 def test_partition_p1_k7():
     g = complete(7)
-    part = partition_p1(g)
+    h = partition_p1(g)
+    part = EdgePartition(g, [h, g.edges - h])
     h, hbar = part.part_graphs()
     assert h.max_degree <= 3
     assert hbar.max_degree <= g.max_degree - 2
@@ -586,7 +588,8 @@ def test_partition_p1_k7():
 
 def test_partition_p1_random_and_delta_vertex_arithmetic():
     for g in normal_gnp_corpus(10, 900, 12, 32, 6, 12, p_lo=0.25, p_hi=0.6):
-        part = partition_p1(g)
+        h = partition_p1(g)
+        part = EdgePartition(g, [h, g.edges - h])
         h, hbar = part.part_graphs()
         delta = g.max_degree
         assert h.max_degree <= 3 and hbar.max_degree <= delta - 2
@@ -627,7 +630,7 @@ def test_partition_p2_degree_six():
     # partition_p1 builds its own cold coloring state; partition_p2 keeps one.
     for n in range(7, 13):
         g = complete(n)
-        assert partition_p2(g).parts[-1] == partition_p1(g).parts[0]
+        assert partition_p2(g).parts[-1] == partition_p1(g)
 
 
 def test_partition_p2_degree_ten():
@@ -641,7 +644,7 @@ def test_partition_p2_degree_ten():
     more = [random_regular(n, r, seed=s)
             for n, r, s in ((20, 6, 1), (30, 7, 2), (16, 8, 3), (40, 12, 4))]
     for h in [g, *more, *normal_gnp_corpus(6, 40, 20, 60, 6, 30)]:
-        assert partition_p2(h).parts[-1] == partition_p1(h).parts[0]
+        assert partition_p2(h).parts[-1] == partition_p1(h)
 
 
 def test_partition_p2_checks_and_builds_each_level_once(monkeypatch):
@@ -668,6 +671,51 @@ def test_partition_p2_checks_and_builds_each_level_once(monkeypatch):
     assert counts["is_normal"] <= levels + 2
     # The remainder is trimmed in place: no level builds a part graph.
     assert counts["edge_induced"] == 0
+
+
+def test_partition_p2_checks_one_edge_partition(monkeypatch):
+    # A level returns its selection side, and the remainder takes the rest
+    # in place, so the result is the only EdgePartition built.
+    built = []
+
+    def counted(host, parts):
+        built.append(host)
+        return EdgePartition(host, parts)
+
+    monkeypatch.setattr(partition, "EdgePartition", counted)
+    for g in (complete(16), gnp(200, 0.1, 1)):
+        built.clear()
+        part = partition_p2(g)
+        assert part.k >= 4 and built == [g]
+
+
+def test_partition_p2_leaves_its_input_as_it_was():
+    for g in (complete(16), gnp(80, 0.15, 2), random_regular(24, 10, 17)):
+        edges, adj, delta = g.edges, dict(g.adjacency), g.max_degree
+        copy = set(edges)
+        part = partition_p2(g)
+        assert part.host is g and g.edges is edges and edges == copy
+        assert dict(g.adjacency) == adj and g.max_degree == delta
+
+
+def test_partition_p1_returns_the_final_selection(monkeypatch):
+    # The selection side as a frozenset; g.edges - H is the other part,
+    # within criterion 2's bounds.
+    finals = []
+    real = partition.run_engine
+
+    def kept(g, sel, trace=None):
+        finals.append(sel)
+        return real(g, sel, trace)
+
+    monkeypatch.setattr(partition, "run_engine", kept)
+    for g in normal_gnp_corpus(8, 901, 12, 32, 6, 12, p_lo=0.25, p_hi=0.6):
+        h = partition_p1(g)
+        sel = finals.pop()
+        assert type(h) is frozenset and h == sel.selected
+        side, rest = edge_induced(g, h), edge_induced(g, g.edges - h)
+        assert side.max_degree <= 3 and rest.max_degree <= g.max_degree - 2
+        assert is_normal(side) and is_normal(rest)
 
 
 def test_partition_p2_colors_each_edge_about_once(monkeypatch):
@@ -769,9 +817,8 @@ def test_partition_p2_rejects_a_peel_above_max_degree_3(monkeypatch):
     def peel_offsets_1_to_4(h, trace=None, coloring=None):
         if h.max_degree < 15:
             return real(h, trace=trace, coloring=coloring)
-        part = frozenset(e for e in h.edges if (e[1] - e[0]) % 16 in
+        return frozenset(e for e in h.edges if (e[1] - e[0]) % 16 in
                          (1, 2, 3, 4, 12, 13, 14, 15))
-        return EdgePartition(h, [part, h.edges - part])
 
     monkeypatch.setattr(partition, "partition_p1", peel_offsets_1_to_4)
     rest = {e for e in g.edges if (e[1] - e[0]) % 16 in (5, 6, 7, 8, 9, 10,
@@ -808,7 +855,7 @@ def test_partition_p2_rejects_non_normal_remainder(monkeypatch):
     g = Graph(10, sorted(complete(7).edges) + [(7, 8), (8, 9)])
     monkeypatch.setattr(partition, "partition_p1",
                         lambda h, trace=None, coloring=None:
-                        EdgePartition(h, [h.edges - {(8, 9)}, [(8, 9)]]))
+                        frozenset(h.edges - {(8, 9)}))
     with pytest.raises(AssertionError, match="G_0 is not normal"):
         partition_p2(g)
 
@@ -873,7 +920,7 @@ def test_engine_from_scrambled_selections(case):
     assert all(sel.deg(v) <= 3 and sel.codeg(v) <= g.max_degree - 2
                for v in g.vertices)
     assert is_normal(edge_induced(g, sel.selected))
-    assert is_normal(edge_induced(g, sel.complement_edges()))
+    assert is_normal(edge_induced(g, g.edges - sel.selected))
 
 
 # (seed, walk length) pairs from a sweep of dense_normal_graph: the engine's
@@ -1006,7 +1053,7 @@ def test_partition_p1_trace_replays_to_its_selection():
     tags = Counter()
     for g in normal_gnp_corpus(12, 378, 16, 40, 6, 12, p_lo=0.12, p_hi=0.3):
         entries = []
-        part = partition_p1(g, trace=entries.append)
+        h = partition_p1(g, trace=entries.append)
         sel = initial_selection(g)
         for entry in entries:
             assert set(entry) == {"witness", "add", "remove",
@@ -1017,7 +1064,7 @@ def test_partition_p1_trace_replays_to_its_selection():
             for e in entry["remove"]:
                 sel.remove(e)
             assert list(sel.potential()) == entry["potential_after"]
-        assert sel.selected == part.parts[0]
+        assert sel.selected == h
         tags.update(entry["witness"] for entry in entries)
     assert {"claim1.drop", "claim2.add", "claim2.drop"} <= set(tags)
 
