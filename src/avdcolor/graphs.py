@@ -177,6 +177,10 @@ class SubgraphSelection:
     __slots__ = ("host", "_selected", "_deg", "_iso_sel", "_iso_unsel")
 
     def __init__(self, host: Graph, edges: Iterable[Edge] = ()):
+        """Select ``edges``, edges of ``host`` in either orientation, each
+        once (``_host_edges``).  A set of host edges, such as a level's
+        ``_Fans.taken``, passes that check with one subset test, with no
+        second hash set built."""
         self.host = host
         self._deg = deg = dict.fromkeys(host.vertices, 0)
         self._iso_sel: set[Edge] = set()
@@ -218,13 +222,18 @@ class SubgraphSelection:
         """Degree of v in the complement of the selection."""
         return self.host.degree(v) - self._deg[v]
 
+    # A host neighbor w of v is never v, so the pair is ordered inline,
+    # with no ``canon_edge`` call and its self-loop test.
+
     def selected_neighbors(self, v: int) -> list[int]:
+        sel = self._selected
         return [w for w in self.host.neighbors(v)
-                if canon_edge(v, w) in self._selected]
+                if ((v, w) if v < w else (w, v)) in sel]
 
     def unselected_neighbors(self, v: int) -> list[int]:
+        sel = self._selected
         return [w for w in self.host.neighbors(v)
-                if canon_edge(v, w) not in self._selected]
+                if ((v, w) if v < w else (w, v)) not in sel]
 
     def potential(self) -> tuple[int, int]:
         """Lexicographic pair (isolated edges on both sides, |E(H)|)."""
@@ -253,7 +262,7 @@ class SubgraphSelection:
     def _refresh_around(self, e: Edge) -> None:
         for v in e:
             for w in self.host.neighbors(v):
-                self._update_isolation(canon_edge(v, w))
+                self._update_isolation((v, w) if v < w else (w, v))
 
     def _update_isolation(self, e: Edge) -> None:
         u, v = e

@@ -406,8 +406,10 @@ def initial_selection(g: Graph, coloring: _Fans | None = None
 
     ``coloring`` is a coloring state (``vizing._Fans``) holding a proper
     coloring of all of ``g`` in at most Delta+1 colors; ``take_low`` takes
-    classes 1..3 out of it, uncolored, in O(n).  ``_Fans.cold(g)``,
-    ``misra_gries``'s coloring, by default; ``partition_p2`` passes its own.
+    classes 1..3 out of it, uncolored, in O(n), and the selection is built
+    from its ``taken`` frozenset, which the host check passes with one
+    subset test.  ``_Fans.cold(g)``, ``misra_gries``'s coloring, by
+    default; ``partition_p2`` passes its own.
     Any such coloring will do.  The counting behind the membership
     guarantee: a Delta-vertex misses at most one of any three classes, a
     (Delta-1)-vertex at most two.  The membership check below rejects a
@@ -419,7 +421,8 @@ def initial_selection(g: Graph, coloring: _Fans | None = None
         raise ValueError("initial selection requires max degree >= 6")
     if coloring is None:
         coloring = _Fans.cold(g)
-    sel = SubgraphSelection(g, coloring.take_low())
+    coloring.take_low()
+    sel = SubgraphSelection(g, coloring.taken)
     if violations := check_membership(g, sel):
         raise InternalBoundViolationError(
             "initial selection is not a member; the edge coloring is suspect",

@@ -183,17 +183,27 @@ class _Fans:
 
     def take_low(self) -> list[Edge]:
         """Uncolor classes 1..3 and return their edges in order, in O(n);
-        the level's ``peel`` reads them as ``taken``."""
+        ``taken`` keeps them as a frozenset, which the level's selection
+        is built from and its ``peel`` reads.
+
+        One pass: each vertex with a low color has its three mask bits
+        cleared at once, and each edge is uncolored where it is found, at
+        its lower end, since the vertices ascend: the higher end's ``at``
+        no longer holds it when its turn comes.
+        """
         out = []
-        at, used = self.at, self.used
+        col, at, used = self.col, self.at, self.used
         lo = self.base + 1
+        low = (lo, lo + 1, lo + 2)
+        keep = ~(7 << lo)
         for v in self.host.vertices:
             if used[v] >> lo & 7:
-                at_v = at[v]
-                for c in range(lo, lo + 3):
-                    if (w := at_v.get(c, -1)) > v:
+                used[v] &= keep
+                at_v, col_v = at[v], col[v]
+                for c in low:
+                    if (w := at_v.pop(c, -1)) >= 0:
+                        del col_v[w], col[w][v], at[w][c]
                         out.append((v, w))
-        self.uncolor(out)
         self.taken = frozenset(out)
         return out
 

@@ -137,6 +137,21 @@ def test_selection_construction_matches_recompute(case):
     assert (iso_sel, iso_unsel) == isolated_edges(sel)
 
 
+@settings(max_examples=100, deadline=None)
+@given(_hosts_and_selections())
+def test_selection_neighbors_and_potential_match_their_definitions(case):
+    g, picked = case
+    sel = SubgraphSelection(g, picked)
+    h = sel.selected
+    for v in g.vertices:
+        assert sel.selected_neighbors(v) == [
+            w for w in g.neighbors(v) if canon_edge(v, w) in h]
+        assert sel.unselected_neighbors(v) == [
+            w for w in g.neighbors(v) if canon_edge(v, w) not in h]
+    _, iso_sel, iso_unsel = recompute_selection_state(sel)
+    assert sel.potential() == (len(iso_sel) + len(iso_unsel), len(h))
+
+
 def test_selection_construction_rejects_foreign_and_duplicate():
     # The bulk check falls back to the per-edge one for its error.
     g = cycle(4)
@@ -171,6 +186,30 @@ def test_edge_partition_validation():
         EdgePartition(g, [[(0, 1), (1, 2)], [(1, 2), (2, 3), (3, 4), (0, 4)]])
     with pytest.raises(ValueError):  # empty part
         EdgePartition(g, [sorted(g.edges), []])
+
+
+def test_edge_partition_len_iter_and_part_graphs():
+    g = cycle(5)
+    part = EdgePartition(g, [[(0, 1), (1, 2)], [(2, 3), (3, 4), (0, 4)]])
+    assert len(part) == 2
+    assert list(part) == part.parts
+    assert part.part_graphs() == [edge_induced(g, p) for p in part.parts]
+    assert [h.vertices for h in part.part_graphs()] == [(0, 1, 2),
+                                                         (0, 2, 3, 4)]
+
+
+def test_graph_equality_and_repr():
+    g = Graph(4, [(0, 1), (2, 1)])
+    assert g == Graph(4, [(1, 2), (1, 0)])
+    assert g != Graph(5, [(0, 1), (1, 2)])
+    assert g != Graph(4, [(0, 1)])
+    # Same edges, but an edge-induced subgraph has only their endpoints as
+    # vertices.
+    assert g != edge_induced(g, g.edges)
+    assert Graph.__eq__(g, g.edges) is NotImplemented
+    assert g != g.edges
+    assert repr(g) == "Graph(n=4, m=2, |V|=4)"
+    assert repr(edge_induced(g, [(0, 1)])) == "Graph(n=4, m=1, |V|=2)"
 
 
 def _same_graph(a: Graph, b: Graph):

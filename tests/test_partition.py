@@ -830,6 +830,24 @@ def test_partition_p2_rejects_a_peel_above_max_degree_3(monkeypatch):
         partition_p2(g)
 
 
+def test_partition_p1_refuses_a_coloring_of_another_host():
+    # Classes 1..3 of K_9's coloring hold edges at vertex 8, which K_8 does
+    # not have: the selection's host check refuses them.
+    with pytest.raises(ValueError, match="not in host graph"):
+        partition_p1(complete(8), coloring=vizing._Fans.cold(complete(9)))
+
+
+def test_initial_selection_refuses_a_state_already_taken():
+    # The second take finds classes 1..3 uncolored and selects no edge, so
+    # no Delta-vertex has its two selected edges.
+    g = complete(8)
+    state = vizing._Fans.cold(g)
+    assert not check_membership(g, initial_selection(g, state))
+    with pytest.raises(InternalBoundViolationError,
+                       match="initial selection is not a member"):
+        initial_selection(g, state)
+
+
 def test_partition_p1_rejects_peel_over_degree_bound(monkeypatch):
     # Checked from the selection's degree counts, independently of the engine.
     # Every edge selected: potential zero, so the engine makes no move.

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 import json
@@ -387,3 +388,46 @@ def test_fans_match_their_reference(case):
         todo = fans.peel(part, rest)
         assert todo == ref.peel(part, rest)
         _assert_same_fans(fans, ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_fan_runs())
+def test_take_low_leaves_the_state_the_reference_uncolors(case):
+    # The take against the reference at the step where it changes the
+    # state: on each level, after the same fans, ``take_low`` leaves col,
+    # at and used as the reference does after uncoloring each edge of
+    # classes 1..3 in turn.  The copy keeps the host, which it shares.
+    g, base, start, rng = case
+    fans, ref = _Fans(g), FansReference(g)
+    floor = (1 << base + 1) - 1
+    for state in (fans, ref):
+        state.base = base
+        for v in g.vertices:
+            state.used[v] |= floor
+        for (u, v), c in start.items():
+            state.paint(u, v, base + c)
+    rest, todo = g, sorted(g.edges - start.keys())
+    for _ in range(4):
+        fans.fan(todo)
+        ref.fan(todo)
+        low = fans.take_low()
+        taken = copy.deepcopy(ref, {id(ref.host): ref.host})
+        for u, v in ref.edges_upto(3):
+            taken.uncolor(u, v)
+        _assert_same_fans(fans, taken)
+        assert low == ref.edges_upto(3)
+        assert fans.taken == frozenset(low)
+        if not rest.edges:
+            break
+        # Peel a part grown as in test_fans_match_their_reference.
+        deg = dict.fromkeys(rest.vertices, 0)
+        part = set()
+        for u, v in low + sorted(rest.edges - set(low)):
+            if deg[u] < 3 and deg[v] < 3 and rng.random() < 0.7:
+                part.add((u, v))
+                deg[u] += 1
+                deg[v] += 1
+        part = frozenset(part)
+        rest = edge_induced(g, rest.edges - part)
+        todo = fans.peel(part, rest)
+        assert todo == ref.peel(part, rest)
