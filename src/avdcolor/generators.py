@@ -89,26 +89,41 @@ def gnp(n: int, p: float, seed: int) -> Graph:
     return Graph(n, edges)
 
 
+# Each kind's argument names, and its builder from the seed and the
+# arguments as written.
+_KINDS = {
+    "cycle": (("n",), lambda seed, n: cycle(int(n))),
+    "complete": (("n",), lambda seed, n: complete(int(n))),
+    "petersen": ((), lambda seed: petersen()),
+    "random-regular": (("n", "r"),
+                       lambda seed, n, r: random_regular(int(n), int(r), seed)),
+    "gnp": (("n", "p"), lambda seed, n, p: gnp(int(n), float(p), seed)),
+}
+
+
 def generate(spec: str, seed: int = 0) -> Graph:
     """Dispatch on a compact description like ``cycle:5`` or ``gnp:30,0.2``.
 
-    Kinds: cycle:n, complete:n, petersen, random-regular:n,r, gnp:n,p.
-    The seed applies to the random kinds.
+    Kinds: cycle:n, complete:n, petersen, random-regular:n,r (or
+    random_regular), gnp:n,p.  The seed applies to the random kinds.  A
+    spec with more or fewer arguments than its kind takes, an empty one
+    between commas included, raises ValueError naming the count.
     """
     kind, _, arg = spec.partition(":")
     kind = kind.strip().lower()
-    args = [a for a in arg.split(",") if a] if arg else []
+    if kind == "random_regular":
+        kind = "random-regular"
+    if kind not in _KINDS:
+        raise ValueError(f"unknown generator kind {kind!r}")
+    names, build = _KINDS[kind]
+    args = arg.split(",") if arg else []
+    if len(args) != len(names):
+        usage = ":".join([kind, ",".join(names)]) if names else kind
+        raise ValueError(
+            f"bad generator spec {spec!r}: {kind} takes {len(names)} "
+            f"argument{'' if len(names) == 1 else 's'} ({usage}), "
+            f"got {len(args)}")
     try:
-        if kind == "cycle":
-            return cycle(int(args[0]))
-        if kind == "complete":
-            return complete(int(args[0]))
-        if kind == "petersen":
-            return petersen()
-        if kind in ("random-regular", "random_regular"):
-            return random_regular(int(args[0]), int(args[1]), seed)
-        if kind == "gnp":
-            return gnp(int(args[0]), float(args[1]), seed)
-    except (IndexError, ValueError) as exc:
+        return build(seed, *args)
+    except ValueError as exc:
         raise ValueError(f"bad generator spec {spec!r}: {exc}") from None
-    raise ValueError(f"unknown generator kind {kind!r}")

@@ -205,6 +205,33 @@ class SubgraphSelection:
                 if u < v and len(adj[v]) - deg[v] == 1:
                     self._iso_unsel.add((u, v))
 
+    @classmethod
+    def _from_take(cls, host: Graph, fans) -> SubgraphSelection:
+        """The selection of the edges a coloring state ``fans`` (a
+        ``vizing._Fans`` over ``host``'s vertices) just took out with
+        ``take_low``, in O(n), with no edge counted again.
+
+        ``taken`` passes ``_host_edges``' subset test, as in ``__init__``,
+        and the take's ``taken_deg``, ``taken_iso`` and ``kept_iso`` become
+        the degrees and the isolated edges of the selection and of its
+        complement.  The complement's are right when the state colored
+        every edge of ``host`` before the take, so that the edges it kept
+        colored are the unselected ones; the caller checks that from
+        ``kept_ends`` (``partition.initial_selection``).  Raises ValueError
+        on an edge not in ``host`` and on a state over other vertices.
+        """
+        taken = _host_edges(host, fans.taken)
+        if fans.host.vertices != host.vertices:
+            raise ValueError("coloring state over other vertices than the "
+                             "host graph")
+        sel = cls.__new__(cls)
+        sel.host = host
+        sel._selected = set(taken)
+        sel._deg = fans.taken_deg
+        sel._iso_sel = set(fans.taken_iso)
+        sel._iso_unsel = set(fans.kept_iso)
+        return sel
+
     # -- queries ---------------------------------------------------------
 
     @property

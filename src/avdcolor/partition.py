@@ -404,16 +404,21 @@ def initial_selection(g: Graph, coloring: _Fans | None = None
                       ) -> SubgraphSelection:
     """Selection of color classes 1..3 of a proper edge coloring.
 
-    ``coloring`` is a coloring state (``vizing._Fans``) holding a proper
-    coloring of all of ``g`` in at most Delta+1 colors; ``take_low`` takes
-    classes 1..3 out of it, uncolored, in O(n), and the selection is built
-    from its ``taken`` frozenset, which the host check passes with one
-    subset test.  ``_Fans.cold(g)``, ``misra_gries``'s coloring, by
+    ``coloring`` is a coloring state (``vizing._Fans``) over ``g``'s
+    vertices holding a proper coloring of every edge of ``g`` in at most
+    Delta+1 colors; ``take_low`` takes classes 1..3 out of it, uncolored,
+    with their degrees and isolated edges, in O(n), and the selection
+    adopts them (``SubgraphSelection._from_take``): its host check is one
+    subset test, and its isolated complement edges are read off the edges
+    left colored.  ``_Fans.cold(g)``, ``misra_gries``'s coloring, by
     default; ``partition_p2`` passes its own.
     Any such coloring will do.  The counting behind the membership
     guarantee: a Delta-vertex misses at most one of any three classes, a
     (Delta-1)-vertex at most two.  The membership check below rejects a
-    coloring that breaks this.
+    coloring that breaks this.  Then, in O(n), the edges left colored and
+    the edges taken must add up to ``g``'s: a state that left an edge of
+    ``g`` uncolored would give the selection a wrong potential, so it
+    raises ValueError.
     """
     if not is_normal(g):
         raise NotNormalError("initial selection requires a normal graph")
@@ -422,11 +427,14 @@ def initial_selection(g: Graph, coloring: _Fans | None = None
     if coloring is None:
         coloring = _Fans.cold(g)
     coloring.take_low()
-    sel = SubgraphSelection(g, coloring.taken)
+    sel = SubgraphSelection._from_take(g, coloring)
     if violations := check_membership(g, sel):
         raise InternalBoundViolationError(
             "initial selection is not a member; the edge coloring is suspect",
             {"violations": violations})
+    if coloring.kept_ends + 2 * len(coloring.taken) != 2 * g.edge_count:
+        raise ValueError("the coloring state does not color every edge of "
+                         "the graph")
     return sel
 
 

@@ -51,7 +51,8 @@ class _Fans:
     already at one of them, and no rotation or path swap drops a color.
     """
 
-    __slots__ = ("host", "col", "at", "used", "base", "taken")
+    __slots__ = ("host", "col", "at", "used", "base", "taken", "taken_deg",
+                 "taken_iso", "kept_iso", "kept_ends")
 
     def __init__(self, host: Graph):
         self.host = host
@@ -64,6 +65,10 @@ class _Fans:
             self.at[v] = {}
         self.base = 0
         self.taken: frozenset[Edge] = frozenset()
+        self.taken_deg: dict[int, int] = {}
+        self.taken_iso: list[Edge] = []
+        self.kept_iso: list[Edge] = []
+        self.kept_ends = 0
 
     @classmethod
     def cold(cls, host: Graph) -> _Fans:
@@ -182,29 +187,62 @@ class _Fans:
                     + [(x, w, d)])
 
     def take_low(self) -> list[Edge]:
-        """Uncolor classes 1..3 and return their edges in order, in O(n);
-        ``taken`` keeps them as a frozenset, which the level's selection
-        is built from and its ``peel`` reads.
+        """Uncolor classes 1..3 and return their edges in order, in O(n),
+        with the bookkeeping of the level's selection read off the state:
+        ``taken`` keeps those edges as a frozenset, ``taken_deg`` maps
+        every vertex of ``host`` to its number of them, and ``taken_iso``
+        lists those whose ends have no other.  ``kept_iso`` lists the edges
+        left colored whose ends have no other colored edge, and
+        ``kept_ends`` counts the colored edges at each vertex, summed.  The
+        level's selection adopts them (``SubgraphSelection._from_take``),
+        and its ``peel`` reads ``taken``.
 
-        One pass: each vertex with a low color has its three mask bits
-        cleared at once, and each edge is uncolored where it is found, at
-        its lower end, since the vertices ascend: the higher end's ``at``
-        no longer holds it when its turn comes.
+        One pass over the vertices, ascending.  A vertex's three low mask
+        bits say which low colors it has, and so its degree; they are
+        cleared at once, and it pops just those colors from its own ``at``
+        and ``col``, so each edge is uncolored by its two ends in turn.  An
+        edge is listed at its lower end, where its higher end's bits are
+        still intact: it is isolated when both ends have one low color.
+        After its pops a vertex's ``col`` holds just its edges left colored,
+        so a kept edge is isolated when the ``col`` of its higher end, and
+        then of its lower end, already taken from, has one entry.
         """
-        out = []
+        out: list[Edge] = []
+        iso: list[Edge] = []
+        kept_iso: list[Edge] = []
+        ends = 0
         col, at, used = self.col, self.at, self.used
         lo = self.base + 1
-        low = (lo, lo + 1, lo + 2)
         keep = ~(7 << lo)
-        for v in self.host.vertices:
-            if used[v] >> lo & 7:
+        # The low colors of each pattern of the three bits, ascending.
+        pats = ((), (lo,), (lo + 1,), (lo, lo + 1), (lo + 2,), (lo, lo + 2),
+                (lo + 1, lo + 2), (lo, lo + 1, lo + 2))
+        vertices = self.host.vertices
+        self.taken_deg = deg = dict.fromkeys(vertices, 0)
+        for v in vertices:
+            col_v = col[v]
+            if b := used[v] >> lo & 7:
                 used[v] &= keep
-                at_v, col_v = at[v], col[v]
-                for c in low:
-                    if (w := at_v.pop(c, -1)) >= 0:
-                        del col_v[w], col[w][v], at[w][c]
+                cs = pats[b]
+                deg[v] = d = len(cs)
+                at_v = at[v]
+                for c in cs:
+                    w = at_v.pop(c)
+                    del col_v[w]
+                    if v < w:
                         out.append((v, w))
+                        if d == 1 and (used[w] >> lo & 7) in (1, 2, 4):
+                            iso.append((v, w))
+            k = len(col_v)
+            ends += k
+            if k == 1:
+                (w,) = col_v
+                if w < v and len(col[w]) == 1:
+                    kept_iso.append((w, v))
         self.taken = frozenset(out)
+        self.taken_iso = iso
+        self.kept_iso = kept_iso
+        self.kept_ends = ends
         return out
 
     def peel(self, part: frozenset[Edge], host: Graph) -> list[Edge]:

@@ -54,6 +54,16 @@ def isolated_edges(sel: SubgraphSelection) -> tuple[set[Edge], set[Edge]]:
     return sel._iso_sel, sel._iso_unsel
 
 
+def assert_same_selection(sel: SubgraphSelection, ref: SubgraphSelection):
+    """``sel`` holds the edges, degrees and isolated-edge sets of ``ref``,
+    on the same host."""
+    assert sel.host is ref.host
+    assert sel._selected == ref._selected
+    assert sel._deg == ref._deg
+    assert sel._iso_sel == ref._iso_sel
+    assert sel._iso_unsel == ref._iso_unsel
+
+
 class _Conditions:
     """The five conditions of the vertex typing, from their definitions:
     selection degrees recounted from the selected edges, degrees and

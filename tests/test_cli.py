@@ -27,6 +27,19 @@ def test_gen_stdout_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
+@pytest.mark.parametrize("spec", ["cycle:5,9", "petersen:3",
+                                  "random-regular:10,3,7", "gnp:20"])
+def test_gen_refuses_a_wrong_argument_count(tmp_path, capsys, spec):
+    # A usage error: one line naming the count, exit 2, and no file.
+    out = tmp_path / "g.g6"
+    assert main(["gen", spec, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: bad generator spec {spec!r}: ")
+    assert " takes " in captured.err and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_color_summary_and_certificate(tmp_path, capsys):
     gpath = _write_graph(tmp_path, petersen())
     cert = tmp_path / "cert.json"

@@ -62,3 +62,41 @@ def test_generate_dispatch():
         generate("mystery:3")
     with pytest.raises(ValueError):
         generate("cycle:")
+
+
+def test_random_regular_of_degree_zero_has_no_edge():
+    g = random_regular(7, 0, seed=3)
+    assert g.n == 7 and g.edge_count == 0
+    assert g.vertices == tuple(range(7))
+
+
+@pytest.mark.parametrize("spec, takes, got", [
+    ("cycle:5,9", "1 argument (cycle:n)", 2),
+    ("cycle:", "1 argument (cycle:n)", 0),
+    ("cycle:5,", "1 argument (cycle:n)", 2),
+    ("random-regular:10,,3", "2 arguments (random-regular:n,r)", 3),
+    ("complete:4,4", "1 argument (complete:n)", 2),
+    ("petersen:3", "0 arguments (petersen)", 1),
+    ("random-regular:10,3,7", "2 arguments (random-regular:n,r)", 3),
+    ("random_regular:10", "2 arguments (random-regular:n,r)", 1),
+    ("gnp:20", "2 arguments (gnp:n,p)", 1),
+    ("gnp:20,0.1,4", "2 arguments (gnp:n,p)", 3),
+])
+def test_generate_refuses_a_wrong_argument_count(spec, takes, got):
+    # Each kind's count is checked before any argument is read: an extra
+    # one is not dropped, and a missing one is named, not an index error.
+    with pytest.raises(ValueError) as exc:
+        generate(spec)
+    assert str(exc.value) == (f"bad generator spec {spec!r}: "
+                              f"{spec.split(':')[0].replace('_', '-')} "
+                              f"takes {takes}, got {got}")
+
+
+def test_generate_names_the_spec_of_a_bad_argument():
+    with pytest.raises(ValueError, match=r"^bad generator spec 'cycle:2': "
+                                         r"cycle needs n >= 3$"):
+        generate("cycle:2")
+    with pytest.raises(ValueError, match=r"^bad generator spec 'gnp:9,x': "):
+        generate("gnp:9,x")
+    assert generate("random_regular:10,3", seed=1) == random_regular(10, 3, 1)
+    assert generate(" Petersen ") == petersen()

@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 from avdcolor import (EdgePartition, Graph, SubgraphSelection, canon_edge,
                       complete, cycle, edge_induced, gnp, is_normal)
 from avdcolor.partition import _Level
-from helpers import isolated_edges, recompute_selection_state
+from avdcolor.vizing import _Fans
+from helpers import (assert_same_selection, isolated_edges,
+                     recompute_selection_state)
 
 
 def test_canon_edge_rejects_loops():
@@ -408,3 +410,39 @@ def test_edge_partition_set_parts_match_lists():
 def test_graph_input_errors(args, message):
     with pytest.raises(ValueError, match=message):
         Graph(*args)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_levels_and_trims())
+def test_selection_from_a_take_matches_the_recount(case):
+    # The selection built from a take equals the one counted from the
+    # edges it took, level by level, as partition_p2 peels: the cold
+    # coloring first, then a subcubic part of the remainder peeled off
+    # and the edges left uncolored fanned again.
+    g, rng = case
+    fans = _Fans.cold(g)
+    rest = g
+    while True:
+        low = fans.take_low()
+        assert fans.taken == frozenset(low)
+        sel = SubgraphSelection._from_take(rest, fans)
+        assert_same_selection(sel, SubgraphSelection(rest, fans.taken))
+        assert fans.kept_ends == 2 * (rest.edge_count - len(low))
+        if not rest.edges:
+            break
+        part = _subcubic_part(set(rest.edges), rng)
+        rest = edge_induced(g, rest.edges - part)
+        fans.fan(fans.peel(part, rest))
+
+
+def test_selection_from_a_take_refuses_a_state_of_another_host():
+    # Edges the host does not have fail the subset test; a state over
+    # other vertices, whose edges the host has, fails the vertex check.
+    fans = _Fans.cold(complete(9))
+    fans.take_low()
+    with pytest.raises(ValueError, match="not in host graph"):
+        SubgraphSelection._from_take(complete(8), fans)
+    fans = _Fans.cold(complete(7))
+    fans.take_low()
+    with pytest.raises(ValueError, match="over other vertices"):
+        SubgraphSelection._from_take(complete(8), fans)

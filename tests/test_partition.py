@@ -14,8 +14,9 @@ from avdcolor import (EdgePartition, Graph, NotNormalError,
 from avdcolor import canon_edge, edge_induced, misra_gries, parse_graph
 from avdcolor import (CounterexampleFound, InternalBoundViolationError,
                       graphs, partition, vizing)
-from helpers import (chains_reference, closure_revisit_state,
-                     dense_normal_graph, isolated_edges, normal_gnp_corpus,
+from helpers import (assert_same_selection, chains_reference,
+                     closure_revisit_state, dense_normal_graph,
+                     isolated_edges, normal_gnp_corpus,
                      partition_p2_by_levels, recompute_selection_state,
                      scramble_selection, step_to_zero, vertex_type_reference)
 
@@ -846,6 +847,49 @@ def test_initial_selection_refuses_a_state_already_taken():
     with pytest.raises(InternalBoundViolationError,
                        match="initial selection is not a member"):
         initial_selection(g, state)
+
+
+def test_take_built_selection_matches_the_recount_on_every_level(
+        monkeypatch):
+    # At every level of partition_p2, and from the cold state of
+    # initial_selection(g), the selection built from the take holds the
+    # degrees and isolated edges SubgraphSelection counts from the edges
+    # taken, checked as it is built, before the engine moves.
+    real = SubgraphSelection._from_take
+    seen = []
+
+    def from_take(host, fans):
+        sel = real(host, fans)
+        assert_same_selection(sel, SubgraphSelection(host, fans.taken))
+        seen.append((host.edge_count, len(sel._iso_sel), len(sel._iso_unsel)))
+        return sel
+
+    monkeypatch.setattr(SubgraphSelection, "_from_take",
+                        staticmethod(from_take))
+    for g in [*normal_gnp_corpus(10, 2100, 16, 60, 6, 30, p_lo=0.1,
+                                 p_hi=0.5),
+              *(complete(n) for n in range(7, 13))]:
+        start = len(seen)
+        k = partition_p2(g).k
+        assert len(seen) == start + k and seen[start][0] == g.edge_count
+        initial_selection(g)
+        assert len(seen) == start + k + 1 and seen[-1][0] == g.edge_count
+    # Both sides had isolated edges to compare.
+    assert sum(s for _, s, _ in seen) > 0 and sum(u for _, _, u in seen) > 0
+
+
+def test_initial_selection_refuses_a_state_that_left_an_edge_uncolored():
+    # The complement's isolated edges are read off the edges left colored,
+    # so a state fanned over all but one edge would give a wrong potential:
+    # the count of edges taken and left colored refuses it.
+    g = complete(8)
+    state = vizing._Fans(g)
+    state.fan(sorted(g.edges)[:-1])
+    with pytest.raises(ValueError, match="does not color every edge"):
+        initial_selection(g, state)
+    state = vizing._Fans(g)
+    state.fan(sorted(g.edges))
+    assert not check_membership(g, initial_selection(g, state))
 
 
 def test_partition_p1_rejects_peel_over_degree_bound(monkeypatch):
